@@ -22,6 +22,7 @@ from . import regularity as reg
 from .fixtures import CORPUS
 from .hessian import definiteness, kernel
 from .model import ParseError, ProblemInstance, ValidationError, parse_problem
+from .subdiff import EmptySliceError
 from .verifier import (SuiteResult, CheckResult, PASS, FAIL,
                        conjecture_probe, emit_report, run_all, run_suite)
 
@@ -64,7 +65,7 @@ def _analyze(inst: ProblemInstance) -> SuiteResult:
         try:
             ah = reg.growth_alpha_hat(inst, mode)
             s.artifacts[f"alpha_hat_{mode}"] = ah
-        except Exception as e:  # reported, not fatal: analytic slices can be empty
+        except (ValidationError, EmptySliceError) as e:  # reported, not fatal: slices can be empty
             s.artifacts[f"alpha_hat_{mode}"] = f"unavailable: {e}"
     if inst.f.is_exact:
         r_min, _ = reg.minimal_prox_r(inst)
@@ -142,15 +143,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     overrides = {}
-    for key in ("eta", "delta", "gamma"):
-        v = getattr(args, key)
-        if v is not None:
-            overrides[key] = Fraction(v)
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if overrides:
-        inst = ProblemInstance(inst.f, inst.xbar, inst.xstar,
-                               inst.params.replace(**overrides), name=inst.name)
+    try:
+        for key in ("eta", "delta", "gamma"):
+            v = getattr(args, key)
+            if v is not None:
+                overrides[key] = Fraction(v)
+        if args.grid is not None:
+            overrides["grid"] = args.grid
+        if overrides:
+            inst = ProblemInstance(inst.f, inst.xbar, inst.xstar,
+                                   inst.params.replace(**overrides), name=inst.name)
+    except (ValueError, ZeroDivisionError) as e:  # ValidationError is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     import time
     t0 = time.perf_counter()
     result = _analyze(inst)

@@ -250,9 +250,6 @@ class PolyCone:
         gens = self.rays + self.lineality
         return rank(mat(gens)) if gens else 0
 
-    def span_basis(self) -> list[Vec]:
-        return row_space_basis(self.rays + self.lineality, self.dim)
-
     # -- face lattice --------------------------------------------------------
 
     def faces(self) -> list["PolyCone"]:
@@ -288,13 +285,6 @@ class PolyCone:
             found[closure] = PolyCone(self.dim, rays=face_rays, lineality=list(lin))
         return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
-    def relint_point(self) -> Vec:
-        """A point in the relative interior (sum of rays, or 0)."""
-        p = zeros(self.dim)
-        for r in self.rays:
-            p = add(p, r)
-        return p
-
     def intersect(self, other: "PolyCone") -> "PolyCone":
         return PolyCone(self.dim, ineqs=self.ineqs + other.ineqs)
 
@@ -327,51 +317,6 @@ class ConeUnion:
             kept = [PolyCone.zero(self.dim)]
         return ConeUnion(kept, self.dim)
 
-    def translate_is_member(self, base: Vec, v) -> bool:
-        """Exact membership of v in base + union."""
-        return self.contains(sub(vec(v), vec(base)))
-
-    def equals(self, other: "ConeUnion") -> bool:
-        return cone_union_covers(self.pieces, other.pieces) and \
-            cone_union_covers(other.pieces, self.pieces)
-
     def __repr__(self) -> str:
         return f"ConeUnion({len(self.pieces)} pieces, dim={self.dim})"
 
-
-def cone_union_covers(covers: list[PolyCone], targets: list[PolyCone]) -> bool:
-    """Exact test: union(targets) subseteq union(covers).
-
-    Branches over which inequality of each covering cone a witness would
-    violate; each branch is one strict feasibility LP.
-    """
-    for t in targets:
-        if _cone_escapes(t, covers):
-            return False
-    return True
-
-
-def _cone_escapes(target: PolyCone, covers: list[PolyCone]) -> bool:
-    # Does target contain a point outside every cover?
-    dim = target.dim
-    base_ub = [list(r) for r in target.ineqs]
-
-    def recurse(i: int, strict_rows: list[Vec]) -> bool:
-        if i == len(covers):
-            point = lp.strictly_feasible_point(
-                a_strict=mat(strict_rows), b_strict=zeros(len(strict_rows)),
-                a_ub=mat(base_ub), b_ub=zeros(len(base_ub)), n=dim)
-            return point is not None
-        for row in covers[i].ineqs:
-            # outside cover i via this row: row . x > 0
-            cand = strict_rows + [neg(row)]
-            pt = lp.strictly_feasible_point(
-                a_strict=mat(cand), b_strict=zeros(len(cand)),
-                a_ub=mat(base_ub), b_ub=zeros(len(base_ub)), n=dim)
-            if pt is not None and recurse(i + 1, cand):
-                return True
-        if not covers[i].ineqs:
-            return False  # cover is the full space
-        return False
-
-    return recurse(0, [])

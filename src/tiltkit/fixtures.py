@@ -34,10 +34,6 @@ class Fixture:
         return e.value if e is not None else default
 
 
-def _full(n: int) -> PolyUnion:
-    return PolyUnion([ConvexPolyhedron.full_space(n)])
-
-
 def _exact(q, c, pieces, xbar, xstar, name, params=None) -> ProblemInstance:
     f = FunctionSpec(smooth=QuadraticForm.make(q, c), domain=PolyUnion(pieces))
     return ProblemInstance(f, xbar, xstar, params or Params(), name=name)

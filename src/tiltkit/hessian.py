@@ -82,11 +82,6 @@ def graph_normal_cone_limiting(model: GraphLocalModel) -> ConeUnion:
     return limiting_normal_cone(model.union, model.basepoint)
 
 
-def graph_normal_cone_regular(model: GraphLocalModel, point) -> PolyCone:
-    """Regular normal cone to the graph union at a given graph point."""
-    return regular_normal_cone(model.union, vec(point))
-
-
 class SecondOrderMap:
     """Queryable generalized Hessian at a fixed reference pair."""
 
@@ -217,9 +212,6 @@ class DefinitenessVerdict:
     witness: tuple[Vec, Vec, Fraction] | None  # (u, ustar, <ustar,u>)
     kernel_basis: tuple[Vec, ...]
     has_direction_free_normals: bool  # pieces with u = 0 but w != 0 exist
-
-    def is_positive_definite(self) -> bool:
-        return self.verdict == POSITIVE_DEFINITE
 
 
 def _pairing_form(n: int) -> Bilinear:

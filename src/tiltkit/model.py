@@ -260,9 +260,6 @@ class Params:
     grid: int = 9
     box_halfwidth: Fraction = Fraction(1)
     refine_max: int = 3
-    tol_growth: float = 1e-9
-    tol_tie: float = 1e-9
-    tol_distance: float = 1e-10
 
     def __post_init__(self):
         for name in ("eta", "delta", "gamma", "rho", "box_halfwidth"):

@@ -20,20 +20,6 @@ FEAS_TOL = 1e-9
 KKT_TOL = 1e-12
 
 
-def _affine_projection(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Projection of z onto {x : a x = b} (rows may be dependent)."""
-    if a.shape[0] == 0:
-        return z.copy()
-    # x = z - a^T lam with a a^T lam = a z - b (least squares for dependence)
-    g = a @ a.T
-    rhs = a @ z - b
-    lam, *_ = np.linalg.lstsq(g, rhs, rcond=None)
-    x = z - a.T @ lam
-    if np.max(np.abs(a @ x - b)) > 1e-7 * (1.0 + np.max(np.abs(b))):
-        return None  # inconsistent system
-    return x
-
-
 def _projection_data(poly: ConvexPolyhedron):
     """Per-polyhedron cache: float rows plus, per candidate active subset,
     the pseudoinverse solving the equality-constrained projection."""
@@ -145,8 +131,3 @@ def distance_to_cone(z, cone: PolyCone) -> float:
         return 0.0
     return float(np.linalg.norm(project_cone(z, cone)[0] - z))
 
-
-def point_in_ball(x, center, radius) -> bool:
-    x = np.asarray(x, dtype=float)
-    center = np.asarray(center, dtype=float)
-    return float(np.linalg.norm(x - center)) <= float(radius) + 1e-12

@@ -77,12 +77,6 @@ def matvec(m: Mat, x: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, x) for row in m)
 
 
-def mat_t(m: Mat) -> Mat:
-    if not m:
-        return ()
-    return tuple(zip(*m))
-
-
 def norm_sq(a: Sequence[Fraction]) -> Fraction:
     return sum((x * x for x in a), F0)
 
@@ -240,6 +234,3 @@ def inertia(s: Mat) -> tuple[int, int, int]:
 def is_psd(s: Mat) -> bool:
     return inertia(s)[1] == 0
 
-
-def format_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

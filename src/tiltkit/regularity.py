@@ -38,8 +38,6 @@ def ball_lattice(center: Vec, radius: Fraction, per_axis: int) -> list[Vec]:
     """Rational lattice on the box, filtered to the Euclidean ball (exact)."""
     n = len(center)
     radius = frac(radius)
-    steps = [center[i] - radius + Fraction(2 * k, per_axis - 1) * radius
-             for i in range(1) for k in range(per_axis)]
     axes = []
     for i in range(n):
         axes.append([center[i] - radius + Fraction(2 * k, per_axis - 1) * radius
@@ -155,7 +153,6 @@ class GrowthReport:
     eta: float
     violations: list
     checked: int
-    alpha_hat: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -196,91 +193,155 @@ def _inverse_box(inst: ProblemInstance) -> ConvexPolyhedron:
     return ConvexPolyhedron.box(inst.xbar, inst.params.box_halfwidth)
 
 
+# Every inequality below reads lhs >= base + c/2 * k on each sample, with
+# k >= 0 and c = alpha for quadratic growth or c = -r for the lower
+# prox-type estimates; a sample violates it when base + c/2 * k - lhs
+# exceeds TIE_TOL.  The checks evaluate that at one constant; the closed
+# forms take the extreme ratio of lhs - base to k/2 over the same samples.
+# TIE_TOL stays out of the ratios: folding it in lifts alpha-hat from 0
+# to ~2e-7 on flat directions.
+
+ALPHA_CAP = 2.0 ** 16
+ALPHA_POINTS = 2001
+R_CAP = 4096.0
+PROX_GRID = 7
+VIOLATIONS_KEPT = 50
+
+
+def _floats(points, n: int) -> np.ndarray:
+    return np.array([to_float(p) for p in points], dtype=float).reshape(len(points), n)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=1)
+
+
+def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
+                  n_points: int):
+    """(points, base, lhs, k) of the growth inequality on the eta-ball grid:
+    lhs = f(x), base = f(xbar) + <xstar, x - xbar>, k = D(x)^2."""
+    if not inst.f.is_exact:
+        fx = inst.f.fixture
+        eta = float(eta)
+        x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
+        xs = np.linspace(max(x0 - eta, fx.lo), min(x0 + eta, fx.hi), n_points)
+        if mode == "norm-squared":
+            k = np.square(xs - x0)
+        else:
+            sols = analytic_inverse_points(fx, v0, x0, 4 * eta)
+            if not sols:
+                raise EmptySliceError("no solutions of the stationarity inclusion nearby")
+            k = np.min(np.square(xs[:, None] - np.array(sols)[None, :]), axis=1)
+        f0 = float(fx.value(x0)) if fx.in_domain(x0) else math.inf
+        return xs[:, None], f0 + v0 * (xs - x0), np.asarray(fx.value(xs), dtype=float), k
+    f = inst.f
+    grid = domain_lattice(f, inst.xbar, frac(eta), per_axis)
+    pts = _floats(grid, f.dim)
+    xbar_f = np.array(to_float(inst.xbar))
+    base = float(evaluate_exact(f, inst.xbar)) + \
+        _rowdot(pts - xbar_f, np.array(to_float(inst.xstar)))
+    lhs = np.array([float(evaluate_exact(f, x)) for x in grid])
+    if mode == "distance-squared":
+        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
+        d = np.array([distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
+                      for xf in pts])
+    else:
+        d = np.linalg.norm(pts - xbar_f, axis=1)
+    return pts, base, lhs, d * d
+
+
 def check_growth(inst: ProblemInstance, alpha, mode: str,
                  eta=None, per_axis: int | None = None,
                  n_points: int | None = None) -> GrowthReport:
     """Checks f(x) >= f(xbar) + <xstar, x-xbar> + alpha/2 * D(x)^2 on a grid
     in the eta-ball, D = distance to the solution set ("distance-squared")
     or to the reference point ("norm-squared")."""
-    alpha_f = float(alpha)
-    eta = inst.params.eta if eta is None else frac(eta) if not isinstance(eta, float) else eta
-    if inst.f.is_exact:
-        return _check_growth_exact(inst, alpha_f, mode, frac(eta),
-                                   per_axis or inst.params.grid)
-    return _check_growth_analytic(inst, alpha_f, mode, float(eta),
-                                  n_points or 100_001)
+    alpha = float(alpha)
+    eta = inst.params.eta if eta is None else eta
+    pts, base, lhs, k = _growth_terms(inst, mode, eta, per_axis or inst.params.grid,
+                                      n_points or 100_001)
+    rhs = base + 0.5 * alpha * k
+    bad = np.nonzero(lhs < rhs - TIE_TOL)[0]
+    violations = [(tuple(map(float, pts[i])), float(lhs[i]), float(rhs[i]))
+                  for i in bad[:VIOLATIONS_KEPT]]
+    return GrowthReport(mode, alpha, float(eta), violations, len(lhs))
 
 
-def _check_growth_exact(inst, alpha: float, mode: str, eta: Fraction,
-                        per_axis: int) -> GrowthReport:
-    f = inst.f
-    grid = domain_lattice(f, inst.xbar, eta, per_axis)
-    fbar = float(evaluate_exact(f, inst.xbar))
-    xstar_f = np.array(to_float(inst.xstar))
-    xbar_f = np.array(to_float(inst.xbar))
-    slice_ = inverse_image(f, inst.xstar, _inverse_box(inst)) \
-        if mode == "distance-squared" else None
-    violations = []
-    for x in grid:
-        xf = np.array(to_float(x))
-        if mode == "distance-squared":
-            d = distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
-        else:
-            d = float(np.linalg.norm(xf - xbar_f))
-        lhs = float(evaluate_exact(f, x))
-        rhs = fbar + float(xstar_f @ (xf - xbar_f)) + 0.5 * alpha * d * d
-        if lhs < rhs - TIE_TOL:
-            violations.append((tuple(map(float, xf)), lhs, rhs))
-    return GrowthReport(mode, alpha, float(eta), violations, len(grid))
-
-
-def _check_growth_analytic(inst, alpha: float, mode: str, eta: float,
-                           n_points: int) -> GrowthReport:
-    fx = inst.f.fixture
-    x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
-    lo, hi = max(x0 - eta, fx.lo), min(x0 + eta, fx.hi)
-    xs = np.linspace(lo, hi, n_points)
-    vals = np.asarray(fx.value(xs), dtype=float)
-    if mode == "norm-squared":
-        d2 = np.square(xs - x0)
-    else:
-        pts = analytic_inverse_points(fx, v0, x0, 4 * eta)
-        if not pts:
-            raise EmptySliceError("no solutions of the stationarity inclusion nearby")
-        d2 = np.min(np.square(xs[:, None] - np.array(pts)[None, :]), axis=1)
-    f0 = float(fx.value(x0)) if fx.in_domain(x0) else math.inf
-    rhs = f0 + v0 * (xs - x0) + 0.5 * alpha * d2
-    bad = np.nonzero(vals < rhs - TIE_TOL)[0]
-    violations = [((float(xs[i]),), float(vals[i]), float(rhs[i])) for i in bad[:50]]
-    return GrowthReport(mode, alpha, eta, violations, n_points)
-
-
-def growth_alpha_hat(inst: ProblemInstance, mode: str, eta=None,
-                     per_axis: int | None = None, hi_cap: float = 2 ** 16) -> float:
-    """Largest alpha (bisection, 1e-3 relative) with zero grid violations."""
-    def ok(a: float) -> bool:
-        return check_growth(inst, a, mode, eta=eta, per_axis=per_axis,
-                            n_points=2001).passed
-
-    if not ok(0.0):
+def growth_alpha_hat(inst: ProblemInstance, mode: str) -> float:
+    """Largest alpha with zero grid violations, in closed form: the least
+    ratio of f(x) - f(xbar) - <xstar, x-xbar> to D(x)^2/2 over the grid
+    (analytic variant: ALPHA_POINTS points), clipped to [0, ALPHA_CAP];
+    -inf when the inequality already fails at alpha = 0."""
+    _, base, lhs, k = _growth_terms(inst, mode, inst.params.eta, inst.params.grid,
+                                    ALPHA_POINTS)
+    if np.any(lhs < base - TIE_TOL):
         return -math.inf
-    lo, hi = 0.0, 1.0
-    while ok(hi) and hi < hi_cap:
-        lo, hi = hi, hi * 2
-    if hi >= hi_cap:
-        return hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-3 * max(1.0, lo):
-            break
-    return lo
+    far = k > 0
+    alpha = float(np.min((lhs - base)[far] / (0.5 * k[far]))) if far.any() else math.inf
+    return min(max(alpha, 0.0), ALPHA_CAP)
 
 
 PROX_MODES = ("3.1", "3.3", "3.10", "2.8", "3.13", "3.15")
+
+
+def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
+    """Blocks (base, lhs, k, head, points) of the lower inequality
+    lhs >= base - r/2 * k; sample i of a block is named by head plus
+    points[i].  See check_lower_prox_inequality for the modes."""
+    if mode not in PROX_MODES:
+        raise ValidationError(f"unknown mode {mode!r}; options {PROX_MODES}")
+    if not inst.f.is_exact:
+        raise ValidationError("prox-type checks need the exact variant")
+    f = inst.f
+    n = f.dim
+    eta = inst.params.eta
+    xbar_f = np.array(to_float(inst.xbar))
+    fbar = float(evaluate_exact(f, inst.xbar))
+    if mode in ("3.1", "3.3"):
+        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
+
+        def dist2(pts: np.ndarray) -> np.ndarray:
+            d = np.array([distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
+                          for xf in pts])
+            return d * d
+
+    if mode == "3.1":
+        grid = domain_lattice(f, inst.xbar, eta, per_axis)
+        xs = _floats(grid, n)
+        base = fbar + _rowdot(xs - xbar_f, np.array(to_float(inst.xstar)))
+        yield base, np.array([float(evaluate_exact(f, x)) for x in grid]), dist2(xs), (), xs
+        return
+
+    pairs = graph_point_samples(f, inst.xbar, inst.xstar, eta)
+    xs = _floats([x for x, _ in pairs], n)
+    ss = _floats([s for _, s in pairs], n)
+    fxs = np.array([float(evaluate_exact(f, x)) for x, _ in pairs])
+    if mode == "3.3":
+        d2 = dist2(xs)
+        for u in _slice_points(slice_, inst.xbar, eta):
+            uf = np.array(to_float(u))
+            yield (fxs + _rowdot(ss, uf - xs), np.full(len(xs), float(evaluate_exact(f, u))),
+                   d2, (tuple(map(float, uf)),), xs)
+        return
+    if mode == "3.10":
+        yield (fxs + _rowdot(ss, xbar_f - xs), np.full(len(xs), fbar),
+               np.sum(np.square(xs - xbar_f), axis=1), (), xs)
+        return
+
+    # modes 2.8 / 3.15 / 3.13: full two-point neighborhood inequalities;
+    # the x-grid is densified geometrically toward the reference point,
+    # where prox failures concentrate
+    zoomed = domain_lattice_zoomed(f, inst.xbar, eta, per_axis)
+    zs = _floats(zoomed, n)
+    fzs = np.array([float(evaluate_exact(f, z)) for z in zoomed])
+    xstar_f = np.array(to_float(inst.xstar))
+    for uf, usf, fu in zip(xs, ss, fxs):
+        if mode == "2.8" and (float(np.linalg.norm(usf - xstar_f)) > float(eta)
+                              or abs(fu - fbar) > float(eta)):
+            continue
+        k = np.zeros(len(zs)) if mode == "3.13" else np.sum(np.square(zs - uf), axis=1)
+        yield (fu + _rowdot(zs - uf, usf), fzs, k,
+               (tuple(map(float, uf)), tuple(map(float, usf))), zs)
 
 
 def check_lower_prox_inequality(inst: ProblemInstance, beta, mode: str,
@@ -293,124 +354,52 @@ def check_lower_prox_inequality(inst: ProblemInstance, beta, mode: str,
     inequality; "3.15" its two-sided neighborhood version; "3.13" the
     plain subgradient inequality (r = 0 case of "3.15").
     """
-    if mode not in PROX_MODES:
-        raise ValidationError(f"unknown mode {mode!r}; options {PROX_MODES}")
-    if not inst.f.is_exact:
-        raise ValidationError("prox-type checks need the exact variant")
-    beta_f = float(beta)
-    f = inst.f
-    p = inst.params
-    per_axis = per_axis or p.grid
-    eta = p.eta
-    xbar_f = np.array(to_float(inst.xbar))
-    fbar = float(evaluate_exact(f, inst.xbar))
-    grid = domain_lattice(f, inst.xbar, eta, per_axis)
-    grid_f = [np.array(to_float(x)) for x in grid]
-    fvals = [float(evaluate_exact(f, x)) for x in grid]
+    return _prox_outcome(_prox_terms(inst, mode, per_axis or inst.params.grid), float(beta))
+
+
+def _prox_outcome(blocks, r: float) -> CheckOutcome:
     violations = []
     worst = 0.0
     checked = 0
-
-    def note(vio: float, payload) -> None:
-        nonlocal worst
-        if vio > TIE_TOL:
-            violations.append(payload)
-        worst = max(worst, vio)
-
-    if mode == "3.1":
-        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
-        xstar_f = np.array(to_float(inst.xstar))
-        for x, xf, fx in zip(grid, grid_f, fvals):
-            d = distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
-            rhs = fbar + float(xstar_f @ (xf - xbar_f)) - 0.5 * beta_f * d * d
-            checked += 1
-            note(rhs - fx, (tuple(map(float, xf)), fx, rhs))
-        return CheckOutcome(not violations, violations, worst, checked)
-
-    pairs = graph_point_samples(f, inst.xbar, inst.xstar, eta)
-    if mode == "3.3":
-        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
-        u_points = _slice_points(slice_, inst.xbar, eta)
-        for u in u_points:
-            fu = float(evaluate_exact(f, u))
-            uf = np.array(to_float(u))
-            for (x, xs) in pairs:
-                xf = np.array(to_float(x))
-                d = distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
-                rhs = float(evaluate_exact(f, x)) + \
-                    float(np.array(to_float(xs)) @ (uf - xf)) - 0.5 * beta_f * d * d
-                checked += 1
-                note(rhs - fu, ((tuple(map(float, uf)), tuple(map(float, xf))), fu, rhs))
-        return CheckOutcome(not violations, violations, worst, checked)
-
-    if mode == "3.10":
-        for (x, xs) in pairs:
-            xf = np.array(to_float(x))
-            fx = float(evaluate_exact(f, x))
-            nrm2 = float(np.sum((xf - xbar_f) ** 2))
-            rhs = fx + float(np.array(to_float(xs)) @ (xbar_f - xf)) - 0.5 * beta_f * nrm2
-            checked += 1
-            note(rhs - fbar, (tuple(map(float, xf)), fbar, rhs))
-        return CheckOutcome(not violations, violations, worst, checked)
-
-    # modes 2.8 / 3.15 / 3.13: full two-point neighborhood inequalities;
-    # the x-grid is densified geometrically toward the reference point,
-    # where prox failures concentrate
-    zoomed = domain_lattice_zoomed(f, inst.xbar, eta, per_axis)
-    grid_f = [np.array(to_float(x)) for x in zoomed]
-    fvals = [float(evaluate_exact(f, x)) for x in zoomed]
-    r = 0.0 if mode == "3.13" else beta_f
-    xstar_f = np.array(to_float(inst.xstar))
-    for (u, us) in pairs:
-        uf = np.array(to_float(u))
-        usf = np.array(to_float(us))
-        if mode == "2.8":
-            if float(np.linalg.norm(usf - xstar_f)) > float(eta):
-                continue
-            fu_ = float(evaluate_exact(f, u))
-            if abs(fu_ - fbar) > float(eta):
-                continue
-        fu = float(evaluate_exact(f, u))
-        for xf, fx in zip(grid_f, fvals):
-            rhs = fu + float(usf @ (xf - uf)) - 0.5 * r * float(np.sum((xf - uf) ** 2))
-            checked += 1
-            note(rhs - fx, ((tuple(map(float, uf)), tuple(map(float, usf)),
-                             tuple(map(float, xf))), fx, rhs))
+    for base, lhs, k, head, pts in blocks:
+        rhs = base - 0.5 * r * k
+        vio = rhs - lhs
+        checked += len(vio)
+        worst = max(worst, float(vio.max(initial=0.0)))
+        for i in np.nonzero(vio > TIE_TOL)[0]:
+            pt = tuple(map(float, pts[i]))
+            violations.append((head + (pt,) if head else pt, float(lhs[i]), float(rhs[i])))
     return CheckOutcome(not violations, violations, worst, checked)
 
 
-def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8",
-                   r_cap: float = 4096.0) -> tuple[float, CheckOutcome]:
-    """Smallest r passing the chosen lower inequality on the grid, by
-    bisection; math.inf when even r_cap fails (not prox-regular there)."""
-    def outcome(r: float) -> CheckOutcome:
-        return check_lower_prox_inequality(inst, r, mode, per_axis=7)
-
-    out = outcome(0.0)
-    if out.passed:
-        return 0.0, out
-    lo, hi = 0.0, 1.0
-    while not outcome(hi).passed:
-        hi *= 4
-        if hi > r_cap:
-            return math.inf, outcome(r_cap)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if outcome(mid).passed:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-3 * max(1.0, hi):
+def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, CheckOutcome]:
+    """Smallest r passing the chosen lower inequality on the grid, in closed
+    form: the largest ratio of the r = 0 violation to k/2 over the samples
+    violating at r = 0.  math.inf when such a sample has k = 0 or the
+    ratio exceeds R_CAP (not prox-regular there); the outcome is then the
+    check at R_CAP."""
+    blocks = list(_prox_terms(inst, mode, PROX_GRID))
+    r = 0.0
+    for base, lhs, k, _, _ in blocks:
+        slack = base - lhs
+        hot = slack > TIE_TOL
+        if np.any(k[hot] <= 0):
+            r = math.inf
             break
-    return hi, outcome(hi)
+        if hot.any():
+            r = max(r, float(np.max(slack[hot] / (0.5 * k[hot]))))
+    if r > R_CAP:
+        r = math.inf
+    return r, _prox_outcome(blocks, min(r, R_CAP))
 
 
 _slice_pts_cache: dict[tuple, list] = {}
 
 
 def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[Vec]:
-    """Rational points of an inverse slice inside the radius ball (cached)."""
-    key = (id(slice_), tuple(center), frac(radius))
+    """Rational points of an inverse slice inside the radius ball (cached
+    by the slice's pieces, the center and the radius)."""
+    key = (tuple((p.a, p.b) for p in slice_.pieces), tuple(center), frac(radius))
     hit = _slice_pts_cache.get(key)
     if hit is not None:
         return hit

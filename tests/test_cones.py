@@ -3,7 +3,8 @@ from fractions import Fraction as F
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltkit.cones import ConeUnion, PolyCone, cone_union_covers
+from tiltkit.cones import ConeUnion, PolyCone
+from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
 from tiltkit.rational import neg, vec
 
 small_ints = st.integers(min_value=-3, max_value=3)
@@ -78,10 +79,12 @@ def test_containment_and_union_cover():
     ray = PolyCone.from_generators([(1, 1)], 2)
     assert quad.contains_cone(ray)
     assert not ray.contains_cone(quad)
-    upper = PolyCone.from_inequalities([(0, -1)], 2)
-    lower = PolyCone.from_inequalities([(0, 1)], 2)
-    assert cone_union_covers([upper, lower], [PolyCone.full(2)])
-    assert not cone_union_covers([upper], [PolyCone.full(2)])
+    # cones as polyhedra with b = 0
+    upper = ConvexPolyhedron([(0, -1)], (0,))
+    lower = ConvexPolyhedron([(0, 1)], (0,))
+    full = ConvexPolyhedron.full_space(2)
+    assert poly_union_covers([upper, lower], [full])
+    assert not poly_union_covers([upper], [full])
 
 
 def test_cone_union_dedupe_and_membership():

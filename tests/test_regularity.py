@@ -3,10 +3,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltkit.fixtures import fixture
-from tiltkit.model import ValidationError
-from tiltkit.regularity import (ball_lattice, check_condition_4_1, check_growth,
+from tiltkit.model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
+                           ValidationError)
+from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
+from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, PROX_GRID, PROX_MODES, R_CAP,
+                                ball_lattice, check_condition_4_1, check_growth,
                                 check_lower_prox_inequality,
                                 check_single_valued_localization,
                                 check_uniform_growth,
@@ -162,3 +167,73 @@ def test_graph_samples_lie_on_graph():
     assert len(pairs) >= 3
     for u, us in pairs:
         assert subdifferential(i.f, u).contains(us)
+
+
+def test_slice_points_cache_keys_on_content():
+    from tiltkit.regularity import _slice_points
+    from tiltkit.subdiff import InverseSlice
+
+    box = ConvexPolyhedron.box((0,), 1)
+    v, center, radius = (F(0),), (F(0),), F(1, 10)
+    # each slice is dropped before the next, different one is built, so
+    # CPython tends to hand the next slice the previous one's id
+    for k in range(20):
+        t = F(k, 200)
+        piece = ConvexPolyhedron([(1,), (-1,)], (t, -t))
+        assert _slice_points(InverseSlice(v, box, (piece,), False), center, radius) == [(t,)]
+
+
+def test_growth_alpha_hat_analytic_is_the_largest_passing_alpha():
+    osc = inst("oscillating-1d")
+    a = growth_alpha_hat(osc, "norm-squared")
+    assert 0 < a < ALPHA_CAP
+    assert check_growth(osc, a, "norm-squared", n_points=ALPHA_POINTS).passed
+    assert not check_growth(osc, a * (1 + 1e-3) + 1e-9, "norm-squared",
+                            n_points=ALPHA_POINTS).passed
+
+
+@st.composite
+def probe_instances(draw):
+    """Random instances shaped like the conjecture probe's: a quadratic
+    with a nonnegative diagonal shift on a homogeneous polyhedral cone,
+    reference pair at the origin."""
+    n = draw(st.sampled_from((1, 2)))
+    q = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            q[i][j] = q[j][i] = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    for i in range(n):
+        q[i][i] += draw(st.integers(0, 4))
+    rows = [r for r in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                                     min_size=1, max_size=3)) if any(r)]
+    piece = ConvexPolyhedron(rows, [0] * len(rows), dim=n)
+    f = FunctionSpec(smooth=QuadraticForm.make(q, [0] * n), domain=PolyUnion([piece]))
+    return ProblemInstance(f, (0,) * n, (0,) * n, Params(grid=5, refine_max=2))
+
+
+@pytest.mark.parametrize("mode", PROX_MODES)
+@settings(max_examples=6)
+@given(probe_instances())
+def test_minimal_prox_r_is_the_least_passing_r(mode, instance):
+    r, out = minimal_prox_r(instance, mode)
+
+    def check(rr):
+        return check_lower_prox_inequality(instance, rr, mode, per_axis=PROX_GRID)
+
+    at_r = check(min(r, R_CAP))
+    assert at_r == out and at_r.passed == math.isfinite(r)
+    if 0 < r < math.inf:
+        assert not check(r * (1 - 1e-3)).passed
+
+
+@pytest.mark.parametrize("mode", ("norm-squared", "distance-squared"))
+@settings(max_examples=6)
+@given(probe_instances())
+def test_growth_alpha_hat_is_the_largest_passing_alpha(mode, instance):
+    a = growth_alpha_hat(instance, mode)
+    if a == -math.inf:
+        assert not check_growth(instance, 0.0, mode).passed
+        return
+    assert check_growth(instance, a, mode).passed
+    if 0 < a < ALPHA_CAP:
+        assert not check_growth(instance, a * (1 + 1e-3) + 1e-9, mode).passed

@@ -19,9 +19,10 @@ def test_aliases_resolve():
     assert set(ALIASES.values()) == set(SUITES)
 
 
-def test_report_json_is_deterministic_and_schema_versioned():
-    r1 = run_suite("EX3.4")
-    r2 = run_suite("EX3.4")
+@pytest.mark.parametrize("suite", ["EX3.4", "EX4.14"])
+def test_report_json_is_deterministic_and_schema_versioned(suite):
+    r1 = run_suite(suite)
+    r2 = run_suite(suite)
     j1 = emit_report([r1], "json")
     j2 = emit_report([r2], "json")
     assert j1 == j2  # byte-identical despite different wall clocks
@@ -91,6 +92,20 @@ def test_cli_analyze(tmp_path, capsys):
     arts = payload["results"][0]["artifacts"]
     assert arts["definiteness"] == "positive_definite"
     assert arts["tilt_verdict"] == "stable"
+
+
+@pytest.mark.parametrize("flag", [["--eta", "abc"], ["--eta", "0"], ["--grid", "1"]])
+def test_cli_analyze_bad_override_exits_2(tmp_path, capsys, flag):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "variant": "exact",
+        "smooth": {"Q": [[1]], "c": [0], "d": 0},
+        "pieces": [{"A": [], "b": []}],
+        "xbar": [0], "xstar": [0],
+    }))
+    assert main(["analyze", str(prob)] + flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_analyze_bad_file(tmp_path, capsys):
