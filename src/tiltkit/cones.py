@@ -24,23 +24,20 @@ def _dd_pointed(dim: int, extra: list[Vec]) -> list[Vec]:
     adjacency test is valid because the cone stays pointed.
     """
     rays: list[Vec] = [unit(dim, i) for i in range(dim)]
-    # Constraint list grows as rows are processed; index 0..dim-1 are the
-    # orthant rows -e_i, the rest are prior `extra` rows.
-    processed: list[Vec] = [neg(unit(dim, i)) for i in range(dim)]
-
-    def zero_set(r: Vec) -> frozenset[int]:
-        return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
-
-    for a in extra:
+    # Each ray's zero set: the processed rows it is tight on.  Rows 0..dim-1
+    # are the orthant rows -e_i, row dim + j is extra[j].  A new ray is
+    # tight exactly where both of its parents are, plus on the new row.
+    zsets = {r: frozenset(range(dim)) - {i} for i, r in enumerate(rays)}
+    for k, a in enumerate(extra, start=dim):
         vals = [dot(a, r) for r in rays]
-        if all(v <= 0 for v in vals):
-            processed.append(a)
-            continue
-        keep = [r for r, v in zip(rays, vals) if v <= 0]
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
         negs = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        zsets = {r: zero_set(r) for r in rays}
-        new: list[Vec] = []
+        merged: list[Vec] = []
+        new_z: dict[Vec, frozenset[int]] = {}
+        for r, v in zip(rays, vals):
+            if v <= 0:
+                merged.append(r)
+                new_z[r] = zsets[r] | {k} if v == 0 else zsets[r]
         for (rp, vp), (rn, vn) in itertools.product(pos, negs):
             common = zsets[rp] & zsets[rn]
             adjacent = not any(
@@ -49,13 +46,11 @@ def _dd_pointed(dim: int, extra: list[Vec]) -> list[Vec]:
             if adjacent:
                 comb = sub(scale(rn, vp), scale(rp, vn))
                 if not is_zero(comb):
-                    new.append(primitive(comb))
-        processed.append(a)
-        merged = list(keep)
-        for r in new:
-            if r not in merged:
-                merged.append(r)
-        rays = merged
+                    r = primitive(comb)
+                    if r not in new_z:
+                        merged.append(r)
+                        new_z[r] = common | {k}
+        rays, zsets = merged, new_z
     return rays
 
 

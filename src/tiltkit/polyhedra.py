@@ -1,9 +1,9 @@
 """Convex polyhedra {x : Ax <= b} over the rationals, and finite unions.
 
-Exact membership, active sets, emptiness, faces with implied-equality
-canonicalization, tangent/normal cones, and a V-representation through
-homogenization.  Row counts are tiny by contract (a guard rejects more
-than MAX_ROWS rows before any exponential enumeration runs).
+Exact membership, active sets, emptiness, tangent/normal cones, and a
+V-representation through homogenization, whose generators decide implied
+equalities and faces with no LP.  Row counts are tiny by contract (a guard
+rejects more than MAX_ROWS rows before any exponential enumeration runs).
 """
 
 from __future__ import annotations
@@ -82,19 +82,33 @@ class ConvexPolyhedron:
         return lp.feasible_point(self.a, self.b, n=self.dim)
 
     def implied_equalities(self) -> frozenset[int]:
-        """Rows holding with equality on the entire polyhedron.
-
-        A row satisfies a_i x <= b_i by definition, so it is an implied
-        equality iff its minimum over the polyhedron already equals b_i.
-        """
+        """Rows holding with equality on the entire polyhedron (none when
+        it is empty): the face key of the empty equality set."""
         if self._implied is None:
-            out = set()
-            for i, (row, bi) in enumerate(zip(self.a, self.b)):
-                status, mx_neg = lp.max_over(neg(row), self.a, self.b)
-                if status == lp.OPTIMAL and -mx_neg == bi:
-                    out.add(i)
-            self._implied = frozenset(out)
+            self._implied = self._face_key((), self._generator_tight_sets()) or frozenset()
         return self._implied
+
+    def _generator_tight_sets(self) -> list[tuple[frozenset[int], bool]]:
+        """(rows tight on it, is a point) per vrep() generator: the points
+        (t = 1), rays and lineality (t = 0) generating the homogenization
+        cone {(x, t) : Ax - tb <= 0, t >= 0}."""
+        points, rec, lin = self.vrep()
+        rows = list(enumerate(zip(self.a, self.b)))
+        return ([(frozenset(i for i, (a, bi) in rows if dot(a, p) == bi), True)
+                 for p in points] +
+                [(frozenset(i for i, (a, _) in rows if dot(a, r) == 0), False)
+                 for r in rec + lin])
+
+    @staticmethod
+    def _face_key(subset, gens) -> frozenset[int] | None:
+        """Rows tight on the whole face {x in P : A_S x = b_S}, or None when
+        it is empty.  The face's homogenization is generated by the
+        generators tight on S, so it is nonempty iff one of them is a point,
+        and a row is tight on all of it iff tight on all of them."""
+        on = [(t, is_point) for t, is_point in gens if t.issuperset(subset)]
+        if not any(is_point for _, is_point in on):
+            return None
+        return frozenset.intersection(*(t for t, _ in on))
 
     def relint_point(self) -> Vec | None:
         """A point strict on every non-implied row, or None when empty."""
@@ -151,29 +165,18 @@ class ConvexPolyhedron:
     def faces(self) -> list[tuple[frozenset[int], "ConvexPolyhedron"]]:
         """Nonempty faces as (implied-active row set, face polyhedron).
 
-        Enumerates equality subsets and canonicalizes each by the set of
-        original rows that hold with equality on the whole face, so every
-        face appears exactly once under its exact active set.
+        Enumerates equality subsets and keys each nonempty one by _face_key,
+        read off the vrep() generators, so every face appears exactly once
+        under its exact active set.
         """
         if self.m > MAX_FACE_ROWS:
             raise ValueError(f"face enumeration guard: {self.m} rows > {MAX_FACE_ROWS}")
+        gens = self._generator_tight_sets()
         found: dict[frozenset[int], ConvexPolyhedron] = {}
         for k in range(self.m + 1):
             for subset in itertools.combinations(range(self.m), k):
-                f = self.face(subset)
-                if f.is_empty():
-                    continue
-                canon = set(subset)
-                for i in range(self.m):
-                    if i in canon:
-                        continue
-                    status, mx = lp.max_over(self.a[i], f.a, f.b)
-                    if status == lp.OPTIMAL and mx == self.b[i]:
-                        status2, mn = lp.max_over(neg(self.a[i]), f.a, f.b)
-                        if status2 == lp.OPTIMAL and -mn == self.b[i]:
-                            canon.add(i)
-                key = frozenset(canon)
-                if key not in found:
+                key = self._face_key(subset, gens)
+                if key is not None and key not in found:
                     found[key] = self.face(sorted(key))
         return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 

@@ -112,10 +112,7 @@ def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
 
     push(base)
     for piece in som.model.pieces:
-        clipped = piece.intersect(box)
-        if clipped.is_empty():
-            continue
-        pts, _, _ = clipped.vrep()
+        pts, _, _ = piece.intersect(box).vrep()
         pts = pts[:max_per_piece]
         for p in pts:
             push(p)
@@ -234,8 +231,13 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
             k = np.min(np.square(xs[:, None] - np.array(sols)[None, :]), axis=1)
         f0 = float(fx.value(x0)) if fx.in_domain(x0) else math.inf
         return xs[:, None], f0 + v0 * (xs - x0), np.asarray(fx.value(xs), dtype=float), k
+    try:
+        eta = frac(eta)
+    except (TypeError, ValueError):
+        raise ValidationError(f"the exact path takes eta as an int, a Fraction or a "
+                              f"'p/q' string, got {eta!r}") from None
     f = inst.f
-    grid = domain_lattice(f, inst.xbar, frac(eta), per_axis)
+    grid = domain_lattice(f, inst.xbar, eta, per_axis)
     pts = _floats(grid, f.dim)
     xbar_f = np.array(to_float(inst.xbar))
     base = float(evaluate_exact(f, inst.xbar)) + \
@@ -264,7 +266,7 @@ def check_growth(inst: ProblemInstance, alpha, mode: str,
     bad = np.nonzero(lhs < rhs - TIE_TOL)[0]
     violations = [(tuple(map(float, pts[i])), float(lhs[i]), float(rhs[i]))
                   for i in bad[:VIOLATIONS_KEPT]]
-    return GrowthReport(mode, alpha, float(eta), violations, len(lhs))
+    return GrowthReport(mode, alpha, float(Fraction(eta)), violations, len(lhs))
 
 
 def growth_alpha_hat(inst: ProblemInstance, mode: str) -> float:
@@ -407,15 +409,13 @@ def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[V
     pts: list[Vec] = []
     for piece in slice_.pieces:
         clipped = piece.intersect(ConvexPolyhedron.box(center, radius))
-        if clipped.is_empty():
-            continue
         vs, _, _ = clipped.vrep()
+        if not vs:
+            continue
         cand = list(vs)
         for pq in itertools.combinations(vs, 2):
             cand.append(tuple((a + b) / 2 for a, b in zip(*pq)))
-        rp = clipped.relint_point()
-        if rp is not None:
-            cand.append(rp)
+        cand.append(clipped.relint_point())
         for v in cand:
             if sum(((v[i] - center[i]) ** 2 for i in range(len(center))), F0) <= rr \
                     and v not in pts:
@@ -765,14 +765,10 @@ def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
         arows.append(tuple(dot(vec(row), s) for s in sol_dirs))
         brows.append(bv - dot(vec(row), x0))
     polyt = ConvexPolyhedron(mat(arows), vec(brows), dim=m)
-    if polyt.is_empty():
-        return []
     vs, _, _ = polyt.vrep()
-    pts = [add(x0, _combine(sol_dirs, t)) for t in vs]
-    rp = polyt.relint_point()
-    if rp is not None:
-        pts.append(add(x0, _combine(sol_dirs, rp)))
-    return pts
+    if not vs:
+        return []
+    return [add(x0, _combine(sol_dirs, t)) for t in vs + [polyt.relint_point()]]
 
 
 def _ball_clip(inside: np.ndarray, outside: np.ndarray, center: np.ndarray,

@@ -1,11 +1,12 @@
+import itertools
 from fractions import Fraction as F
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltkit.cones import ConeUnion, PolyCone
+from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
-from tiltkit.rational import neg, vec
+from tiltkit.rational import dot, is_zero, neg, primitive, scale, sub, unit, vec
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -100,3 +101,35 @@ def test_intersection():
     b = PolyCone.from_inequalities([(0, 1)], 2)   # y <= 0
     c = a.intersect(b)
     assert c.contains((-1, -1)) and not c.contains((-1, 1))
+
+
+def reference_dd_pointed(dim, extra):
+    """Double description recomputing every ray's zero set from the
+    processed rows at each step: the oracle for the incremental zero sets."""
+    rays = [unit(dim, i) for i in range(dim)]
+    processed = [neg(unit(dim, i)) for i in range(dim)]
+    for a in extra:
+        vals = [dot(a, r) for r in rays]
+        zsets = {r: frozenset(i for i, p in enumerate(processed) if dot(p, r) == 0)
+                 for r in rays}
+        merged = [r for r, v in zip(rays, vals) if v <= 0]
+        for (rp, vp), (rn, vn) in itertools.product(
+                [(r, v) for r, v in zip(rays, vals) if v > 0],
+                [(r, v) for r, v in zip(rays, vals) if v < 0]):
+            common = zsets[rp] & zsets[rn]
+            if not any(r is not rp and r is not rn and common <= zsets[r] for r in rays):
+                comb = sub(scale(rn, vp), scale(rp, vn))
+                if not is_zero(comb) and primitive(comb) not in merged:
+                    merged.append(primitive(comb))
+        processed.append(a)
+        rays = merged
+    return rays
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * n), max_size=6).map(lambda rows: (n, rows))))
+def test_dd_pointed_matches_recomputed_zero_sets(case):
+    n, rows = case
+    extra = [vec(r) for r in rows]
+    assert _dd_pointed(n, extra) == reference_dd_pointed(n, extra)

@@ -1,8 +1,13 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiltkit import lp
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
+from tiltkit.rational import dot, neg
 
 
 def wedge():
@@ -106,3 +111,91 @@ def test_critical_cone_examples():
     assert interior.contains((5, -7)) and len(interior.lineality) == 2
     with pytest.raises(ValueError):
         critical_cone(rpp, (0, 0), (1, 0))
+
+
+# -- generator reads against the per-row LP oracle ------------------------------
+
+
+def lp_implied_equalities(p):
+    """Per-row LP oracle: row i is implied iff min a_i x over p equals b_i."""
+    out = set()
+    for i, (row, bi) in enumerate(zip(p.a, p.b)):
+        status, mx_neg = lp.max_over(neg(row), p.a, p.b)
+        if status == lp.OPTIMAL and -mx_neg == bi:
+            out.add(i)
+    return frozenset(out)
+
+
+def lp_face_keys(p):
+    """LP oracle for faces(): each equality subset with a feasible face,
+    closed under the rows whose max and min over the face both equal b_i."""
+    found = set()
+    for k in range(p.m + 1):
+        for subset in itertools.combinations(range(p.m), k):
+            f = p.face(subset)
+            if lp.feasible_point(f.a, f.b, n=p.dim) is None:
+                continue
+            canon = set(subset)
+            for i in range(p.m):
+                if i in canon:
+                    continue
+                status, mx = lp.max_over(p.a[i], f.a, f.b)
+                if status == lp.OPTIMAL and mx == p.b[i]:
+                    status2, mn = lp.max_over(neg(p.a[i]), f.a, f.b)
+                    if status2 == lp.OPTIMAL and -mn == p.b[i]:
+                        canon.add(i)
+            found.add(frozenset(canon))
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+@st.composite
+def small_polyhedra(draw):
+    """1-3-D polyhedra with small integer rows; some get a negated copy of
+    a row (an implied pair) or a shifted negated copy (empty or thin)."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4))
+    rhs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    extra = draw(st.sampled_from(("none", "negated", "shifted")))
+    if extra != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        shift = 0 if extra == "negated" else draw(st.sampled_from((-1, 1)))
+        rows.append(tuple(-x for x in rows[i]))
+        rhs.append(-rhs[i] + shift)
+    return ConvexPolyhedron(rows, rhs, dim=n)
+
+
+@settings(max_examples=20)
+@given(small_polyhedra())
+def test_generator_reads_match_lp_oracle(p):
+    implied = p.implied_equalities()
+    assert implied == lp_implied_equalities(p)
+    assert [k for k, _ in p.faces()] == lp_face_keys(p)
+    rp = p.relint_point()
+    assert (rp is None) == (lp.feasible_point(p.a, p.b, n=p.dim) is None)
+    if rp is not None:
+        for i, (row, bi) in enumerate(zip(p.a, p.b)):
+            assert (dot(row, rp) == bi) if i in implied else (dot(row, rp) < bi)
+
+
+def test_implied_equalities_and_faces_solve_no_lp(monkeypatch):
+    from tiltkit.fixtures import fixture
+    from tiltkit.regularity import _inverse_box
+    from tiltkit.subdiff import inverse_image
+
+    inst = fixture("saddle-cone").instance
+    sl = inverse_image(inst.f, inst.xstar, _inverse_box(inst))
+    clipped = sl.pieces[1].intersect(ConvexPolyhedron.box(inst.xbar, F(1, 4)))
+    calls = []
+    real = lp.max_over
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "max_over", counted)
+    monkeypatch.setattr(ConvexPolyhedron, "is_empty", lambda self: pytest.fail("is_empty LP"))
+    for p in (clipped, inst.f.domain.pieces[0]):
+        fresh = ConvexPolyhedron(p.a, p.b, dim=p.dim)  # no cached answers
+        fresh.implied_equalities()
+        assert fresh.faces()
+    assert calls == []

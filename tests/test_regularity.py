@@ -192,6 +192,13 @@ def test_growth_alpha_hat_analytic_is_the_largest_passing_alpha():
                             n_points=ALPHA_POINTS).passed
 
 
+def test_exact_check_growth_rejects_float_eta():
+    inst = fixture("quad-1d").instance
+    with pytest.raises(ValidationError, match="int, a Fraction or a 'p/q' string"):
+        check_growth(inst, 1.0, "norm-squared", eta=0.05)
+    assert check_growth(inst, 1.0, "norm-squared", eta="1/20").passed
+
+
 @st.composite
 def probe_instances(draw):
     """Random instances shaped like the conjecture probe's: a quadratic
