@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import lp
 from .cones import ConeUnion, PolyCone
 from .polyhedra import ConvexPolyhedron, PolyUnion
-from .rational import Mat, Vec, add, dot, is_zero, mat, neg, scale, vec, zeros
+from .rational import Mat, Vec, add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
 
 
 _CONE_INEQ_MEMO: dict[tuple, Mat] = {}
@@ -78,37 +78,35 @@ def local_cells(union: PolyUnion, x) -> list[LocalCell]:
     options: dict[int, list] = {}
     for k in ks:
         piece = union.pieces[k]
-        faces = _tangent_faces(piece, x)
         act = sorted(piece.active_set(x))
-        outs = [[neg(piece.a[i])] for i in act]  # u with A_i u > 0 leaves the piece
-        options[k] = [("in", eq, strict) for eq, strict in faces] + \
-                     [("out", None, rows) for rows in outs]
+        opts = [(eq, [piece.a[i] for i in sorted(eq)], strict)
+                for eq, strict in _tangent_faces(piece, x)]
+        opts += [(None, [], [neg(piece.a[i])]) for i in act]  # A_i u > 0 leaves the piece
+        # the strict-feasibility test reads each option's rows as primitive
+        # int sets, built once here and unioned down the recursion
+        options[k] = [(eq, eq_rows, strict, frozenset(map(int_row, eq_rows)),
+                       frozenset(map(int_row, strict))) for eq, eq_rows, strict in opts]
 
     cells: list[LocalCell] = []
 
-    def recurse(idx: int, eqs: list[Vec], stricts: list[Vec],
-                memberships: list[tuple[int, frozenset[int]]]) -> None:
-        if not lp.strict_homogeneous_feasible(mat(eqs), mat(stricts), dim):
+    def recurse(idx: int, eqs: list[Vec], stricts: list[Vec], eq_set: frozenset,
+                strict_set: frozenset, memberships: list[tuple[int, frozenset[int]]]) -> None:
+        if not lp.strict_homogeneous_feasible(eq_set, strict_set, dim):
             return
         if idx == len(ks):
             if not memberships:
                 return
-            closure_rows = [r for r in stricts]
-            eq_rows = list(eqs)
-            cell = PolyCone(dim, ineqs=mat(closure_rows + eq_rows + [neg(r) for r in eq_rows]))
+            cell = PolyCone(dim, ineqs=mat(stricts + eqs + [neg(r) for r in eqs]))
             cells.append(LocalCell(tuple(memberships), cell,
                                    _value_cone(union, memberships)))
             return
         k = ks[idx]
-        for kind, eq, strict in options[k]:
-            if kind == "in":
-                rows_eq = [union.pieces[k].a[i] for i in sorted(eq)]
-                recurse(idx + 1, eqs + rows_eq, stricts + strict,
-                        memberships + [(k, eq)])
-            else:
-                recurse(idx + 1, eqs, stricts + strict, memberships)
+        for eq, eq_rows, strict, eq_int, strict_int in options[k]:
+            recurse(idx + 1, eqs + eq_rows, stricts + strict, eq_set | eq_int,
+                    strict_set | strict_int,
+                    memberships if eq is None else memberships + [(k, eq)])
 
-    recurse(0, [], [], [])
+    recurse(0, [], [], frozenset(), frozenset(), [])
     return cells
 
 

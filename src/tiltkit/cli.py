@@ -122,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if any(r.failed for r in results) else 0
 
     if args.command == "probe":
+        if args.count < 1:
+            print("error: --count must be at least 1", file=sys.stderr)
+            return 2
         result = conjecture_probe(args.seed, args.count)
         print(emit_report([result], args.format), end="")
         if result.escalations:

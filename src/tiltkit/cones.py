@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 
 from . import lp
-from .rational import (F0, F1, Mat, Vec, dot, is_zero, mat, neg, nullspace,
-                       primitive, rank, row_space_basis, scale, sub, unit, vec,
-                       zeros)
+from .rational import (F0, F1, Mat, Vec, dot, int_row, is_zero, mat, neg,
+                       nullspace, primitive, rank, row_space_basis, scale, solve,
+                       sub, unit, vec, zeros)
 
 
 def _dd_pointed(dim: int, extra: list[Vec]) -> list[Vec]:
@@ -83,6 +83,8 @@ def _in_generated(v: Vec, rays: list[Vec], lineality: list[Vec]) -> bool:
     if not cols:
         return is_zero(v)
     a_eq = tuple(tuple(col[i] for col in cols) for i in range(n))
+    if n and solve(a_eq, v) is None:
+        return False  # v is outside the generators' span: no LP needed
     m = len(cols)
     a_ub = tuple(tuple(-F1 if j == k else F0 for j in range(m)) for k in range(m))
     return lp.feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
@@ -98,7 +100,7 @@ def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
     rays project onto a generating set of the original cone.  Memoized:
     the same cones recur throughout cell enumeration.
     """
-    key = (dim, tuple(sorted(primitive(vec(r)) for r in g if not is_zero(r))))
+    key = (dim, tuple(sorted(r for r in map(int_row, g) if any(r))))
     memo = _VREP_MEMO.get(key)
     if memo is not None:
         return list(memo[0]), list(memo[1])

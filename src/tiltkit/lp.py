@@ -2,7 +2,9 @@
 
 A plain two-phase simplex with Bland's rule on dense Fraction tableaus.
 Problem sizes here are tiny (tens of variables), so termination and
-exactness matter far more than pivoting heuristics.
+exactness matter far more than pivoting heuristics.  The cell recursion's
+strict-feasibility test works on primitive integer rows and reaches the
+simplex only when a float witness fails its exact re-check.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import F0, F1, Mat, Vec, dot, vec, zeros
+from .rational import F0, F1, Mat, Vec, dot, int_nullspace, int_row, mat, vec, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -219,53 +221,42 @@ def max_over(c: Sequence[Fraction], a_ub: Mat, b_ub: Vec,
 _strict_memo: dict[tuple, bool] = {}
 
 
-def strict_homogeneous_feasible(eq_rows: Mat, strict_rows: Mat, n: int) -> bool:
+def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     """Does {u : E u = 0, S u < 0 (componentwise)} have a solution?
 
-    Substitutes the nullspace of E and applies Gordan's alternative:
-    exists t with M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0.
-    Heavily memoized; this is the hot query of the cell enumeration.
+    Rows are exact (int or Fraction tuples); the cell recursion passes
+    frozensets of primitive int rows.  The memo key is (n, nonzero rows of
+    E, rows of S) as sets of the rows exactly as given.  Substitutes the
+    integer nullspace basis of E and applies Gordan's alternative: exists
+    t with M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0.
     """
-    from .rational import nullspace, primitive, is_zero, mat as _mat
-
-    key = (n,
-           frozenset(primitive(r) for r in eq_rows if not is_zero(r)),
-           frozenset(primitive(r) for r in strict_rows))
+    key = (n, frozenset(eq_rows) - {(0,) * n}, frozenset(strict_rows))
     hit = _strict_memo.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = _strict_memo[key] = _strict_feasible(*key)
+    return hit
 
-    eq = [r for r in eq_rows if not is_zero(r)]
-    basis = nullspace(_mat(eq), n) if eq else None
-    if basis is not None and not basis:
-        result = not strict_rows  # only u = 0 remains
-        _strict_memo[key] = result
-        return result
-    if basis is None:
-        reduced = [tuple(r) for r in strict_rows]
-        d = n
+
+def _strict_feasible(n: int, eq: frozenset, strict: frozenset) -> bool:
+    if not eq:
+        reduced, d = [tuple(r) for r in strict], n
     else:
-        reduced = [tuple(dot_rows(r, b) for b in basis) for r in strict_rows]
-        d = len(basis)
-    if any(all(x == 0 for x in r) for r in reduced):
-        _strict_memo[key] = False
+        basis, _ = int_nullspace(tuple(eq), n)
+        if not basis:
+            return not strict  # only u = 0 remains
+        reduced, d = [int_row([dot_rows(r, b) for b in basis]) for r in strict], len(basis)
+    if any(not any(r) for r in reduced):
         return False
     if not reduced:
-        _strict_memo[key] = True
         return True
     w = _float_strict_witness(reduced, d)
     if w is not None and all(dot_rows(r, w) < 0 for r in reduced):
-        _strict_memo[key] = True
         return True
     # Gordan: infeasibility of {lam >= 0, sum lam = 1, M^T lam = 0}
     m = len(reduced)
-    a = [tuple(reduced[j][i] for j in range(m)) for i in range(d)]
-    a.append((F1,) * m)
-    b = [F0] * d + [F1]
-    status, _, _ = solve_standard([F0] * m, tuple(a), tuple(b))
-    result = status == INFEASIBLE
-    _strict_memo[key] = result
-    return result
+    a = mat([[reduced[j][i] for j in range(m)] for i in range(d)] + [[1] * m])
+    status, _, _ = solve_standard([F0] * m, a, tuple([F0] * d + [F1]))
+    return status == INFEASIBLE
 
 
 def _float_strict_witness(reduced, d: int):

@@ -2,7 +2,10 @@
 polyhedral machinery needs.
 
 Vectors are tuples of Fraction, matrices tuples of row tuples.  Everything
-here is pure and allocation-cheap; callers rely on exactness, not speed.
+here is pure; callers rely on exactness.  Elimination (rref, rank,
+nullspace, solve) is one fraction-free pass over primitive integer rows,
+so its hot loop does int products only and Fractions appear only in
+results.
 """
 
 from __future__ import annotations
@@ -89,67 +92,86 @@ def to_float(a: Sequence[Fraction]) -> tuple[float, ...]:
     return tuple(float(x) for x in a)
 
 
+def int_row(a: Sequence) -> tuple[int, ...]:
+    """Scale a rational row by a positive factor to ints with gcd 1.
+
+    Zero rows stay zero; ints and Fractions are both accepted.
+    """
+    den = math.lcm(*(x.denominator for x in a))
+    ints = [x.numerator * (den // x.denominator) for x in a]
+    g = math.gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
 def primitive(a: Vec) -> Vec:
     """Scale a nonzero rational vector to integer entries with gcd 1.
 
-    The positive scaling keeps ray directions; the first nonzero entry's
-    sign is preserved.
+    The positive scaling keeps ray directions and signs.
     """
-    if is_zero(a):
-        return a
-    den = math.lcm(*(x.denominator for x in a))
-    ints = [int(x * den) for x in a]
-    g = math.gcd(*(abs(v) for v in ints))
-    return tuple(Fraction(v, g) for v in ints)
+    return tuple(Fraction(v) for v in int_row(a))
+
+
+def _echelon(m: Mat) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: (rows, pivot columns), each
+    row a nonzero multiple of the matching rref row (zero rows last).
+
+    Rows are primitive ints, made primitive again after each step.
+    """
+    rows = [list(int_row(r)) for r in m]
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if nrows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                row = [prow[c] * x - f * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return rows, pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows), pivots
+    rows, pivots = _echelon(m)
+    return tuple(tuple(Fraction(x, row[pivots[i]] if i < len(pivots) else 1) for x in row)
+                 for i, row in enumerate(rows)), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
+
+
+def int_nullspace(m: Mat, n: int | None = None) -> tuple[list[tuple[int, ...]], int]:
+    """(basis, s): nullspace(m, n) times the positive integer s, in ints."""
+    if not m:
+        if n is None:
+            raise ValueError("nullspace of empty matrix needs explicit dimension")
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)], 1
+    ncols = len(m[0])
+    rows, pivots = _echelon(m)
+    s = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = s
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc] * (s // rows[r][pc])
+        basis.append(tuple(v))
+    return basis, s
 
 
 def nullspace(m: Mat, n: int | None = None) -> list[Vec]:
     """Basis of {x : m x = 0}.  `n` gives the ambient dimension when m
     has no rows."""
-    if not m:
-        if n is None:
-            raise ValueError("nullspace of empty matrix needs explicit dimension")
-        return [unit(n, i) for i in range(n)]
-    ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F0] * ncols
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    basis, s = int_nullspace(m, n)
+    return [tuple(Fraction(x, s) for x in v) for v in basis]
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:

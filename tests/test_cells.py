@@ -97,3 +97,36 @@ def test_sampling_oracle_matches_computed():
         # every computed piece realized by some sampled cone
         for piece in computed.pieces:
             assert any(s.equals(piece) or s.contains_cone(piece) for s in sampled)
+
+
+def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):
+    from tiltkit import lp, rational
+    from tiltkit.fixtures import fixture
+    from tiltkit.hessian import build_graph_model
+
+    inst = fixture("saddle-cone").instance
+    model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+    inside = []
+    real_primitive = rational.primitive
+    real_strict = lp.strict_homogeneous_feasible
+
+    def counted_primitive(a):
+        if inside:
+            inside[0] += 1
+        return real_primitive(a)
+
+    def strict(*args):
+        inside.append(0)
+        try:
+            return real_strict(*args)
+        finally:
+            assert inside.pop() == 0, "strict_homogeneous_feasible called primitive"
+
+    monkeypatch.setattr(rational, "primitive", counted_primitive)
+    monkeypatch.setattr(lp, "strict_homogeneous_feasible", strict)
+    monkeypatch.setattr(lp, "_strict_memo", {})
+    assert local_cells(model.union, model.basepoint)
+    assert lp._strict_memo
+    for n, eq, stricts in lp._strict_memo:
+        for row in eq | stricts:
+            assert type(row) is tuple and all(type(v) is int for v in row)

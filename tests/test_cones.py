@@ -4,9 +4,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed
+from tiltkit import lp
+from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, _in_generated
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
-from tiltkit.rational import dot, is_zero, neg, primitive, scale, sub, unit, vec
+from tiltkit.rational import (F0, F1, add, dot, is_zero, neg, primitive, scale, sub,
+                              unit, vec, zeros)
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -133,3 +135,32 @@ def test_dd_pointed_matches_recomputed_zero_sets(case):
     n, rows = case
     extra = [vec(r) for r in rows]
     assert _dd_pointed(n, extra) == reference_dd_pointed(n, extra)
+
+
+def lp_in_generated(v, rays, lineality):
+    """Reference: membership in cone(rays) + span(lineality) by one exact LP."""
+    cols = list(rays) + list(lineality) + [neg(l) for l in lineality]
+    if not cols:
+        return is_zero(v)
+    m = len(cols)
+    a_eq = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
+    a_ub = tuple(tuple(-F1 if j == k else F0 for j in range(m)) for k in range(m))
+    return lp.feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=3),
+    st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=2),
+    st.lists(small_ints, min_size=n, max_size=n),
+    st.lists(small_ints, min_size=5, max_size=5))))
+def test_in_generated_matches_lp_membership(case):
+    rays, lin, v, coef = case
+    rays, lin = [vec(r) for r in rays], [vec(l) for l in lin]
+    # half the candidates are combinations of the generators, so they lie in
+    # their span and membership turns on the signs of the coefficients
+    if coef[0] % 2:
+        v = zeros(len(v))
+        for c, g in zip(coef[1:], rays + lin):
+            v = add(v, scale(g, F(c)))
+    v = vec(v)
+    assert _in_generated(v, rays, lin) == lp_in_generated(v, rays, lin)

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction as F
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit import lp
@@ -57,6 +57,42 @@ def test_strict_homogeneous_feasible():
     # strict row orthogonal to the allowed line
     assert not lp.strict_homogeneous_feasible(mat([[0, 1]]), mat([[0, 1]]), 2)
     assert lp.strict_homogeneous_feasible(mat([[0, 1]]), mat([[1, 0]]), 2)
+
+
+def gordan_oracle(eq_rows, strict_rows, n):
+    """Reference: {E u = 0, S u < 0} is solvable iff no lam >= 0 with
+    sum lam = 1 and some mu give S^T lam + E^T mu = 0 (Motzkin).  One
+    exact LP; no nullspace and no float witness."""
+    m, k = len(strict_rows), len(eq_rows)
+    a = [[s[i] for s in strict_rows] + [e[i] for e in eq_rows] + [-e[i] for e in eq_rows]
+         for i in range(n)]
+    a.append([1] * m + [0] * (2 * k))
+    status, _, _ = lp.solve_standard([F(0)] * (m + 2 * k), mat(a), vec([0] * n + [1]))
+    return status == lp.INFEASIBLE
+
+
+@st.composite
+def strict_systems(draw):
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-2, 2)] * n)
+    eq, strict = draw(st.lists(row, max_size=3)), draw(st.lists(row, max_size=4))
+    if strict and draw(st.booleans()):
+        # minus the sum of the strict rows: infeasible, but dropping any
+        # one row can make it feasible
+        strict.append(tuple(-sum(col) for col in zip(*strict)))
+    return (eq, strict, n,
+            draw(st.lists(st.fractions(min_value=F(1, 7), max_value=7), min_size=8, max_size=8)))
+
+
+@settings(max_examples=100)
+@given(strict_systems())
+def test_strict_homogeneous_feasible_matches_gordan_oracle(system):
+    eq, strict, n, scales = system
+    expected = gordan_oracle(eq, strict, n)
+    assert lp.strict_homogeneous_feasible(frozenset(eq), frozenset(strict), n) == expected
+    # positive rational multiples of the rows describe the same system
+    scaled = [tuple(scales[i] * x for x in r) for i, r in enumerate(eq + strict)]
+    assert lp.strict_homogeneous_feasible(scaled[:len(eq)], scaled[len(eq):], n) == expected
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=1, max_size=4),

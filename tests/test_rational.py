@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,10 +6,100 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltkit.rational import (dot, inertia, is_psd, mat, matvec, nullspace,
-                              primitive, rank, rref, solve, solve_affine, vec)
+from tiltkit.rational import (F0, F1, dot, inertia, int_nullspace, int_row,
+                              is_psd, mat, matvec, nullspace, primitive, rank,
+                              row_space_basis, rref, solve, solve_affine, vec)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def fraction_rref(m):
+    """Reference: Gauss-Jordan elimination in Fraction arithmetic."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), pivots
+
+
+def fraction_nullspace(m):
+    ncols = len(m[0])
+    red, pivots = fraction_rref(m)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F0] * ncols
+        v[fc] = F1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_solve(m, b):
+    ncols = len(m[0])
+    red, pivots = fraction_rref(tuple(row + (bi,) for row, bi in zip(m, b)))
+    if ncols in pivots:
+        return None
+    x = [F0] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices, some with appended multiples of their rows
+    and some with zero rows, so rank deficiency is common."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(rationals)
+        rows.append([k * x for x in src])
+    for _ in range(draw(st.integers(0, 1))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return mat(draw(st.permutations(rows)))
+
+
+@given(rational_matrices(), st.lists(rationals, min_size=6, max_size=6))
+def test_elimination_matches_fraction_oracle(m, rhs):
+    ncols = len(m[0])
+    red, pivots = fraction_rref(m)
+    assert rref(m) == (red, pivots)
+    assert rank(m) == len(pivots)
+    assert nullspace(m, ncols) == fraction_nullspace(m)
+    ints, s = int_nullspace(m, ncols)
+    assert s > 0 and all(type(x) is int for v in ints for x in v)
+    assert [tuple(F(x, s) for x in v) for v in ints] == fraction_nullspace(m)
+    b = vec(rhs[:len(m)])
+    assert solve(m, b) == fraction_solve(m, b)
+    assert row_space_basis(m, ncols) == [r for r in red if any(r)]
+    for r in m:
+        p = primitive(r)
+        ir = int_row(r)
+        assert p == ir and all(type(x) is int for x in ir)
+        if any(r):
+            # a positive multiple of r with coprime integer entries
+            k = next(x / y for x, y in zip(p, r) if y)
+            assert k > 0 and tuple(k * x for x in r) == p
+            assert math.gcd(*ir) == 1
 
 
 def test_rref_identity():

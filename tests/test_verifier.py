@@ -108,6 +108,13 @@ def test_cli_analyze_bad_override_exits_2(tmp_path, capsys, flag):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_probe_count_below_1_exits_2(capsys, count):
+    assert main(["probe", "--seed", "1", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --count must be at least 1\n" and captured.out == ""
+
+
 def test_cli_analyze_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
