@@ -16,22 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .cones import ConeUnion, PolyCone
+from .cones import ConeUnion, PolyCone, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion
-from .rational import Mat, Vec, add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
-
-
-_CONE_INEQ_MEMO: dict[tuple, Mat] = {}
-
-
-def _generated_cone_ineqs(rows: list[Vec], dim: int) -> Mat:
-    """Inequality form of cone(rows); memoized, rows recur across cells."""
-    key = (dim, tuple(sorted(rows)))
-    out = _CONE_INEQ_MEMO.get(key)
-    if out is None:
-        out = PolyCone.from_generators(rows, dim).ineqs
-        _CONE_INEQ_MEMO[key] = out
-    return out
+from .rational import Vec, add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
 
 
 def _value_cone(union: PolyUnion, memberships: list[tuple[int, frozenset[int]]]) -> PolyCone:
@@ -40,8 +27,8 @@ def _value_cone(union: PolyUnion, memberships: list[tuple[int, frozenset[int]]])
     dim = union.dim
     ineq_rows: list[Vec] = []
     for k, s in memberships:
-        rows = [union.pieces[k].a[i] for i in sorted(s)]
-        ineq_rows.extend(_generated_cone_ineqs(rows, dim))
+        rows = tuple(union.pieces[k].a[i] for i in sorted(s))
+        ineq_rows.extend(generated_cone(rows, dim).ineqs)
     return PolyCone(dim, ineqs=mat(ineq_rows))
 
 
@@ -262,8 +249,7 @@ def regular_normal_cone_at_point(union: PolyUnion, y: Vec) -> PolyCone:
     for piece in union.pieces:
         if piece.contains(y):
             hit = True
-            act = sorted(piece.active_set(y))
-            rows.extend(_generated_cone_ineqs([piece.a[i] for i in act], union.dim))
+            rows.extend(piece.normal_cone(y).ineqs)
     if not hit:
         raise ValueError("sample left the union")
     return PolyCone(union.dim, ineqs=mat(rows))

@@ -9,10 +9,11 @@ the same set.  Polarity is the representation swap: the polar of
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import lp
-from .rational import (F0, F1, Mat, Vec, dot, int_row, is_zero, mat, neg,
+from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, dot, int_row, is_zero, mat, neg,
                        nullspace, primitive, rank, row_space_basis, scale, solve,
                        sub, unit, vec, zeros)
 
@@ -90,36 +91,36 @@ def _in_generated(v: Vec, rays: list[Vec], lineality: list[Vec]) -> bool:
     return lp.feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
 
 
-_VREP_MEMO: dict[tuple, tuple[list[Vec], list[Vec]]] = {}
-
-
 def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
     """Generators of {u : g u <= 0}: (lineality basis, rays).
 
     Lifts to the pointed cone {(y,z) >= 0 : g(y-z) <= 0} whose extreme
-    rays project onto a generating set of the original cone.  Memoized:
-    the same cones recur throughout cell enumeration.
+    rays project onto a generating set of the original cone.  Memoized on
+    (dim, the nonzero rows made primitive int rows, in the caller's order)
+    and computed from that key alone, so what a caller gets never depends
+    on which caller filled the memo.
     """
-    key = (dim, tuple(sorted(r for r in map(int_row, g) if any(r))))
-    memo = _VREP_MEMO.get(key)
-    if memo is not None:
-        return list(memo[0]), list(memo[1])
-    lin, rays = _hrep_to_vrep_impl(g, dim)
-    _VREP_MEMO[key] = (tuple(lin), tuple(rays))
-    return lin, rays
+    lin, rays = _vrep(dim, tuple(r for r in map(int_row, g) if any(r)))
+    return list(lin), list(rays)
 
 
-def _hrep_to_vrep_impl(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
-    rows = [r for r in g if not is_zero(r)]
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _vrep(dim: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     lineality = nullspace(mat(rows), dim) if rows else [unit(dim, i) for i in range(dim)]
     lineality = [primitive(l) for l in lineality]
     if not rows:
-        return lineality, []
-    lifted = [tuple(r) + tuple(-x for x in r) for r in rows]
+        return tuple(lineality), ()
+    lifted = [r + tuple(-x for x in r) for r in rows]
     lifted_rays = _dd_pointed(2 * dim, [vec(l) for l in lifted])
     projected = [tuple(r[i] - r[dim + i] for i in range(dim)) for r in lifted_rays]
-    rays = _reduce_rays(projected, lineality)
-    return lineality, rays
+    return tuple(lineality), tuple(_reduce_rays(projected, lineality))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def generated_cone(rows: tuple[Vec, ...], dim: int) -> PolyCone:
+    """cone(rows), memoized on the rows in the caller's order: normal cones
+    and cell values ask for the same few cones over and over."""
+    return PolyCone.from_generators(rows, dim)
 
 
 class PolyCone:

@@ -9,10 +9,12 @@ simplex only when a float witness fails its exact re-check.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import F0, F1, Mat, Vec, dot, int_nullspace, int_row, mat, vec, zeros
+from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, dot, int_nullspace, int_row, mat,
+                       vec, zeros)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -218,25 +220,20 @@ def max_over(c: Sequence[Fraction], a_ub: Mat, b_ub: Vec,
     return OPTIMAL, -val
 
 
-_strict_memo: dict[tuple, bool] = {}
-
-
 def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     """Does {u : E u = 0, S u < 0 (componentwise)} have a solution?
 
     Rows are exact (int or Fraction tuples); the cell recursion passes
     frozensets of primitive int rows.  The memo key is (n, nonzero rows of
-    E, rows of S) as sets of the rows exactly as given.  Substitutes the
-    integer nullspace basis of E and applies Gordan's alternative: exists
-    t with M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0.
+    E, rows of S) as frozensets of the rows exactly as given, and the
+    answer is computed from that key alone.  Substitutes the integer
+    nullspace basis of E and applies Gordan's alternative: exists t with
+    M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0.
     """
-    key = (n, frozenset(eq_rows) - {(0,) * n}, frozenset(strict_rows))
-    hit = _strict_memo.get(key)
-    if hit is None:
-        hit = _strict_memo[key] = _strict_feasible(*key)
-    return hit
+    return _strict_feasible(n, frozenset(eq_rows) - {(0,) * n}, frozenset(strict_rows))
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _strict_feasible(n: int, eq: frozenset, strict: frozenset) -> bool:
     if not eq:
         reduced, d = [tuple(r) for r in strict], n

@@ -182,8 +182,10 @@ class FunctionSpec:
             self.domain = domain
             self.fixture = None
             self.dim = smooth.dim
+        # per-function memos: cell_complex, second_order_map, inverse_image
         self._cells = None
         self._graph_models: dict = {}
+        self._inverse_images: dict = {}
 
     @property
     def is_exact(self) -> bool:

@@ -8,16 +8,14 @@ rejects more than MAX_ROWS rows before any exponential enumeration runs).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import lp
-from .cones import PolyCone, hrep_to_vrep
+from .cones import PolyCone, generated_cone, hrep_to_vrep
 from .rational import (F0, F1, Vec, dot, is_zero, mat, neg, nullspace,
                        primitive, vec, zeros)
 
 MAX_ROWS = 20
-MAX_FACE_ROWS = 16
 
 
 class ConvexPolyhedron:
@@ -83,9 +81,10 @@ class ConvexPolyhedron:
 
     def implied_equalities(self) -> frozenset[int]:
         """Rows holding with equality on the entire polyhedron (none when
-        it is empty): the face key of the empty equality set."""
+        it is empty): the rows tight on every vrep() generator."""
         if self._implied is None:
-            self._implied = self._face_key((), self._generator_tight_sets()) or frozenset()
+            tight = [t for t, _ in self._generator_tight_sets()]
+            self._implied = frozenset.intersection(*tight) if self.vrep()[0] else frozenset()
         return self._implied
 
     def _generator_tight_sets(self) -> list[tuple[frozenset[int], bool]]:
@@ -98,17 +97,6 @@ class ConvexPolyhedron:
                  for p in points] +
                 [(frozenset(i for i, (a, _) in rows if dot(a, r) == 0), False)
                  for r in rec + lin])
-
-    @staticmethod
-    def _face_key(subset, gens) -> frozenset[int] | None:
-        """Rows tight on the whole face {x in P : A_S x = b_S}, or None when
-        it is empty.  The face's homogenization is generated by the
-        generators tight on S, so it is nonempty iff one of them is a point,
-        and a row is tight on all of it iff tight on all of them."""
-        on = [(t, is_point) for t, is_point in gens if t.issuperset(subset)]
-        if not any(is_point for _, is_point in on):
-            return None
-        return frozenset.intersection(*(t for t, _ in on))
 
     def relint_point(self) -> Vec | None:
         """A point strict on every non-implied row, or None when empty."""
@@ -139,18 +127,8 @@ class ConvexPolyhedron:
         return PolyCone.from_inequalities(tuple(self.a[i] for i in act), self.dim)
 
     def normal_cone(self, x) -> PolyCone:
-        """cone{A_i : i active at x}; the polar of the tangent cone.
-        Cached per active set: grids revisit the same finitely many cones."""
-        act = self.active_set(x)
-        cache = getattr(self, "_ncone_cache", None)
-        if cache is None:
-            cache = {}
-            self._ncone_cache = cache
-        cone = cache.get(act)
-        if cone is None:
-            cone = PolyCone.from_generators([self.a[i] for i in sorted(act)], self.dim)
-            cache[act] = cone
-        return cone
+        """cone{A_i : i active at x}; the polar of the tangent cone."""
+        return generated_cone(tuple(self.a[i] for i in sorted(self.active_set(x))), self.dim)
 
     # -- faces ----------------------------------------------------------------
 
@@ -165,20 +143,25 @@ class ConvexPolyhedron:
     def faces(self) -> list[tuple[frozenset[int], "ConvexPolyhedron"]]:
         """Nonempty faces as (implied-active row set, face polyhedron).
 
-        Enumerates equality subsets and keys each nonempty one by _face_key,
-        read off the vrep() generators, so every face appears exactly once
-        under its exact active set.
+        The homogenization of a face is generated by the vrep() generators
+        on it, so the face is nonempty iff one of them is a point, and its
+        key (the rows tight on all of it) is the intersection of their
+        tight sets.  The keys are therefore the points' tight sets closed
+        under intersection with every generator's tight set; each face
+        appears once, under its exact active set.
         """
-        if self.m > MAX_FACE_ROWS:
-            raise ValueError(f"face enumeration guard: {self.m} rows > {MAX_FACE_ROWS}")
         gens = self._generator_tight_sets()
-        found: dict[frozenset[int], ConvexPolyhedron] = {}
-        for k in range(self.m + 1):
-            for subset in itertools.combinations(range(self.m), k):
-                key = self._face_key(subset, gens)
-                if key is not None and key not in found:
-                    found[key] = self.face(sorted(key))
-        return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        keys = {t for t, is_point in gens if is_point}
+        todo = list(keys)
+        while todo:
+            key = todo.pop()
+            for t, _ in gens:
+                meet = key & t
+                if meet not in keys:
+                    keys.add(meet)
+                    todo.append(meet)
+        return sorted(((k, self.face(sorted(k))) for k in keys),
+                      key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
     # -- affine structure ------------------------------------------------------
 

@@ -9,39 +9,40 @@ Row counts are tiny by contract; a guard rejects larger inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from .polyhedra import MAX_ROWS, ConvexPolyhedron
 from .cones import PolyCone
+from .rational import MEMO_SIZE, Mat, Vec, zeros
 
 FEAS_TOL = 1e-9
 KKT_TOL = 1e-12
 
 
-def _projection_data(poly: ConvexPolyhedron):
-    """Per-polyhedron cache: float rows plus, per candidate active subset,
-    the pseudoinverse solving the equality-constrained projection."""
-    cache = getattr(poly, "_proj_cache", None)
-    if cache is not None:
-        return cache
-    a_rows, b_rows = poly.to_float_rows()
-    a = np.array(a_rows, dtype=float).reshape(poly.m, poly.dim)
-    b = np.array(b_rows, dtype=float)
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _projection_data(a_rows: Mat, b_rows: Vec, dim: int):
+    """Float rows of {x : a x <= b} plus, per candidate active subset, the
+    pseudoinverse solving the equality-constrained projection; memoized on
+    the exact rows, which the grids revisit thousands of times."""
+    m = len(a_rows)
+    a = np.array([[float(x) for x in row] for row in a_rows], dtype=float).reshape(m, dim)
+    b = np.array([float(x) for x in b_rows], dtype=float)
     subs = []
-    for k in range(1, min(poly.dim, poly.m) + 1):
-        for subset in itertools.combinations(range(poly.m), k):
+    for k in range(1, min(dim, m) + 1):
+        for subset in itertools.combinations(range(m), k):
             idx = list(subset)
             asub = a[idx]
             gram = asub @ asub.T
             pinv = np.linalg.pinv(gram, rcond=1e-12)
             subs.append((idx, asub, b[idx], asub.T @ pinv,
                          float(np.max(np.abs(gram @ pinv @ gram - gram)))))
-    scale = 1.0 + float(np.max(np.abs(b))) if poly.m else 1.0
-    cache = (a, b, subs, scale)
-    poly._proj_cache = cache
-    return cache
+    for arr in (a, b, *(x for sub in subs for x in sub[1:4])):
+        arr.flags.writeable = False  # every caller of the memo shares them
+    scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
+    return a, b, tuple(subs), scale
 
 
 def project_polyhedron(z, poly: ConvexPolyhedron) -> tuple[np.ndarray, float]:
@@ -52,7 +53,7 @@ def project_polyhedron(z, poly: ConvexPolyhedron) -> tuple[np.ndarray, float]:
     if poly.m > MAX_ROWS:
         raise ValueError(f"projection guard: {poly.m} rows > {MAX_ROWS}")
     z = np.asarray(z, dtype=float)
-    a, b, subs, scale = _projection_data(poly)
+    a, b, subs, scale = _projection_data(poly.a, poly.b, poly.dim)
     best: tuple[float, np.ndarray] | None = None
     if poly.m == 0 or np.max(a @ z - b) <= FEAS_TOL * scale:
         return z.copy(), 0.0
@@ -78,9 +79,7 @@ def kkt_residual(z, x, poly: ConvexPolyhedron, active_tol: float = 1e-8) -> floa
     x = np.asarray(x, dtype=float)
     if poly.m == 0:
         return float(np.linalg.norm(z - x))
-    a_rows, b_rows = poly.to_float_rows()
-    a = np.array(a_rows, dtype=float)
-    b = np.array(b_rows, dtype=float)
+    a, b, _, _ = _projection_data(poly.a, poly.b, poly.dim)
     act = [i for i in range(poly.m) if a[i] @ x > b[i] - active_tol * (1.0 + abs(b[i]))]
     v = z - x
     if not act:
@@ -110,11 +109,8 @@ def distance_to_union(z, pieces: list[ConvexPolyhedron]) -> float:
 
 def project_cone(z, cone: PolyCone) -> tuple[np.ndarray, float]:
     """Projection onto a polyhedral cone via its inequality form."""
-    poly = getattr(cone, "_poly_wrap", None)
-    if poly is None:
-        poly = ConvexPolyhedron(cone.ineqs, tuple(0 for _ in cone.ineqs), dim=cone.dim)
-        cone._poly_wrap = poly
-    return project_polyhedron(z, poly)
+    return project_polyhedron(z, ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)),
+                                                  dim=cone.dim))
 
 
 def cone_contains_float(cone: PolyCone, z, tol: float = 1e-12) -> bool:

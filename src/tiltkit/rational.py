@@ -20,6 +20,10 @@ Mat = tuple[Vec, ...]
 F0 = Fraction(0)
 F1 = Fraction(1)
 
+# The one bound on every process-wide memo (functools.lru_cache): no
+# benchmark pass fills a memo past about 4,600 entries.
+MEMO_SIZE = 2 ** 15
+
 
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction.

@@ -10,6 +10,7 @@ are grid bounds, stated as such, never certified global moduli.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .cells import regular_normal_cone
 from .copositive import cone_form_nonnegative
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
-from .rational import (F0, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
+from .rational import (F0, MEMO_SIZE, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
                        scale, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, InverseSlice, analytic_inverse_points,
                       distance_to_inverse, inverse_image, subdifferential,
@@ -395,20 +396,22 @@ def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, Che
     return r, _prox_outcome(blocks, min(r, R_CAP))
 
 
-_slice_pts_cache: dict[tuple, list] = {}
-
-
 def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[Vec]:
-    """Rational points of an inverse slice inside the radius ball (cached
-    by the slice's pieces, the center and the radius)."""
-    key = (tuple((p.a, p.b) for p in slice_.pieces), tuple(center), frac(radius))
-    hit = _slice_pts_cache.get(key)
-    if hit is not None:
-        return hit
-    rr = frac(radius) ** 2
+    """Rational points of an inverse slice inside the radius ball."""
+    return list(_ball_points(tuple((p.a, p.b) for p in slice_.pieces), tuple(center),
+                             frac(radius)))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _ball_points(pieces: tuple, center: Vec, radius: Fraction) -> tuple[Vec, ...]:
+    """Vertices, vertex midpoints and a relative-interior point of each
+    piece {a x <= b} clipped to the box around center, kept when inside the
+    radius ball; memoized on the pieces' rows, the center and the radius."""
+    rr = radius ** 2
     pts: list[Vec] = []
-    for piece in slice_.pieces:
-        clipped = piece.intersect(ConvexPolyhedron.box(center, radius))
+    for rows, rhs in pieces:
+        clipped = ConvexPolyhedron(rows, rhs, dim=len(center)).intersect(
+            ConvexPolyhedron.box(center, radius))
         vs, _, _ = clipped.vrep()
         if not vs:
             continue
@@ -420,8 +423,7 @@ def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[V
             if sum(((v[i] - center[i]) ** 2 for i in range(len(center))), F0) <= rr \
                     and v not in pts:
                 pts.append(v)
-    _slice_pts_cache[key] = pts
-    return pts
+    return tuple(pts)
 
 
 # -- moduli -----------------------------------------------------------------------

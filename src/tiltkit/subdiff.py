@@ -242,12 +242,8 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
         raise ValidationError("inverse_image needs the exact variant "
                               "(use analytic_inverse_points)")
     v = vec(v)
-    cache = getattr(f, "_inverse_cache", None)
-    if cache is None:
-        cache = {}
-        f._inverse_cache = cache
     key = (v, box.a, box.b)
-    hit = cache.get(key)
+    hit = f._inverse_images.get(key)
     if hit is not None:
         return hit
     q, c = f.smooth.q, f.smooth.c
@@ -268,8 +264,7 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
         boxed = candidate.intersect(box)
         if not boxed.is_empty():
             pieces.append(boxed)
-    out = InverseSlice(v, box, tuple(pieces), truncated)
-    cache[key] = out
+    out = f._inverse_images[key] = InverseSlice(v, box, tuple(pieces), truncated)
     return out
 
 

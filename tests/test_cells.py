@@ -124,9 +124,16 @@ def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):
 
     monkeypatch.setattr(rational, "primitive", counted_primitive)
     monkeypatch.setattr(lp, "strict_homogeneous_feasible", strict)
-    monkeypatch.setattr(lp, "_strict_memo", {})
+    keys = []  # every key the memoized test is asked for, hit or miss
+    real_memo = lp._strict_feasible
+
+    def spy(*key):
+        keys.append(key)
+        return real_memo(*key)
+
+    monkeypatch.setattr(lp, "_strict_feasible", spy)
     assert local_cells(model.union, model.basepoint)
-    assert lp._strict_memo
-    for n, eq, stricts in lp._strict_memo:
+    assert keys
+    for n, eq, stricts in keys:
         for row in eq | stricts:
             assert type(row) is tuple and all(type(v) is int for v in row)

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltkit import lp
-from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, _in_generated
+from tiltkit import cones, lp
+from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, _in_generated, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
 from tiltkit.rational import (F0, F1, add, dot, is_zero, neg, primitive, scale, sub,
                               unit, vec, zeros)
@@ -164,3 +164,25 @@ def test_in_generated_matches_lp_membership(case):
             v = add(v, scale(g, F(c)))
     v = vec(v)
     assert _in_generated(v, rays, lin) == lp_in_generated(v, rays, lin)
+
+
+@st.composite
+def cone_and_reordered_rescaled_copy(draw):
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
+    order = draw(st.permutations(range(len(rows))))
+    factors = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                            min_size=len(rows), max_size=len(rows)))
+    copy = [scale(vec(rows[i]), F(*factors[i])) for i in order]
+    return n, [vec(r) for r in rows], copy
+
+
+@settings(max_examples=20)
+@given(cone_and_reordered_rescaled_copy())
+def test_hrep_to_vrep_does_not_depend_on_who_filled_the_memo(case):
+    n, g, copy = case
+    cones._vrep.cache_clear()
+    cold = hrep_to_vrep(g, n)
+    cones._vrep.cache_clear()
+    hrep_to_vrep(copy, n)  # the same cone, its rows reordered and rescaled
+    assert hrep_to_vrep(g, n) == cold

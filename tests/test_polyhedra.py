@@ -199,3 +199,19 @@ def test_implied_equalities_and_faces_solve_no_lp(monkeypatch):
         fresh.implied_equalities()
         assert fresh.faces()
     assert calls == []
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_faces_of_an_18_gon(lifted):
+    # tangents y >= 2t x - t^2 to the parabola at t = -8..8 and the cap
+    # y <= 100: 18 edges, 18 vertices; lifted, the prism over it in R^3
+    # (lineality along z) has the same face keys
+    rows = [(2 * t, -1) for t in range(-8, 9)] + [(0, 1)]
+    rhs = [t * t for t in range(-8, 9)] + [100]
+    p = ConvexPolyhedron([r + ((0,) if lifted else ()) for r in rows], rhs)
+    vertices = [{i, i + 1} for i in range(16)] + [{0, 17}, {16, 17}]
+    assert [k for k, _ in p.faces()] == (
+        [frozenset()] + [frozenset({i}) for i in range(18)] +
+        sorted(map(frozenset, vertices), key=sorted))
+    for k, face in p.faces():  # face() appends -A_k x <= -b_k after row 17
+        assert {i for i in face.implied_equalities() if i < 18} == k
