@@ -45,14 +45,9 @@ def _tangent_faces(piece: ConvexPolyhedron, x: Vec) -> list[tuple[frozenset[int]
     (equality rows, strict rows), indexed by original piece rows."""
     act = sorted(piece.active_set(x))
     tangent = PolyCone.from_inequalities(tuple(piece.a[i] for i in act), piece.dim)
-    out = []
-    for face in tangent.faces():
-        gens = face.generators()
-        eq = frozenset(i for i in act
-                       if all(dot(piece.a[i], g) == 0 for g in gens))
-        strict = [piece.a[i] for i in act if i not in eq]
-        out.append((eq, strict))
-    return out
+    return [(frozenset(act[j] for j in key),
+             [piece.a[i] for j, i in enumerate(act) if j not in key])
+            for key, _ in tangent.faces()]
 
 
 def local_cells(union: PolyUnion, x) -> list[LocalCell]:
@@ -203,7 +198,7 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
         piece = union.pieces[k]
         act = sorted(piece.active_set(x))
         tangent = PolyCone.from_inequalities(tuple(piece.a[i] for i in act), dim)
-        for face in tangent.faces():
+        for _, face in tangent.faces():
             gens = face.generators()
             if gens:
                 face_dirs.append((k, gens))

@@ -3,7 +3,10 @@
 A cone is kept in inequality form {u : G u <= 0} and/or generator form
 span(lineality) + cone(rays); conversion runs on demand through a double
 description pass over exact rationals, so the two forms always describe
-the same set.  Polarity is the representation swap: the polar of
+the same set.  The double description runs on the pointed quotient (the
+cone cut down to the orthogonal complement of its lineality space), so its
+output is already the set of extreme rays, each orthogonal to the
+lineality; no LP runs.  Polarity is the representation swap: the polar of
 {u : G u <= 0} is cone(rows of G), and vice versa.
 """
 
@@ -14,8 +17,8 @@ import itertools
 
 from . import lp
 from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, dot, int_row, is_zero, mat, neg,
-                       nullspace, primitive, rank, row_space_basis, scale, solve,
-                       sub, unit, vec, zeros)
+                       nullspace, primitive, rank, rref, scale, solve, sub, unit, vec,
+                       zeros)
 
 
 def _dd_pointed(dim: int, extra: list[Vec]) -> list[Vec]:
@@ -55,28 +58,6 @@ def _dd_pointed(dim: int, extra: list[Vec]) -> list[Vec]:
     return rays
 
 
-def _reduce_rays(rays: list[Vec], lineality: list[Vec]) -> list[Vec]:
-    """Drop rays inside the lineality span or conically redundant."""
-    out: list[Vec] = []
-    seen = set()
-    for r in rays:
-        r = primitive(r)
-        if is_zero(r) or r in seen:
-            continue
-        if lineality and rank(mat(lineality + [r])) == rank(mat(lineality)):
-            continue
-        seen.add(r)
-        out.append(r)
-    out.sort()
-    kept: list[Vec] = []
-    for i, r in enumerate(out):
-        others = kept + out[i + 1:]
-        if _in_generated(r, others, lineality):
-            continue
-        kept.append(r)
-    return kept
-
-
 def _in_generated(v: Vec, rays: list[Vec], lineality: list[Vec]) -> bool:
     """Exact membership v in cone(rays) + span(lineality)."""
     n = len(v)
@@ -94,11 +75,14 @@ def _in_generated(v: Vec, rays: list[Vec], lineality: list[Vec]) -> bool:
 def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
     """Generators of {u : g u <= 0}: (lineality basis, rays).
 
-    Lifts to the pointed cone {(y,z) >= 0 : g(y-z) <= 0} whose extreme
-    rays project onto a generating set of the original cone.  Memoized on
-    (dim, the nonzero rows made primitive int rows, in the caller's order)
-    and computed from that key alone, so what a caller gets never depends
-    on which caller filled the memo.
+    The rays are the cone's extreme rays, taken orthogonal to the lineality
+    space, primitive and sorted.  The double description runs on the
+    pointed quotient: with B a maximal independent set of rows, x = -g_B u
+    maps the orthogonal complement of the lineality onto R^rank(g), where
+    the cone is {x >= 0, -c_j.x <= 0} for each other row g_j = c_j g_B.
+    Memoized on (dim, the nonzero rows made primitive int rows, in the
+    caller's order) and computed from that key alone, so what a caller gets
+    never depends on which caller filled the memo.
     """
     lin, rays = _vrep(dim, tuple(r for r in map(int_row, g) if any(r)))
     return list(lin), list(rays)
@@ -110,10 +94,39 @@ def _vrep(dim: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[Vec, ...],
     lineality = [primitive(l) for l in lineality]
     if not rows:
         return tuple(lineality), ()
-    lifted = [r + tuple(-x for x in r) for r in rows]
-    lifted_rays = _dd_pointed(2 * dim, [vec(l) for l in lifted])
-    projected = [tuple(r[i] - r[dim + i] for i in range(dim)) for r in lifted_rays]
-    return tuple(lineality), tuple(_reduce_rays(projected, lineality))
+    # rref of g^T: its pivot columns pick B, its other columns hold the c_j
+    red, basis = rref(tuple(zip(*rows)))
+    k = len(basis)
+    extra = [tuple(-red[i][j] for i in range(k))
+             for j in range(len(rows)) if j not in basis]
+    # back to u through the matrix with g_B u_i = -e_i and u_i orthogonal to
+    # the lineality: the right block of the rref of [g_B, -I; lineality, 0]
+    system = [rows[b] + tuple(-F1 if i == r else F0 for i in range(k))
+              for r, b in enumerate(basis)]
+    system += [l + zeros(k) for l in lineality]
+    back = [row[dim:] for row in rref(mat(system))[0]]
+    rays = sorted(primitive(tuple(dot(row, x) for row in back)) for x in _dd_pointed(k, extra))
+    return tuple(lineality), tuple(rays)
+
+
+def close_under_meets(seeds, tight_sets) -> set[frozenset[int]]:
+    """The seed sets closed under intersection with each tight set.
+
+    With the tight sets of a generating set of a cone (or homogenized
+    polyhedron), and seeds the keys of its minimal faces, these are the
+    keys of all its faces: a face's key is the intersection of the tight
+    sets of the generators on it.
+    """
+    keys = set(seeds)
+    todo = list(keys)
+    while todo:
+        key = todo.pop()
+        for t in tight_sets:
+            meet = key & t
+            if meet not in keys:
+                keys.add(meet)
+                todo.append(meet)
+    return keys
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -158,7 +171,7 @@ class PolyCone:
     def ineqs(self) -> Mat:
         # Bipolar: {x : <h,x> <= 0 for every generator h of the polar}.
         if self._ineqs is None:
-            self._ineqs = mat(self._polar_generators())
+            self._ineqs = mat(self.polar().generators())
         return self._ineqs
 
     def _compute_vrep(self) -> None:
@@ -185,44 +198,10 @@ class PolyCone:
             gens.append(neg(l))
         return gens
 
-    def _polar_generators(self) -> list[Vec]:
-        # Generators of the polar, from own generators: polar of
-        # cone(R)+span(L) is {y : R y <= 0, L y = 0}.
-        rows = [vec(r) for r in self.rays]
-        for l in self.lineality:
-            rows.append(vec(l))
-            rows.append(neg(vec(l)))
-        lin, rays = hrep_to_vrep(mat(rows), self.dim)
-        gens = list(rays)
-        for l in lin:
-            gens.append(l)
-            gens.append(neg(l))
-        return gens
-
     def polar(self) -> "PolyCone":
-        """{y : <y,u> <= 0 for all u in cone}."""
-        if self._rays is not None or self._ineqs is None:
-            rows = [vec(r) for r in self.rays]
-            for l in self.lineality:
-                rows.append(vec(l))
-                rows.append(neg(vec(l)))
-            return PolyCone(self.dim, ineqs=mat(rows))
-        # Polar of {x : Gx <= 0} is the conic hull of the rows of G.
-        return PolyCone(self.dim, rays=[vec(r) for r in self.ineqs],
-                        lineality=[])._canonical_from_rays()
-
-    def _canonical_from_rays(self) -> "PolyCone":
-        # Rays built from inequality normals may hide lineality; rebuild.
-        gens = [primitive(r) for r in self._rays if not is_zero(r)]
-        lin: list[Vec] = []
-        rays: list[Vec] = []
-        for g in gens:
-            if _in_generated(neg(g), gens, []):
-                lin.append(g)
-            else:
-                rays.append(g)
-        lin_basis = row_space_basis(lin, self.dim) if lin else []
-        return PolyCone(self.dim, rays=_reduce_rays(rays, lin_basis), lineality=lin_basis)
+        """{y : <y,u> <= 0 for all u in cone}: the inequality form whose rows
+        are the cone's generators."""
+        return PolyCone(self.dim, ineqs=self.generators())
 
     # -- predicates --------------------------------------------------------
 
@@ -250,38 +229,22 @@ class PolyCone:
 
     # -- face lattice --------------------------------------------------------
 
-    def faces(self) -> list["PolyCone"]:
-        """All nonempty faces, from the minimal face (lineality space) up to
-        the cone itself.
+    def faces(self) -> list[tuple[frozenset[int], "PolyCone"]]:
+        """All nonempty faces as (rows of `ineqs` tight on the face, face
+        cone), from the minimal face (the lineality space) up to the cone
+        itself, ordered by the face's set of ray indices as (size, sorted).
 
-        A face is the conic hull of the extreme rays it contains plus the
-        lineality space, so faces are enumerated over ray subsets and
-        validated against the inequality description.
+        A face is the conic hull of the extreme rays on it plus the
+        lineality space, which is tight on every row; so the keys are the
+        set of all rows closed under intersection with each ray's tight set.
         """
-        rays = self.rays
-        lin = self.lineality
-        rows = self.ineqs
-        found: dict[frozenset[int], PolyCone] = {}
-
-        def rays_in_face(active: list[int]) -> frozenset[int]:
-            return frozenset(
-                i for i, r in enumerate(rays)
-                if all(dot(rows[a], r) == 0 for a in active)
-            )
-
-        for subset in itertools.chain.from_iterable(
-                itertools.combinations(range(len(rays)), k) for k in range(len(rays) + 1)):
-            chosen = set(subset)
-            active = [a for a in range(len(rows))
-                      if all(dot(rows[a], rays[i]) == 0 for i in chosen)]
-            closure = rays_in_face(active)
-            if closure != chosen:
-                continue
-            if closure in found:
-                continue
-            face_rays = [rays[i] for i in sorted(closure)]
-            found[closure] = PolyCone(self.dim, rays=face_rays, lineality=list(lin))
-        return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
+        rays, rows = self.rays, self.ineqs
+        tight = [frozenset(a for a, row in enumerate(rows) if dot(row, r) == 0) for r in rays]
+        on = {key: [i for i, t in enumerate(tight) if key <= t]
+              for key in close_under_meets([frozenset(range(len(rows)))], tight)}
+        return [(key, PolyCone(self.dim, rays=[rays[i] for i in on[key]],
+                               lineality=list(self.lineality)))
+                for key in sorted(on, key=lambda k: (len(on[k]), on[k]))]
 
     def intersect(self, other: "PolyCone") -> "PolyCone":
         return PolyCone(self.dim, ineqs=self.ineqs + other.ineqs)

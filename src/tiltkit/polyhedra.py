@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lp
-from .cones import PolyCone, generated_cone, hrep_to_vrep
+from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
 from .rational import (F0, F1, Vec, dot, is_zero, mat, neg, nullspace,
-                       primitive, vec, zeros)
+                       primitive, rank, sub, vec, zeros)
 
 MAX_ROWS = 20
 
@@ -151,15 +151,7 @@ class ConvexPolyhedron:
         appears once, under its exact active set.
         """
         gens = self._generator_tight_sets()
-        keys = {t for t, is_point in gens if is_point}
-        todo = list(keys)
-        while todo:
-            key = todo.pop()
-            for t, _ in gens:
-                meet = key & t
-                if meet not in keys:
-                    keys.add(meet)
-                    todo.append(meet)
+        keys = close_under_meets([t for t, is_point in gens if is_point], [t for t, _ in gens])
         return sorted(((k, self.face(sorted(k))) for k in keys),
                       key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
@@ -177,9 +169,11 @@ class ConvexPolyhedron:
         return p, dirs
 
     def poly_dim(self) -> int:
-        if self.is_empty():
+        """Dimension of the affine hull, read off vrep(); -1 when empty."""
+        points, rec, lin = self.vrep()
+        if not points:
             return -1
-        return len(self.affine_hull()[1])
+        return rank(mat([sub(p, points[0]) for p in points[1:]] + rec + lin))
 
     # -- V-representation -------------------------------------------------------
 
@@ -215,18 +209,6 @@ class ConvexPolyhedron:
     def is_bounded(self) -> bool:
         _, rec, lin = self.vrep()
         return not rec and not lin
-
-    def contains_poly(self, other: "ConvexPolyhedron") -> bool:
-        """other subseteq self, decided by maximizing each row over other."""
-        for row, bi in zip(self.a, self.b):
-            status, mx = lp.max_over(row, other.a, other.b)
-            if status == lp.UNBOUNDED:
-                return False
-            if status != lp.OPTIMAL:  # other empty
-                return True
-            if mx > bi:
-                return False
-        return True
 
     def to_float_rows(self) -> tuple[list[list[float]], list[float]]:
         return [list(map(float, r)) for r in self.a], [float(x) for x in self.b]

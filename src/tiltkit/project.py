@@ -94,19 +94,6 @@ def distance_to_polyhedron(z, poly: ConvexPolyhedron) -> float:
     return float(np.linalg.norm(project_polyhedron(z, poly)[0] - np.asarray(z, dtype=float)))
 
 
-def distance_to_union(z, pieces: list[ConvexPolyhedron]) -> float:
-    """min over pieces of the distance; pieces known nonempty."""
-    ds = []
-    for p in pieces:
-        try:
-            ds.append(distance_to_polyhedron(z, p))
-        except ValueError:
-            continue
-    if not ds:
-        raise ValueError("all pieces empty")
-    return min(ds)
-
-
 def project_cone(z, cone: PolyCone) -> tuple[np.ndarray, float]:
     """Projection onto a polyhedral cone via its inequality form."""
     return project_polyhedron(z, ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)),

@@ -204,59 +204,3 @@ def solve_affine(m: Mat, b: Vec, n: int | None = None) -> tuple[Vec, list[Vec]] 
         return None
     return x0, nullspace(m, len(m[0]))
 
-
-def row_space_basis(rows: Iterable[Vec], n: int) -> list[Vec]:
-    m = tuple(r for r in rows if not is_zero(r))
-    if not m:
-        return []
-    red, pivots = rref(m)
-    return [red[i] for i in range(len(pivots))]
-
-
-def inertia(s: Mat) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
-
-    Symmetric congruence reduction: diagonal pivots when available, else a
-    hyperbolic pair is diagonalized by adding one row/column into another.
-    Sylvester's law makes the result basis-independent.
-    """
-    a = [list(r) for r in s]
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("inertia needs a symmetric matrix")
-    pos = neg_count = zero = 0
-    idx = list(range(n))
-    while idx:
-        p = next((i for i in idx if a[i][i] != 0), None)
-        if p is None:
-            pair = next(((i, j) for i in idx for j in idx if i < j and a[i][j] != 0), None)
-            if pair is None:
-                zero += len(idx)
-                break
-            i, j = pair
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            continue
-        piv = a[p][p]
-        if piv > 0:
-            pos += 1
-        else:
-            neg_count += 1
-        idx.remove(p)
-        for i in idx:
-            if a[i][p] != 0:
-                f = a[i][p] / piv
-                for k in range(n):
-                    a[i][k] -= f * a[p][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][p]
-    return pos, neg_count, zero
-
-
-def is_psd(s: Mat) -> bool:
-    return inertia(s)[1] == 0
-

@@ -1,14 +1,15 @@
 import itertools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit import cones, lp
 from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, _in_generated, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
-from tiltkit.rational import (F0, F1, add, dot, is_zero, neg, primitive, scale, sub,
-                              unit, vec, zeros)
+from tiltkit.rational import (F0, F1, add, dot, is_zero, neg, nullspace, primitive, rank,
+                              scale, sub, unit, vec, zeros)
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -39,7 +40,7 @@ def test_polar_pairing_nonpositive(rays):
 
 def test_faces_of_pointed_2d_cone():
     c = PolyCone.from_generators([(-1, 1), (-1, -1)], 2)
-    faces = c.faces()
+    faces = [f for _, f in c.faces()]
     dims = sorted(f.cone_dim() for f in faces)
     assert dims == [0, 1, 1, 2]  # apex, two extreme rays, the cone
 
@@ -50,7 +51,7 @@ def test_faces_trivial_cone():
 
 def test_faces_halfplane_lineality():
     half = PolyCone.from_inequalities([(0, -1)], 2)  # upper halfplane
-    faces = half.faces()
+    faces = [f for _, f in half.faces()]
     assert len(faces) == 2
     assert sorted(f.cone_dim() for f in faces) == [1, 2]
     line = [f for f in faces if f.cone_dim() == 1][0]
@@ -186,3 +187,92 @@ def test_hrep_to_vrep_does_not_depend_on_who_filled_the_memo(case):
     cones._vrep.cache_clear()
     hrep_to_vrep(copy, n)  # the same cone, its rows reordered and rescaled
     assert hrep_to_vrep(g, n) == cold
+
+
+def reference_hrep_to_vrep(g, dim):
+    """The double description before the quotient: lift to the pointed cone
+    {(y, z) >= 0 : g(y - z) <= 0}, project its extreme rays back, and prune
+    them with one LP membership test per ray."""
+    rows = [vec(r) for r in g if any(r)]
+    lineality = [primitive(l) for l in nullspace(rows, dim)] if rows else \
+        [unit(dim, i) for i in range(dim)]
+    if not rows:
+        return lineality, []
+    lifted = _dd_pointed(2 * dim, [r + neg(r) for r in rows])
+    projected = [tuple(r[i] - r[dim + i] for i in range(dim)) for r in lifted]
+    out = []
+    for r in projected:
+        if is_zero(r) or primitive(r) in out:
+            continue
+        if lineality and rank(lineality + [r]) == rank(lineality):
+            continue
+        out.append(primitive(r))
+    out.sort()
+    kept = []
+    for i, r in enumerate(out):
+        if not lp_in_generated(r, kept + out[i + 1:], lineality):
+            kept.append(r)
+    return lineality, kept
+
+
+def reference_face_rays(cone):
+    """The face walk before the closure: over all 2^|rays| ray subsets, the
+    rays tight on every row tight on the subset, ordered as faces() orders
+    them."""
+    rays, rows = cone.rays, cone.ineqs
+    found = set()
+    for k in range(len(rays) + 1):
+        for chosen in itertools.combinations(range(len(rays)), k):
+            active = [a for a in range(len(rows))
+                      if all(dot(rows[a], rays[i]) == 0 for i in chosen)]
+            found.add(frozenset(i for i, r in enumerate(rays)
+                                if all(dot(rows[a], r) == 0 for a in active)))
+    return [[rays[i] for i in sorted(s)] for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+random_cones = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6).map(lambda rows: (n, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cones)
+def test_hrep_to_vrep_matches_lifted_reference(case):
+    n, rows = case
+    lin, rays = hrep_to_vrep(rows, n)
+    ref_lin, ref_rays = reference_hrep_to_vrep(rows, n)
+    assert lin == ref_lin
+    new = PolyCone.from_generators(rays, n, lineality=lin)
+    ref = PolyCone.from_generators(ref_rays, n, lineality=ref_lin)
+    assert new.contains_cone(ref) and ref.contains_cone(new)
+    assert len(rays) == len(ref_rays)
+    assert all(dot(r, l) == 0 for r in rays for l in lin)
+    for i, r in enumerate(rays):
+        assert not lp_in_generated(r, rays[:i] + rays[i + 1:], lin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cones)
+def test_faces_match_ray_subset_walk(case):
+    n, rows = case
+    cone = PolyCone.from_inequalities(rows, n)
+    faces = cone.faces()
+    assert [f.rays for _, f in faces] == reference_face_rays(cone)
+    for key, face in faces:
+        assert key == frozenset(a for a, row in enumerate(cone.ineqs)
+                                if all(dot(row, g) == 0 for g in face.generators()))
+
+
+def test_cone_conversions_solve_no_lp(monkeypatch):
+    # g is {|u1| <= u3, |u2| <= u3} + span(e4): four extreme rays and a
+    # line, where pruning by LP membership would have to run
+    g = [(1, 0, -1, 0), (-1, 0, -1, 0), (0, 1, -1, 0), (0, -1, -1, 0)]
+    c = PolyCone.from_generators([(1, 1, 1, 0), (1, -1, 1, 0), (-1, 1, 1, 0)], 4,
+                                 lineality=[(0, 0, 1, 1)])
+    cones._vrep.cache_clear()
+    monkeypatch.setattr(lp, "solve_standard", lambda *a: pytest.fail("LP solved"))
+    lin, rays = hrep_to_vrep(g, 4)
+    twice = c.polar().polar()
+    assert len(twice.rays) == 3
+    monkeypatch.undo()
+    assert lin == [vec([0, 0, 0, 1])] and len(rays) == 4
+    assert twice.equals(c)

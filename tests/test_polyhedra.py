@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tiltkit import lp
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
-from tiltkit.rational import dot, neg
+from tiltkit.rational import dot, neg, rank
 
 
 def wedge():
@@ -79,17 +79,6 @@ def test_union_coverage():
     assert poly_union_covers([left, right], [sq])
     assert not poly_union_covers([left], [sq])
     assert poly_union_covers([sq], [left])
-
-
-def test_contains_poly():
-    sq = ConvexPolyhedron.box((0, 0), F(1))
-    small = ConvexPolyhedron.box((0, 0), F(1, 2))
-    assert sq.contains_poly(small)
-    assert not small.contains_poly(sq)
-    hl = ConvexPolyhedron([(-1,)], (0,), dim=1)
-    seg = ConvexPolyhedron([(-1,), (1,)], (0, 1), dim=1)
-    assert hl.contains_poly(seg)
-    assert not seg.contains_poly(hl)  # unbounded direction escapes
 
 
 def test_translate():
@@ -172,6 +161,7 @@ def test_generator_reads_match_lp_oracle(p):
     assert [k for k, _ in p.faces()] == lp_face_keys(p)
     rp = p.relint_point()
     assert (rp is None) == (lp.feasible_point(p.a, p.b, n=p.dim) is None)
+    assert p.poly_dim() == (-1 if rp is None else p.dim - rank([p.a[i] for i in implied]))
     if rp is not None:
         for i, (row, bi) in enumerate(zip(p.a, p.b)):
             assert (dot(row, rp) == bi) if i in implied else (dot(row, rp) < bi)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron
-from tiltkit.project import (distance_to_cone, distance_to_polyhedron,
-                             distance_to_union, kkt_residual, project_cone,
-                             project_polyhedron)
+from tiltkit.project import (distance_to_cone, distance_to_polyhedron, kkt_residual,
+                             project_cone, project_polyhedron)
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -34,13 +33,6 @@ def test_interior_point_projects_to_itself():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
     x, _ = project_polyhedron((0.5, 0.1), w)
     assert np.allclose(x, [0.5, 0.1])
-
-
-def test_distance_to_union_cross():
-    xax = ConvexPolyhedron([(0, 1), (0, -1)], (0, 0))
-    yax = ConvexPolyhedron([(1, 0), (-1, 0)], (0, 0))
-    assert abs(distance_to_union((-1.0, -1.0), [xax, yax]) - 1.0) < 1e-12
-    assert distance_to_union((0.0, 2.0), [xax, yax]) < 1e-12
 
 
 def test_distance_zero_iff_member():

@@ -1,14 +1,12 @@
 import math
 from fractions import Fraction as F
 
-import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltkit.rational import (F0, F1, dot, inertia, int_nullspace, int_row,
-                              is_psd, mat, matvec, nullspace, primitive, rank,
-                              row_space_basis, rref, solve, solve_affine, vec)
+from tiltkit.rational import (F0, F1, dot, int_nullspace, int_row, mat, matvec,
+                              nullspace, primitive, rank, rref, solve,
+                              solve_affine, vec)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -90,7 +88,6 @@ def test_elimination_matches_fraction_oracle(m, rhs):
     assert [tuple(F(x, s) for x in v) for v in ints] == fraction_nullspace(m)
     b = vec(rhs[:len(m)])
     assert solve(m, b) == fraction_solve(m, b)
-    assert row_space_basis(m, ncols) == [r for r in red if any(r)]
     for r in m:
         p = primitive(r)
         ir = int_row(r)
@@ -126,32 +123,6 @@ def test_solve_affine_full_set():
 def test_primitive_scaling():
     assert primitive(vec([F(2, 3), F(4, 3)])) == vec([1, 2])
     assert primitive(vec([F(-1, 2), F(1, 2)])) == vec([-1, 1])
-
-
-@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_inertia_matches_float_eigen(rows):
-    # symmetrize
-    s = [[(rows[i][j] + rows[j][i]) / 2 for j in range(3)] for i in range(3)]
-    m = mat(s)
-    pos, neg, zero = inertia(m)
-    w = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in m]))
-    # guard against float zero ambiguity: only compare when eigenvalues are clear
-    if np.min(np.abs(w)) > 1e-9:
-        assert pos == int(np.sum(w > 0))
-        assert neg == int(np.sum(w < 0))
-        assert zero == 0
-    assert pos + neg + zero == 3
-
-
-def test_inertia_hyperbolic_pair():
-    assert inertia(mat([[0, 1], [1, 0]])) == (1, 1, 0)
-    assert is_psd(mat([[1, -1], [-1, 1]]))
-    assert not is_psd(mat([[0, 1], [1, 0]]))
-
-
-def test_inertia_requires_symmetry():
-    with pytest.raises(ValueError):
-        inertia(mat([[0, 1], [0, 0]]))
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2),
