@@ -21,6 +21,10 @@ from .polyhedra import ConvexPolyhedron, PolyUnion
 from .rational import (F0, Mat, Vec, add, dot, frac, mat, matvec, norm_sq,
                        scale, sub, vec, zeros)
 
+# Rows per problem-file piece: the exact cell and cone machinery grows
+# quickly with the rows of the pieces it is given.
+MAX_ROWS = 20
+
 
 class ParseError(ValueError):
     """Malformed problem file."""
@@ -383,6 +387,8 @@ def _parse_exact(raw: dict, params: Params) -> ProblemInstance:
     for piece_obj in raw.get("pieces", [{"A": [], "b": []}]):
         a = [[_parse_rational(v) for v in row] for row in piece_obj["A"]]
         b = [_parse_rational(v) for v in piece_obj["b"]]
+        if len(a) > MAX_ROWS:
+            raise ParseError(f"piece has {len(a)} rows > {MAX_ROWS}")
         for row in a:
             if len(row) != n:
                 raise ParseError("piece row dimension mismatch")

@@ -2,8 +2,7 @@
 
 Exact membership, active sets, emptiness, tangent/normal cones, and a
 V-representation through homogenization, whose generators decide implied
-equalities and faces with no LP.  Row counts are tiny by contract (a guard
-rejects more than MAX_ROWS rows before any exponential enumeration runs).
+equalities and faces with no LP.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
 from .rational import (F0, F1, Vec, dot, is_zero, mat, neg, nullspace,
                        primitive, rank, sub, vec, zeros)
-
-MAX_ROWS = 20
 
 
 class ConvexPolyhedron:
@@ -227,8 +224,6 @@ class PolyUnion:
         if len(dims) != 1:
             raise ValueError("pieces live in different dimensions")
         for p in pieces:
-            if p.m > MAX_ROWS:
-                raise ValueError(f"piece guard: {p.m} rows > {MAX_ROWS}")
             if p.is_empty():
                 raise ValueError("empty pieces are rejected at construction")
         self.pieces = list(pieces)

@@ -437,10 +437,7 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
         return _subregularity_analytic(inst)
     f = inst.f
     box = _inverse_box(inst)
-    try:
-        slice_ = inverse_image(f, inst.xstar, box)
-    except EmptySliceError:
-        raise
+    slice_ = inverse_image(f, inst.xstar, box)
     if slice_.is_empty():
         return ModulusEstimate(math.inf, float(p.eta), p.grid, 0, False, None,
                                failure="empty solution slice")
@@ -677,10 +674,7 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
 
     for piece in f.domain.pieces:
         for _, face in piece.faces():
-            try:
-                p0, dirs = face.affine_hull()
-            except ValueError:
-                continue
+            p0, dirs = face.affine_hull()
             cand.extend(_face_candidates(face, p0, dirs, q, lin, d0, piece,
                                          xbar, gamma, obj_f))
             cand.extend(_ball_boundary_candidates(face, p0, dirs, qf, lin_f,

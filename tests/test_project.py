@@ -1,37 +1,91 @@
+import itertools
 import math
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron
-from tiltkit.project import (distance_to_cone, distance_to_polyhedron, kkt_residual,
-                             project_cone, project_polyhedron)
+from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_cone,
+                             distance_to_polyhedron, project_cone, project_polyhedron)
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
 
+def float_rows(poly):
+    a = np.array([[float(x) for x in row] for row in poly.a], dtype=float).reshape(poly.m, poly.dim)
+    return a, np.array([float(x) for x in poly.b], dtype=float)
+
+
+def subset_projection(z, poly):
+    """Reference projection: the best feasible equality-constrained
+    projection over every row subset of size at most dim."""
+    z = np.asarray(z, dtype=float)
+    a, b = float_rows(poly)
+    scale = 1.0 + float(np.max(np.abs(b))) if poly.m else 1.0
+    if poly.m == 0 or np.max(a @ z - b) <= FEAS_TOL * scale:
+        return z.copy()
+    best = None
+    for k in range(1, min(poly.dim, poly.m) + 1):
+        for subset in itertools.combinations(range(poly.m), k):
+            idx = list(subset)
+            asub = a[idx]
+            solve_t = asub.T @ np.linalg.pinv(asub @ asub.T, rcond=1e-12)
+            x = z - solve_t @ (asub @ z - b[idx])
+            if np.max(np.abs(asub @ x - b[idx])) > 1e-7 * scale:
+                continue  # inconsistent subset for this z
+            if np.max(a @ x - b) > FEAS_TOL * scale:
+                continue
+            d = float(np.linalg.norm(x - z))
+            if best is None or d < best[0] - 1e-15:
+                best = (d, x)
+    if best is None:
+        raise ValueError("projection onto empty polyhedron")
+    return best[1]
+
+
+def kkt_residual(z, x, poly, active_tol=1e-8):
+    """Distance of z - x to the cone of nearly-active outward normals."""
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float)
+    a, b = float_rows(poly)
+    act = [i for i in range(poly.m) if a[i] @ x > b[i] - active_tol * (1.0 + abs(b[i]))]
+    v = z - x
+    if not act:
+        return float(np.linalg.norm(v))
+    g = a[act]
+    lam, *_ = np.linalg.lstsq(g.T, v, rcond=None)
+    lam = np.maximum(lam, 0.0)
+    return float(np.linalg.norm(g.T @ lam - v))
+
+
+def projection_or_empty(project, z, poly):
+    try:
+        return project(z, poly)
+    except ValueError:
+        return None
+
+
 def test_projection_onto_quadrant():
     rpp = ConvexPolyhedron([(-1, 0), (0, -1)], (0, 0))
-    x, resid = project_polyhedron((-1.0, -1.0), rpp)
-    assert np.allclose(x, [0.0, 0.0]) and resid <= 1e-12
+    x = project_polyhedron((-1.0, -1.0), rpp)
+    assert np.allclose(x, [0.0, 0.0]) and kkt_residual((-1.0, -1.0), x, rpp) <= 1e-12
 
 
 def test_projection_onto_wedge_edge():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
-    x, resid = project_polyhedron((0.0, 1.0), w)
+    x = project_polyhedron((0.0, 1.0), w)
     # nearest point on the edge ray x2 = x1 by 1-D minimization along the ray
     assert np.allclose(x, [0.5, 0.5])
     assert abs(distance_to_polyhedron((0.0, 1.0), w) - math.sqrt(2) / 2) < 1e-12
-    assert resid <= 1e-12
+    assert kkt_residual((0.0, 1.0), x, w) <= 1e-12
 
 
 def test_interior_point_projects_to_itself():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
-    x, _ = project_polyhedron((0.5, 0.1), w)
+    x = project_polyhedron((0.5, 0.1), w)
     assert np.allclose(x, [0.5, 0.1])
 
 
@@ -57,7 +111,64 @@ def test_empty_projection_raises():
 @given(st.tuples(coords, coords))
 def test_projection_kkt_invariant(z):
     w = ConvexPolyhedron([(-1, 1), (-1, -1), (1, 0)], (0, 0, 2))
-    x, resid = project_polyhedron(z, w)
-    assert resid <= 1e-10
+    x = project_polyhedron(z, w)
     # the step z - x must be an outward normal at x
     assert kkt_residual(z, x, w) <= 1e-10
+
+
+small_ints = st.integers(-2, 2)
+
+
+@st.composite
+def polyhedron_and_points(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.tuples(*[small_ints] * n), min_size=m, max_size=m))
+    rhs = draw(st.lists(small_ints, min_size=m, max_size=m))
+    point = st.tuples(*[st.floats(-4, 4, allow_nan=False)] * n)
+    return ConvexPolyhedron(rows, rhs, dim=n), draw(st.lists(point, min_size=1, max_size=6))
+
+
+@settings(max_examples=300)
+@given(polyhedron_and_points())
+def test_face_projection_matches_subset_enumeration(case):
+    # empty, unbounded, lineality and degenerate vertices all occur here
+    poly, points = case
+    tol = 1e-12 * (1.0 + max((abs(float(x)) for x in poly.b), default=0.0))
+    for z in points:
+        x = projection_or_empty(project_polyhedron, z, poly)
+        ref = projection_or_empty(subset_projection, z, poly)
+        assert (x is None) == (ref is None)
+        if x is not None:
+            zf = np.asarray(z)
+            assert abs(np.linalg.norm(x - zf) - np.linalg.norm(ref - zf)) <= tol
+
+
+@given(st.tuples(coords, coords, coords))
+def test_cone_projection_matches_subset_enumeration(z):
+    cone = PolyCone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (1, 1, 2)], 3)
+    poly = ConvexPolyhedron(cone.ineqs, [0] * len(cone.ineqs), dim=3)
+    x = project_cone(z, cone)
+    assert np.linalg.norm(x - subset_projection(z, poly)) <= 1e-12
+    assert kkt_residual(z, x, poly) <= 1e-10
+
+
+def test_single_point_piece_has_one_candidate():
+    # twelve rows through the origin, cutting out the single point 0
+    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]
+    rows = [r for d in dirs for r in (d, tuple(-x for x in d))]
+    point = ConvexPolyhedron(rows, [0] * 12)
+    assert len(_projection_data(point.a, point.b, 2)[2]) == 1  # 78 row subsets
+    x = project_polyhedron((0.3, -0.7), point)
+    assert np.array_equal(x, [0.0, 0.0])
+
+
+def test_projection_onto_polygon_with_many_rows():
+    rows = [(p, q) for p in range(-2, 3) for q in range(-2, 3) if (p, q) != (0, 0)]
+    polygon = ConvexPolyhedron(rows, [2] * len(rows))
+    assert polygon.m > 20
+    a, b = float_rows(polygon)
+    for z in [(5.0, 0.3), (-3.0, 4.0), (0.2, 0.1), (1.5, 1.5)]:
+        x = project_polyhedron(z, polygon)
+        assert np.max(a @ x - b) <= 1e-12
+        assert np.linalg.norm(x - subset_projection(z, polygon)) <= 1e-12

@@ -132,3 +132,38 @@ def test_cli_analyze_rejects_invalid_pair(tmp_path):
         "xbar": [0], "xstar": [5],
     }))
     assert main(["analyze", str(prob)]) == 2
+
+
+def test_cli_analyze_two_heptagons(tmp_path, capsys):
+    # the internal graph-model and inverse-slice pieces of this file have
+    # more rows than any problem-file piece may have
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "variant": "exact",
+        "smooth": {"Q": [[1, 0], [0, 1]], "c": [0, 0], "d": 0},
+        "pieces": [
+            {"A": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1]],
+             "b": [1, 1, 1, 1, 1, 1, 1]},
+            {"A": [[1, 2], [-1, -2], [2, 1], [-2, -1], [1, -1], [-1, 1], [-1, -1]],
+             "b": [2, 2, 2, 2, 2, 2, 2]}],
+        "xbar": [0, 0], "xstar": [0, 0],
+        "params": {"eta": "1/10", "delta": "1/10", "gamma": "1/2", "grid": 3},
+    }))
+    assert main(["analyze", str(prob)]) == 0
+    arts = json.loads(capsys.readouterr().out)["results"][0]["artifacts"]
+    assert arts["definiteness"] == "positive_definite"
+    assert arts["tilt_verdict"] == "stable"
+    assert arts["subregularity_kappa"] == arts["metric_regularity_kappa"] == 1.0
+
+
+def test_cli_analyze_rejects_piece_with_too_many_rows(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "variant": "exact",
+        "smooth": {"Q": [[1]], "c": [0], "d": 0},
+        "pieces": [{"A": [[1]] * 21, "b": [1] * 21}],
+        "xbar": [0], "xstar": [0],
+    }))
+    assert main(["analyze", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
