@@ -6,7 +6,10 @@ exact active set.  The regular normal cone is constant on each
 signature locus, so the limiting normal cone (the outer limit of regular
 normal cones) is exactly the union of those finitely many values over
 the cells adherent to the point.  This module enumerates the cells, both
-localized at a query point (conic) and globally (polyhedral).
+localized at a query point (conic signatures) and globally (polyhedral
+closures), as options for the one strict-feasibility search
+`polyhedra.strict_leaves`: per piece, a face to stay on or a row to leave
+through.
 """
 
 from __future__ import annotations
@@ -14,14 +17,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from . import lp
 from .cones import ConeUnion, PolyCone, generated_cone
-from .polyhedra import ConvexPolyhedron, PolyUnion
+from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
 from .rational import Vec, add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
 
 
-def _value_cone(union: PolyUnion, memberships: list[tuple[int, frozenset[int]]]) -> PolyCone:
+Signature = tuple[tuple[int, frozenset[int]], ...]  # (piece, active rows) per member
+
+
+def _value_cone(union: PolyUnion, memberships: Sequence[tuple[int, frozenset[int]]]) -> PolyCone:
     """Regular normal cone on a locus where piece k is active exactly on S_k:
     the intersection over pieces of cone{A_k,i : i in S_k}."""
     dim = union.dim
@@ -32,64 +38,32 @@ def _value_cone(union: PolyUnion, memberships: list[tuple[int, frozenset[int]]])
     return PolyCone(dim, ineqs=mat(ineq_rows))
 
 
-@dataclass(frozen=True)
-class LocalCell:
-    """One conic cell of the localized complex at a query point."""
-    memberships: tuple[tuple[int, frozenset[int]], ...]  # (piece, tangent-active rows)
-    cell: PolyCone        # closure of the signature locus, in local coordinates
-    value: PolyCone       # regular normal cone on the locus
+def local_cells(union: PolyUnion, x) -> list[Signature]:
+    """Signatures of the localized complex of the union at x (x in union),
+    each once, in first-seen order.
 
-
-def _tangent_faces(piece: ConvexPolyhedron, x: Vec) -> list[tuple[frozenset[int], list[Vec]]]:
-    """Faces of the tangent cone of `piece` at x, as
-    (equality rows, strict rows), indexed by original piece rows."""
-    act = sorted(piece.active_set(x))
-    tangent = PolyCone.from_inequalities(tuple(piece.a[i] for i in act), piece.dim)
-    return [(frozenset(act[j] for j in key),
-             [piece.a[i] for j, i in enumerate(act) if j not in key])
-            for key, _ in tangent.faces()]
-
-
-def local_cells(union: PolyUnion, x) -> list[LocalCell]:
-    """All cells of the localized complex of the union at x (x in union)."""
+    A direction u stays in piece k on a face of its tangent cone (the face's
+    rows equal, the other active rows strict) or leaves it through an
+    active row (A_i u > 0).
+    """
     x = vec(x)
     if not union.contains(x):
         raise ValueError("point is not in the union")
-    ks = union.pieces_containing(x)
-    dim = union.dim
-    options: dict[int, list] = {}
-    for k in ks:
+    levels = []
+    for k in union.pieces_containing(x):
         piece = union.pieces[k]
         act = sorted(piece.active_set(x))
-        opts = [(eq, [piece.a[i] for i in sorted(eq)], strict)
-                for eq, strict in _tangent_faces(piece, x)]
-        opts += [(None, [], [neg(piece.a[i])]) for i in act]  # A_i u > 0 leaves the piece
-        # the strict-feasibility test reads each option's rows as primitive
-        # int sets, built once here and unioned down the recursion
-        options[k] = [(eq, eq_rows, strict, frozenset(map(int_row, eq_rows)),
-                       frozenset(map(int_row, strict))) for eq, eq_rows, strict in opts]
-
-    cells: list[LocalCell] = []
-
-    def recurse(idx: int, eqs: list[Vec], stricts: list[Vec], eq_set: frozenset,
-                strict_set: frozenset, memberships: list[tuple[int, frozenset[int]]]) -> None:
-        if not lp.strict_homogeneous_feasible(eq_set, strict_set, dim):
-            return
-        if idx == len(ks):
-            if not memberships:
-                return
-            cell = PolyCone(dim, ineqs=mat(stricts + eqs + [neg(r) for r in eqs]))
-            cells.append(LocalCell(tuple(memberships), cell,
-                                   _value_cone(union, memberships)))
-            return
-        k = ks[idx]
-        for eq, eq_rows, strict, eq_int, strict_int in options[k]:
-            recurse(idx + 1, eqs + eq_rows, stricts + strict, eq_set | eq_int,
-                    strict_set | strict_int,
-                    memberships if eq is None else memberships + [(k, eq)])
-
-    recurse(0, [], [], frozenset(), frozenset(), [])
-    return cells
+        rows = {i: int_row(piece.a[i]) for i in act}
+        opts = []
+        for key, _ in piece.tangent_cone(x).faces():
+            eq = frozenset(act[j] for j in key)
+            opts.append((frozenset(rows[i] for i in eq),
+                         frozenset(rows[i] for i in act if i not in eq), (k, eq)))
+        opts += [(frozenset(), frozenset([neg(rows[i])]), None) for i in act]
+        levels.append(opts)
+    signatures = (tuple(m for m in chosen if m is not None)
+                  for chosen in strict_leaves(levels, union.dim))
+    return list(dict.fromkeys(sig for sig in signatures if sig))
 
 
 def regular_normal_cone(union: PolyUnion, x) -> PolyCone:
@@ -105,7 +79,7 @@ def regular_normal_cone(union: PolyUnion, x) -> PolyCone:
 def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:
     """Union of the regular normal cone values over all cells adherent
     to x; realizes the outer limit of regular normal cones exactly."""
-    values = [c.value for c in local_cells(union, x)]
+    values = [_value_cone(union, sig) for sig in local_cells(union, x)]
     return ConeUnion(values, union.dim).dedupe()
 
 
@@ -115,7 +89,7 @@ def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:
 @dataclass(frozen=True)
 class Cell:
     """One cell of the global complex: closure of a constant-signature locus."""
-    memberships: tuple[tuple[int, frozenset[int]], ...]
+    memberships: Signature
     closure: ConvexPolyhedron
     value: PolyCone
 
@@ -128,44 +102,31 @@ def cell_complex(union: PolyUnion) -> list[Cell]:
     are the regular normal cones, constant on each locus.
     """
     dim = union.dim
-    options: list[list] = []
-    for piece in union.pieces:
-        faces = piece.faces()
+    levels = []
+    for k, piece in enumerate(union.pieces):
+        ab = list(zip(piece.a, piece.b))
+        rows = [homogenize(a, bi) for a, bi in ab]
         opts = []
-        for key, face in faces:
-            strict_rows = [(piece.a[i], piece.b[i]) for i in range(piece.m) if i not in key]
-            eq_rows = [(piece.a[i], piece.b[i]) for i in sorted(key)]
-            opts.append(("in", key, eq_rows, strict_rows))
-        for i in range(piece.m):
-            opts.append(("out", None, [], [(neg(piece.a[i]), -piece.b[i])]))
-        options.append(opts)
+        for key, _ in piece.faces():
+            out = [i for i in range(piece.m) if i not in key]
+            # the payload keeps the (a, b) rows that the closure is built from
+            opts.append((frozenset(rows[i] for i in key), frozenset(rows[i] for i in out),
+                         ((k, key), [ab[i] for i in sorted(key)], [ab[i] for i in out])))
+        for (a, bi), row in zip(ab, rows):
+            opts.append((frozenset(), frozenset([neg(row)]), (None, [], [(neg(a), -bi)])))
+        levels.append(opts)
 
     cells: list[Cell] = []
-
-    def recurse(k: int, eqs: list, stricts: list, memberships: list) -> None:
-        a_strict = mat([r for r, _ in stricts])
-        b_strict = vec([v for _, v in stricts])
-        a_eq = mat([r for r, _ in eqs])
-        b_eq = vec([v for _, v in eqs])
-        if lp.strictly_feasible_point(a_strict, b_strict, (), (), a_eq, b_eq, n=dim) is None:
-            return
-        if k == len(union.pieces):
-            if not memberships:
-                return
-            rows = [r for r, _ in stricts] + [r for r, _ in eqs] + [neg(r) for r, _ in eqs]
-            rhs = [v for _, v in stricts] + [v for _, v in eqs] + [-v for _, v in eqs]
-            closure = ConvexPolyhedron(mat(rows), vec(rhs), dim=dim)
-            cells.append(Cell(tuple(memberships), closure,
-                              _value_cone(union, memberships)))
-            return
-        for kind, key, eq_rows, strict_rows in options[k]:
-            if kind == "in":
-                recurse(k + 1, eqs + eq_rows, stricts + strict_rows,
-                        memberships + [(k, key)])
-            else:
-                recurse(k + 1, eqs, stricts + strict_rows, memberships)
-
-    recurse(0, [], [], [])
+    t_positive = homogenize(zeros(dim), 1)
+    for chosen in strict_leaves(levels, dim + 1, stricts=frozenset([t_positive])):
+        memberships = [m for m, _, _ in chosen if m is not None]
+        if not memberships:
+            continue
+        eqs = [r for _, e, _ in chosen for r in e]
+        rows = [r for _, _, s in chosen for r in s] + eqs + [(neg(a), -bi) for a, bi in eqs]
+        closure = ConvexPolyhedron(mat([a for a, _ in rows]), vec([bi for _, bi in rows]),
+                                   dim=dim)
+        cells.append(Cell(tuple(memberships), closure, _value_cone(union, memberships)))
     return cells
 
 
@@ -195,18 +156,14 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
     # Directions that stay in some piece: relint points of tangent faces.
     face_dirs: list[tuple[int, list[Vec]]] = []
     for k in ks:
-        piece = union.pieces[k]
-        act = sorted(piece.active_set(x))
-        tangent = PolyCone.from_inequalities(tuple(piece.a[i] for i in act), dim)
-        for _, face in tangent.faces():
+        for _, face in union.pieces[k].tangent_cone(x).faces():
             gens = face.generators()
             if gens:
                 face_dirs.append((k, gens))
 
-    samples: list[PolyCone] = []
     # constant sequences reach the query point itself, so its regular cone
     # always belongs to the outer limit
-    collected: list[PolyCone] = [regular_normal_cone_at_point(union, x)]
+    collected: list[PolyCone] = [regular_normal_cone(union, x)]
     for _ in range(count):
         if not face_dirs:
             y = x
@@ -230,21 +187,8 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
                 y = add(x, scale(u, t))
                 if not union.contains(y):
                     y = x
-        cone = regular_normal_cone_at_point(union, y)
-        samples.append(cone)
+        cone = regular_normal_cone(union, y)
         if not any(cone.equals(c) for c in collected):
             collected.append(cone)
     return collected
 
-
-def regular_normal_cone_at_point(union: PolyUnion, y: Vec) -> PolyCone:
-    """Pointwise regular normal cone from active sets only."""
-    rows: list[Vec] = []
-    hit = False
-    for piece in union.pieces:
-        if piece.contains(y):
-            hit = True
-            rows.extend(piece.normal_cone(y).ineqs)
-    if not hit:
-        raise ValueError("sample left the union")
-    return PolyCone(union.dim, ineqs=mat(rows))

@@ -2,9 +2,10 @@
 
 A plain two-phase simplex with Bland's rule on dense Fraction tableaus.
 Problem sizes here are tiny (tens of variables), so termination and
-exactness matter far more than pivoting heuristics.  The cell recursion's
-strict-feasibility test works on primitive integer rows and reaches the
-simplex only when a float witness fails its exact re-check.
+exactness matter far more than pivoting heuristics.  The strict-feasibility
+test of the cell recursion (`polyhedra.strict_leaves`) works on primitive
+integer rows and reaches the simplex only when a float witness fails its
+exact re-check; `strictly_feasible_point` serves `relint_point` alone.
 """
 
 from __future__ import annotations
@@ -174,35 +175,18 @@ def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
     return x if status == OPTIMAL else None
 
 
-def strictly_feasible_point(a_strict: Mat = (), b_strict: Vec = (),
-                            a_ub: Mat = (), b_ub: Vec = (),
-                            a_eq: Mat = (), b_eq: Vec = (),
-                            n: int | None = None) -> Vec | None:
-    """A point with a_strict x < b_strict, a_ub x <= b_ub, a_eq x = b_eq.
+def strictly_feasible_point(a_strict: Mat, b_strict: Vec, a_eq: Mat = (), b_eq: Vec = (),
+                            *, n: int) -> Vec | None:
+    """A point x in R^n with a_strict x < b_strict, a_eq x = b_eq.
 
     Maximizes the common slack t (capped at 1 so the LP stays bounded);
     strict feasibility holds iff the optimum is positive.
     """
-    if n is None:
-        for m in (a_strict, a_ub, a_eq):
-            if m:
-                n = len(m[0])
-                break
-        if n is None:
-            raise ValueError("dimension unknown")
     if not a_strict:
-        return feasible_point(a_ub, b_ub, a_eq, b_eq, n=n)
+        return feasible_point((), (), a_eq, b_eq, n=n)
     # Variables (x, t); minimize -t.
-    rows = []
-    rhs = []
-    for row, bi in zip(a_strict, b_strict):
-        rows.append(tuple(row) + (F1,))
-        rhs.append(bi)
-    for row, bi in zip(a_ub, b_ub):
-        rows.append(tuple(row) + (F0,))
-        rhs.append(bi)
-    rows.append(zeros(n) + (F1,))
-    rhs.append(F1)
+    rows = [tuple(row) + (F1,) for row in a_strict] + [zeros(n) + (F1,)]
+    rhs = list(b_strict) + [F1]
     eq = tuple(tuple(row) + (F0,) for row in a_eq)
     c = zeros(n) + (Fraction(-1),)
     status, x, _ = minimize(c, tuple(rows), tuple(rhs), eq, b_eq)
@@ -223,12 +207,13 @@ def max_over(c: Sequence[Fraction], a_ub: Mat, b_ub: Vec,
 def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     """Does {u : E u = 0, S u < 0 (componentwise)} have a solution?
 
-    Rows are exact (int or Fraction tuples); the cell recursion passes
-    frozensets of primitive int rows.  The memo key is (n, nonzero rows of
-    E, rows of S) as frozensets of the rows exactly as given, and the
-    answer is computed from that key alone.  Substitutes the integer
-    nullspace basis of E and applies Gordan's alternative: exists t with
-    M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0.
+    Rows are exact (int or Fraction tuples); the cell recursion
+    (`polyhedra.strict_leaves`) passes frozensets of primitive int rows.
+    The memo key is (n, nonzero rows of E, rows of S) as frozensets of the
+    rows exactly as given, and the answer is computed from that key alone.
+    Substitutes the integer nullspace basis of E and applies Gordan's
+    alternative: exists t with M t < 0 iff no lambda >= 0, sum 1,
+    M' lambda = 0.
     """
     return _strict_feasible(n, frozenset(eq_rows) - {(0,) * n}, frozenset(strict_rows))
 

@@ -2,7 +2,9 @@
 
 Exact membership, active sets, emptiness, tangent/normal cones, and a
 V-representation through homogenization, whose generators decide implied
-equalities and faces with no LP.
+equalities and faces with no LP.  `strict_leaves` is the one depth-first
+strict-feasibility search, over homogeneous primitive int rows, behind
+union covers here and the cell complexes in `cells`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Vec, dot, is_zero, mat, neg, nullspace,
+from .rational import (F0, F1, Vec, dot, int_row, is_zero, mat, neg, nullspace,
                        primitive, rank, sub, vec, zeros)
 
 
@@ -102,8 +104,7 @@ class ConvexPolyhedron:
         bs = [self.b[i] for i in range(self.m) if i not in implied]
         eq = [self.a[i] for i in implied]
         be = [self.b[i] for i in implied]
-        return lp.strictly_feasible_point(mat(strict), vec(bs), (), (),
-                                          mat(eq), vec(be), n=self.dim)
+        return lp.strictly_feasible_point(mat(strict), vec(bs), mat(eq), vec(be), n=self.dim)
 
     def intersect(self, other: "ConvexPolyhedron") -> "ConvexPolyhedron":
         return ConvexPolyhedron(self.a + other.a, self.b + other.b, dim=self.dim)
@@ -250,6 +251,35 @@ def critical_cone(piece: ConvexPolyhedron, x, v) -> PolyCone:
     return PolyCone.from_inequalities(mat(rows), piece.dim)
 
 
+def homogenize(a, b) -> tuple[int, ...]:
+    """The row a x <= b as the primitive int row of a x - b t <= 0 on (x, t)."""
+    return int_row(tuple(a) + (-b,))
+
+
+def strict_leaves(levels, n: int, eqs: frozenset = frozenset(),
+                  stricts: frozenset = frozenset(), chosen: tuple = ()):
+    """Depth-first search for strictly feasible choices, one per level.
+
+    Each level lists options (eq rows, strict rows, payload), the rows
+    frozensets of primitive int tuples in R^n.  A node adds one option of
+    the next level to the system {E u = 0, S u < 0}; a node whose system
+    `lp.strict_homogeneous_feasible` rejects is pruned with its subtree.
+    Yields the payload tuple of each feasible leaf, in option order, so a
+    caller may stop at the first.  A level with no options has no leaf.
+
+    Affine systems {A_S x < b_S, A_E x = b_E} in R^dim enter through
+    `homogenize`, in n = dim + 1, with the strict row -t < 0 (the row
+    0 x < 1 homogenized): a solution (x, t) scales by 1/t to one of them.
+    """
+    if not lp.strict_homogeneous_feasible(eqs, stricts, n):
+        return
+    if len(chosen) == len(levels):
+        yield chosen
+        return
+    for eq, strict, payload in levels[len(chosen)]:
+        yield from strict_leaves(levels, n, eqs | eq, stricts | strict, chosen + (payload,))
+
+
 def poly_union_covers(covers: list[ConvexPolyhedron],
                       targets: list[ConvexPolyhedron]) -> bool:
     """Exact test: union(targets) subseteq union(covers)."""
@@ -257,21 +287,20 @@ def poly_union_covers(covers: list[ConvexPolyhedron],
 
 
 def _poly_escapes(target: ConvexPolyhedron, covers: list[ConvexPolyhedron]) -> bool:
-    dim = target.dim
+    """Does some point of target violate one row of every cover?
 
-    def recurse(i: int, strict_rows: list[Vec], strict_rhs: list[Fraction]) -> bool:
-        pt = lp.strictly_feasible_point(
-            mat(strict_rows), vec(strict_rhs), target.a, target.b, n=dim)
-        if pt is None:
-            return False
-        if i == len(covers):
-            return True
-        cover = covers[i]
-        if not cover.a:
-            return False  # full-space cover
-        for row, bi in zip(cover.a, cover.b):
-            if recurse(i + 1, strict_rows + [neg(row)], strict_rhs + [-bi]):
-                return True
-        return False
-
-    return recurse(0, [], [])
+    The escape rows are strict, so they cut out an open set, and an open
+    set meets a nonempty convex set iff it meets its relative interior:
+    the target enters as its implied equalities held with equality and
+    every other row strict.  An empty target has no implied equalities,
+    so all its rows are strict and nothing escapes.
+    """
+    rows = [homogenize(a, bi) for a, bi in zip(target.a, target.b)]
+    implied = target.implied_equalities()
+    eqs = frozenset(rows[i] for i in implied)
+    stricts = frozenset(r for i, r in enumerate(rows) if i not in implied)
+    levels = [[(frozenset(), frozenset([homogenize(neg(a), -bi)]), None)
+               for a, bi in zip(cover.a, cover.b)] for cover in covers]
+    t_positive = homogenize(zeros(target.dim), 1)
+    leaves = strict_leaves(levels, target.dim + 1, eqs, stricts | {t_positive})
+    return next(leaves, None) is not None

@@ -1,12 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiltkit.cells import (cell_complex, cells_adherent_to, limiting_normal_cone,
-                           local_cells, regular_normal_cone,
+from tiltkit import lp
+from tiltkit.cells import (Cell, _value_cone, cell_complex, cells_adherent_to,
+                           limiting_normal_cone, local_cells, regular_normal_cone,
                            sampled_regular_normals)
-from tiltkit.cones import PolyCone
-from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
+from tiltkit.cones import ConeUnion, PolyCone
+from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
+from tiltkit.rational import int_row, mat, neg, vec
 
 
 def cross():
@@ -100,7 +104,7 @@ def test_sampling_oracle_matches_computed():
 
 
 def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):
-    from tiltkit import lp, rational
+    from tiltkit import rational
     from tiltkit.fixtures import fixture
     from tiltkit.hessian import build_graph_model
 
@@ -132,8 +136,176 @@ def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):
         return real_memo(*key)
 
     monkeypatch.setattr(lp, "_strict_feasible", spy)
+    for search in (lambda: local_cells(model.union, model.basepoint),
+                   lambda: cell_complex(model.union)):
+        keys.clear()
+        assert search()
+        assert keys
+        for n, eq, stricts in keys:
+            for row in eq | stricts:
+                assert type(row) is tuple and all(type(v) is int for v in row)
+
+
+# -- the per-node searches these replace, kept as oracles ------------------------
+
+
+def path_local_cells(union, x):
+    """One (memberships, value) per strictly feasible path of the old
+    per-piece recursion, which repeats a signature reached through several
+    leave-the-piece rows."""
+    x = vec(x)
+    ks = union.pieces_containing(x)
+    options = {}
+    for k in ks:
+        piece = union.pieces[k]
+        act = sorted(piece.active_set(x))
+        tangent = PolyCone.from_inequalities(tuple(piece.a[i] for i in act), union.dim)
+        opts = [(frozenset(act[j] for j in key), [piece.a[act[j]] for j in sorted(key)],
+                 [piece.a[i] for j, i in enumerate(act) if j not in key])
+                for key, _ in tangent.faces()]
+        opts += [(None, [], [neg(piece.a[i])]) for i in act]
+        options[k] = opts
+    cells = []
+
+    def recurse(idx, eqs, stricts, memberships):
+        if not lp.strict_homogeneous_feasible(frozenset(map(int_row, eqs)),
+                                              frozenset(map(int_row, stricts)), union.dim):
+            return
+        if idx == len(ks):
+            if memberships:
+                cells.append((tuple(memberships), _value_cone(union, memberships)))
+            return
+        k = ks[idx]
+        for eq, eq_rows, strict in options[k]:
+            recurse(idx + 1, eqs + eq_rows, stricts + strict,
+                    memberships if eq is None else memberships + [(k, eq)])
+
+    recurse(0, [], [], [])
+    return cells
+
+
+def lp_cell_complex(union):
+    """The global cells with one exact strict-feasibility LP per node."""
+    dim = union.dim
+    options = []
+    for piece in union.pieces:
+        opts = [(key, [(piece.a[i], piece.b[i]) for i in sorted(key)],
+                 [(piece.a[i], piece.b[i]) for i in range(piece.m) if i not in key])
+                for key, _ in piece.faces()]
+        opts += [(None, [], [(neg(piece.a[i]), -piece.b[i])]) for i in range(piece.m)]
+        options.append(opts)
+    cells = []
+
+    def recurse(k, eqs, stricts, memberships):
+        if lp.strictly_feasible_point(mat([r for r, _ in stricts]), vec([v for _, v in stricts]),
+                                      mat([r for r, _ in eqs]), vec([v for _, v in eqs]),
+                                      n=dim) is None:
+            return
+        if k == len(union.pieces):
+            if memberships:
+                rows = stricts + eqs + [(neg(r), -v) for r, v in eqs]
+                closure = ConvexPolyhedron(mat([r for r, _ in rows]),
+                                           vec([v for _, v in rows]), dim=dim)
+                cells.append(Cell(tuple(memberships), closure, _value_cone(union, memberships)))
+            return
+        for key, eq_rows, strict_rows in options[k]:
+            recurse(k + 1, eqs + eq_rows, stricts + strict_rows,
+                    memberships if key is None else memberships + [(k, key)])
+
+    recurse(0, [], [], [])
+    return cells
+
+
+def lp_escapes(target, covers):
+    """Does a point of the closed target violate a row of every cover?  One
+    exact LP per node maximizes the escape rows' common slack t <= 1."""
+    n = target.dim
+
+    def feasible(strict):
+        rows = ([tuple(r) + (F(1),) for r, _ in strict] +
+                [tuple(r) + (F(0),) for r in target.a] + [(F(0),) * n + (F(1),)])
+        rhs = [v for _, v in strict] + list(target.b) + [F(1)]
+        status, x, _ = lp.minimize((F(0),) * n + (F(-1),), mat(rows), vec(rhs))
+        return status == lp.OPTIMAL and x[n] > 0
+
+    def recurse(i, strict):
+        if not feasible(strict):
+            return False
+        if i == len(covers):
+            return True
+        return any(recurse(i + 1, strict + [(neg(r), -v)])
+                   for r, v in zip(covers[i].a, covers[i].b))
+
+    return recurse(0, [])
+
+
+@st.composite
+def unions_through_origin(draw):
+    """1-3 pieces in R^1..R^3, each with 1-4 small integer rows and a
+    nonnegative right-hand side, so every piece contains the origin."""
+    n = draw(st.integers(1, 3))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=m, max_size=m))
+        rhs = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        pieces.append(ConvexPolyhedron(rows, rhs, dim=n))
+    return PolyUnion(pieces)
+
+
+@settings(max_examples=30)
+@given(unions_through_origin())
+def test_one_search_matches_per_node_oracles(union):
+    # cheapest oracle first, so a failing example shrinks quickly
+    origin = (0,) * union.dim
+    paths = path_local_cells(union, origin)
+    assert local_cells(union, origin) == list(dict.fromkeys(m for m, _ in paths))
+    # dedupe drops a trivial value only beside another piece; a repeated
+    # signature never is the only one, so both lists dedupe alike
+    cone = limiting_normal_cone(union, origin)
+    old = ConeUnion([v for _, v in paths], union.dim).dedupe()
+    assert [p.ineqs for p in cone.pieces] == [p.ineqs for p in old.pieces]
+
+    cells = cell_complex(union)
+    expected = lp_cell_complex(union)
+    assert [c.memberships for c in cells] == [c.memberships for c in expected]
+    for c, e in zip(cells, expected):
+        assert (c.closure.a, c.closure.b) == (e.closure.a, e.closure.b)
+        assert c.value.ineqs == e.value.ineqs
+
+    targets = union.pieces + [c.closure for c in cells[:3]]
+    for j in range(len(union.pieces) + 1):
+        covers = union.pieces[:j]
+        assert [poly_union_covers(covers, [t]) for t in targets] == \
+            [not lp_escapes(t, covers) for t in targets]
+
+
+def test_local_cells_repeat_no_signature():
+    from tiltkit.fixtures import fixture
+    from tiltkit.hessian import build_graph_model
+
+    inst = fixture("saddle-cone").instance
+    model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+    sigs = local_cells(model.union, model.basepoint)
+    assert len(set(sigs)) == len(sigs)
+    assert len(path_local_cells(model.union, model.basepoint)) > len(sigs)
+
+
+def test_searches_run_no_strict_lp(monkeypatch):
+    from tiltkit.fixtures import fixture
+    from tiltkit.hessian import build_graph_model
+
+    inst = fixture("saddle-cone").instance
+    model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+    sq = ConvexPolyhedron.box((0, 0), F(1))
+    left, right = sq.with_rows([(1, 0)], [F(0)]), sq.with_rows([(-1, 0)], [F(0)])
+    empty = ConvexPolyhedron([(1, 0), (-1, 0)], (-1, -1))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("strict-feasibility LP")
+
+    monkeypatch.setattr(lp, "strictly_feasible_point", no_lp)
+    assert cell_complex(model.union)
     assert local_cells(model.union, model.basepoint)
-    assert keys
-    for n, eq, stricts in keys:
-        for row in eq | stricts:
-            assert type(row) is tuple and all(type(v) is int for v in row)
+    assert poly_union_covers([left, right], [sq]) and not poly_union_covers([left], [sq])
+    assert poly_union_covers([], [empty])

@@ -47,18 +47,26 @@ def subset_projection(z, poly):
 
 
 def kkt_residual(z, x, poly, active_tol=1e-8):
-    """Distance of z - x to the cone of nearly-active outward normals."""
+    """Distance of z - x to the cone of nearly-active outward normals.
+
+    Exact nonnegative least squares by enumeration: by Caratheodory's
+    theorem the nearest cone point is a nonnegative combination of at most
+    dim active rows, so the least residual over every such subset whose
+    least-squares multipliers are all nonnegative is the distance.
+    """
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     a, b = float_rows(poly)
     act = [i for i in range(poly.m) if a[i] @ x > b[i] - active_tol * (1.0 + abs(b[i]))]
     v = z - x
-    if not act:
-        return float(np.linalg.norm(v))
-    g = a[act]
-    lam, *_ = np.linalg.lstsq(g.T, v, rcond=None)
-    lam = np.maximum(lam, 0.0)
-    return float(np.linalg.norm(g.T @ lam - v))
+    best = float(np.linalg.norm(v))
+    for k in range(1, min(poly.dim, len(act)) + 1):
+        for subset in itertools.combinations(act, k):
+            g = a[list(subset)]
+            lam, *_ = np.linalg.lstsq(g.T, v, rcond=None)
+            if np.all(lam >= 0):
+                best = min(best, float(np.linalg.norm(g.T @ lam - v)))
+    return best
 
 
 def projection_or_empty(project, z, poly):
@@ -172,3 +180,4 @@ def test_projection_onto_polygon_with_many_rows():
         x = project_polyhedron(z, polygon)
         assert np.max(a @ x - b) <= 1e-12
         assert np.linalg.norm(x - subset_projection(z, polygon)) <= 1e-12
+        assert kkt_residual(z, x, polygon) <= 1e-10
