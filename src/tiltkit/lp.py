@@ -1,126 +1,123 @@
 """Exact linear programming over the rationals.
 
-A plain two-phase simplex with Bland's rule on dense Fraction tableaus.
-Problem sizes here are tiny (tens of variables), so termination and
-exactness matter far more than pivoting heuristics.  The strict-feasibility
-test of the cell recursion (`polyhedra.strict_leaves`) works on primitive
-integer rows and reaches the simplex only when a float witness fails its
-exact re-check; `strictly_feasible_point` serves `relint_point` alone.
+A plain two-phase simplex with Bland's rule on a fraction-free integer
+tableau: int rows over one common positive denominator, updated by
+integer-preserving (Bareiss) pivots, so the pivot loop does int products
+and exact divisions only, and Fractions appear only in the results.  It
+picks the same pivots as Bland's rule on the Fraction tableau.  Problem
+sizes here are tiny (tens of variables), so termination and exactness
+matter far more than pivoting heuristics.  No float enters.  The
+strict-feasibility test of the cell recursion (`polyhedra.strict_leaves`)
+works on primitive integer rows and decides every memo miss by Gordan's
+LP; `strictly_feasible_point` serves `relint_point` alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, dot, int_nullspace, int_row, mat,
-                       vec, zeros)
+from .rational import F0, F1, MEMO_SIZE, Mat, Vec, int_nullspace, int_row, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class _Tableau:
-    # Simplex on: min c x  s.t.  A x = b, x >= 0, with b >= 0 maintained.
+def _pivot(t: list[list[int]], basis: list[int], d: int, r: int, col: int) -> int:
+    """Pivot on entry (r, col) of t, the integer tableau d times the Fraction
+    one; returns the new common denominator, kept positive.
 
-    def __init__(self, a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.m = len(a)
-        self.n = len(c)
-        self.basis: list[int] = []
+    Every row but r, cost rows included, becomes (p t_i - t_ic t_r) / d,
+    an exact division by Sylvester's identity (Bareiss; Edmonds).
+    """
+    prow = t[r]
+    p = prow[col]
+    for i, row in enumerate(t):
+        if i != r:
+            f = row[col]
+            if f:
+                t[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                t[i] = [p * x // d for x in row]
+    basis[r] = col
+    if p < 0:  # only when driving artificials out
+        t[:] = [[-x for x in row] for row in t]
+        p = -p
+    return p
 
-    def _pivot(self, r: int, col: int) -> None:
-        piv = self.a[r][col]
-        self.a[r] = [x / piv for x in self.a[r]]
-        self.b[r] /= piv
-        for i in range(self.m):
-            if i != r and self.a[i][col] != 0:
-                f = self.a[i][col]
-                self.a[i] = [x - f * y for x, y in zip(self.a[i], self.a[r])]
-                self.b[i] -= f * self.b[r]
-        if self.c[col] != 0:
-            f = self.c[col]
-            self.c = [x - f * y for x, y in zip(self.c, self.a[r])]
-            self.obj_shift = self.obj_shift - f * self.b[r]
-        self.basis[r] = col
 
-    obj_shift = F0
-
-    def run(self) -> str:
-        while True:
-            col = next((j for j in range(self.n) if self.c[j] < 0), None)
-            if col is None:
-                return OPTIMAL
-            # Bland: smallest ratio, ties by smallest basis index.
-            best = None
-            for i in range(self.m):
-                if self.a[i][col] > 0:
-                    ratio = self.b[i] / self.a[i][col]
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            if best is None:
-                return UNBOUNDED
-            self._pivot(best[1], col)
-
-    def solution(self) -> list[Fraction]:
-        x = [F0] * self.n
-        for i, j in enumerate(self.basis):
-            x[j] = self.b[i]
-        return x
+def _run(t: list[list[int]], basis: list[int], d: int, ncols: int) -> tuple[str, int]:
+    """Bland's rule on the first ncols columns; the cost row is t[-1]."""
+    while True:
+        cost = t[-1]
+        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        if col is None:
+            return OPTIMAL, d
+        # smallest ratio rhs_i / t_i,col, ties by smallest basis index
+        r = None
+        for i in range(len(basis)):
+            a = t[i][col]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = t[i][-1] * t[r][col], t[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            return UNBOUNDED, d
+        d = _pivot(t, basis, d, r, col)
 
 
 def solve_standard(c: Sequence[Fraction], a: Mat, b: Vec) -> tuple[str, Vec | None, Fraction | None]:
-    """min c x  s.t.  a x = b, x >= 0.  Two-phase, exact."""
+    """min c x  s.t.  a x = b, x >= 0.  Two-phase, exact; ints or Fractions."""
     m, n = len(a), len(c)
-    rows = [list(r) for r in a]
-    rhs = list(b)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Phase 1: artificials.
-    t = _Tableau([row + [F1 if j == i else F0 for j in range(m)] for i, row in enumerate(rows)],
-                 list(rhs),
-                 [F0] * n + [F1] * m)
-    t.basis = list(range(n, n + m))
-    t.obj_shift = F0
-    # Price out the artificial basis.
-    for i in range(m):
-        t.c = [x - y for x, y in zip(t.c, t.a[i] + [F0] * 0)]
-        t.obj_shift -= t.b[i]
-    status = t.run()
+    # Phase 1 on [a | I | b] with b >= 0.  int_row scales row i by some
+    # s_i > 0 (its artificial entry becomes s_i); times d / s_i with
+    # d = prod(s), the int rows are d times the Fraction tableau's.
+    t = []
+    for i, (row, bi) in enumerate(zip(a, b)):
+        sign = 1 if bi >= 0 else -1
+        t.append([sign * v for v in int_row([*row, *(sign * (j == i) for j in range(m)), bi])])
+    d = math.prod(row[n + i] for i, row in enumerate(t))
+    t = [[v * (d // row[n + i]) for v in row] for i, row in enumerate(t)]
+    # the artificials' costs, priced out of the basis
+    cost = [0] * n + [d] * m + [0]
+    for row in t:
+        cost = [x - y for x, y in zip(cost, row)]
+    t.append(cost)
+    basis = list(range(n, n + m))
+    status, d = _run(t, basis, d, n + m)
     assert status == OPTIMAL  # phase 1 is bounded below by 0
-    if -t.obj_shift != 0:
+    if t[-1][-1] != 0:
         return INFEASIBLE, None, None
     # Drive remaining artificials out of the basis where possible.
-    for i in range(t.m):
-        if t.basis[i] >= n:
-            col = next((j for j in range(n) if t.a[i][j] != 0), None)
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if t[i][j] != 0), None)
             if col is not None:
-                t._pivot(i, col)
-    keep = [i for i in range(t.m) if t.basis[i] < n]
-
-    a2 = [[t.a[i][j] for j in range(n)] for i in keep]
-    b2 = [t.b[i] for i in keep]
-    t2 = _Tableau(a2, b2, list(c))
-    t2.basis = [t.basis[i] for i in keep]
-    t2.obj_shift = F0
-    for i, j in enumerate(t2.basis):
-        if t2.c[j] != 0:
-            f = t2.c[j]
-            t2.c = [x - f * y for x, y in zip(t2.c, t2.a[i])]
-            t2.obj_shift -= f * t2.b[i]
-    status = t2.run()
+                d = _pivot(t, basis, d, i, col)
+    keep = [i for i in range(m) if basis[i] < n]
+    # Phase 2: the cost row of D c (D clears c's denominators), priced out.
+    den = math.lcm(*(v.denominator for v in c))
+    ci = [v.numerator * (den // v.denominator) for v in c]
+    t = [t[i][:n] + t[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost = [d * v for v in ci] + [0]
+    for row, j in zip(t, basis):
+        if ci[j]:
+            cost = [x - ci[j] * y for x, y in zip(cost, row)]
+    t.append(cost)
+    status, d = _run(t, basis, d, n)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
-    x = t2.solution()
-    return OPTIMAL, tuple(x), dot(tuple(c), tuple(x))
+    x = [F0] * n
+    for row, j in zip(t, basis):
+        x[j] = Fraction(row[-1], d)
+    return OPTIMAL, tuple(x), Fraction(-t[-1][-1], den * d)
 
 
 def minimize(c: Sequence[Fraction],
@@ -159,16 +156,8 @@ def minimize(c: Sequence[Fraction],
 
 
 def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
-                   a_eq: Mat = (), b_eq: Vec = (),
-                   n: int | None = None) -> Vec | None:
-    """Some point of {a_ub x <= b_ub, a_eq x = b_eq}, or None."""
-    if n is None:
-        if a_ub:
-            n = len(a_ub[0])
-        elif a_eq:
-            n = len(a_eq[0])
-        else:
-            raise ValueError("dimension unknown")
+                   a_eq: Mat = (), b_eq: Vec = (), *, n: int) -> Vec | None:
+    """Some point x in R^n of {a_ub x <= b_ub, a_eq x = b_eq}, or None."""
     if not a_ub and not a_eq:
         return zeros(n)
     status, x, _ = minimize(zeros(n), a_ub, b_ub, a_eq, b_eq)
@@ -195,15 +184,6 @@ def strictly_feasible_point(a_strict: Mat, b_strict: Vec, a_eq: Mat = (), b_eq: 
     return x[:n]
 
 
-def max_over(c: Sequence[Fraction], a_ub: Mat, b_ub: Vec,
-             a_eq: Mat = (), b_eq: Vec = ()) -> tuple[str, Fraction | None]:
-    """(status, max of c x over the polyhedron); status may be 'unbounded'."""
-    status, _, val = minimize(vec([-x for x in c]), a_ub, b_ub, a_eq, b_eq)
-    if status != OPTIMAL:
-        return status, None
-    return OPTIMAL, -val
-
-
 def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     """Does {u : E u = 0, S u < 0 (componentwise)} have a solution?
 
@@ -221,56 +201,19 @@ def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _strict_feasible(n: int, eq: frozenset, strict: frozenset) -> bool:
     if not eq:
-        reduced, d = [tuple(r) for r in strict], n
+        reduced, d = list(strict), n
     else:
         basis, _ = int_nullspace(tuple(eq), n)
         if not basis:
             return not strict  # only u = 0 remains
-        reduced, d = [int_row([dot_rows(r, b) for b in basis]) for r in strict], len(basis)
+        reduced = [int_row([sum(x * y for x, y in zip(r, b)) for b in basis]) for r in strict]
+        d = len(basis)
     if any(not any(r) for r in reduced):
         return False
     if not reduced:
         return True
-    w = _float_strict_witness(reduced, d)
-    if w is not None and all(dot_rows(r, w) < 0 for r in reduced):
-        return True
     # Gordan: infeasibility of {lam >= 0, sum lam = 1, M^T lam = 0}
     m = len(reduced)
-    a = mat([[reduced[j][i] for j in range(m)] for i in range(d)] + [[1] * m])
-    status, _, _ = solve_standard([F0] * m, a, tuple([F0] * d + [F1]))
+    a = [[reduced[j][i] for j in range(m)] for i in range(d)] + [[1] * m]
+    status, _, _ = solve_standard([0] * m, a, (0,) * d + (1,))
     return status == INFEASIBLE
-
-
-def _float_strict_witness(reduced, d: int):
-    """Float candidate for M t < 0, rationalized for exact re-checking.
-
-    Averaging inward normals gives the analytic center direction of the
-    polar; random fallbacks cover skewed systems.  Purely a fast path:
-    callers re-verify exactly.
-    """
-    import numpy as np
-
-    m = np.array([[float(x) for x in row] for row in reduced])
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    mn = m / norms
-    cands = [-mn.sum(axis=0)]
-    rng = np.random.default_rng(0)
-    for _ in range(12):
-        t = rng.standard_normal(d)
-        vals = mn @ t
-        if np.all(vals < 0):
-            cands.append(t)
-            break
-        if np.all(vals > 0):
-            cands.append(-t)
-            break
-    for t in cands:
-        vals = mn @ t
-        if np.all(vals < -1e-9):
-            return tuple(Fraction(float(x)).limit_denominator(2 ** 30) for x in t)
-    return None
-
-
-def dot_rows(r, b) -> Fraction:
-    return sum((x * y for x, y in zip(r, b)), F0)

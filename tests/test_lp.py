@@ -3,17 +3,165 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polyhedra import max_over
 
 from tiltkit import lp
-from tiltkit.rational import dot, mat, vec, zeros
+from tiltkit.rational import F0, F1, dot, mat, vec, zeros
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+# -- the Bland oracle: two-phase simplex on a Fraction tableau -----------------
+
+
+class _Tableau:
+    # Simplex on: min c x  s.t.  A x = b, x >= 0, with b >= 0 maintained.
+
+    def __init__(self, a, b, c):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.m = len(a)
+        self.n = len(c)
+        self.basis = []
+        self.obj_shift = F0
+
+    def pivot(self, r, col):
+        piv = self.a[r][col]
+        self.a[r] = [x / piv for x in self.a[r]]
+        self.b[r] /= piv
+        for i in range(self.m):
+            if i != r and self.a[i][col] != 0:
+                f = self.a[i][col]
+                self.a[i] = [x - f * y for x, y in zip(self.a[i], self.a[r])]
+                self.b[i] -= f * self.b[r]
+        if self.c[col] != 0:
+            f = self.c[col]
+            self.c = [x - f * y for x, y in zip(self.c, self.a[r])]
+            self.obj_shift = self.obj_shift - f * self.b[r]
+        self.basis[r] = col
+
+    def run(self):
+        while True:
+            col = next((j for j in range(self.n) if self.c[j] < 0), None)
+            if col is None:
+                return lp.OPTIMAL
+            # Bland: smallest ratio, ties by smallest basis index.
+            best = None
+            for i in range(self.m):
+                if self.a[i][col] > 0:
+                    key = (self.b[i] / self.a[i][col], self.basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return lp.UNBOUNDED
+            self.pivot(best[1], col)
+
+    def solution(self):
+        x = [F0] * self.n
+        for i, j in enumerate(self.basis):
+            x[j] = self.b[i]
+        return x
+
+
+def fraction_solve_standard(c, a, b):
+    """min c x  s.t.  a x = b, x >= 0, by Bland's rule on Fractions: the
+    reference `lp.solve_standard` must match pivot for pivot."""
+    m, n = len(a), len(c)
+    rows = [[F(x) for x in r] for r in a]
+    rhs = [F(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    # Phase 1: artificials, priced out of the cost row.
+    t = _Tableau([row + [F1 if j == i else F0 for j in range(m)] for i, row in enumerate(rows)],
+                 list(rhs), [F0] * n + [F1] * m)
+    t.basis = list(range(n, n + m))
+    for i in range(m):
+        t.c = [x - y for x, y in zip(t.c, t.a[i])]
+        t.obj_shift -= t.b[i]
+    assert t.run() == lp.OPTIMAL  # phase 1 is bounded below by 0
+    if t.obj_shift != 0:
+        return lp.INFEASIBLE, None, None
+    # Drive remaining artificials out of the basis where possible.
+    for i in range(m):
+        if t.basis[i] >= n:
+            col = next((j for j in range(n) if t.a[i][j] != 0), None)
+            if col is not None:
+                t.pivot(i, col)
+    keep = [i for i in range(m) if t.basis[i] < n]
+    t2 = _Tableau([t.a[i][:n] for i in keep], [t.b[i] for i in keep], [F(x) for x in c])
+    t2.basis = [t.basis[i] for i in keep]
+    for i, j in enumerate(t2.basis):
+        if t2.c[j] != 0:
+            f = t2.c[j]
+            t2.c = [x - f * y for x, y in zip(t2.c, t2.a[i])]
+    if t2.run() == lp.UNBOUNDED:
+        return lp.UNBOUNDED, None, None
+    x = tuple(t2.solution())
+    return lp.OPTIMAL, x, dot(vec(c), x)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def standard_lps(draw):
+    """min c x, a x = b, x >= 0 with m 1-5 rows and n 1-6 columns; rhs of
+    either sign or zero (degenerate, so artificials can end phase 1 basic
+    and be driven out on a negative pivot), and sometimes a last row that
+    copies or combines earlier ones, so an artificial stays basic on it."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    a = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(st.one_of(st.just(F0), small), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 2)), draw(st.integers(0, m - 2))
+        k = draw(small)
+        a[-1] = [x + k * y for x, y in zip(a[i], a[j])]
+        b[-1] = b[i] + k * b[j]
+    c = draw(st.lists(small, min_size=n, max_size=n))
+    return c, a, b
+
+
+@settings(max_examples=300)
+@given(standard_lps())
+def test_integer_tableau_matches_fraction_bland(lp_data):
+    c, a, b = lp_data
+    assert lp.solve_standard(c, a, b) == fraction_solve_standard(c, a, b)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+              "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_solve_standard_does_no_fraction_arithmetic(monkeypatch):
+    lps = [
+        # optimal, a negative rhs, and a row twice another (its artificial
+        # stays basic and the row is dropped)
+        ([F(1, 2), F(-1, 3), F(2)],
+         [[F(1, 2), F(1, 3), F(-1)], [F(-2, 5), F(1), F(1, 4)], [F(1), F(2, 3), F(-2)]],
+         [F(3, 4), F(-1, 6), F(3, 2)]),
+        ([F(1), F(1)], [[F(1, 3), F(1, 2)], [F(-1, 3), F(-1, 2)]], [F(1), F(1, 5)]),  # infeasible
+        ([F(-1, 2), F(-1)], [[F(2, 3), F(-1, 4)]], [F(5, 7)]),  # unbounded
+    ]
+    expected = [fraction_solve_standard(*x) for x in lps]
+    assert [e[0] for e in expected] == [lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED]
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in the exact LP")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, no_arithmetic)
+    got = [lp.solve_standard(*x) for x in lps]
+    monkeypatch.undo()
+    assert got == expected
 
 
 def test_feasible_point_box():
     a = mat([[1, 0], [-1, 0], [0, 1], [0, -1]])
     b = vec([1, 1, 2, 0])
-    x = lp.feasible_point(a, b)
+    x = lp.feasible_point(a, b, n=2)
     assert x is not None
     assert all(dot(r, x) <= bi for r, bi in zip(a, b))
 
@@ -62,12 +210,12 @@ def test_strict_homogeneous_feasible():
 def gordan_oracle(eq_rows, strict_rows, n):
     """Reference: {E u = 0, S u < 0} is solvable iff no lam >= 0 with
     sum lam = 1 and some mu give S^T lam + E^T mu = 0 (Motzkin).  One
-    exact LP; no nullspace and no float witness."""
+    exact LP on the Fraction oracle; no nullspace."""
     m, k = len(strict_rows), len(eq_rows)
     a = [[s[i] for s in strict_rows] + [e[i] for e in eq_rows] + [-e[i] for e in eq_rows]
          for i in range(n)]
     a.append([1] * m + [0] * (2 * k))
-    status, _, _ = lp.solve_standard([F(0)] * (m + 2 * k), mat(a), vec([0] * n + [1]))
+    status, _, _ = fraction_solve_standard([0] * (m + 2 * k), a, [0] * n + [1])
     return status == lp.INFEASIBLE
 
 
@@ -115,5 +263,5 @@ def test_lp_optimum_is_a_lower_bound_on_vertices(rows, c):
 def test_max_over():
     a = mat([[1], [-1]])
     b = vec([2, 0])
-    status, mx = lp.max_over(vec([1]), a, b)
+    status, mx = max_over(vec([1]), a, b)
     assert status == lp.OPTIMAL and mx == 2

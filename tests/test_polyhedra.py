@@ -105,11 +105,18 @@ def test_critical_cone_examples():
 # -- generator reads against the per-row LP oracle ------------------------------
 
 
+def max_over(c, a_ub, b_ub):
+    """Oracle: (status, max of c x over {a_ub x <= b_ub}); status may be
+    'unbounded' or 'infeasible'."""
+    status, _, val = lp.minimize(neg(c), a_ub, b_ub)
+    return (lp.OPTIMAL, -val) if status == lp.OPTIMAL else (status, None)
+
+
 def lp_implied_equalities(p):
     """Per-row LP oracle: row i is implied iff min a_i x over p equals b_i."""
     out = set()
     for i, (row, bi) in enumerate(zip(p.a, p.b)):
-        status, mx_neg = lp.max_over(neg(row), p.a, p.b)
+        status, mx_neg = max_over(neg(row), p.a, p.b)
         if status == lp.OPTIMAL and -mx_neg == bi:
             out.add(i)
     return frozenset(out)
@@ -128,9 +135,9 @@ def lp_face_keys(p):
             for i in range(p.m):
                 if i in canon:
                     continue
-                status, mx = lp.max_over(p.a[i], f.a, f.b)
+                status, mx = max_over(p.a[i], f.a, f.b)
                 if status == lp.OPTIMAL and mx == p.b[i]:
-                    status2, mn = lp.max_over(neg(p.a[i]), f.a, f.b)
+                    status2, mn = max_over(neg(p.a[i]), f.a, f.b)
                     if status2 == lp.OPTIMAL and -mn == p.b[i]:
                         canon.add(i)
             found.add(frozenset(canon))
@@ -176,13 +183,13 @@ def test_implied_equalities_and_faces_solve_no_lp(monkeypatch):
     sl = inverse_image(inst.f, inst.xstar, _inverse_box(inst))
     clipped = sl.pieces[1].intersect(ConvexPolyhedron.box(inst.xbar, F(1, 4)))
     calls = []
-    real = lp.max_over
+    real = lp.solve_standard
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "max_over", counted)
+    monkeypatch.setattr(lp, "solve_standard", counted)
     monkeypatch.setattr(ConvexPolyhedron, "is_empty", lambda self: pytest.fail("is_empty LP"))
     for p in (clipped, inst.f.domain.pieces[0]):
         fresh = ConvexPolyhedron(p.a, p.b, dim=p.dim)  # no cached answers
