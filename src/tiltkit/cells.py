@@ -9,7 +9,9 @@ the cells adherent to the point.  This module enumerates the cells, both
 localized at a query point (conic signatures) and globally (polyhedral
 closures), as options for the one strict-feasibility search
 `polyhedra.strict_leaves`: per piece, a face to stay on or a row to leave
-through.
+through.  Local cells choose the members first (a face per piece, or the
+piece left out) and then run one first-hit search for leave rows of the
+pieces left out; the signatures come ordered by their first feasible path.
 """
 
 from __future__ import annotations
@@ -40,30 +42,46 @@ def _value_cone(union: PolyUnion, memberships: Sequence[tuple[int, frozenset[int
 
 def local_cells(union: PolyUnion, x) -> list[Signature]:
     """Signatures of the localized complex of the union at x (x in union),
-    each once, in first-seen order.
+    each once, in the order of their first strictly feasible path.
 
     A direction u stays in piece k on a face of its tangent cone (the face's
     rows equal, the other active rows strict) or leaves it through an
-    active row (A_i u > 0).
+    active row (A_i u > 0).  The search first chooses the members: a face
+    per piece, or the piece left out.  Each choice with a member is a
+    signature iff one first-hit search finds a leave row for every piece
+    left out; that hit is the least feasible path of the signature, among
+    paths ordered by option index per piece, faces before leave rows.
     """
     x = vec(x)
     if not union.contains(x):
         raise ValueError("point is not in the union")
-    levels = []
+    levels, outs = [], []
     for k in union.pieces_containing(x):
         piece = union.pieces[k]
         act = sorted(piece.active_set(x))
         rows = {i: int_row(piece.a[i]) for i in act}
         opts = []
-        for key, _ in piece.tangent_cone(x).faces():
-            eq = frozenset(act[j] for j in key)
-            opts.append((frozenset(rows[i] for i in eq),
-                         frozenset(rows[i] for i in act if i not in eq), (k, eq)))
-        opts += [(frozenset(), frozenset([neg(rows[i])]), None) for i in act]
-        levels.append(opts)
-    signatures = (tuple(m for m in chosen if m is not None)
-                  for chosen in strict_leaves(levels, union.dim))
-    return list(dict.fromkeys(sig for sig in signatures if sig))
+        for j, (key, _) in enumerate(piece.tangent_cone(x).faces()):
+            eq = frozenset(act[i] for i in key)
+            rows_eq = frozenset(rows[i] for i in eq)
+            rows_strict = frozenset(rows[i] for i in act if i not in eq)
+            opts.append((rows_eq, rows_strict, (j, (k, eq), rows_eq, rows_strict)))
+        levels.append(opts + [(frozenset(), frozenset(), None)])
+        outs.append([(frozenset(), frozenset([neg(rows[i])]), len(opts) + j)
+                     for j, i in enumerate(act)])
+    found = []
+    for chosen in strict_leaves(levels, union.dim):
+        members = [c for c in chosen if c is not None]
+        if not members:
+            continue
+        escape = next(strict_leaves([o for o, c in zip(outs, chosen) if c is None], union.dim,
+                                    frozenset().union(*(e for _, _, e, _ in members)),
+                                    frozenset().union(*(s for _, _, _, s in members))), None)
+        if escape is not None:
+            leave = iter(escape)
+            path = tuple(next(leave) if c is None else c[0] for c in chosen)
+            found.append((path, tuple(m for _, m, _, _ in members)))
+    return [sig for _, sig in sorted(found)]
 
 
 def regular_normal_cone(union: PolyUnion, x) -> PolyCone:

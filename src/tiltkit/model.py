@@ -370,25 +370,47 @@ def _parse_params(obj) -> Params:
         raise ParseError(str(e)) from None
 
 
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ParseError(f"{what} must be an object")
+    return x
+
+
+def _rationals(x, what: str, rows: bool = False) -> list:
+    """A JSON list of rationals, or of such lists when `rows`."""
+    if not isinstance(x, list):
+        raise ParseError(f"{what} must be a list")
+    return [_rationals(v, f"each row of {what}") if rows else _parse_rational(v) for v in x]
+
+
 def _parse_exact(raw: dict, params: Params) -> ProblemInstance:
-    try:
-        smooth_obj = raw["smooth"]
-        q = mat([[_parse_rational(v) for v in row] for row in smooth_obj["Q"]])
-        c = vec([_parse_rational(v) for v in smooth_obj["c"]])
-        d = _parse_rational(smooth_obj.get("d", 0))
-        xbar = vec([_parse_rational(v) for v in raw["xbar"]])
-        xstar = vec([_parse_rational(v) for v in raw["xstar"]])
-    except KeyError as e:
-        raise ParseError(f"missing field {e}") from None
+    smooth_obj = _object(_field(raw, "smooth"), "'smooth'")
+    q = mat(_rationals(_field(smooth_obj, "Q"), "'Q'", rows=True))
+    c = vec(_rationals(_field(smooth_obj, "c"), "'c'"))
+    d = _parse_rational(smooth_obj.get("d", 0))
+    xbar = vec(_rationals(_field(raw, "xbar"), "'xbar'"))
+    xstar = vec(_rationals(_field(raw, "xstar"), "'xstar'"))
     n = len(c)
     if len(xbar) != n or len(xstar) != n:
         raise ParseError("xbar/xstar dimension mismatch")
+    pieces_obj = raw.get("pieces", [{"A": [], "b": []}])
+    if not isinstance(pieces_obj, list):
+        raise ParseError("'pieces' must be a list")
     pieces = []
-    for piece_obj in raw.get("pieces", [{"A": [], "b": []}]):
-        a = [[_parse_rational(v) for v in row] for row in piece_obj["A"]]
-        b = [_parse_rational(v) for v in piece_obj["b"]]
+    for piece_obj in pieces_obj:
+        piece_obj = _object(piece_obj, "each piece")
+        a = _rationals(_field(piece_obj, "A"), "'A'", rows=True)
+        b = _rationals(_field(piece_obj, "b"), "'b'")
         if len(a) > MAX_ROWS:
             raise ParseError(f"piece has {len(a)} rows > {MAX_ROWS}")
+        if len(a) != len(b):
+            raise ParseError(f"piece has {len(a)} rows in 'A' but {len(b)} in 'b'")
         for row in a:
             if len(row) != n:
                 raise ParseError("piece row dimension mismatch")
@@ -404,12 +426,12 @@ def _parse_exact(raw: dict, params: Params) -> ProblemInstance:
 
 def _parse_analytic(raw: dict, params: Params) -> ProblemInstance:
     name = raw.get("fixture")
-    if name not in ANALYTIC_REGISTRY:
+    if not isinstance(name, str) or name not in ANALYTIC_REGISTRY:
         raise ParseError(f"unknown analytic fixture {name!r}; "
                          f"known: {sorted(ANALYTIC_REGISTRY)}")
     fixture = ANALYTIC_REGISTRY[name]
-    xbar = [float(_parse_rational(v)) for v in raw["xbar"]]
-    xstar = [float(_parse_rational(v)) for v in raw["xstar"]]
+    xbar = [float(v) for v in _rationals(_field(raw, "xbar"), "'xbar'")]
+    xstar = [float(v) for v in _rationals(_field(raw, "xstar"), "'xstar'")]
     if len(xbar) != 1 or len(xstar) != 1:
         raise ParseError("analytic problems are one-dimensional")
     f = FunctionSpec(fixture=fixture)

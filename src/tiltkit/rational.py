@@ -115,13 +115,21 @@ def primitive(a: Vec) -> Vec:
     return tuple(Fraction(v) for v in int_row(a))
 
 
+def _int_list(a: Sequence) -> list[int]:
+    """`int_row(a)` as a list; a row of ints is only divided by its gcd."""
+    if not all(type(x) is int for x in a):
+        return list(int_row(a))
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else list(a)
+
+
 def _echelon(m: Mat) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination: (rows, pivot columns), each
     row a nonzero multiple of the matching rref row (zero rows last).
 
     Rows are primitive ints, made primitive again after each step.
     """
-    rows = [list(int_row(r)) for r in m]
+    rows = [_int_list(r) for r in m]
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(len(rows[0]) if nrows else 0):

@@ -240,12 +240,12 @@ def lp_escapes(target, covers):
 
 
 @st.composite
-def unions_through_origin(draw):
-    """1-3 pieces in R^1..R^3, each with 1-4 small integer rows and a
-    nonnegative right-hand side, so every piece contains the origin."""
+def unions_through_origin(draw, max_pieces=3):
+    """1-max_pieces pieces in R^1..R^3, each with 1-4 small integer rows
+    and a nonnegative right-hand side, so every piece contains the origin."""
     n = draw(st.integers(1, 3))
     pieces = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_pieces))):
         m = draw(st.integers(1, 4))
         rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=m, max_size=m))
         rhs = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
@@ -278,6 +278,35 @@ def test_one_search_matches_per_node_oracles(union):
         covers = union.pieces[:j]
         assert [poly_union_covers(covers, [t]) for t in targets] == \
             [not lp_escapes(t, covers) for t in targets]
+
+
+@settings(max_examples=100)
+@given(unions_through_origin(max_pieces=4))
+def test_local_cells_match_first_seen_paths(union):
+    # with four pieces the escape searches run below several left-out pieces
+    origin = (0,) * union.dim
+    paths = path_local_cells(union, origin)
+    assert local_cells(union, origin) == list(dict.fromkeys(m for m, _ in paths))
+
+
+def test_local_cells_strict_test_count(monkeypatch):
+    # members first, then one first-hit escape search per candidate
+    from tiltkit.fixtures import fixture
+    from tiltkit.hessian import build_graph_model
+
+    inst = fixture("saddle-cone").instance
+    model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+    calls = []
+    real = lp.strict_homogeneous_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "strict_homogeneous_feasible", counted)
+    lp._strict_feasible.cache_clear()
+    assert local_cells(model.union, model.basepoint)
+    assert len(calls) == 511
 
 
 def test_local_cells_repeat_no_signature():

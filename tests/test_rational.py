@@ -137,3 +137,41 @@ def test_solve_roundtrip(rows, rhs):
 def test_rank():
     assert rank(mat([[1, 2], [2, 4]])) == 1
     assert rank(mat([[1, 0], [0, 1]])) == 2
+
+
+@st.composite
+def int_matrices(draw):
+    """Int rows, some with a common factor, some repeated or zero."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    k = draw(st.integers(1, 3))
+    return tuple(tuple(k * x for x in r) for r in draw(st.permutations(rows)))
+
+
+@given(int_matrices())
+def test_int_rows_eliminate_like_their_fraction_copies(m):
+    ncols = len(m[0])
+    fm = mat(m)
+    assert all(type(x) is F for r in fm for x in r)
+    assert rref(m) == rref(fm)
+    assert rank(m) == rank(fm)
+    assert nullspace(m, ncols) == nullspace(fm, ncols)
+    assert int_nullspace(m, ncols) == int_nullspace(fm, ncols)
+
+
+def test_echelon_takes_primitive_int_rows_as_given(monkeypatch):
+    from tiltkit import rational
+
+    calls = []
+    real = rational.int_row
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(rational, "int_row", counted)
+    rows, pivots = rational._echelon(((1, 2, 3), (2, -1, 0), (3, 1, 3)))
+    assert pivots == [0, 1] and not calls
+    rational._echelon(mat([[1, 2], [3, 4]]))
+    assert len(calls) == 2

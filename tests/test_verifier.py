@@ -108,6 +108,30 @@ def test_cli_analyze_bad_override_exits_2(tmp_path, capsys, flag):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _exact_file(**changes):
+    raw = {"variant": "exact", "smooth": {"Q": [[1]], "c": [0], "d": 0},
+           "pieces": [{"A": [[1]], "b": [0]}], "xbar": [0], "xstar": [0]}
+    raw.update(changes)
+    return raw
+
+
+@pytest.mark.parametrize("raw", [
+    _exact_file(pieces=[{"b": [0]}]),
+    _exact_file(pieces=[{"A": [[1]], "b": [0, 1]}]),
+    _exact_file(pieces=[3]),
+    _exact_file(smooth={"Q": 5, "c": [0]}),
+    _exact_file(xbar=0),
+    {"variant": "analytic", "fixture": "sin-inv", "xstar": [0]},
+], ids=["no-A", "A-b-lengths", "piece-not-object", "Q-not-list", "xbar-not-list",
+        "analytic-no-xbar"])
+def test_cli_analyze_malformed_file_exits_2(tmp_path, capsys, raw):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps(raw))
+    assert main(["analyze", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_cli_probe_count_below_1_exits_2(capsys, count):
     assert main(["probe", "--seed", "1", "--count", count]) == 2
