@@ -12,24 +12,44 @@ Fraction arithmetic: no eigenvalues, no floats.
 Zeros of a copositive form on the orthant lie in kernels of principal
 submatrices, whose orthant sections are rational cones; enumerating their
 generators yields every zero direction up to conic combination.
+
+A form B(p, q) = p'Mq is given as its symmetric matrix M; `graph_form`
+builds the ones on the graph space R^n x R^n that the second-order
+conditions pair normals (w, z) with.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import lp
 from .cones import PolyCone
-from .rational import (F0, F1, Mat, Vec, add, is_zero, mat, nullspace,
-                       scale, solve_affine, vec, zeros)
-
-Bilinear = Callable[[Vec, Vec], Fraction]
+from .rational import (F0, F1, Mat, Vec, combine, is_zero, mat, nullspace,
+                       solve_affine, vec, zeros)
 
 
-def gram(gens: list[Vec], bform: Bilinear) -> Mat:
-    return mat([[bform(g, h) for h in gens] for g in gens])
+def graph_form(n: int, ww, wz, zz) -> Mat:
+    """The matrix of ww<w,w'> + wz(<w,z'> + <z,w'>)/2 + zz<z,z'> on
+    stacked vectors (w, z) in R^n x R^n."""
+    ww, wz, zz = vec((ww, wz, zz))
+    m = [[F0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        m[i][i], m[n + i][n + i] = ww, zz
+        m[i][n + i] = m[n + i][i] = wz / 2
+    return mat(m)
+
+
+def gram(gens: list[Vec], form: Mat) -> Mat:
+    """[g' M h] over the generators for a symmetric M, summing the nonzero
+    entries of M only, each pair of generators once."""
+    entries = [(i, j, v) for i, row in enumerate(form) for j, v in enumerate(row) if v]
+    n = [[F0] * len(gens) for _ in gens]
+    for a, b in itertools.combinations_with_replacement(range(len(gens)), 2):
+        g, h = gens[a], gens[b]
+        n[a][b] = n[b][a] = sum((g[i] * v * h[j] for i, j, v in entries), F0)
+    return tuple(map(tuple, n))
 
 
 def _quad(n: Mat, t: Vec) -> Fraction:
@@ -143,46 +163,38 @@ def orthant_zero_witnesses(n: Mat) -> Iterator[Vec]:
                     yield t
 
 
-def cone_form_min_sign(cone: PolyCone, bform: Bilinear) -> tuple[int, Vec | None]:
+def cone_form_min_sign(cone: PolyCone, form: Mat) -> tuple[int, Vec | None]:
     """Sign of min of the form over cone \\ {0}; witness is a cone point."""
     gens = cone.generators()
     if not gens:
         return 1, None
-    n = gram(gens, bform)
+    n = gram(gens, form)
     sign, t = orthant_min_sign(n)
     if sign < 0:
-        return -1, _combine(gens, t)
+        return -1, combine(gens, t)
     if sign > 0:
         return 1, None
     # Zero answers must map to a nonzero cone point to count.
     for t in orthant_zero_witnesses(n):
-        v = _combine(gens, t)
+        v = combine(gens, t)
         if not is_zero(v):
             return 0, v
     return 1, None
 
 
-def cone_zero_points(cone: PolyCone, bform: Bilinear) -> Iterator[Vec]:
+def cone_zero_points(cone: PolyCone, form: Mat) -> Iterator[Vec]:
     """Nonzero cone points where a (cone-)copositive form vanishes."""
     gens = cone.generators()
     if not gens:
         return
-    n = gram(gens, bform)
+    n = gram(gens, form)
     for t in orthant_zero_witnesses(n):
-        v = _combine(gens, t)
+        v = combine(gens, t)
         if not is_zero(v):
             yield v
 
 
-def _combine(gens: list[Vec], t: Vec) -> Vec:
-    out = zeros(len(gens[0]))
-    for g, w in zip(gens, t):
-        if w != 0:
-            out = add(out, scale(vec(g), w))
-    return out
-
-
-def cone_form_nonnegative(cone: PolyCone, bform: Bilinear) -> tuple[bool, Vec | None]:
+def cone_form_nonnegative(cone: PolyCone, form: Mat) -> tuple[bool, Vec | None]:
     """(form >= 0 on cone, counterexample point if not)."""
-    sign, w = cone_form_min_sign(cone, bform)
+    sign, w = cone_form_min_sign(cone, form)
     return (sign >= 0), (w if sign < 0 else None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cells import Cell, cells_adherent_to, limiting_normal_cone, regular_normal_cone
 from .cones import ConeUnion, PolyCone
-from .copositive import Bilinear, cone_form_min_sign, cone_zero_points
+from .copositive import cone_form_min_sign, cone_zero_points, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
 from .rational import (F0, F1, Vec, add, dot, is_zero, mat, matvec, neg,
@@ -214,13 +214,6 @@ class DefinitenessVerdict:
     has_direction_free_normals: bool  # pieces with u = 0 but w != 0 exist
 
 
-def _pairing_form(n: int) -> Bilinear:
-    def b(p: Vec, q: Vec) -> Fraction:
-        # symmetric form of <w, -z> on stacked (w, z) vectors
-        return -(dot(vec(p[:n]), vec(q[n:])) + dot(vec(q[:n]), vec(p[n:]))) / 2
-    return b
-
-
 def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
     """Exact sign analysis of <ustar, u> over the generalized Hessian.
 
@@ -231,7 +224,7 @@ def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
     """
     som = second_order_map(f, xbar, xstar)
     n = f.dim
-    form = _pairing_form(n)
+    form = graph_form(n, 0, -1, 0)  # <w, -z> on stacked (w, z)
     kr = kernel(f, xbar, xstar)
     neg_wit = None
     zero_wit = None

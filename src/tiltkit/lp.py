@@ -9,7 +9,7 @@ sizes here are tiny (tens of variables), so termination and exactness
 matter far more than pivoting heuristics.  No float enters.  The
 strict-feasibility test of the cell recursion (`polyhedra.strict_leaves`)
 works on primitive integer rows and decides every memo miss by Gordan's
-LP; `strictly_feasible_point` serves `relint_point` alone.
+LP.
 """
 
 from __future__ import annotations
@@ -162,26 +162,6 @@ def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
         return zeros(n)
     status, x, _ = minimize(zeros(n), a_ub, b_ub, a_eq, b_eq)
     return x if status == OPTIMAL else None
-
-
-def strictly_feasible_point(a_strict: Mat, b_strict: Vec, a_eq: Mat = (), b_eq: Vec = (),
-                            *, n: int) -> Vec | None:
-    """A point x in R^n with a_strict x < b_strict, a_eq x = b_eq.
-
-    Maximizes the common slack t (capped at 1 so the LP stays bounded);
-    strict feasibility holds iff the optimum is positive.
-    """
-    if not a_strict:
-        return feasible_point((), (), a_eq, b_eq, n=n)
-    # Variables (x, t); minimize -t.
-    rows = [tuple(row) + (F1,) for row in a_strict] + [zeros(n) + (F1,)]
-    rhs = list(b_strict) + [F1]
-    eq = tuple(tuple(row) + (F0,) for row in a_eq)
-    c = zeros(n) + (Fraction(-1),)
-    status, x, _ = minimize(c, tuple(rows), tuple(rhs), eq, b_eq)
-    if status != OPTIMAL or x is None or x[n] <= 0:
-        return None
-    return x[:n]
 
 
 def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:

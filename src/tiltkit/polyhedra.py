@@ -75,9 +75,6 @@ class ConvexPolyhedron:
     def is_empty(self) -> bool:
         return lp.feasible_point(self.a, self.b, n=self.dim) is None
 
-    def feasible_point(self) -> Vec | None:
-        return lp.feasible_point(self.a, self.b, n=self.dim)
-
     def implied_equalities(self) -> frozenset[int]:
         """Rows holding with equality on the entire polyhedron (none when
         it is empty): the rows tight on every vrep() generator."""
@@ -98,13 +95,18 @@ class ConvexPolyhedron:
                  for r in rec + lin])
 
     def relint_point(self) -> Vec | None:
-        """A point strict on every non-implied row, or None when empty."""
-        implied = self.implied_equalities()
-        strict = [self.a[i] for i in range(self.m) if i not in implied]
-        bs = [self.b[i] for i in range(self.m) if i not in implied]
-        eq = [self.a[i] for i in implied]
-        be = [self.b[i] for i in implied]
-        return lp.strictly_feasible_point(mat(strict), vec(bs), mat(eq), vec(be), n=self.dim)
+        """A point strict on every non-implied row, or None when empty.
+
+        The polyhedron is conv(points) + cone(rays) + span(lineality) of
+        vrep(), and ri(C1 + C2) = ri C1 + ri C2 (Rockafellar, Convex
+        Analysis, Cor. 6.6.2), so the barycenter of the points plus the
+        sum of the rays lies in its relative interior."""
+        points, rec, _ = self.vrep()
+        if not points:
+            return None
+        k = len(points)
+        return tuple(sum(p[i] for p in points) / k + sum((r[i] for r in rec), F0)
+                     for i in range(self.dim))
 
     def intersect(self, other: "ConvexPolyhedron") -> "ConvexPolyhedron":
         return ConvexPolyhedron(self.a + other.a, self.b + other.b, dim=self.dim)

@@ -80,6 +80,12 @@ def neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
+def combine(vectors: Sequence[Vec], coeffs: Sequence[Fraction]) -> Vec:
+    """sum_i coeffs[i] vectors[i], over a nonempty list of vectors."""
+    return tuple(sum((c * v[i] for v, c in zip(vectors, coeffs) if c), F0)
+                 for i in range(len(vectors[0])))
+
+
 def matvec(m: Mat, x: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, x) for row in m)
 

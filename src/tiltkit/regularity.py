@@ -19,11 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .cells import regular_normal_cone
-from .copositive import cone_form_nonnegative
+from .copositive import cone_form_nonnegative, graph_form
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
-from .rational import (F0, MEMO_SIZE, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
-                       scale, sub, to_float, vec, zeros)
+from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, mat, matvec, neg, norm_sq,
+                       solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, InverseSlice, analytic_inverse_points,
                       distance_to_inverse, inverse_image, subdifferential,
                       subdifferential_distance)
@@ -46,8 +46,7 @@ def ball_lattice(center: Vec, radius: Fraction, per_axis: int) -> list[Vec]:
     rr = radius * radius
     out = []
     for pt in itertools.product(*axes):
-        d = sum(((pt[i] - center[i]) ** 2 for i in range(n)), F0)
-        if d <= rr:
+        if norm_sq(sub(pt, center)) <= rr:
             out.append(tuple(pt))
     return out
 
@@ -107,8 +106,7 @@ def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
         if p in seen:
             return
         seen.add(p)
-        d = sum(((p[i] - base[i]) ** 2 for i in range(2 * n)), F0)
-        if d <= rr:
+        if norm_sq(sub(p, base)) <= rr:
             out.append((p[:n], p[n:]))
 
     push(base)
@@ -420,8 +418,7 @@ def _ball_points(pieces: tuple, center: Vec, radius: Fraction) -> tuple[Vec, ...
             cand.append(tuple((a + b) / 2 for a, b in zip(*pq)))
         cand.append(clipped.relint_point())
         for v in cand:
-            if sum(((v[i] - center[i]) ** 2 for i in range(len(center))), F0) <= rr \
-                    and v not in pts:
+            if norm_sq(sub(v, center)) <= rr and v not in pts:
                 pts.append(v)
     return tuple(pts)
 
@@ -521,7 +518,7 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
             slices[y] = inverse_image(f, y, box)
             if slices[y].is_empty():
                 return ModulusEstimate(
-                    math.inf, float(p.eta), nx, level, False, tuple(map(float, to_float(y))),
+                    math.inf, float(p.eta), nx, level, False, to_float(y),
                     history, failure=f"empty preimage at y={to_float(y)}")
         for x in xs:
             xf = np.array(to_float(x))
@@ -536,7 +533,7 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
                 ratio = num / den
                 if ratio > best:
                     best, witness = ratio, (tuple(map(float, xf)),
-                                            tuple(map(float, to_float(y))))
+                                            to_float(y))
         history.append(best)
         if level > 0 and abs(history[-1] - history[-2]) <= 0.02 * max(history[-1], 1e-300):
             return ModulusEstimate(best, float(p.eta), per_axis, level, True,
@@ -612,7 +609,7 @@ def check_single_valued_localization(inst: ProblemInstance) -> LocalizationRepor
                 if d > dia:
                     dia, pair = d, (arr[i], arr[j])
         if dia > TIE_TOL:
-            uf = tuple(map(float, to_float(ustar)))
+            uf = to_float(ustar)
             mags = sorted(abs(t) for t in uf)
             spread = mags[-1] - mags[0] if uf else 0.0
             failures.append((spread, uf, [tuple(map(float, q)) for q in pair]))
@@ -694,8 +691,6 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
 
 
 def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
-    from .rational import solve_affine, mat as _mat
-
     out = []
     n = len(p0)
     gamma2 = gamma * gamma
@@ -704,20 +699,20 @@ def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
             xf = np.array(to_float(p0))
             out.append((xf, obj_f(xf), False))
         return out
-    h = _mat([[dot(bi, matvec(q, bj)) for bj in dirs] for bi in dirs])
+    h = mat([[dot(bi, matvec(q, bj)) for bj in dirs] for bi in dirs])
     g = vec([dot(bi, add(matvec(q, p0), lin)) for bi in dirs])
     sol = solve_affine(h, neg(g), len(dirs))
     if sol is None:
         return out
     s0, null = sol
-    x0 = add(p0, _combine(dirs, s0))
+    x0 = add(p0, combine(dirs, s0))
     if not null:
         if piece.contains(x0) and norm_sq(sub(x0, xbar)) <= gamma2:
             xf = np.array(to_float(x0))
             out.append((xf, obj_f(xf), False))
         return out
     # flat critical set: an affine subset with constant objective
-    sol_dirs = [_combine(dirs, t) for t in null]
+    sol_dirs = [combine(dirs, t) for t in null]
     crit = _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma)
     for pt in crit:
         xf = np.array(to_float(pt))
@@ -735,13 +730,6 @@ def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
             if t is not None:
                 out.append((t, obj_f(t), True))
     return out
-
-
-def _combine(dirs, coeffs):
-    x = zeros(len(dirs[0])) if dirs else ()
-    for d, t in zip(dirs, coeffs):
-        x = add(x, scale(d, t))
-    return x
 
 
 def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
@@ -764,7 +752,7 @@ def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
     vs, _, _ = polyt.vrep()
     if not vs:
         return []
-    return [add(x0, _combine(sol_dirs, t)) for t in vs + [polyt.relint_point()]]
+    return [add(x0, combine(sol_dirs, t)) for t in vs + [polyt.relint_point()]]
 
 
 def _ball_clip(inside: np.ndarray, outside: np.ndarray, center: np.ndarray,
@@ -873,15 +861,15 @@ def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
     samples = []
     for t in tilts:
         sol = solve_tilt(inst, t)
-        samples.append((tuple(map(float, to_float(t))), sol.minimizers, sol.value))
+        samples.append((to_float(t), sol.minimizers, sol.value))
         if len(sol.minimizers) > 1:
             return TiltReport("unstable", float(p.gamma), float(p.rho), None,
-                              tuple(map(float, to_float(t))), sol.minimizers, samples)
+                              to_float(t), sol.minimizers, samples)
         argmin.append((t, np.array(sol.minimizers[0])))
         if all(x == 0 for x in t):
             if float(np.linalg.norm(argmin[-1][1] - xbar_f)) > TIE_TOL:
                 return TiltReport("unstable", float(p.gamma), float(p.rho), None,
-                                  tuple(map(float, to_float(t))), sol.minimizers,
+                                  to_float(t), sol.minimizers,
                                   samples)
     lip = 0.0
     for (t1, m1), (t2, m2) in itertools.combinations(argmin, 2):
@@ -909,27 +897,17 @@ def check_condition_4_1(inst: ProblemInstance, kappa, r) -> CheckOutcome:
     r = frac(r) if not isinstance(r, float) else Fraction(r)
     som = second_order_map(f, inst.xbar, inst.xstar)
     union = som.model.union
-    k2 = kappa * kappa
-
-    def b_norm(pt1, pt2):
-        w1, z1 = vec(pt1[:n]), vec(pt1[n:])
-        w2, z2 = vec(pt2[:n]), vec(pt2[n:])
-        return k2 * dot(w1, w2) - dot(z1, z2)
-
-    def b_pair(pt1, pt2):
-        w1, z1 = vec(pt1[:n]), vec(pt1[n:])
-        w2, z2 = vec(pt2[:n]), vec(pt2[n:])
-        return -(dot(w1, z2) + dot(w2, z1)) / 2 + r * dot(z1, z2)
-
+    forms = (("norm", graph_form(n, kappa * kappa, 0, -1)),
+             ("pairing", graph_form(n, 0, -1, r)))
     violations = []
     checked = 0
     for (x, xs) in graph_point_samples(f, inst.xbar, inst.xstar, inst.params.eta):
         point = tuple(x) + tuple(xs)
         cone = regular_normal_cone(union, point)
-        for name, bform in (("norm", b_norm), ("pairing", b_pair)):
-            ok, wit = cone_form_nonnegative(cone, bform)
+        for name, form in forms:
+            ok, wit = cone_form_nonnegative(cone, form)
             checked += 1
             if not ok:
-                violations.append((name, tuple(map(float, to_float(x))),
-                                   tuple(map(float, to_float(vec(wit)))) if wit else None))
+                violations.append((name, to_float(x),
+                                   to_float(wit) if wit else None))
     return CheckOutcome(not violations, violations, float(len(violations)), checked)

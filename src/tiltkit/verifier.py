@@ -22,7 +22,7 @@ import numpy as np
 from . import regularity as reg
 from .cells import limiting_normal_cone, sampled_regular_normals
 from .cones import PolyCone
-from .copositive import cone_form_nonnegative
+from .copositive import cone_form_nonnegative, graph_form
 from .fixtures import CORPUS, fixture, minimizer_fixtures
 from .hessian import (INDEFINITE, POSITIVE_DEFINITE, definiteness,
                       hessian_sum_rule_check, kernel, second_order_map)
@@ -378,18 +378,11 @@ def _suite_tilt_modulus_lower() -> SuiteResult:
             continue
         kappa = Fraction(tilt.modulus).limit_denominator(10_000) * Fraction(21, 20)
         som = second_order_map(inst.f, inst.xbar, inst.xstar)
-        n = inst.f.dim
-        inv_kappa = Fraction(1) / kappa
-
-        def bform(p, q):
-            w1, z1 = vec(p[:n]), vec(p[n:])
-            w2, z2 = vec(q[:n]), vec(q[n:])
-            return -(dot(w1, z2) + dot(w2, z1)) / 2 - inv_kappa * dot(z1, z2)
-
+        form = graph_form(inst.f.dim, 0, -1, -1 / kappa)
         ok = True
         wit = None
         for piece in som.normal_cone.pieces:
-            good, w = cone_form_nonnegative(piece, bform)
+            good, w = cone_form_nonnegative(piece, form)
             if not good:
                 ok, wit = False, w
                 break
@@ -424,14 +417,8 @@ def _norm_ratio_floor(inst: ProblemInstance) -> float:
     n = inst.f.dim
 
     def holds(t: Fraction) -> bool:
-        tt = t * t
-
-        def bform(p, q):
-            w1, z1 = vec(p[:n]), vec(p[n:])
-            w2, z2 = vec(q[:n]), vec(q[n:])
-            return dot(w1, w2) - tt * dot(z1, z2)
-
-        return all(cone_form_nonnegative(piece, bform)[0]
+        form = graph_form(n, 1, 0, -t * t)
+        return all(cone_form_nonnegative(piece, form)[0]
                    for piece in som.normal_cone.pieces)
 
     lo, hi = Fraction(0), Fraction(1)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lp import strictly_feasible_point
 
 from tiltkit import lp
 from tiltkit.cells import (Cell, _value_cone, cell_complex, cells_adherent_to,
@@ -197,9 +198,9 @@ def lp_cell_complex(union):
     cells = []
 
     def recurse(k, eqs, stricts, memberships):
-        if lp.strictly_feasible_point(mat([r for r, _ in stricts]), vec([v for _, v in stricts]),
-                                      mat([r for r, _ in eqs]), vec([v for _, v in eqs]),
-                                      n=dim) is None:
+        if strictly_feasible_point(mat([r for r, _ in stricts]), vec([v for _, v in stricts]),
+                                   mat([r for r, _ in eqs]), vec([v for _, v in eqs]),
+                                   n=dim) is None:
             return
         if k == len(union.pieces):
             if memberships:
@@ -326,15 +327,16 @@ def test_searches_run_no_strict_lp(monkeypatch):
 
     inst = fixture("saddle-cone").instance
     model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+    union = model.union  # building a PolyUnion runs is_empty LPs
     sq = ConvexPolyhedron.box((0, 0), F(1))
     left, right = sq.with_rows([(1, 0)], [F(0)]), sq.with_rows([(-1, 0)], [F(0)])
     empty = ConvexPolyhedron([(1, 0), (-1, 0)], (-1, -1))
 
     def no_lp(*args, **kwargs):
-        raise AssertionError("strict-feasibility LP")
+        raise AssertionError("slack LP")
 
-    monkeypatch.setattr(lp, "strictly_feasible_point", no_lp)
-    assert cell_complex(model.union)
-    assert local_cells(model.union, model.basepoint)
+    monkeypatch.setattr(lp, "minimize", no_lp)
+    assert cell_complex(union)
+    assert local_cells(union, model.basepoint)
     assert poly_union_covers([left, right], [sq]) and not poly_union_covers([left], [sq])
     assert poly_union_covers([], [empty])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
 from tiltkit.copositive import (cone_form_min_sign, cone_form_nonnegative,
-                                cone_zero_points, gram, orthant_min_sign,
+                                cone_zero_points, gram, graph_form, orthant_min_sign,
                                 orthant_zero_witnesses, simplex_min, _quad)
 from tiltkit.rational import dot, mat, vec
 
@@ -19,9 +19,30 @@ def sym(rows):
     return mat([[(rows[i][j] + rows[j][i]) / 2 for j in range(n)] for i in range(n)])
 
 
-def pairing(a, b):
-    # the bilinear form of <w, -z> on stacked 2-D vectors (w, z)
-    return F(-1, 2) * (a[0] * b[1] + b[0] * a[1])
+pairing = graph_form(1, 0, -1, 0)  # <w, -z> on stacked 2-D vectors (w, z)
+
+
+def stacked_form(n, ww, wz, zz):
+    """Oracle: the bilinear form graph_form's matrix stands for."""
+    def b(p, q):
+        w1, z1, w2, z2 = p[:n], p[n:], q[:n], q[n:]
+        return ww * dot(w1, w2) + wz * (dot(w1, z2) + dot(z1, w2)) / 2 + zz * dot(z1, z2)
+    return b
+
+
+@st.composite
+def graph_forms(draw):
+    n = draw(st.integers(1, 2))
+    gens = draw(st.lists(st.lists(rationals, min_size=2 * n, max_size=2 * n),
+                         min_size=1, max_size=4))
+    return n, draw(rationals), draw(rationals), draw(rationals), [vec(g) for g in gens]
+
+
+@given(graph_forms())
+def test_gram_of_graph_form_matches_stacked_formula(args):
+    n, ww, wz, zz, gens = args
+    b = stacked_form(n, ww, wz, zz)
+    assert gram(gens, graph_form(n, ww, wz, zz)) == mat([[b(g, h) for h in gens] for g in gens])
 
 
 def test_identity_strictly_copositive():

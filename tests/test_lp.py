@@ -187,13 +187,29 @@ def test_unbounded():
     assert status == lp.UNBOUNDED
 
 
+def strictly_feasible_point(a_strict, b_strict, a_eq=(), b_eq=(), *, n):
+    """Oracle: a point x in R^n with a_strict x < b_strict, a_eq x = b_eq,
+    or None.  Maximizes the common slack t (capped at 1 so the LP stays
+    bounded); strict feasibility holds iff the optimum is positive."""
+    if not a_strict:
+        return lp.feasible_point((), (), a_eq, b_eq, n=n)
+    # variables (x, t); minimize -t
+    rows = [tuple(row) + (F1,) for row in a_strict] + [zeros(n) + (F1,)]
+    rhs = list(b_strict) + [F1]
+    eq = tuple(tuple(row) + (F0,) for row in a_eq)
+    status, x, _ = lp.minimize(zeros(n) + (F(-1),), tuple(rows), tuple(rhs), eq, b_eq)
+    if status != lp.OPTIMAL or x[n] <= 0:
+        return None
+    return x[:n]
+
+
 def test_strictly_feasible():
     a = mat([[1, 0], [0, 1]])
-    p = lp.strictly_feasible_point(a_strict=a, b_strict=vec([0, 0]), n=2)
+    p = strictly_feasible_point(a_strict=a, b_strict=vec([0, 0]), n=2)
     assert p is not None and all(dot(r, p) < 0 for r in a)
     # x < 0 and x > 0 simultaneously: impossible
-    assert lp.strictly_feasible_point(a_strict=mat([[1], [-1]]),
-                                      b_strict=vec([0, 0]), n=1) is None
+    assert strictly_feasible_point(a_strict=mat([[1], [-1]]),
+                                   b_strict=vec([0, 0]), n=1) is None
 
 
 def test_strict_homogeneous_feasible():

@@ -66,6 +66,22 @@ def test_empty_and_relint():
     assert p is not None and p[1] == 0
 
 
+@pytest.mark.parametrize("rows, rhs", [
+    ([(-1, 0), (0, -1), (1, 1)], [0, 0, 1]),  # triangle
+    ([(0, 1), (0, -1), (1, 0), (-1, 0)], [0, 0, 1, 0]),  # segment, implied pair
+    ([(-1, 0), (0, -1), (1, -1)], [0, -1, 2]),  # unbounded: the barycenter is on y = 1
+    ([(1, 0, 0), (-1, 0, 0), (0, -1, 1)], [1, -1, 0]),  # x = 1, lineality (0, 1, 1)
+])
+def test_relint_point_runs_no_lp(monkeypatch, rows, rhs):
+    monkeypatch.setattr(lp, "minimize", lambda *args: pytest.fail("relint_point ran an LP"))
+    p = ConvexPolyhedron(rows, rhs)
+    rp = p.relint_point()
+    implied = p.implied_equalities()
+    for i, (row, bi) in enumerate(zip(p.a, p.b)):
+        assert (dot(row, rp) == bi) if i in implied else (dot(row, rp) < bi)
+    assert ConvexPolyhedron([(1,), (-1,)], (-1, -1)).relint_point() is None
+
+
 def test_union_rejects_empty_piece():
     empty = ConvexPolyhedron([(1,), (-1,)], (-1, -1), dim=1)
     with pytest.raises(ValueError):
