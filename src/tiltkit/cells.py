@@ -84,14 +84,18 @@ def local_cells(union: PolyUnion, x) -> list[Signature]:
     return [sig for _, sig in sorted(found)]
 
 
-def regular_normal_cone(union: PolyUnion, x) -> PolyCone:
-    """Polar of the union of piece tangent cones at x: the intersection of
-    the pieces' convex normal cones.  Convex, exact."""
-    x = vec(x)
+def _point_signature(union: PolyUnion, x: Vec) -> Signature:
+    """The pieces containing x, each with its active set there."""
     ks = union.pieces_containing(x)
     if not ks:
         raise ValueError("point is not in the union")
-    return _value_cone(union, [(k, union.pieces[k].active_set(x)) for k in ks])
+    return tuple((k, union.pieces[k].active_set(x)) for k in ks)
+
+
+def regular_normal_cone(union: PolyUnion, x) -> PolyCone:
+    """Polar of the union of piece tangent cones at x: the intersection of
+    the pieces' convex normal cones.  Convex, exact."""
+    return _value_cone(union, _point_signature(union, vec(x)))
 
 
 def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:
@@ -163,17 +167,17 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
 
     Independent of the cell enumeration: each sample's cone comes straight
     from active sets at the sampled point.  Used as the outer-limit oracle.
+    Equal signatures give equal cones, so a cone is built only for a
+    signature not seen before.
     """
     x = vec(x)
     rng = random.Random(seed)
     dim = union.dim
-    ks = union.pieces_containing(x)
-    if not ks:
-        raise ValueError("point is not in the union")
+    sig = _point_signature(union, x)
 
     # Directions that stay in some piece: relint points of tangent faces.
     face_dirs: list[tuple[int, list[Vec]]] = []
-    for k in ks:
+    for k, _ in sig:
         for _, face in union.pieces[k].tangent_cone(x).faces():
             gens = face.generators()
             if gens:
@@ -181,7 +185,8 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
 
     # constant sequences reach the query point itself, so its regular cone
     # always belongs to the outer limit
-    collected: list[PolyCone] = [regular_normal_cone(union, x)]
+    collected: list[PolyCone] = [_value_cone(union, sig)]
+    seen = {sig}
     for _ in range(count):
         if not face_dirs:
             y = x
@@ -205,7 +210,11 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
                 y = add(x, scale(u, t))
                 if not union.contains(y):
                     y = x
-        cone = regular_normal_cone(union, y)
+        sig = _point_signature(union, y)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        cone = _value_cone(union, sig)
         if not any(cone.equals(c) for c in collected):
             collected.append(cone)
     return collected

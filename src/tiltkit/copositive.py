@@ -169,25 +169,24 @@ def cone_form_min_sign(cone: PolyCone, form: Mat) -> tuple[int, Vec | None]:
     if not gens:
         return 1, None
     n = gram(gens, form)
-    sign, t = orthant_min_sign(n)
-    if sign < 0:
+    val, t = simplex_min(n)
+    if val < 0:
         return -1, combine(gens, t)
-    if sign > 0:
+    if val > 0:
         return 1, None
-    # Zero answers must map to a nonzero cone point to count.
-    for t in orthant_zero_witnesses(n):
-        v = combine(gens, t)
-        if not is_zero(v):
-            return 0, v
-    return 1, None
+    # Zero answers must map to a nonzero cone point to count: the first of
+    # cone_zero_points.
+    return next(((0, v) for v in _zero_points(gens, n)), (1, None))
 
 
 def cone_zero_points(cone: PolyCone, form: Mat) -> Iterator[Vec]:
     """Nonzero cone points where a (cone-)copositive form vanishes."""
     gens = cone.generators()
-    if not gens:
-        return
-    n = gram(gens, form)
+    if gens:
+        yield from _zero_points(gens, gram(gens, form))
+
+
+def _zero_points(gens: list[Vec], n: Mat) -> Iterator[Vec]:
     for t in orthant_zero_witnesses(n):
         v = combine(gens, t)
         if not is_zero(v):

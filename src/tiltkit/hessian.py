@@ -241,10 +241,9 @@ def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
         if sign < 0 and neg_wit is None:
             neg_wit = w
         elif sign == 0 and zero_wit is None:
-            for v in cone_zero_points(k, form):
-                if not is_zero(vec(v[n:])):
-                    zero_wit = v
-                    break
+            # w is the first zero point; scan on only when its z-part is 0
+            zero_wit = w if not is_zero(vec(w[n:])) else next(
+                (v for v in cone_zero_points(k, form) if not is_zero(vec(v[n:]))), None)
         if neg_wit is not None:
             break
     if neg_wit is not None:

@@ -128,7 +128,7 @@ def minimize(c: Sequence[Fraction],
     Free variables are split x = x+ - x-; inequality rows get slacks.
     """
     n = len(c)
-    m_ub, m_eq = len(a_ub), len(a_eq)
+    m_ub = len(a_ub)
     nn = 2 * n + m_ub
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []

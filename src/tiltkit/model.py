@@ -223,18 +223,14 @@ def evaluate_exact(f: FunctionSpec, x) -> Fraction | None:
 def evaluate(f: FunctionSpec, x) -> float:
     """Extended-real value as a float (+inf outside the domain)."""
     if f.is_exact:
-        v = evaluate_exact(f, [frac_from_float(t) if isinstance(t, float) else t for t in x])
+        # grids are dyadic, so each float is an exact rational
+        v = evaluate_exact(f, [Fraction(t) if isinstance(t, float) else t for t in x])
         return math.inf if v is None else float(v)
     t = float(x[0]) if isinstance(x, (list, tuple)) else float(x)
     fx = f.fixture
     if not fx.in_domain(t):
         return math.inf
     return float(fx.value(t))
-
-
-def frac_from_float(t: float) -> Fraction:
-    """Exact rational equal to the given float (grids are dyadic)."""
-    return Fraction(t)
 
 
 def regularize(f: FunctionSpec, theta, center) -> FunctionSpec:

@@ -190,14 +190,8 @@ class ConvexPolyhedron:
             lin, rays = hrep_to_vrep(mat(rows), self.dim + 1)
             points: list[Vec] = []
             rec: list[Vec] = []
-            linv: list[Vec] = []
-            for l in lin:
-                if l[-1] != 0:
-                    # lineality with t-component: split into a point and use
-                    # remaining as recession; cannot happen with -t <= 0 row.
-                    raise AssertionError("homogenization lineality hit t != 0")
-                if not is_zero(l[:-1]):
-                    linv.append(primitive(l[:-1]))
+            # lineality is tight on the row -t <= 0, so its t-part is 0
+            linv = [primitive(l[:-1]) for l in lin]
             for r in rays:
                 if r[-1] > 0:
                     points.append(tuple(x / r[-1] for x in r[:-1]))

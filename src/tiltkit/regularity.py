@@ -3,9 +3,12 @@ quadratic growth, prox-type lower estimates, uniform growth, localization
 single-valuedness, tilt stability, and the paired norm/pairing conditions
 on the regular graph normal cone.
 
-Estimates are deterministic lattice suprema/infima with a refinement
-convergence flag (two successive refinements within 2% relative); they
-are grid bounds, stated as such, never certified global moduli.
+Estimates are deterministic lattice suprema/infima, stated as grid
+bounds, never certified global moduli.  The moduli share one refinement
+rule: the grid is refined until two successive suprema agree to 2%
+relative (REFINE_TOL), and the flag `converged` says whether they did.
+Graph samples are exact: the reference pair plus the ball points of the
+graph pieces around it, as inverse slices get theirs (_ball_points).
 """
 
 from __future__ import annotations
@@ -88,39 +91,17 @@ def _refinement_schedule(base: int, levels: int) -> list[int]:
 
 
 def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
-                        radius: Fraction, max_per_piece: int = 60) -> list[tuple[Vec, Vec]]:
+                        radius: Fraction) -> list[tuple[Vec, Vec]]:
     """Exact points of gph of the subdifferential within the radius ball
-    around the reference pair: vertices, midpoints, and centroids of the
-    boxed graph pieces."""
+    around the reference pair: the pair itself, then the ball points of the
+    graph pieces (see _ball_points)."""
     from .hessian import second_order_map
 
-    som = second_order_map(f, xbar, xstar)
     n = f.dim
     base = tuple(xbar) + tuple(xstar)
-    box = ConvexPolyhedron.box(base, frac(radius))
-    rr = frac(radius) ** 2
-    seen: set[Vec] = set()
-    out: list[tuple[Vec, Vec]] = []
-
-    def push(p: Vec) -> None:
-        if p in seen:
-            return
-        seen.add(p)
-        if norm_sq(sub(p, base)) <= rr:
-            out.append((p[:n], p[n:]))
-
-    push(base)
-    for piece in som.model.pieces:
-        pts, _, _ = piece.intersect(box).vrep()
-        pts = pts[:max_per_piece]
-        for p in pts:
-            push(p)
-        for p, q in itertools.combinations(pts, 2):
-            push(tuple((a + b) / 2 for a, b in zip(p, q)))
-        if pts:
-            k = len(pts)
-            push(tuple(sum(p[i] for p in pts) / k for i in range(2 * n)))
-    return out
+    pieces = tuple((p.a, p.b) for p in second_order_map(f, xbar, xstar).model.pieces)
+    pts = [base] + [p for p in _ball_points(pieces, base, frac(radius)) if p != base]
+    return [(p[:n], p[n:]) for p in pts]
 
 
 # -- reports ---------------------------------------------------------------------
@@ -129,9 +110,6 @@ def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
 @dataclass
 class ModulusEstimate:
     value: float
-    radius: float
-    density: int
-    refinement_level: int
     converged: bool
     witness: tuple | None
     history: list[float] = field(default_factory=list)
@@ -174,12 +152,9 @@ class LocalizationReport:
 @dataclass
 class TiltReport:
     verdict: str  # "stable" | "unstable"
-    gamma: float
-    rho: float
     modulus: float | None
     witness_tilt: tuple | None
     witness_minimizers: list
-    argmin_map: list
 
 
 # -- growth and lower inequalities ------------------------------------------------
@@ -402,9 +377,10 @@ def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[V
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _ball_points(pieces: tuple, center: Vec, radius: Fraction) -> tuple[Vec, ...]:
-    """Vertices, vertex midpoints and a relative-interior point of each
-    piece {a x <= b} clipped to the box around center, kept when inside the
-    radius ball; memoized on the pieces' rows, the center and the radius."""
+    """Vertices, vertex midpoints and a relative-interior point (the
+    vertex barycenter) of each piece {a x <= b} clipped to the box around
+    center, kept when inside the radius ball; memoized on the pieces' rows,
+    the center and the radius."""
     rr = radius ** 2
     pts: list[Vec] = []
     for rows, rhs in pieces:
@@ -426,9 +402,52 @@ def _ball_points(pieces: tuple, center: Vec, radius: Fraction) -> tuple[Vec, ...
 # -- moduli -----------------------------------------------------------------------
 
 
+REFINE_TOL = 0.02
+
+
+def _coarse(p) -> int:
+    """Per-axis count of the subgradient and tilt grids, coarser than the
+    x-grid since each of their points costs an inverse image or a solve."""
+    return max(3, p.grid // 2 + 1)
+
+
+class _Unbounded(Exception):
+    """Raised by a sweep to end the refinement at an unbounded ratio;
+    args are (witness, failure text)."""
+
+
+def _sup(samples) -> tuple[float, tuple | None]:
+    """(largest positive value, first witness attaining it) over (value,
+    witness) samples; (0.0, None) when no value is positive."""
+    best, witness = 0.0, None
+    for value, at in samples:
+        if value > best:
+            best, witness = value, at
+    return best, witness
+
+
+def _refine(levels, sweep) -> ModulusEstimate:
+    """Runs sweep(level) -> (supremum, witness) over the refinement levels
+    until two successive suprema agree to REFINE_TOL relative.  A level
+    without a witness keeps the last one found; a sweep raising _Unbounded
+    ends the run at value inf, not converged."""
+    history: list[float] = []
+    witness = None
+    for level in levels:
+        try:
+            best, found = sweep(level)
+        except _Unbounded as e:
+            return ModulusEstimate(math.inf, False, e.args[0], history, e.args[1])
+        history.append(best)
+        witness = witness if found is None else found
+        if len(history) > 1 and abs(best - history[-2]) <= REFINE_TOL * max(best, 1e-300):
+            return ModulusEstimate(best, True, witness, history)
+    return ModulusEstimate(history[-1], False, witness, history)
+
+
 def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
     """sup over grid x of d(x; solution set) / d(reference subgradient;
-    subdifferential at x), with refinement until two levels agree to 2%."""
+    subdifferential at x) on the refined x-grids."""
     p = inst.params
     if not inst.f.is_exact:
         return _subregularity_analytic(inst)
@@ -436,29 +455,20 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
     box = _inverse_box(inst)
     slice_ = inverse_image(f, inst.xstar, box)
     if slice_.is_empty():
-        return ModulusEstimate(math.inf, float(p.eta), p.grid, 0, False, None,
-                               failure="empty solution slice")
-    history = []
-    witness = None
-    for level, per_axis in enumerate(_refinement_schedule(p.grid, p.refine_max)):
-        best = 0.0
+        return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
+    xstar_f = to_float(inst.xstar)
+
+    def ratios(per_axis):
         for x in domain_lattice(f, inst.xbar, p.eta, per_axis):
             if slice_.contains(x):
                 continue
             xf = np.array(to_float(x))
             num = distance_to_inverse(f, inst.xstar, xf, box, slice_)
-            den = subdifferential_distance(f, x, to_float(inst.xstar))
-            if den <= DIST_TOL:
-                continue
-            ratio = num / den
-            if ratio > best:
-                best, witness = ratio, tuple(map(float, xf))
-        history.append(best)
-        if level > 0 and abs(history[-1] - history[-2]) <= 0.02 * max(history[-1], 1e-300):
-            return ModulusEstimate(history[-1], float(p.eta), per_axis, level, True,
-                                   witness, history)
-    return ModulusEstimate(history[-1], float(p.eta), per_axis, len(history) - 1,
-                           False, witness, history)
+            den = subdifferential_distance(f, x, xstar_f)
+            if den > DIST_TOL:
+                yield num / den, tuple(map(float, xf))
+
+    return _refine(_refinement_schedule(p.grid, p.refine_max), lambda n: _sup(ratios(n)))
 
 
 def _subregularity_analytic(inst: ProblemInstance) -> ModulusEstimate:
@@ -467,31 +477,20 @@ def _subregularity_analytic(inst: ProblemInstance) -> ModulusEstimate:
     x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
     pts = analytic_inverse_points(fx, v0, x0, 4 * float(p.eta))
     if not pts:
-        return ModulusEstimate(math.inf, float(p.eta), p.grid, 0, False, None,
-                               failure="empty solution slice")
+        return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
     arr = np.array(pts)
-    history = []
-    witness = None
-    for level, n_pts in enumerate([2001, 4001, 8001][: p.refine_max]):
-        lo = max(x0 - float(p.eta), fx.lo)
-        hi = min(x0 + float(p.eta), fx.hi)
-        xs = np.linspace(lo, hi, n_pts)
-        best = 0.0
-        for x in xs:
+    lo, hi = max(x0 - float(p.eta), fx.lo), min(x0 + float(p.eta), fx.hi)
+
+    def ratios(n_pts):
+        for x in np.linspace(lo, hi, n_pts):
             num = float(np.min(np.abs(arr - x)))
             if num < 1e-12:
                 continue
             den = subdifferential_distance(inst.f, (float(x),), (v0,))
-            if den <= DIST_TOL:
-                continue
-            ratio = num / den
-            if ratio > best:
-                best, witness = ratio, (float(x),)
-        history.append(best)
-        if level > 0 and abs(history[-1] - history[-2]) <= 0.02 * max(history[-1], 1e-300):
-            return ModulusEstimate(best, float(p.eta), n_pts, level, True, witness, history)
-    return ModulusEstimate(history[-1], float(p.eta), n_pts, len(history) - 1, False,
-                           witness, history)
+            if den > DIST_TOL:
+                yield num / den, (float(x),)
+
+    return _refine([2001, 4001, 8001][: p.refine_max], lambda n: _sup(ratios(n)))
 
 
 def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
@@ -503,43 +502,30 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
     f = inst.f
     p = inst.params
     box = _inverse_box(inst)
-    history = []
-    witness = None
-    x_schedule = _refinement_schedule(p.grid, p.refine_max)
-    y_schedule = _refinement_schedule(max(3, p.grid // 2 + 1), p.refine_max)
-    per_axis = x_schedule[0]
-    for level, (nx, ny) in enumerate(zip(x_schedule, y_schedule)):
-        per_axis = nx
-        best = 0.0
+
+    def ratios(nx, ny):
         xs = domain_lattice(f, inst.xbar, p.eta, nx)
         ys = ball_lattice(inst.xstar, p.delta, ny)
-        slices = {}
-        for y in ys:
-            slices[y] = inverse_image(f, y, box)
-            if slices[y].is_empty():
-                return ModulusEstimate(
-                    math.inf, float(p.eta), nx, level, False, to_float(y),
-                    history, failure=f"empty preimage at y={to_float(y)}")
+        slices = []
+        for y in ys:  # in y order: no inverse image past the first empty one
+            slices.append(inverse_image(f, y, box))
+            if slices[-1].is_empty():
+                raise _Unbounded(to_float(y), f"empty preimage at y={to_float(y)}")
+        yfs = [to_float(y) for y in ys]
         for x in xs:
             xf = np.array(to_float(x))
             sd = subdifferential(f, x)
-            for y in ys:
+            for y, yf, slice_ in zip(ys, yfs, slices):
                 if sd.contains(y):
                     continue
-                den = sd.distance(to_float(y))
-                if den <= DIST_TOL:
-                    continue
-                num = distance_to_inverse(f, y, xf, box, slices[y])
-                ratio = num / den
-                if ratio > best:
-                    best, witness = ratio, (tuple(map(float, xf)),
-                                            to_float(y))
-        history.append(best)
-        if level > 0 and abs(history[-1] - history[-2]) <= 0.02 * max(history[-1], 1e-300):
-            return ModulusEstimate(best, float(p.eta), per_axis, level, True,
-                                   witness, history)
-    return ModulusEstimate(history[-1], float(p.eta), per_axis, len(history) - 1,
-                           False, witness, history)
+                den = sd.distance(yf)
+                if den > DIST_TOL:
+                    yield (distance_to_inverse(f, y, xf, box, slice_) / den,
+                           (tuple(map(float, xf)), yf))
+
+    levels = zip(_refinement_schedule(p.grid, p.refine_max),
+                 _refinement_schedule(_coarse(p), p.refine_max))
+    return _refine(levels, lambda level: _sup(ratios(*level)))
 
 
 def check_uniform_growth(inst: ProblemInstance, kappa) -> CheckOutcome:
@@ -550,36 +536,36 @@ def check_uniform_growth(inst: ProblemInstance, kappa) -> CheckOutcome:
         raise ValidationError("exact variant only")
     f = inst.f
     p = inst.params
-    kappa_f = float(kappa)
     box = _inverse_box(inst)
     xs = domain_lattice(f, inst.xbar, p.eta, p.grid)
-    xs_f = [np.array(to_float(x)) for x in xs]
-    fvals = [float(evaluate_exact(f, x)) for x in xs]
+    xs_f = _floats(xs, f.dim)
+    fvals = np.array([float(evaluate_exact(f, x)) for x in xs])
+    two_kappa = 2 * float(kappa)
+
+    def dominates(u: Vec, usf: np.ndarray) -> bool:
+        d = xs_f - np.array(to_float(u))
+        rhs = float(evaluate_exact(f, u)) + _rowdot(d, usf) + _rowdot(d, d) / two_kappa
+        return not np.any(fvals < rhs - TIE_TOL)
+
+    ustars = ball_lattice(inst.xstar, p.delta, _coarse(p))
     violations = []
-    checked = 0
-    for ustar in ball_lattice(inst.xstar, p.delta, max(3, p.grid // 2 + 1)):
-        slice_ = inverse_image(f, ustar, box)
-        cands = _slice_points(slice_, inst.xbar, p.eta)
+    for ustar in ustars:
         usf = np.array(to_float(ustar))
-        ok = False
-        for u in cands:
-            uf = np.array(to_float(u))
-            fu = float(evaluate_exact(f, u))
-            good = True
-            for xf, fx in zip(xs_f, fvals):
-                rhs = fu + float(usf @ (xf - uf)) + \
-                    float(np.sum((xf - uf) ** 2)) / (2 * kappa_f)
-                if fx < rhs - TIE_TOL:
-                    good = False
-                    break
-            if good:
-                ok = True
-                break
-        checked += 1
-        if not ok:
+        cands = _slice_points(inverse_image(f, ustar, box), inst.xbar, p.eta)
+        if not any(dominates(u, usf) for u in cands):
             violations.append(tuple(map(float, usf)))
-    return CheckOutcome(not violations, violations,
-                        float(len(violations)), checked)
+    return CheckOutcome(not violations, violations, float(len(violations)), len(ustars))
+
+
+def _lipschitz(pairs) -> float:
+    """Largest difference quotient |m1 - m2| / |t1 - t2| over pairs of
+    (exact parameter, float point) samples with distinct parameters."""
+    lip = 0.0
+    for (t1, m1), (t2, m2) in itertools.combinations(pairs, 2):
+        dt = float(np.linalg.norm(np.array(to_float(t1)) - np.array(to_float(t2))))
+        if dt > 1e-12:
+            lip = max(lip, float(np.linalg.norm(m1 - m2)) / dt)
+    return lip
 
 
 def check_single_valued_localization(inst: ProblemInstance) -> LocalizationReport:
@@ -595,19 +581,14 @@ def check_single_valued_localization(inst: ProblemInstance) -> LocalizationRepor
     box = _inverse_box(inst)
     points: dict[Vec, np.ndarray] = {}
     failures: list[tuple[float, tuple, list]] = []
-    for ustar in ball_lattice(inst.xstar, p.delta, max(3, p.grid // 2 + 1)):
+    for ustar in ball_lattice(inst.xstar, p.delta, _coarse(p)):
         slice_ = inverse_image(f, ustar, box)
         cands = _slice_points(slice_, inst.xbar, p.eta)
         if not cands:
             continue
         arr = np.array([to_float(c) for c in cands], dtype=float)
-        dia = 0.0
-        pair = None
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                d = float(np.linalg.norm(arr[i] - arr[j]))
-                if d > dia:
-                    dia, pair = d, (arr[i], arr[j])
+        dia, pair = _sup((float(np.linalg.norm(a - b)), (a, b))
+                         for a, b in itertools.combinations(arr, 2))
         if dia > TIE_TOL:
             uf = to_float(ustar)
             mags = sorted(abs(t) for t in uf)
@@ -619,16 +600,7 @@ def check_single_valued_localization(inst: ProblemInstance) -> LocalizationRepor
         failures.sort(key=lambda rec: (rec[0], rec[1]))
         spread, uf, pair = failures[0]
         return LocalizationReport(False, uf, pair, None)
-    lip = 0.0
-    keys = list(points)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            du = float(np.linalg.norm(np.array(to_float(keys[i])) -
-                                      np.array(to_float(keys[j]))))
-            if du > 1e-12:
-                lip = max(lip, float(np.linalg.norm(points[keys[i]] -
-                                                    points[keys[j]])) / du)
-    return LocalizationReport(True, None, [], lip if points else None)
+    return LocalizationReport(True, None, [], _lipschitz(points.items()) if points else None)
 
 
 # -- tilt stability ----------------------------------------------------------------
@@ -692,7 +664,6 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
 
 def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
     out = []
-    n = len(p0)
     gamma2 = gamma * gamma
     if not dirs:
         if piece.contains(p0) and norm_sq(sub(p0, xbar)) <= gamma2:
@@ -735,7 +706,6 @@ def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
 def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
     """Vertex-style representatives of (x0 + span sol_dirs) inside the piece
     and the gamma box."""
-    n = len(x0)
     rows = list(piece.a)
     rhs = list(piece.b)
     box = ConvexPolyhedron.box(xbar, gamma)
@@ -854,29 +824,18 @@ def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
     the modulus estimate is their maximum."""
     p = inst.params
     xbar_f = np.array(to_float(inst.xbar))
-    tilts = ball_lattice(zeros(inst.f.dim), p.rho, max(3, p.grid // 2 + 1))
+    tilts = ball_lattice(zeros(inst.f.dim), p.rho, _coarse(p))
     # the zero tilt anchors the verdict; check it first
     tilts.sort(key=lambda t: sum(abs(x) for x in t))
     argmin: list[tuple[tuple, np.ndarray]] = []
-    samples = []
     for t in tilts:
         sol = solve_tilt(inst, t)
-        samples.append((to_float(t), sol.minimizers, sol.value))
-        if len(sol.minimizers) > 1:
-            return TiltReport("unstable", float(p.gamma), float(p.rho), None,
-                              to_float(t), sol.minimizers, samples)
-        argmin.append((t, np.array(sol.minimizers[0])))
-        if all(x == 0 for x in t):
-            if float(np.linalg.norm(argmin[-1][1] - xbar_f)) > TIE_TOL:
-                return TiltReport("unstable", float(p.gamma), float(p.rho), None,
-                                  to_float(t), sol.minimizers,
-                                  samples)
-    lip = 0.0
-    for (t1, m1), (t2, m2) in itertools.combinations(argmin, 2):
-        dt = float(np.linalg.norm(np.array(to_float(t1)) - np.array(to_float(t2))))
-        if dt > 1e-12:
-            lip = max(lip, float(np.linalg.norm(m1 - m2)) / dt)
-    return TiltReport("stable", float(p.gamma), float(p.rho), lip, None, [], samples)
+        m = np.array(sol.minimizers[0])
+        if len(sol.minimizers) > 1 or (
+                all(x == 0 for x in t) and float(np.linalg.norm(m - xbar_f)) > TIE_TOL):
+            return TiltReport("unstable", None, to_float(t), sol.minimizers)
+        argmin.append((t, m))
+    return TiltReport("stable", _lipschitz(argmin), None, [])
 
 
 # -- paired norm/pairing conditions on the regular graph normal cone ---------------

@@ -483,7 +483,6 @@ def _section_arcs(cone: PolyCone) -> list[tuple[float, float]]:
         l = np.array(to_float(lin[0]))
         r = np.array(to_float(rays[0]))
         # halfplane spanned by +-l and r
-        arcs = []
         a1 = math.atan2(l[1], l[0])
         a2 = math.atan2(-l[1], -l[0])
         return [_arc_between(a1, math.atan2(r[1], r[0]), a2)]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from tiltkit.cells import (Cell, _value_cone, cell_complex, cells_adherent_to,
                            sampled_regular_normals)
 from tiltkit.cones import ConeUnion, PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
-from tiltkit.rational import int_row, mat, neg, vec
+from tiltkit.rational import add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
 
 
 def cross():
@@ -102,6 +103,76 @@ def test_sampling_oracle_matches_computed():
         # every computed piece realized by some sampled cone
         for piece in computed.pieces:
             assert any(s.equals(piece) or s.contains_cone(piece) for s in sampled)
+
+
+def cone_per_sample_sampler(union, x, count, seed, scale_den=64):
+    """Oracle: the sampling loop that builds every sample's cone and tests
+    it against every cone collected so far."""
+    x = vec(x)
+    rng = random.Random(seed)
+    face_dirs = []
+    for k in union.pieces_containing(x):
+        for _, face in union.pieces[k].tangent_cone(x).faces():
+            gens = face.generators()
+            if gens:
+                face_dirs.append((k, gens))
+    collected = [regular_normal_cone(union, x)]
+    for _ in range(count):
+        y = x
+        if face_dirs:
+            k, gens = face_dirs[rng.randrange(len(face_dirs))]
+            u = zeros(union.dim)
+            for g in gens:
+                u = add(u, scale(vec(g), F(rng.randint(1, scale_den), scale_den)))
+            if not is_zero(u):
+                piece = union.pieces[k]
+                t = F(1, scale_den)
+                for row, bi in zip(piece.a, piece.b):
+                    ru = dot(row, u)
+                    if ru > 0:
+                        slack = bi - dot(row, x)
+                        t = min(t, slack / ru / 2) if slack > 0 else t
+                y = add(x, scale(u, t))
+                if not union.contains(y):
+                    y = x
+        cone = regular_normal_cone(union, y)
+        if not any(cone.equals(c) for c in collected):
+            collected.append(cone)
+    return collected
+
+
+def graph_union(name):
+    from tiltkit.fixtures import fixture
+    from tiltkit.hessian import second_order_map
+
+    inst = fixture(name).instance
+    som = second_order_map(inst.f, inst.xbar, inst.xstar)
+    return som.model.union, som.model.basepoint
+
+
+@pytest.mark.parametrize("name", ["cross-quadratic", "saddle-cone"])
+def test_sampler_matches_cone_per_sample_oracle(name):
+    union, base = graph_union(name)
+    got = sampled_regular_normals(union, base, 500, seed=13)
+    want = cone_per_sample_sampler(union, base, 500, seed=13)
+    assert len(got) == len(want)
+    assert all(a.equals(b) for a, b in zip(got, want))
+
+
+def test_sampler_builds_one_cone_per_signature(monkeypatch):
+    from tiltkit import cells
+
+    union, base = graph_union("saddle-cone")
+    built = []
+    real = cells._value_cone
+
+    def counted(u, sig):
+        built.append(tuple(sig))
+        return real(u, sig)
+
+    monkeypatch.setattr(cells, "_value_cone", counted)
+    sampled_regular_normals(union, base, 500, seed=13)
+    assert len(built) == len(set(built)) > 1
 
 
 def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):

@@ -2,14 +2,14 @@ import itertools
 from fractions import Fraction as F
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
 from tiltkit.copositive import (cone_form_min_sign, cone_form_nonnegative,
                                 cone_zero_points, gram, graph_form, orthant_min_sign,
                                 orthant_zero_witnesses, simplex_min, _quad)
-from tiltkit.rational import dot, mat, vec
+from tiltkit.rational import combine, dot, is_zero, mat, vec
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -141,3 +141,46 @@ def test_cone_form_lines():
 
 def test_trivial_cone():
     assert cone_form_min_sign(PolyCone.zero(2), pairing) == (1, None)
+
+
+def two_pass_min_sign(cone, form):
+    """Oracle: the orthant sign first, then a second zero enumeration for
+    a witness whose cone point is nonzero."""
+    gens = cone.generators()
+    if not gens:
+        return 1, None
+    n = gram(gens, form)
+    sign, t = orthant_min_sign(n)
+    if sign < 0:
+        return -1, combine(gens, t)
+    if sign > 0:
+        return 1, None
+    for t in orthant_zero_witnesses(n):
+        v = combine(gens, t)
+        if not is_zero(v):
+            return 0, v
+    return 1, None
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(small, min_size=d, max_size=d), min_size=1, max_size=3),
+    st.lists(st.lists(small, min_size=d, max_size=d), max_size=1),
+    st.lists(st.lists(small, min_size=d, max_size=d), min_size=d, max_size=d))))
+def test_cone_form_min_sign_matches_two_pass_oracle(args):
+    rays, lin, rows = args
+    d = len(rows)
+    cone = PolyCone.from_generators(rays, d, lineality=lin)
+    form = sym(rows)
+    assert cone_form_min_sign(cone, form) == two_pass_min_sign(cone, form)
+
+
+def test_zero_sign_witness_is_the_first_zero_point():
+    # a PSD form vanishing on the ray (1, 1) of the quadrant
+    form = mat([[1, -1], [-1, 1]])
+    quad = PolyCone.from_generators([(1, 0), (0, 1)], 2)
+    s, w = cone_form_min_sign(quad, form)
+    assert s == 0 and w == next(cone_zero_points(quad, form))

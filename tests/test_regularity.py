@@ -54,6 +54,35 @@ def test_metric_regularity_quadratic_and_halfline():
     assert math.isfinite(est2.value)
 
 
+def test_refine_drives_scripted_sweeps():
+    from tiltkit.regularity import REFINE_TOL, _refine, _Unbounded
+
+    def scripted(levels):
+        script = dict(levels)
+
+        def sweep(level):
+            if isinstance(script[level], Exception):
+                raise script[level]
+            return script[level]
+        return sweep
+
+    # converges at the first pair of levels within 2%, never sweeping level 3
+    est = _refine([0, 1, 2, 3], scripted([(0, (1.0, "a")), (1, (2.0, "b")),
+                                          (2, (2.0 * (1 + REFINE_TOL / 2), "c"))]))
+    assert est.converged and est.value == est.history[-1] and len(est.history) == 3
+    assert est.witness == "c" and not est.failed
+    # a level without a positive ratio keeps the previous witness
+    est = _refine([0, 1], scripted([(0, (1.0, "a")), (1, (0.0, None))]))
+    assert not est.converged and est.value == 0.0 and est.witness == "a"
+    assert est.history == [1.0, 0.0]
+    # an unbounded ratio ends the run: inf, not converged, the history so far
+    est = _refine([0, 1, 2], scripted([(0, (1.0, "a")),
+                                       (1, _Unbounded((0.5,), "empty preimage at y=(0.5,)"))]))
+    assert est.value == math.inf and not est.converged
+    assert est.witness == (0.5,) and est.history == [1.0]
+    assert est.failure == "empty preimage at y=(0.5,)"
+
+
 def test_metric_regularity_failure_is_reported():
     est = estimate_metric_regularity_modulus(inst("saddle-cone"))
     assert est.failed and est.value == math.inf
@@ -76,6 +105,42 @@ def test_growth_analytic_oscillating():
     rep = check_growth(inst("oscillating-1d"), 1.0, "norm-squared", eta=0.05,
                        n_points=100_001)
     assert rep.passed and rep.checked == 100_001
+
+
+def pointwise_uniform_growth(i, kappa):
+    """Oracle: the refuted subgradients, each candidate tested point by
+    point against the x-grid."""
+    from tiltkit.model import evaluate_exact
+    from tiltkit.rational import to_float
+    from tiltkit.regularity import TIE_TOL, _coarse, _slice_points, domain_lattice
+    from tiltkit.subdiff import inverse_image
+
+    f, p = i.f, i.params
+    box = ConvexPolyhedron.box(i.xbar, p.box_halfwidth)
+    xs = [(np.array(to_float(x)), float(evaluate_exact(f, x)))
+          for x in domain_lattice(f, i.xbar, p.eta, p.grid)]
+
+    def dominates(u, usf):
+        uf, fu = np.array(to_float(u)), float(evaluate_exact(f, u))
+        return all(fx >= fu + float(usf @ (xf - uf)) +
+                   float(np.sum((xf - uf) ** 2)) / (2 * float(kappa)) - TIE_TOL
+                   for xf, fx in xs)
+
+    refuted = []
+    for ustar in ball_lattice(i.xstar, p.delta, _coarse(p)):
+        usf = np.array(to_float(ustar))
+        cands = _slice_points(inverse_image(f, ustar, box), i.xbar, p.eta)
+        if not any(dominates(u, usf) for u in cands):
+            refuted.append(tuple(map(float, usf)))
+    return refuted
+
+
+@pytest.mark.parametrize("name, kappa", [("quad-1d", 1), ("quad-diag", 1),
+                                         ("quad-diag", F(2, 5)), ("saddle-cone", F(1, 2)),
+                                         ("cross-quadratic", 1)])
+def test_uniform_growth_matches_pointwise_oracle(name, kappa):
+    assert check_uniform_growth(inst(name), kappa).violations == \
+        pointwise_uniform_growth(inst(name), kappa)
 
 
 def test_lower_prox_modes():
@@ -165,6 +230,8 @@ def test_graph_samples_lie_on_graph():
     i = inst("complementarity-1d")
     pairs = graph_point_samples(i.f, i.xbar, i.xstar, i.params.eta)
     assert len(pairs) >= 3
+    assert pairs[0] == (tuple(i.xbar), tuple(i.xstar))
+    assert len(set(pairs)) == len(pairs)
     for u, us in pairs:
         assert subdifferential(i.f, u).contains(us)
 
