@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .cones import ConeUnion, PolyCone, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
-from .rational import Vec, add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
+from .rational import Vec, add, dot, is_zero, mat, neg, scale, vec, zeros
 
 
 Signature = tuple[tuple[int, frozenset[int]], ...]  # (piece, active rows) per member
@@ -59,9 +59,10 @@ def local_cells(union: PolyUnion, x) -> list[Signature]:
     for k in union.pieces_containing(x):
         piece = union.pieces[k]
         act = sorted(piece.active_set(x))
-        rows = {i: int_row(piece.a[i]) for i in act}
+        tangent = piece.tangent_cone(x)
+        rows = dict(zip(act, tangent.int_rows))
         opts = []
-        for j, (key, _) in enumerate(piece.tangent_cone(x).faces()):
+        for j, (key, _) in enumerate(tangent.faces()):
             eq = frozenset(act[i] for i in key)
             rows_eq = frozenset(rows[i] for i in eq)
             rows_strict = frozenset(rows[i] for i in act if i not in eq)
@@ -127,7 +128,7 @@ def cell_complex(union: PolyUnion) -> list[Cell]:
     levels = []
     for k, piece in enumerate(union.pieces):
         ab = list(zip(piece.a, piece.b))
-        rows = [homogenize(a, bi) for a, bi in ab]
+        rows = piece.rows
         opts = []
         for key, _ in piece.faces():
             out = [i for i in range(piece.m) if i not in key]

@@ -2,9 +2,9 @@
 
 A cone is kept in inequality form {u : G u <= 0} and/or generator form
 span(lineality) + cone(rays); conversion runs on demand through a double
-description pass over exact rationals, so the two forms always describe
-the same set.  The double description runs on the pointed quotient (the
-cone cut down to the orthogonal complement of its lineality space), so its
+description pass over ints (int rays, bitmask zero sets), so the two forms
+always describe the same set.  It runs on the pointed quotient (the cone
+cut down to the orthogonal complement of its lineality space), so its
 output is already the set of extreme rays, each orthogonal to the
 lineality; no LP runs.  Polarity is the representation swap: the polar of
 {u : G u <= 0} is cone(rows of G), and vice versa.
@@ -14,46 +14,45 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from . import lp
-from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, dot, int_row, is_zero, mat, neg,
-                       nullspace, primitive, rank, rref, scale, solve, sub, unit, vec,
-                       zeros)
+from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, int_nullspace, int_row, int_rref, is_zero,
+                       mat, neg, rank, solve, vec, zeros)
 
 
-def _dd_pointed(dim: int, extra: list[Vec]) -> list[Vec]:
-    """Extreme rays of {x in R^dim : x >= 0, a.x <= 0 for a in extra}.
+def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Extreme rays of {x in R^dim : x >= 0, a.x <= 0 for a in extra}, as
+    primitive int tuples; the rows of `extra` are int tuples.
 
     Incremental double description from the orthant; the combinatorial
-    adjacency test is valid because the cone stays pointed.
+    adjacency test is valid because the cone stays pointed (Fukuda and
+    Prodon, "Double description method revisited", 1996).
     """
-    rays: list[Vec] = [unit(dim, i) for i in range(dim)]
-    # Each ray's zero set: the processed rows it is tight on.  Rows 0..dim-1
-    # are the orthant rows -e_i, row dim + j is extra[j].  A new ray is
-    # tight exactly where both of its parents are, plus on the new row.
-    zsets = {r: frozenset(range(dim)) - {i} for i, r in enumerate(rays)}
+    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    # Each ray's zero set: a bitmask of the processed rows it is tight on.
+    # Bits 0..dim-1 are the orthant rows -e_i, bit dim + j is extra[j].  A new
+    # ray is tight exactly where both of its parents are, plus on the new row.
+    zsets = {r: ((1 << dim) - 1) ^ (1 << i) for i, r in enumerate(rays)}
     for k, a in enumerate(extra, start=dim):
-        vals = [dot(a, r) for r in rays]
+        vals = [sum(map(operator.mul, a, r)) for r in rays]
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
         negs = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        merged: list[Vec] = []
-        new_z: dict[Vec, frozenset[int]] = {}
+        merged: list[tuple[int, ...]] = []
+        new_z: dict[tuple[int, ...], int] = {}
         for r, v in zip(rays, vals):
             if v <= 0:
                 merged.append(r)
-                new_z[r] = zsets[r] | {k} if v == 0 else zsets[r]
+                new_z[r] = zsets[r] | (1 << k) if v == 0 else zsets[r]
         for (rp, vp), (rn, vn) in itertools.product(pos, negs):
             common = zsets[rp] & zsets[rn]
-            adjacent = not any(
-                r is not rp and r is not rn and common <= zsets[r] for r in rays
-            )
-            if adjacent:
-                comb = sub(scale(rn, vp), scale(rp, vn))
-                if not is_zero(comb):
-                    r = primitive(comb)
-                    if r not in new_z:
-                        merged.append(r)
-                        new_z[r] = common | {k}
+            if any(zsets[r] & common == common for r in rays if r is not rp and r is not rn):
+                continue  # not adjacent
+            # nonzero: both parents are nonzero and lie in the orthant
+            r = int_row([vp * y - vn * x for x, y in zip(rp, rn)])
+            if r not in new_z:
+                merged.append(r)
+                new_z[r] = common | (1 << k)
         rays, zsets = merged, new_z
     return rays
 
@@ -90,23 +89,20 @@ def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _vrep(dim: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    lineality = nullspace(mat(rows), dim) if rows else [unit(dim, i) for i in range(dim)]
-    lineality = [primitive(l) for l in lineality]
-    if not rows:
-        return tuple(lineality), ()
-    # rref of g^T: its pivot columns pick B, its other columns hold the c_j
-    red, basis = rref(tuple(zip(*rows)))
+    lineality = [int_row(l) for l in int_nullspace(rows, dim)[0]]
+    # the rref of g^T (times an int): its pivot columns pick B, its other
+    # columns hold the c_j
+    red, basis, _ = int_rref(tuple(zip(*rows)))
     k = len(basis)
-    extra = [tuple(-red[i][j] for i in range(k))
-             for j in range(len(rows)) if j not in basis]
+    extra = [tuple(-row[j] for row in red) for j in range(len(rows)) if j not in basis]
     # back to u through the matrix with g_B u_i = -e_i and u_i orthogonal to
     # the lineality: the right block of the rref of [g_B, -I; lineality, 0]
-    system = [rows[b] + tuple(-F1 if i == r else F0 for i in range(k))
-              for r, b in enumerate(basis)]
-    system += [l + zeros(k) for l in lineality]
-    back = [row[dim:] for row in rref(mat(system))[0]]
-    rays = sorted(primitive(tuple(dot(row, x) for row in back)) for x in _dd_pointed(k, extra))
-    return tuple(lineality), tuple(rays)
+    system = [rows[b] + tuple(-int(i == r) for i in range(k)) for r, b in enumerate(basis)]
+    system += [l + (0,) * k for l in lineality]
+    back = [row[dim:] for row in int_rref(system)[0]]
+    rays = sorted(int_row([sum(map(operator.mul, row, x)) for row in back])
+                  for x in _dd_pointed(k, extra))
+    return tuple(map(vec, lineality)), tuple(map(vec, rays))
 
 
 def close_under_meets(seeds, tight_sets) -> set[frozenset[int]]:
@@ -174,6 +170,11 @@ class PolyCone:
             self._ineqs = mat(self.polar().generators())
         return self._ineqs
 
+    @functools.cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """`int_row` of each row of `ineqs`."""
+        return tuple(map(int_row, self.ineqs))
+
     def _compute_vrep(self) -> None:
         lin, rays = hrep_to_vrep(self.ineqs, self.dim)
         self._lineality, self._rays = lin, rays
@@ -210,7 +211,8 @@ class PolyCone:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         if self._ineqs is not None:
-            return all(dot(row, v) <= 0 for row in self._ineqs)
+            p = int_row(v)
+            return all(sum(map(operator.mul, row, p)) <= 0 for row in self.int_rows)
         return _in_generated(v, self.rays, self.lineality)
 
     def contains_cone(self, other: "PolyCone") -> bool:
@@ -238,8 +240,9 @@ class PolyCone:
         lineality space, which is tight on every row; so the keys are the
         set of all rows closed under intersection with each ray's tight set.
         """
-        rays, rows = self.rays, self.ineqs
-        tight = [frozenset(a for a, row in enumerate(rows) if dot(row, r) == 0) for r in rays]
+        rays, rows = self.rays, self.int_rows
+        tight = [frozenset(a for a, row in enumerate(rows) if not sum(map(operator.mul, row, r)))
+                 for r in map(int_row, rays)]
         on = {key: [i for i, t in enumerate(tight) if key <= t]
               for key in close_under_meets([frozenset(range(len(rows)))], tight)}
         return [(key, PolyCone(self.dim, rays=[rays[i] for i in on[key]],

@@ -9,16 +9,18 @@ union covers here and the cell complexes in `cells`.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
 from .rational import (F0, F1, Vec, dot, int_row, is_zero, mat, neg, nullspace,
-                       primitive, rank, sub, vec, zeros)
+                       primitive, rank, sub, unit, vec, zeros)
 
 
 class ConvexPolyhedron:
-    """Immutable polyhedron {x in R^n : A x <= b}; rows kept as given."""
+    """Immutable polyhedron {x in R^n : A x <= b}; A and b kept as given."""
 
     def __init__(self, a, b, dim: int | None = None):
         self.a = mat(a)
@@ -44,33 +46,36 @@ class ConvexPolyhedron:
     def box(cls, center, halfwidth) -> "ConvexPolyhedron":
         center = vec(center)
         h = halfwidth if isinstance(halfwidth, Fraction) else Fraction(halfwidth)
-        n = len(center)
-        rows, rhs = [], []
-        for i in range(n):
-            e = [F0] * n
-            e[i] = F1
-            rows.append(tuple(e))
-            rhs.append(center[i] + h)
-            rows.append(tuple(-x for x in e))
-            rhs.append(-(center[i] - h))
-        return cls(tuple(rows), tuple(rhs))
+        units = [unit(len(center), i) for i in range(len(center))]
+        return cls([r for e in units for r in (e, neg(e))],
+                   [v for c in center for v in (c + h, -(c - h))])
 
     @property
     def m(self) -> int:
         return len(self.a)
 
-    def contains(self, x) -> bool:
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row a_i x <= b_i as its primitive int row `homogenize(a_i, b_i)`."""
+        return tuple(map(homogenize, self.a, self.b))
+
+    def _values(self, x, t=F1) -> list[int]:
+        """Positive multiples of A_i x - b_i t: each kept row against int_row((x, t))."""
         x = vec(x)
-        return all(dot(row, x) <= bi for row, bi in zip(self.a, self.b))
+        if len(x) != self.dim:
+            raise ValueError(f"dimension mismatch: {len(x)} vs {self.dim}")
+        p = int_row(x + (t,))
+        return [sum(map(operator.mul, row, p)) for row in self.rows]
+
+    def contains(self, x) -> bool:
+        return all(v <= 0 for v in self._values(x))
 
     def active_set(self, x) -> frozenset[int]:
         """{i : A_i x = b_i}; raises if x is outside."""
-        x = vec(x)
-        vals = [dot(row, x) for row in self.a]
-        for v, bi in zip(vals, self.b):
-            if v > bi:
-                raise ValueError("point is not in the polyhedron")
-        return frozenset(i for i, (v, bi) in enumerate(zip(vals, self.b)) if v == bi)
+        vals = self._values(x)
+        if any(v > 0 for v in vals):
+            raise ValueError("point is not in the polyhedron")
+        return frozenset(i for i, v in enumerate(vals) if v == 0)
 
     def is_empty(self) -> bool:
         return lp.feasible_point(self.a, self.b, n=self.dim) is None
@@ -88,11 +93,8 @@ class ConvexPolyhedron:
         (t = 1), rays and lineality (t = 0) generating the homogenization
         cone {(x, t) : Ax - tb <= 0, t >= 0}."""
         points, rec, lin = self.vrep()
-        rows = list(enumerate(zip(self.a, self.b)))
-        return ([(frozenset(i for i, (a, bi) in rows if dot(a, p) == bi), True)
-                 for p in points] +
-                [(frozenset(i for i, (a, _) in rows if dot(a, r) == 0), False)
-                 for r in rec + lin])
+        return [(frozenset(i for i, v in enumerate(self._values(g, t)) if not v), t == 1)
+                for g, t in [(p, F1) for p in points] + [(r, F0) for r in rec + lin]]
 
     def relint_point(self) -> Vec | None:
         """A point strict on every non-implied row, or None when empty.
@@ -132,13 +134,8 @@ class ConvexPolyhedron:
 
     # -- faces ----------------------------------------------------------------
 
-    def face(self, equal_rows) -> "ConvexPolyhedron":
-        rows = list(self.a)
-        rhs = list(self.b)
-        for i in equal_rows:
-            rows.append(neg(self.a[i]))
-            rhs.append(-self.b[i])
-        return ConvexPolyhedron(mat(rows), vec(rhs), dim=self.dim)
+    def face(self, eq) -> "ConvexPolyhedron":
+        return self.with_rows([neg(self.a[i]) for i in eq], [-self.b[i] for i in eq])
 
     def faces(self) -> list[tuple[frozenset[int], "ConvexPolyhedron"]]:
         """Nonempty faces as (implied-active row set, face polyhedron).
@@ -163,10 +160,7 @@ class ConvexPolyhedron:
         if p is None:
             raise ValueError("empty polyhedron has no affine hull")
         implied = self.implied_equalities()
-        rows = [self.a[i] for i in implied]
-        dirs = nullspace(mat(rows), self.dim) if rows else \
-            [vec([F1 if j == i else F0 for j in range(self.dim)]) for i in range(self.dim)]
-        return p, dirs
+        return p, nullspace(mat([self.a[i] for i in implied]), self.dim)
 
     def poly_dim(self) -> int:
         """Dimension of the affine hull, read off vrep(); -1 when empty."""
@@ -185,11 +179,8 @@ class ConvexPolyhedron:
         faces rather than true vertices.
         """
         if self._vrep is None:
-            rows = [tuple(row) + (-bi,) for row, bi in zip(self.a, self.b)]
-            rows.append(zeros(self.dim) + (Fraction(-1),))
-            lin, rays = hrep_to_vrep(mat(rows), self.dim + 1)
-            points: list[Vec] = []
-            rec: list[Vec] = []
+            lin, rays = hrep_to_vrep(self.rows + ((0,) * self.dim + (-1,),), self.dim + 1)
+            points, rec = [], []
             # lineality is tight on the row -t <= 0, so its t-part is 0
             linv = [primitive(l[:-1]) for l in lin]
             for r in rays:
@@ -291,12 +282,12 @@ def _poly_escapes(target: ConvexPolyhedron, covers: list[ConvexPolyhedron]) -> b
     every other row strict.  An empty target has no implied equalities,
     so all its rows are strict and nothing escapes.
     """
-    rows = [homogenize(a, bi) for a, bi in zip(target.a, target.b)]
+    rows = target.rows
     implied = target.implied_equalities()
     eqs = frozenset(rows[i] for i in implied)
     stricts = frozenset(r for i, r in enumerate(rows) if i not in implied)
-    levels = [[(frozenset(), frozenset([homogenize(neg(a), -bi)]), None)
-               for a, bi in zip(cover.a, cover.b)] for cover in covers]
+    levels = [[(frozenset(), frozenset([neg(r)]), None) for r in cover.rows]
+              for cover in covers]
     t_positive = homogenize(zeros(target.dim), 1)
     leaves = strict_leaves(levels, target.dim + 1, eqs, stricts | {t_positive})
     return next(leaves, None) is not None

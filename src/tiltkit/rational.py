@@ -2,8 +2,8 @@
 polyhedral machinery needs.
 
 Vectors are tuples of Fraction, matrices tuples of row tuples.  Everything
-here is pure; callers rely on exactness.  Elimination (rref, rank,
-nullspace, solve) is one fraction-free pass over primitive integer rows,
+here is pure; callers rely on exactness.  Elimination (rref, int_rref,
+rank, nullspace, solve) is one fraction-free pass over primitive integer rows,
 so its hot loop does int products only and Fractions appear only in
 results.
 """
@@ -166,6 +166,14 @@ def rank(m: Mat) -> int:
     return len(_echelon(m)[1])
 
 
+def int_rref(m: Mat) -> tuple[list[list[int]], list[int], int]:
+    """(rows, pivot columns, s): the nonzero rows of the rref of m times the
+    positive integer s, in ints, s the lcm of the `_echelon` pivots."""
+    rows, pivots = _echelon(m)
+    s = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    return [[x * (s // row[c]) for x in row] for row, c in zip(rows, pivots)], pivots, s
+
+
 def int_nullspace(m: Mat, n: int | None = None) -> tuple[list[tuple[int, ...]], int]:
     """(basis, s): nullspace(m, n) times the positive integer s, in ints."""
     if not m:
@@ -173,14 +181,13 @@ def int_nullspace(m: Mat, n: int | None = None) -> tuple[list[tuple[int, ...]], 
             raise ValueError("nullspace of empty matrix needs explicit dimension")
         return [tuple(int(i == j) for j in range(n)) for i in range(n)], 1
     ncols = len(m[0])
-    rows, pivots = _echelon(m)
-    s = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
+    rows, pivots, s = int_rref(m)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
         v[fc] = s
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc] * (s // rows[r][pc])
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis, s
 

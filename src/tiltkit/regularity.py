@@ -751,7 +751,6 @@ def _ball_boundary_candidates(face, p0, dirs, qf, lin_f, d0, piece, xbar_f,
         return out
     b = np.array([to_float(d) for d in dirs], dtype=float).T  # n x k
     bq, _ = np.linalg.qr(b)
-    k = bq.shape[1]
     p0f = np.array(to_float(p0))
     # x = p0 + bq y ; sphere: |x - xbar| = gamma
     v = p0f - xbar_f
@@ -760,11 +759,10 @@ def _ball_boundary_candidates(face, p0, dirs, qf, lin_f, d0, piece, xbar_f,
     rad2 = gamma_f * gamma_f - v_perp2
     if rad2 <= 1e-18:
         return out
-    rad = math.sqrt(rad2)
-    # objective in y: 1/2 y'Hy + g'y + const, centered so sphere is |y + v_par| = rad
+    # objective in y: 1/2 y'Hy + g'y + const, centered so sphere is |y + v_par|^2 = rad2
     h = bq.T @ qf @ bq
     g = bq.T @ (qf @ p0f + lin_f)
-    # shift z = y + v_par: minimize 1/2 z'Hz + (g - H v_par)'z over |z| = rad
+    # shift z = y + v_par: minimize 1/2 z'Hz + (g - H v_par)'z over |z|^2 = rad2
     gg = g - h @ v_par
     w, u = np.linalg.eigh(h)
     beta = u.T @ gg

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from tiltkit import cones, lp
 from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, _in_generated, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
-from tiltkit.rational import (F0, F1, add, dot, is_zero, neg, nullspace, primitive, rank,
-                              scale, sub, unit, vec, zeros)
+from tiltkit.rational import (F0, F1, add, dot, int_row, is_zero, mat, neg, nullspace, primitive,
+                              rank, rref, scale, sub, unit, vec, zeros)
+from test_lp import ARITHMETIC
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -134,8 +135,65 @@ def reference_dd_pointed(dim, extra):
     st.tuples(*[st.integers(-3, 3)] * n), max_size=6).map(lambda rows: (n, rows))))
 def test_dd_pointed_matches_recomputed_zero_sets(case):
     n, rows = case
-    extra = [vec(r) for r in rows]
-    assert _dd_pointed(n, extra) == reference_dd_pointed(n, extra)
+    assert _dd_pointed(n, rows) == reference_dd_pointed(n, [vec(r) for r in rows])
+
+
+def fraction_dd_pointed(dim, extra):
+    """The double description over Fractions, zero sets as frozensets: the
+    oracle for the int rays and bitmask zero sets of `_dd_pointed`."""
+    rays = [unit(dim, i) for i in range(dim)]
+    zsets = {r: frozenset(range(dim)) - {i} for i, r in enumerate(rays)}
+    for k, a in enumerate(extra, start=dim):
+        vals = [dot(a, r) for r in rays]
+        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
+        negs = [(r, v) for r, v in zip(rays, vals) if v < 0]
+        merged, new_z = [], {}
+        for r, v in zip(rays, vals):
+            if v <= 0:
+                merged.append(r)
+                new_z[r] = zsets[r] | {k} if v == 0 else zsets[r]
+        for (rp, vp), (rn, vn) in itertools.product(pos, negs):
+            common = zsets[rp] & zsets[rn]
+            if not any(r is not rp and r is not rn and common <= zsets[r] for r in rays):
+                comb = sub(scale(rn, vp), scale(rp, vn))
+                if not is_zero(comb):
+                    r = primitive(comb)
+                    if r not in new_z:
+                        merged.append(r)
+                        new_z[r] = common | {k}
+        rays, zsets = merged, new_z
+    return rays
+
+
+def fraction_vrep(dim, rows):
+    """`cones._vrep` over Fractions: rref of g^T for the pointed quotient and
+    the rref of [g_B, -I; lineality, 0] for the map back."""
+    lineality = nullspace(mat(rows), dim) if rows else [unit(dim, i) for i in range(dim)]
+    lineality = [primitive(l) for l in lineality]
+    if not rows:
+        return lineality, []
+    red, basis = rref(tuple(zip(*rows)))
+    k = len(basis)
+    extra = [tuple(-red[i][j] for i in range(k)) for j in range(len(rows)) if j not in basis]
+    system = [vec(rows[b]) + tuple(-F1 if i == r else F0 for i in range(k))
+              for r, b in enumerate(basis)]
+    system += [l + zeros(k) for l in lineality]
+    back = [row[dim:] for row in rref(mat(system))[0]]
+    rays = sorted(primitive(tuple(dot(row, x) for row in back))
+                  for x in fraction_dd_pointed(k, extra))
+    return lineality, rays
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-4, 4)] * n), max_size=7).map(lambda rows: (n, rows))))
+def test_hrep_to_vrep_matches_fraction_oracle(case):
+    n, rows = case
+    cones._vrep.cache_clear()
+    lin, rays = hrep_to_vrep(rows, n)
+    ref_lin, ref_rays = fraction_vrep(n, [int_row(r) for r in rows if any(r)])
+    assert (lin, rays) == (ref_lin, ref_rays)
+    assert all(type(x) is F for v in lin + rays for x in v)
 
 
 def lp_in_generated(v, rays, lineality):
@@ -193,8 +251,8 @@ def reference_hrep_to_vrep(g, dim):
     """The double description before the quotient: lift to the pointed cone
     {(y, z) >= 0 : g(y - z) <= 0}, project its extreme rays back, and prune
     them with one LP membership test per ray."""
-    rows = [vec(r) for r in g if any(r)]
-    lineality = [primitive(l) for l in nullspace(rows, dim)] if rows else \
+    rows = [tuple(r) for r in g if any(r)]
+    lineality = [primitive(l) for l in nullspace(mat(rows), dim)] if rows else \
         [unit(dim, i) for i in range(dim)]
     if not rows:
         return lineality, []
@@ -276,3 +334,31 @@ def test_cone_conversions_solve_no_lp(monkeypatch):
     monkeypatch.undo()
     assert lin == [vec([0, 0, 0, 1])] and len(rays) == 4
     assert twice.equals(c)
+
+
+def test_int_kernels_do_no_fraction_arithmetic(monkeypatch):
+    # a double description memo miss, and membership in a polyhedron and in
+    # cones given by inequalities, on Fraction input with mixed denominators
+    g = [(F(1, 2), 0, F(-1, 2), 0), (-1, 0, -1, 0), (0, F(2, 3), F(-2, 3), 0), (0, -1, -1, 0)]
+    expected = fraction_vrep(4, [int_row(r) for r in g])
+    poly = ConvexPolyhedron([(F(1, 2), F(1, 3)), (-1, 0), (0, -1)], (F(5, 6), 0, 0))
+    cone = PolyCone.from_inequalities([(F(1, 2), F(1, 3)), (-1, 0)], 2)
+    points = [(F(1, 2), F(1, 2)), (0, F(5, 2)), (F(1, 3), F(1, 7)), (1, 1), (-1, F(1, 2))]
+    ref_contains = [all(dot(a, vec(x)) <= b for a, b in zip(poly.a, poly.b)) for x in points]
+    ref_cone = [all(dot(a, vec(x)) <= 0 for a in cone.ineqs) for x in points]
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in an int kernel")
+
+    cones._vrep.cache_clear()
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, no_arithmetic)
+    got = hrep_to_vrep(g, 4)
+    contains = [poly.contains(x) for x in points]
+    active = [poly.active_set(x) for x, c in zip(points, contains) if c]
+    in_cone = [cone.contains(x) for x in points]
+    monkeypatch.undo()
+    assert got == expected
+    assert contains == ref_contains == [True, True, True, True, False]
+    assert active == [frozenset(), frozenset([0, 1]), frozenset(), frozenset([0])]
+    assert in_cone == ref_cone

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit import lp
+from tiltkit.cones import PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
-from tiltkit.rational import dot, neg, rank
+from tiltkit.rational import F0, dot, neg, rank, vec
 
 
 def wedge():
@@ -22,6 +23,47 @@ def test_active_sets():
     assert rpp.active_set((2, 3)) == frozenset()
     with pytest.raises(ValueError):
         w.active_set((0, 1))
+
+
+fracs = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def rows_and_points(draw):
+    n = draw(st.integers(1, 3))
+    a = draw(st.lists(st.tuples(*[fracs] * n), min_size=1, max_size=4))
+    points = draw(st.lists(st.tuples(*[fracs] * n), min_size=1, max_size=4))
+    # each b_i is 0, free, or a_i . p for a drawn point p, so that rows are
+    # often tight at the points
+    b = [draw(st.sampled_from([F0, draw(fracs), dot(row, draw(st.sampled_from(points)))]))
+         for row in a]
+    return a, b, points
+
+
+@given(rows_and_points())
+def test_membership_matches_fraction_dot(case):
+    a, b, points = case
+    poly = ConvexPolyhedron(a, b)
+    cone = PolyCone.from_inequalities(a, poly.dim)
+    for p in points:
+        vals = [dot(row, vec(p)) - bi for row, bi in zip(poly.a, poly.b)]
+        inside = all(v <= 0 for v in vals)
+        assert poly.contains(p) == inside
+        assert cone.contains(p) == all(dot(row, vec(p)) <= 0 for row in poly.a)
+        if inside:
+            assert poly.active_set(p) == frozenset(i for i, v in enumerate(vals) if v == 0)
+        else:
+            with pytest.raises(ValueError):
+                poly.active_set(p)
+
+
+def test_membership_rejects_points_of_the_wrong_length():
+    poly = ConvexPolyhedron([(1, 0)], (1,))
+    cones = [PolyCone.from_inequalities([(1, 0)], 2), PolyCone.from_generators([(1, 0)], 2)]
+    for bad in [(0,), (0, 0, 0)]:
+        for test in [poly.contains, poly.active_set] + [c.contains for c in cones]:
+            with pytest.raises(ValueError):
+                test(bad)
 
 
 def test_normal_and_tangent_cones():
