@@ -7,7 +7,9 @@ always describe the same set.  It runs on the pointed quotient (the cone
 cut down to the orthogonal complement of its lineality space), so its
 output is already the set of extreme rays, each orthogonal to the
 lineality; no LP runs.  Polarity is the representation swap: the polar of
-{u : G u <= 0} is cone(rows of G), and vice versa.
+{u : G u <= 0} is cone(rows of G), and vice versa.  Membership tests the
+int rows of the inequality form, which a cone given by generators gets
+once, from its polar's double description.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import functools
 import itertools
 import operator
 
-from . import lp
-from .rational import (F0, F1, MEMO_SIZE, Mat, Vec, int_nullspace, int_row, int_rref, is_zero,
-                       mat, neg, rank, solve, vec, zeros)
+from .rational import MEMO_SIZE, Mat, Vec, int_nullspace, int_row, int_rref, mat, neg, rank, vec
 
 
 def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -55,20 +55,6 @@ def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]
                 new_z[r] = common | (1 << k)
         rays, zsets = merged, new_z
     return rays
-
-
-def _in_generated(v: Vec, rays: list[Vec], lineality: list[Vec]) -> bool:
-    """Exact membership v in cone(rays) + span(lineality)."""
-    n = len(v)
-    cols = list(rays) + list(lineality) + [neg(l) for l in lineality]
-    if not cols:
-        return is_zero(v)
-    a_eq = tuple(tuple(col[i] for col in cols) for i in range(n))
-    if n and solve(a_eq, v) is None:
-        return False  # v is outside the generators' span: no LP needed
-    m = len(cols)
-    a_ub = tuple(tuple(-F1 if j == k else F0 for j in range(m)) for k in range(m))
-    return lp.feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
 
 
 def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
@@ -210,10 +196,8 @@ class PolyCone:
         v = vec(v)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        if self._ineqs is not None:
-            p = int_row(v)
-            return all(sum(map(operator.mul, row, p)) <= 0 for row in self.int_rows)
-        return _in_generated(v, self.rays, self.lineality)
+        p = int_row(v)
+        return all(sum(map(operator.mul, row, p)) <= 0 for row in self.int_rows)
 
     def contains_cone(self, other: "PolyCone") -> bool:
         return all(self.contains(g) for g in other.generators()) if other.generators() \

@@ -24,7 +24,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from . import lp
 from .cones import PolyCone
 from .rational import (F0, F1, Mat, Vec, combine, is_zero, mat, nullspace,
                        solve_affine, vec, zeros)
@@ -71,9 +70,13 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
     """Exact (min of t'Nt over the standard simplex, argmin).
 
     Support enumeration: on the support of a minimizer the KKT system
-    2 N_S t = lambda, sum t = 1 holds, and q(t) = lambda/2 there.
-    Degenerate KKT systems have affine solution sets along which the
-    value is linear, so an exact LP finishes those off.
+    2 N_S t = lambda, sum t = 1 holds, and q(t) = lambda/2 there.  A
+    support whose system has more than one solution is skipped: lambda is
+    linear on the bounded polytope {t >= 0} of its solutions, so its least
+    value is at a vertex, and a vertex has a zero coordinate and solves the
+    system of its own smaller support.  By induction on the support size,
+    a smaller support with a unique solution, enumerated earlier, already
+    reaches a value at least as low, so no minimum or argmin changes.
     """
     k = len(n)
     if k == 0:
@@ -92,34 +95,10 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
             if sol is None:
                 continue
             part, null = sol
-            if not null:
-                t, lam = part[:size], part[size]
-                if all(x >= 0 for x in t):
-                    val = lam / 2
-                    if best is None or val < best:
-                        best, arg = val, _embed(t, s, k)
-                continue
-            # minimize lambda/2 over {t(theta) >= 0}: exact LP in theta
-            m = len(null)
-            a_ub = mat([tuple(-null[j][i] for j in range(m)) for i in range(size)])
-            b_ub = vec(part[:size])
-            c = vec([null[j][size] for j in range(m)])
-            status, theta, _ = lp.minimize(c, a_ub, b_ub)
-            if status == lp.INFEASIBLE:
-                continue
-            # boundedness: t-components pin every nullspace direction, so the
-            # value is a continuous function on a compact simplex face
-            assert status == lp.OPTIMAL, "degenerate KKT branch cannot be unbounded"
-            t = list(part[:size])
-            lam = part[size]
-            for j in range(m):
-                lam += null[j][size] * theta[j]
-                for i in range(size):
-                    t[i] += null[j][i] * theta[j]
-            if all(x >= 0 for x in t):
-                val = lam / 2
-                if best is None or val < best:
-                    best, arg = val, _embed(tuple(t), s, k)
+            t, lam = part[:size], part[size]
+            if not null and all(x >= 0 for x in t):
+                if best is None or lam / 2 < best:
+                    best, arg = lam / 2, _embed(t, s, k)
     assert best is not None and arg is not None  # singleton supports always qualify
     return best, arg
 

@@ -6,10 +6,11 @@ integer-preserving (Bareiss) pivots, so the pivot loop does int products
 and exact divisions only, and Fractions appear only in the results.  It
 picks the same pivots as Bland's rule on the Fraction tableau.  Problem
 sizes here are tiny (tens of variables), so termination and exactness
-matter far more than pivoting heuristics.  No float enters.  The
-strict-feasibility test of the cell recursion (`polyhedra.strict_leaves`)
-works on primitive integer rows and decides every memo miss by Gordan's
-LP.
+matter far more than pivoting heuristics.  No float enters.  Its one
+caller is the strict-feasibility test of the cell recursion
+(`polyhedra.strict_leaves`), which works on primitive integer rows and
+decides every memo miss by Gordan's LP; emptiness, implied equalities,
+faces and cone membership are read off the double description instead.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import F0, F1, MEMO_SIZE, Mat, Vec, int_nullspace, int_row, zeros
+from .rational import F0, MEMO_SIZE, Mat, Vec, int_nullspace, int_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -118,50 +119,6 @@ def solve_standard(c: Sequence[Fraction], a: Mat, b: Vec) -> tuple[str, Vec | No
     for row, j in zip(t, basis):
         x[j] = Fraction(row[-1], d)
     return OPTIMAL, tuple(x), Fraction(-t[-1][-1], den * d)
-
-
-def minimize(c: Sequence[Fraction],
-             a_ub: Mat = (), b_ub: Vec = (),
-             a_eq: Mat = (), b_eq: Vec = ()) -> tuple[str, Vec | None, Fraction | None]:
-    """min c x  s.t.  a_ub x <= b_ub, a_eq x = b_eq, x free.
-
-    Free variables are split x = x+ - x-; inequality rows get slacks.
-    """
-    n = len(c)
-    m_ub = len(a_ub)
-    nn = 2 * n + m_ub
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i, row in enumerate(a_ub):
-        r = [F0] * nn
-        for j, v in enumerate(row):
-            r[j] = v
-            r[n + j] = -v
-        r[2 * n + i] = F1
-        rows.append(r)
-        rhs.append(b_ub[i])
-    for row, bi in zip(a_eq, b_eq):
-        r = [F0] * nn
-        for j, v in enumerate(row):
-            r[j] = v
-            r[n + j] = -v
-        rows.append(r)
-        rhs.append(bi)
-    cc = list(c) + [-x for x in c] + [F0] * m_ub
-    status, xs, val = solve_standard(cc, tuple(tuple(r) for r in rows), tuple(rhs))
-    if status != OPTIMAL or xs is None:
-        return status, None, None
-    x = tuple(xs[j] - xs[n + j] for j in range(n))
-    return OPTIMAL, x, val
-
-
-def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
-                   a_eq: Mat = (), b_eq: Vec = (), *, n: int) -> Vec | None:
-    """Some point x in R^n of {a_ub x <= b_ub, a_eq x = b_eq}, or None."""
-    if not a_ub and not a_eq:
-        return zeros(n)
-    status, x, _ = minimize(zeros(n), a_ub, b_ub, a_eq, b_eq)
-    return x if status == OPTIMAL else None
 
 
 def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:

@@ -355,7 +355,7 @@ def _parse_params(obj) -> Params:
             kw[key] = _parse_rational(obj[key])
     for key in ("grid", "refine_max"):
         if key in obj:
-            if not isinstance(obj[key], int):
+            if not isinstance(obj[key], int) or isinstance(obj[key], bool):
                 raise ParseError(f"param {key} must be an integer")
             kw[key] = obj[key]
     try:
@@ -393,6 +393,8 @@ def _parse_exact(raw: dict, params: Params) -> ProblemInstance:
     xbar = vec(_rationals(_field(raw, "xbar"), "'xbar'"))
     xstar = vec(_rationals(_field(raw, "xstar"), "'xstar'"))
     n = len(c)
+    if n == 0:
+        raise ParseError("problem dimension must be at least 1")
     if len(xbar) != n or len(xstar) != n:
         raise ParseError("xbar/xstar dimension mismatch")
     pieces_obj = raw.get("pieces", [{"A": [], "b": []}])

@@ -1,10 +1,10 @@
 """Convex polyhedra {x : Ax <= b} over the rationals, and finite unions.
 
-Exact membership, active sets, emptiness, tangent/normal cones, and a
-V-representation through homogenization, whose generators decide implied
-equalities and faces with no LP.  `strict_leaves` is the one depth-first
-strict-feasibility search, over homogeneous primitive int rows, behind
-union covers here and the cell complexes in `cells`.
+Exact membership, active sets, tangent/normal cones, and a
+V-representation through homogenization, whose generators decide
+emptiness, implied equalities and faces with no LP.  `strict_leaves` is
+the one depth-first strict-feasibility search, over homogeneous primitive
+int rows, behind union covers here and the cell complexes in `cells`.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class ConvexPolyhedron:
         return frozenset(i for i, v in enumerate(vals) if v == 0)
 
     def is_empty(self) -> bool:
-        return lp.feasible_point(self.a, self.b, n=self.dim) is None
+        """No vrep() point: the homogenization cone has no generator with t > 0."""
+        return not self.vrep()[0]
 
     def implied_equalities(self) -> frozenset[int]:
         """Rows holding with equality on the entire polyhedron (none when

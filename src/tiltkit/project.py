@@ -82,16 +82,6 @@ def project_cone(z, cone: PolyCone) -> np.ndarray:
                                                   dim=cone.dim))
 
 
-def cone_contains_float(cone: PolyCone, z, tol: float = 1e-12) -> bool:
-    z = np.asarray(z, dtype=float)
-    if not len(cone.ineqs):
-        return True
-    g = np.array([[float(x) for x in row] for row in cone.ineqs])
-    return bool(np.max(g @ z) <= tol * (1.0 + float(np.linalg.norm(z))))
-
-
 def distance_to_cone(z, cone: PolyCone) -> float:
     z = np.asarray(z, dtype=float)
-    if cone_contains_float(cone, z):
-        return 0.0
     return float(np.linalg.norm(project_cone(z, cone) - z))

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lp import strictly_feasible_point
+from test_lp import minimize, strictly_feasible_point
 
 from tiltkit import lp
 from tiltkit.cells import (Cell, _value_cone, cell_complex, cells_adherent_to,
@@ -297,7 +298,7 @@ def lp_escapes(target, covers):
         rows = ([tuple(r) + (F(1),) for r, _ in strict] +
                 [tuple(r) + (F(0),) for r in target.a] + [(F(0),) * n + (F(1),)])
         rhs = [v for _, v in strict] + list(target.b) + [F(1)]
-        status, x, _ = lp.minimize((F(0),) * n + (F(-1),), mat(rows), vec(rhs))
+        status, x, _ = minimize((F(0),) * n + (F(-1),), mat(rows), vec(rhs))
         return status == lp.OPTIMAL and x[n] > 0
 
     def recurse(i, strict):
@@ -398,15 +399,19 @@ def test_searches_run_no_strict_lp(monkeypatch):
 
     inst = fixture("saddle-cone").instance
     model = build_graph_model(inst.f, inst.xbar, inst.xstar)
-    union = model.union  # building a PolyUnion runs is_empty LPs
+    union = model.union
     sq = ConvexPolyhedron.box((0, 0), F(1))
     left, right = sq.with_rows([(1, 0)], [F(0)]), sq.with_rows([(-1, 0)], [F(0)])
     empty = ConvexPolyhedron([(1, 0), (-1, 0)], (-1, -1))
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("slack LP")
+    real = lp.solve_standard
 
-    monkeypatch.setattr(lp, "minimize", no_lp)
+    def gordan_only(*args):
+        # every LP the searches solve is a strict test's memo miss
+        assert sys._getframe(1).f_code is lp._strict_feasible.__wrapped__.__code__, "slack LP"
+        return real(*args)
+
+    monkeypatch.setattr(lp, "solve_standard", gordan_only)
     assert cell_complex(union)
     assert local_cells(union, model.basepoint)
     assert poly_union_covers([left, right], [sq]) and not poly_union_covers([left], [sq])

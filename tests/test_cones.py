@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit import cones, lp
-from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, _in_generated, hrep_to_vrep
+from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
 from tiltkit.rational import (F0, F1, add, dot, int_row, is_zero, mat, neg, nullspace, primitive,
                               rank, rref, scale, sub, unit, vec, zeros)
-from test_lp import ARITHMETIC
+from test_lp import ARITHMETIC, feasible_point
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -204,7 +204,7 @@ def lp_in_generated(v, rays, lineality):
     m = len(cols)
     a_eq = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
     a_ub = tuple(tuple(-F1 if j == k else F0 for j in range(m)) for k in range(m))
-    return lp.feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
+    return feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -222,7 +222,8 @@ def test_in_generated_matches_lp_membership(case):
         for c, g in zip(coef[1:], rays + lin):
             v = add(v, scale(g, F(c)))
     v = vec(v)
-    assert _in_generated(v, rays, lin) == lp_in_generated(v, rays, lin)
+    cone = PolyCone.from_generators(rays, len(v), lineality=lin)
+    assert cone.contains(v) == lp_in_generated(v, rays, lin)
 
 
 @st.composite

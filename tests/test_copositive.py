@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lp import minimize
 
+from tiltkit import lp
 from tiltkit.cones import PolyCone
-from tiltkit.copositive import (cone_form_min_sign, cone_form_nonnegative,
+from tiltkit.copositive import (_embed, _submatrix, cone_form_min_sign, cone_form_nonnegative,
                                 cone_zero_points, gram, graph_form, orthant_min_sign,
                                 orthant_zero_witnesses, simplex_min, _quad)
-from tiltkit.rational import combine, dot, is_zero, mat, vec
+from tiltkit.rational import F0, F1, combine, dot, is_zero, mat, solve_affine, vec, zeros
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -105,6 +107,90 @@ def test_simplex_min_is_a_true_minimum(rows):
     for _ in range(200):
         t = rng.dirichlet([1.0, 1.0, 1.0])
         assert t @ nf @ t >= float(val) - 1e-9
+
+
+def lp_simplex_min(n):
+    """Oracle: `simplex_min` that also minimizes lambda/2 over each
+    degenerate KKT system's polytope, by an exact LP in its nullspace
+    coordinates; returns (min, argmin, number of those LPs solved)."""
+    k = len(n)
+    if k == 0:
+        raise ValueError("empty form")
+    best = arg = None
+    solved = 0
+    for size in range(1, k + 1):
+        for s in itertools.combinations(range(k), size):
+            ns = _submatrix(n, s)
+            # rows: 2 (N_S t) - lambda 1 = 0 ; sum t = 1, unknowns (t, lambda)
+            rows = [tuple(2 * ns[i][j] for j in range(size)) + (F(-1),)
+                    for i in range(size)]
+            rows.append((F1,) * size + (F0,))
+            rhs = zeros(size) + (F1,)
+            sol = solve_affine(mat(rows), rhs, size + 1)
+            if sol is None:
+                continue
+            part, null = sol
+            if not null:
+                t, lam = part[:size], part[size]
+                if all(x >= 0 for x in t):
+                    val = lam / 2
+                    if best is None or val < best:
+                        best, arg = val, _embed(t, s, k)
+                continue
+            # minimize lambda/2 over {t(theta) >= 0}: exact LP in theta
+            m = len(null)
+            a_ub = mat([tuple(-null[j][i] for j in range(m)) for i in range(size)])
+            b_ub = vec(part[:size])
+            c = vec([null[j][size] for j in range(m)])
+            status, theta, _ = minimize(c, a_ub, b_ub)
+            if status == lp.INFEASIBLE:
+                continue
+            # boundedness: t-components pin every nullspace direction, so the
+            # value is a continuous function on a compact simplex face
+            assert status == lp.OPTIMAL, "degenerate KKT branch cannot be unbounded"
+            solved += 1
+            t = list(part[:size])
+            lam = part[size]
+            for j in range(m):
+                lam += null[j][size] * theta[j]
+                for i in range(size):
+                    t[i] += null[j][i] * theta[j]
+            if all(x >= 0 for x in t):
+                val = lam / 2
+                if best is None or val < best:
+                    best, arg = val, _embed(tuple(t), s, k)
+    assert best is not None and arg is not None  # singleton supports always qualify
+    return best, arg, solved
+
+
+@st.composite
+def forms_with_a_repeated_index(draw):
+    """Symmetric forms in which one index repeats another's row and column,
+    so every support holding both has a singular principal submatrix and a
+    degenerate KKT system (t may move mass between the two).  The base is
+    a random form or the Gram matrix of k points in the plane under a
+    diagonal form, where every support of three or more is singular too."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rows = sym(draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
+                                 min_size=k, max_size=k)))
+    else:
+        g = draw(st.lists(st.tuples(rationals, rationals), min_size=k, max_size=k))
+        d = draw(st.tuples(rationals, rationals))
+        rows = [[d[0] * p[0] * q[0] + d[1] * p[1] * q[1] for q in g] for p in g]
+    i = draw(st.integers(0, k - 1))
+    ext = [list(r) + [r[i]] for r in rows]
+    ext.append(ext[i][:])
+    order = draw(st.permutations(range(k + 1)))
+    return mat([[ext[a][b] for b in order] for a in order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_with_a_repeated_index())
+def test_simplex_min_matches_lp_oracle_on_degenerate_supports(n):
+    val, arg, solved = lp_simplex_min(n)
+    assert solved  # the oracle's degenerate branch ran
+    assert simplex_min(n) == (val, arg)
 
 
 def test_zero_witness_enumeration():

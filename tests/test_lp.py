@@ -1,12 +1,12 @@
 import itertools
 from fractions import Fraction as F
+from typing import Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_polyhedra import max_over
 
 from tiltkit import lp
-from tiltkit.rational import F0, F1, dot, mat, vec, zeros
+from tiltkit.rational import F0, F1, Mat, Vec, dot, mat, neg, vec, zeros
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -103,6 +103,60 @@ def fraction_solve_standard(c, a, b):
     return lp.OPTIMAL, x, dot(vec(c), x)
 
 
+# -- LP oracles: the general two-phase LP over free variables -----------------
+
+
+def minimize(c: Sequence[F],
+             a_ub: Mat = (), b_ub: Vec = (),
+             a_eq: Mat = (), b_eq: Vec = ()) -> tuple[str, Vec | None, F | None]:
+    """min c x  s.t.  a_ub x <= b_ub, a_eq x = b_eq, x free.
+
+    Free variables are split x = x+ - x-; inequality rows get slacks.
+    """
+    n = len(c)
+    m_ub = len(a_ub)
+    nn = 2 * n + m_ub
+    rows: list[list[F]] = []
+    rhs: list[F] = []
+    for i, row in enumerate(a_ub):
+        r = [F0] * nn
+        for j, v in enumerate(row):
+            r[j] = v
+            r[n + j] = -v
+        r[2 * n + i] = F1
+        rows.append(r)
+        rhs.append(b_ub[i])
+    for row, bi in zip(a_eq, b_eq):
+        r = [F0] * nn
+        for j, v in enumerate(row):
+            r[j] = v
+            r[n + j] = -v
+        rows.append(r)
+        rhs.append(bi)
+    cc = list(c) + [-x for x in c] + [F0] * m_ub
+    status, xs, val = lp.solve_standard(cc, tuple(tuple(r) for r in rows), tuple(rhs))
+    if status != lp.OPTIMAL or xs is None:
+        return status, None, None
+    x = tuple(xs[j] - xs[n + j] for j in range(n))
+    return lp.OPTIMAL, x, val
+
+
+def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
+                   a_eq: Mat = (), b_eq: Vec = (), *, n: int) -> Vec | None:
+    """Some point x in R^n of {a_ub x <= b_ub, a_eq x = b_eq}, or None."""
+    if not a_ub and not a_eq:
+        return zeros(n)
+    status, x, _ = minimize(zeros(n), a_ub, b_ub, a_eq, b_eq)
+    return x if status == lp.OPTIMAL else None
+
+
+def max_over(c, a_ub, b_ub):
+    """Oracle: (status, max of c x over {a_ub x <= b_ub}); status may be
+    'unbounded' or 'infeasible'."""
+    status, _, val = minimize(neg(c), a_ub, b_ub)
+    return (lp.OPTIMAL, -val) if status == lp.OPTIMAL else (status, None)
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
@@ -161,7 +215,7 @@ def test_solve_standard_does_no_fraction_arithmetic(monkeypatch):
 def test_feasible_point_box():
     a = mat([[1, 0], [-1, 0], [0, 1], [0, -1]])
     b = vec([1, 1, 2, 0])
-    x = lp.feasible_point(a, b, n=2)
+    x = feasible_point(a, b, n=2)
     assert x is not None
     assert all(dot(r, x) <= bi for r, bi in zip(a, b))
 
@@ -169,21 +223,21 @@ def test_feasible_point_box():
 def test_infeasible():
     a = mat([[1], [-1]])
     b = vec([-1, -1])  # x <= -1 and x >= 1
-    assert lp.feasible_point(a, b, n=1) is None
+    assert feasible_point(a, b, n=1) is None
 
 
 def test_minimize_matches_vertex_enumeration():
     # min x + 2y over the triangle {x>=0, y>=0, x+y<=1}
     a = mat([[-1, 0], [0, -1], [1, 1]])
     b = vec([0, 0, 1])
-    status, x, val = lp.minimize(vec([1, 2]), a, b)
+    status, x, val = minimize(vec([1, 2]), a, b)
     assert status == lp.OPTIMAL and val == 0
-    status, x, val = lp.minimize(vec([-1, -2]), a, b)
+    status, x, val = minimize(vec([-1, -2]), a, b)
     assert status == lp.OPTIMAL and val == -2 and x == vec([0, 1])
 
 
 def test_unbounded():
-    status, _, _ = lp.minimize(vec([-1]), mat([[-1]]), vec([0]))
+    status, _, _ = minimize(vec([-1]), mat([[-1]]), vec([0]))
     assert status == lp.UNBOUNDED
 
 
@@ -192,12 +246,12 @@ def strictly_feasible_point(a_strict, b_strict, a_eq=(), b_eq=(), *, n):
     or None.  Maximizes the common slack t (capped at 1 so the LP stays
     bounded); strict feasibility holds iff the optimum is positive."""
     if not a_strict:
-        return lp.feasible_point((), (), a_eq, b_eq, n=n)
+        return feasible_point((), (), a_eq, b_eq, n=n)
     # variables (x, t); minimize -t
     rows = [tuple(row) + (F1,) for row in a_strict] + [zeros(n) + (F1,)]
     rhs = list(b_strict) + [F1]
     eq = tuple(tuple(row) + (F0,) for row in a_eq)
-    status, x, _ = lp.minimize(zeros(n) + (F(-1),), tuple(rows), tuple(rhs), eq, b_eq)
+    status, x, _ = minimize(zeros(n) + (F(-1),), tuple(rows), tuple(rhs), eq, b_eq)
     if status != lp.OPTIMAL or x[n] <= 0:
         return None
     return x[:n]
@@ -266,7 +320,7 @@ def test_lp_optimum_is_a_lower_bound_on_vertices(rows, c):
     box = [[F(1), F(0)], [F(-1), F(0)], [F(0), F(1)], [F(0), F(-1)]]
     a = mat(list(rows) + box)
     b = vec([F(1)] * len(rows) + [F(2)] * 4)
-    status, x, val = lp.minimize(vec(c), a, b)
+    status, x, val = minimize(vec(c), a, b)
     assert status == lp.OPTIMAL
     # optimum must not exceed the value at any feasible lattice point
     for px in (F(-2), F(0), F(2)):

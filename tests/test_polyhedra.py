@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lp import feasible_point, max_over
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
@@ -115,7 +116,7 @@ def test_empty_and_relint():
     ([(1, 0, 0), (-1, 0, 0), (0, -1, 1)], [1, -1, 0]),  # x = 1, lineality (0, 1, 1)
 ])
 def test_relint_point_runs_no_lp(monkeypatch, rows, rhs):
-    monkeypatch.setattr(lp, "minimize", lambda *args: pytest.fail("relint_point ran an LP"))
+    monkeypatch.setattr(lp, "solve_standard", lambda *args: pytest.fail("relint_point ran an LP"))
     p = ConvexPolyhedron(rows, rhs)
     rp = p.relint_point()
     implied = p.implied_equalities()
@@ -163,13 +164,6 @@ def test_critical_cone_examples():
 # -- generator reads against the per-row LP oracle ------------------------------
 
 
-def max_over(c, a_ub, b_ub):
-    """Oracle: (status, max of c x over {a_ub x <= b_ub}); status may be
-    'unbounded' or 'infeasible'."""
-    status, _, val = lp.minimize(neg(c), a_ub, b_ub)
-    return (lp.OPTIMAL, -val) if status == lp.OPTIMAL else (status, None)
-
-
 def lp_implied_equalities(p):
     """Per-row LP oracle: row i is implied iff min a_i x over p equals b_i."""
     out = set()
@@ -187,7 +181,7 @@ def lp_face_keys(p):
     for k in range(p.m + 1):
         for subset in itertools.combinations(range(p.m), k):
             f = p.face(subset)
-            if lp.feasible_point(f.a, f.b, n=p.dim) is None:
+            if feasible_point(f.a, f.b, n=p.dim) is None:
                 continue
             canon = set(subset)
             for i in range(p.m):
@@ -225,7 +219,8 @@ def test_generator_reads_match_lp_oracle(p):
     assert implied == lp_implied_equalities(p)
     assert [k for k, _ in p.faces()] == lp_face_keys(p)
     rp = p.relint_point()
-    assert (rp is None) == (lp.feasible_point(p.a, p.b, n=p.dim) is None)
+    empty = feasible_point(p.a, p.b, n=p.dim) is None
+    assert p.is_empty() == empty and (rp is None) == empty
     assert p.poly_dim() == (-1 if rp is None else p.dim - rank([p.a[i] for i in implied]))
     if rp is not None:
         for i, (row, bi) in enumerate(zip(p.a, p.b)):
@@ -248,11 +243,14 @@ def test_implied_equalities_and_faces_solve_no_lp(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lp, "solve_standard", counted)
-    monkeypatch.setattr(ConvexPolyhedron, "is_empty", lambda self: pytest.fail("is_empty LP"))
     for p in (clipped, inst.f.domain.pieces[0]):
         fresh = ConvexPolyhedron(p.a, p.b, dim=p.dim)  # no cached answers
+        assert not fresh.is_empty()
         fresh.implied_equalities()
         assert fresh.faces()
+    # membership in a cone given by generators reads its polar's rows
+    cone = PolyCone.from_generators([(1, 0, 1), (0, 1, 1)], 3, lineality=[(1, -1, 0)])
+    assert cone.contains((2, 3, 5)) and not cone.contains((0, 0, -1))
     assert calls == []
 
 

@@ -122,8 +122,11 @@ def _exact_file(**changes):
     _exact_file(smooth={"Q": 5, "c": [0]}),
     _exact_file(xbar=0),
     {"variant": "analytic", "fixture": "sin-inv", "xstar": [0]},
+    _exact_file(smooth={"Q": [], "c": [], "d": 0}, pieces=[{"A": [], "b": []}],
+                xbar=[], xstar=[]),
+    _exact_file(params={"refine_max": True}),
 ], ids=["no-A", "A-b-lengths", "piece-not-object", "Q-not-list", "xbar-not-list",
-        "analytic-no-xbar"])
+        "analytic-no-xbar", "zero-dimensional", "refine-max-bool"])
 def test_cli_analyze_malformed_file_exits_2(tmp_path, capsys, raw):
     prob = tmp_path / "p.json"
     prob.write_text(json.dumps(raw))
