@@ -153,11 +153,6 @@ def cell_complex(union: PolyUnion) -> list[Cell]:
     return cells
 
 
-def cells_adherent_to(cells: list[Cell], x) -> list[Cell]:
-    x = vec(x)
-    return [c for c in cells if c.closure.contains(x)]
-
-
 # -- brute-force sampling oracle ----------------------------------------------
 
 

@@ -61,7 +61,7 @@ def _analyze(inst: ProblemInstance) -> SuiteResult:
     s.checks.append(CheckResult("subregularity modulus estimated",
                                 PASS if not est.failed else FAIL,
                                 "", {"value": est.value, "history": est.history}))
-    for mode in ("norm-squared", "distance-squared"):
+    for mode in reg.GROWTH_MODES:
         try:
             ah = reg.growth_alpha_hat(inst, mode)
             s.artifacts[f"alpha_hat_{mode}"] = ah
@@ -88,15 +88,12 @@ def _analyze(inst: ProblemInstance) -> SuiteResult:
                 "u": [str(t) for t in u], "ustar": [str(t) for t in us],
                 "pairing": str(val)}
         s.artifacts["kernel_trivial"] = kr.trivial
-        if inst.f.dim <= 3:
-            tilt = reg.tilt_stability_verdict(inst)
-            s.artifacts["tilt_verdict"] = tilt.verdict
-            if tilt.modulus is not None:
-                s.artifacts["tilt_modulus"] = tilt.modulus
-            if tilt.witness_tilt is not None:
-                s.artifacts["tilt_witness"] = tilt.witness_tilt
-        else:
-            s.artifacts["tilt_verdict"] = "skipped: ambient dimension exceeds 3"
+        tilt = reg.tilt_stability_verdict(inst)
+        s.artifacts["tilt_verdict"] = tilt.verdict
+        if tilt.modulus is not None:
+            s.artifacts["tilt_modulus"] = tilt.modulus
+        if tilt.witness_tilt is not None:
+            s.artifacts["tilt_witness"] = tilt.witness_tilt
     s.checks.append(CheckResult("analysis complete", PASS, "", {}))
     return s
 

@@ -1,12 +1,14 @@
 """Second-order objects: graph models of the subdifferential, normal cones
 to them, generalized Hessians, kernels, and definiteness verdicts.
 
-The subgradient graph of a quadratic-plus-polyhedral function is, near a
-reference pair, a finite union of polyhedra {(x, Qx+c+v) : x in cell,
-v in value cone}; every second-order construction reduces to exact
-polyhedral computations on that union.  Sign conventions follow the
-coderivative pairing: w is a Hessian value at direction u exactly when
-(w, -u) is normal to the graph.
+The subgradient graph of a quadratic-plus-polyhedral function is a finite
+union of polyhedra {(x, Qx+c+v) : x in cell, v in value cone}, one per
+global cell (`FunctionSpec.graph`); near a reference pair it is the union
+of the pieces containing that pair, and every second-order construction
+reduces to exact polyhedral computations on that union.  Hessian values
+are slices of the graph's normal cones, as inverse images are slices of
+the graph itself.  Sign conventions follow the coderivative pairing: w is
+a Hessian value at direction u exactly when (w, -u) is normal to the graph.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell, cells_adherent_to, limiting_normal_cone, regular_normal_cone
+from .cells import limiting_normal_cone, regular_normal_cone
 from .cones import ConeUnion, PolyCone
 from .copositive import cone_form_min_sign, cone_zero_points, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
-from .rational import (F0, F1, Vec, add, dot, is_zero, mat, matvec, neg,
+from .rational import (F0, F1, Vec, dot, is_zero, mat, matvec, neg,
                        sub, vec, zeros)
 from .subdiff import subdifferential
 
@@ -31,7 +33,6 @@ class GraphLocalModel:
     xbar: Vec
     xstar: Vec
     pieces: tuple[ConvexPolyhedron, ...]
-    cells: tuple[Cell, ...]
 
     @property
     def union(self) -> PolyUnion:
@@ -42,39 +43,15 @@ class GraphLocalModel:
         return self.xbar + self.xstar
 
 
-def _graph_piece(f: FunctionSpec, cell: Cell) -> ConvexPolyhedron:
-    """{(x, y) : x in closure(cell), y - Qx - c in value(cell)}."""
-    n = f.dim
-    q, c = f.smooth.q, f.smooth.c
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    for row, bi in zip(cell.closure.a, cell.closure.b):
-        rows.append(tuple(row) + zeros(n))
-        rhs.append(bi)
-    for g in cell.value.ineqs:
-        gq = matvec(q, vec(g))
-        rows.append(tuple(-x for x in gq) + tuple(g))
-        rhs.append(dot(vec(g), c))
-    return ConvexPolyhedron(mat(rows), vec(rhs), dim=2 * n)
-
-
 def build_graph_model(f: FunctionSpec, xbar, xstar) -> GraphLocalModel:
-    """Graph pieces from domain cells adherent to xbar, keeping those whose
-    closure contains the reference pair."""
+    """The pieces of `f.graph()` containing the reference pair (their cells' closures hold xbar)."""
     if not f.is_exact:
         raise ValidationError("graph models need the exact variant")
     xbar, xstar = vec(xbar), vec(xstar)
     if not subdifferential(f, xbar).contains(xstar):
         raise ValidationError("reference pair is not on the subdifferential graph")
     base = xbar + xstar
-    pieces = []
-    kept_cells = []
-    for cell in cells_adherent_to(list(f.cells()), xbar):
-        piece = _graph_piece(f, cell)
-        if piece.contains(base):
-            pieces.append(piece)
-            kept_cells.append(cell)
-    return GraphLocalModel(f, xbar, xstar, tuple(pieces), tuple(kept_cells))
+    return GraphLocalModel(f, xbar, xstar, tuple(p for p in f.graph() if p.contains(base)))
 
 
 def graph_normal_cone_limiting(model: GraphLocalModel) -> ConeUnion:
@@ -100,17 +77,9 @@ class SecondOrderMap:
 
 
 def _slice_pieces(cones: list[PolyCone], u: Vec, n: int) -> list[ConvexPolyhedron]:
-    out = []
-    for k in cones:
-        rows, rhs = [], []
-        for g in k.ineqs:
-            gw, gz = vec(g[:n]), vec(g[n:])
-            rows.append(gw)
-            rhs.append(dot(gz, u))
-        poly = ConvexPolyhedron(mat(rows), vec(rhs), dim=n)
-        if not poly.is_empty():
-            out.append(poly)
-    return out
+    """The nonempty slices at z = -u of the cones {(w, z) : g.(w, z) <= 0}."""
+    cuts = (ConvexPolyhedron(k.ineqs, zeros(len(k.ineqs)), dim=2 * n).slice(neg(u)) for k in cones)
+    return [p for p in cuts if not p.is_empty()]
 
 
 def second_order_map(f: FunctionSpec, xbar, xstar) -> SecondOrderMap:
@@ -157,9 +126,8 @@ def hessian_sum_rule_check(f: FunctionSpec, xbar, xstar,
     ind = second_order_map(f_ind, xbar, vbar)
     if directions is None:
         directions = _direction_set(n)
-    for u in directions:
-        u = vec(u)
-        qu = add(matvec(f.smooth.q, u), zeros(n))
+    for u in map(vec, directions):
+        qu = matvec(f.smooth.q, u)
         lhs = full.value(u)
         rhs = [p.translate(qu) for p in ind.value(u)]
         if not (poly_union_covers(lhs, rhs) and poly_union_covers(rhs, lhs)):

@@ -18,12 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .polyhedra import ConvexPolyhedron, PolyUnion
-from .rational import (F0, Mat, Vec, add, dot, frac, mat, matvec, norm_sq,
+from .rational import (F0, Mat, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
                        scale, sub, vec, zeros)
 
-# Rows per problem-file piece: the exact cell and cone machinery grows
-# quickly with the rows of the pieces it is given.
+# Rows per problem-file piece and problem dimension: the exact machinery grows
+# quickly with the rows of the pieces, the grids and tilt solves with the dimension.
 MAX_ROWS = 20
+MAX_DIM = 3
 
 
 class ParseError(ValueError):
@@ -186,8 +187,8 @@ class FunctionSpec:
             self.domain = domain
             self.fixture = None
             self.dim = smooth.dim
-        # per-function memos: cell_complex, second_order_map, inverse_image
-        self._cells = None
+        # per-function memos: graph, second_order_map, inverse_image
+        self._graph = None
         self._graph_models: dict = {}
         self._inverse_images: dict = {}
 
@@ -195,12 +196,22 @@ class FunctionSpec:
     def is_exact(self) -> bool:
         return self.variant == "exact"
 
-    def cells(self):
-        """Global signature cells of the domain union (cached)."""
+    def graph(self) -> tuple[ConvexPolyhedron, ...]:
+        """gph of the subdifferential as one polyhedron {(x, y) : x in cl C, y - Qx - c in V_C}
+        per global cell C (cached): cl C's rows padded with zeros, then (-gQ | g) <= g.c per
+        row g of the normal-cone value V_C."""
         from .cells import cell_complex
-        if self._cells is None:
-            self._cells = cell_complex(self.domain)
-        return self._cells
+        if self._graph is None:
+            n, q, c = self.dim, self.smooth.q, self.smooth.c
+            cells = cell_complex(self.domain)
+            # cells share value rows, so each distinct g is multiplied out once
+            vrow = {g: (neg(matvec(q, g)) + g, dot(g, c))
+                    for g in dict.fromkeys(g for cell in cells for g in cell.value.ineqs)}
+            self._graph = tuple(ConvexPolyhedron(
+                [row + zeros(n) for row in cell.closure.a] + [vrow[g][0] for g in cell.value.ineqs],
+                cell.closure.b + tuple(vrow[g][1] for g in cell.value.ineqs), dim=2 * n)
+                for cell in cells)
+        return self._graph
 
     def __repr__(self) -> str:
         if self.is_exact:
@@ -393,8 +404,8 @@ def _parse_exact(raw: dict, params: Params) -> ProblemInstance:
     xbar = vec(_rationals(_field(raw, "xbar"), "'xbar'"))
     xstar = vec(_rationals(_field(raw, "xstar"), "'xstar'"))
     n = len(c)
-    if n == 0:
-        raise ParseError("problem dimension must be at least 1")
+    if not 1 <= n <= MAX_DIM:
+        raise ParseError(f"problem dimension {n} is outside 1..{MAX_DIM}")
     if len(xbar) != n or len(xstar) != n:
         raise ParseError("xbar/xstar dimension mismatch")
     pieces_obj = raw.get("pieces", [{"A": [], "b": []}])

@@ -118,9 +118,22 @@ class ConvexPolyhedron:
         return ConvexPolyhedron(self.a + mat(rows), self.b + vec(rhs), dim=self.dim)
 
     def translate(self, t) -> "ConvexPolyhedron":
-        t = vec(t)
-        return ConvexPolyhedron(self.a, tuple(bi + dot(row, t) for row, bi in zip(self.a, self.b)),
-                                dim=self.dim)
+        return self.preimage([unit(self.dim, i) for i in range(self.dim)], neg(vec(t)))
+
+    def preimage(self, cols, shift) -> "ConvexPolyhedron":
+        """{s : shift + sum_i s_i cols_i in P}."""
+        shift = vec(shift)
+        return ConvexPolyhedron(tuple(tuple(dot(row, c) for c in cols) for row in self.a),
+                                tuple(bi - dot(row, shift) for row, bi in zip(self.a, self.b)),
+                                dim=len(cols))
+
+    def slice(self, y) -> "ConvexPolyhedron":
+        """{x : (x, y) in P}, y the trailing coordinates: rows a[:k], right sides b - a[k:].y."""
+        y = vec(y)
+        k = self.dim - len(y)
+        return ConvexPolyhedron(tuple(row[:k] for row in self.a),
+                                tuple(bi - dot(row[k:], y) for row, bi in zip(self.a, self.b)),
+                                dim=k)
 
     # -- local cones ---------------------------------------------------------
 

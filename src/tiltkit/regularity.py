@@ -187,10 +187,15 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=1)
 
 
+GROWTH_MODES = ("norm-squared", "distance-squared")
+
+
 def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
                   n_points: int):
     """(points, base, lhs, k) of the growth inequality on the eta-ball grid:
     lhs = f(x), base = f(xbar) + <xstar, x - xbar>, k = D(x)^2."""
+    if mode not in GROWTH_MODES:
+        raise ValidationError(f"unknown mode {mode!r}; options {GROWTH_MODES}")
     if not inst.f.is_exact:
         fx = inst.f.fixture
         eta = float(eta)
@@ -706,19 +711,7 @@ def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
 def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
     """Vertex-style representatives of (x0 + span sol_dirs) inside the piece
     and the gamma box."""
-    rows = list(piece.a)
-    rhs = list(piece.b)
-    box = ConvexPolyhedron.box(xbar, gamma)
-    rows += list(box.a)
-    rhs += list(box.b)
-    # parametrize x = x0 + S t
-    m = len(sol_dirs)
-    arows = []
-    brows = []
-    for row, bv in zip(rows, rhs):
-        arows.append(tuple(dot(vec(row), s) for s in sol_dirs))
-        brows.append(bv - dot(vec(row), x0))
-    polyt = ConvexPolyhedron(mat(arows), vec(brows), dim=m)
+    polyt = piece.intersect(ConvexPolyhedron.box(xbar, gamma)).preimage(sol_dirs, x0)
     vs, _, _ = polyt.vrep()
     if not vs:
         return []

@@ -2,9 +2,10 @@
 
 For the exact class the limiting subdifferential is gradient + limiting
 normal cone of the domain union (the smooth-plus-indicator sum rule is an
-identity here), so membership and inverse images are decided exactly.
-The analytic 1-D path returns certified interval enclosures built from
-derivative limit sampling.
+identity here), so membership is decided exactly, and an inverse image
+is the slice of the subgradient graph `FunctionSpec.graph` at the queried
+subgradient.  The analytic 1-D path returns certified interval enclosures
+built from derivative limit sampling.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .project import distance_to_cone, distance_to_polyhedron
-from .rational import Vec, dot, matvec, neg, sub, to_float, vec
+from .rational import Vec, sub, to_float, vec
 
 
 class EmptySliceError(ValueError):
@@ -216,12 +217,10 @@ def analytic_inverse_points(fixture: AnalyticFixture1D, vstar: float,
 @dataclass(frozen=True)
 class InverseSlice:
     """(subdifferential)^{-1}(v) intersected with a bounding box, as an
-    exact finite union of polyhedra; `truncated` flags pre-box
-    unboundedness."""
+    exact finite union of polyhedra."""
     v: Vec
     box: ConvexPolyhedron
     pieces: tuple[ConvexPolyhedron, ...]
-    truncated: bool
 
     def contains(self, x) -> bool:
         return any(p.contains(x) for p in self.pieces)
@@ -233,10 +232,10 @@ class InverseSlice:
 def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     """All x in box with v in the subdifferential at x.
 
-    Per signature cell the normal-cone value is a fixed convex cone C and
-    the condition v - Qx - c in C is affine-polyhedral in x, so the slice
-    is an exact finite union of polyhedra.  Cached per (v, box): the
-    estimators revisit the same tilted subgradients many times.
+    The inverse image is the slice of the subgradient graph at y = v, so
+    per graph piece it is the polyhedron `piece.slice(v)`, kept when it
+    meets the box.  Cached per (v, box): the estimators revisit the same
+    tilted subgradients many times.
     """
     if not f.is_exact:
         raise ValidationError("inverse_image needs the exact variant "
@@ -244,28 +243,11 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     v = vec(v)
     key = (v, box.a, box.b)
     hit = f._inverse_images.get(key)
-    if hit is not None:
-        return hit
-    q, c = f.smooth.q, f.smooth.c
-    pieces: list[ConvexPolyhedron] = []
-    truncated = False
-    for cell in f.cells():
-        rows = []
-        rhs = []
-        for g in cell.value.ineqs:
-            gq = matvec(q, vec(g))  # Q symmetric: row g.Q
-            rows.append(neg(gq))
-            rhs.append(dot(vec(g), c) - dot(vec(g), v))
-        candidate = cell.closure.with_rows(rows, rhs) if rows else cell.closure
-        if candidate.is_empty():
-            continue
-        if not candidate.is_bounded():
-            truncated = True
-        boxed = candidate.intersect(box)
-        if not boxed.is_empty():
-            pieces.append(boxed)
-    out = f._inverse_images[key] = InverseSlice(v, box, tuple(pieces), truncated)
-    return out
+    if hit is None:
+        boxed = (piece.slice(v).intersect(box) for piece in f.graph())
+        hit = f._inverse_images[key] = InverseSlice(
+            v, box, tuple(p for p in boxed if not p.is_empty()))
+    return hit
 
 
 def distance_to_inverse(f: FunctionSpec, v, x, box: ConvexPolyhedron,

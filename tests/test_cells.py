@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from test_lp import minimize, strictly_feasible_point
 
 from tiltkit import lp
-from tiltkit.cells import (Cell, _value_cone, cell_complex, cells_adherent_to,
-                           limiting_normal_cone, local_cells, regular_normal_cone,
-                           sampled_regular_normals)
+from tiltkit.cells import (Cell, _value_cone, cell_complex, limiting_normal_cone,
+                           local_cells, regular_normal_cone, sampled_regular_normals)
 from tiltkit.cones import ConeUnion, PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
 from tiltkit.rational import add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
@@ -80,15 +79,15 @@ def test_global_cells_of_wedge():
     assert len(cells) == 4
     dims = sorted(c.closure.poly_dim() for c in cells)
     assert dims == [0, 1, 1, 2]
-    adh = cells_adherent_to(cells, (0, 0))
+    adh = [c for c in cells if c.closure.contains((0, 0))]
     assert len(adh) == 4
-    adh_edge = cells_adherent_to(cells, (1, 1))
+    adh_edge = [c for c in cells if c.closure.contains((1, 1))]
     assert len(adh_edge) == 2  # the edge and the full cell
 
 
 def test_global_cells_of_cross_cover_origin_values():
     cells = cell_complex(cross())
-    values_at_origin = [c.value for c in cells_adherent_to(cells, (0, 0))]
+    values_at_origin = [c.value for c in cells if c.closure.contains((0, 0))]
     lines = [v for v in values_at_origin if v.lineality]
     assert any(v.contains((0, 1)) for v in lines)
     assert any(v.contains((1, 0)) for v in lines)

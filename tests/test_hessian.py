@@ -2,15 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from tiltkit.cells import cell_complex
+from tiltkit.fixtures import CORPUS
 from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
-                             SEMIDEFINITE_DEGENERATE, build_graph_model,
+                             SEMIDEFINITE_DEGENERATE, _direction_set, build_graph_model,
                              combined_second_order, definiteness,
                              graph_normal_cone_limiting, hessian_sum_rule_check,
                              kernel, second_order_contains, second_order_map,
                              second_order_subdifferential)
 from tiltkit.model import FunctionSpec, QuadraticForm, ValidationError
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
-from tiltkit.rational import matvec, vec
+from tiltkit.rational import dot, mat, matvec, vec, zeros
 
 
 def full(n):
@@ -199,3 +201,62 @@ def test_regularize_shifts_hessian_values_exactly():
     shifted_pair = tuple(a + b for a, b in zip(ustar, u))
     assert second_order_contains(g, (0, 0), (0, 0), u, shifted_pair)
     assert val + norm_u == sum(a * b for a, b in zip(shifted_pair, u))
+
+
+# -- the row-building graph code the graph slices replace, kept as oracles -------
+
+
+def cells_adherent_to(cells, x):
+    x = vec(x)
+    return [c for c in cells if c.closure.contains(x)]
+
+
+def graph_piece(f, cell):
+    """{(x, y) : x in closure(cell), y - Qx - c in value(cell)}."""
+    n = f.dim
+    q, c = f.smooth.q, f.smooth.c
+    rows, rhs = [], []
+    for row, bi in zip(cell.closure.a, cell.closure.b):
+        rows.append(tuple(row) + zeros(n))
+        rhs.append(bi)
+    for g in cell.value.ineqs:
+        gq = matvec(q, vec(g))
+        rows.append(tuple(-x for x in gq) + tuple(g))
+        rhs.append(dot(vec(g), c))
+    return ConvexPolyhedron(mat(rows), vec(rhs), dim=2 * n)
+
+
+def adherent_graph_pieces(f, xbar, xstar):
+    base = vec(xbar) + vec(xstar)
+    pieces = (graph_piece(f, cell) for cell in cells_adherent_to(cell_complex(f.domain), xbar))
+    return [p for p in pieces if p.contains(base)]
+
+
+def row_loop_slice_pieces(cones, u, n):
+    out = []
+    for k in cones:
+        rows, rhs = [], []
+        for g in k.ineqs:
+            gw, gz = vec(g[:n]), vec(g[n:])
+            rows.append(gw)
+            rhs.append(dot(gz, u))
+        poly = ConvexPolyhedron(mat(rows), vec(rhs), dim=n)
+        if not poly.is_empty():
+            out.append(poly)
+    return out
+
+
+EXACT = sorted(name for name, fx in CORPUS.items() if fx.instance.f.is_exact)
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_graph_model_and_hessian_values_match_row_loop_oracles(name):
+    inst = CORPUS[name].instance
+    model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+    want = adherent_graph_pieces(inst.f, inst.xbar, inst.xstar)
+    assert [(p.a, p.b) for p in model.pieces] == [(p.a, p.b) for p in want]
+    som = second_order_map(inst.f, inst.xbar, inst.xstar)
+    for u in _direction_set(inst.f.dim):
+        got = som.value(u)
+        want = row_loop_slice_pieces(som.normal_cone.pieces, u, inst.f.dim)
+        assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]

@@ -58,6 +58,22 @@ def test_membership_matches_fraction_dot(case):
                 poly.active_set(p)
 
 
+@given(rows_and_points(), st.integers(0, 3), st.data())
+def test_slice_and_preimage_membership(case, k, data):
+    a, b, points = case
+    poly = ConvexPolyhedron(a, b)
+    n = poly.dim
+    k = min(k, n)
+    cols = [vec(c) for c in data.draw(st.lists(st.tuples(*[fracs] * n), max_size=3))]
+    for p in map(vec, points):
+        # x in P.slice(y) iff (x, y) in P
+        assert poly.slice(p[k:]).contains(p[:k]) == poly.contains(p)
+        s = data.draw(st.tuples(*[fracs] * len(cols)))
+        image = tuple(pi + sum((si * c[i] for si, c in zip(s, cols)), F0)
+                      for i, pi in enumerate(p))
+        assert poly.preimage(cols, p).contains(s) == poly.contains(image)
+
+
 def test_membership_rejects_points_of_the_wrong_length():
     poly = ConvexPolyhedron([(1, 0)], (1,))
     cones = [PolyCone.from_inequalities([(1, 0)], 2), PolyCone.from_generators([(1, 0)], 2)]

@@ -247,7 +247,15 @@ def test_slice_points_cache_keys_on_content():
     for k in range(20):
         t = F(k, 200)
         piece = ConvexPolyhedron([(1,), (-1,)], (t, -t))
-        assert _slice_points(InverseSlice(v, box, (piece,), False), center, radius) == [(t,)]
+        assert _slice_points(InverseSlice(v, box, (piece,)), center, radius) == [(t,)]
+
+
+@pytest.mark.parametrize("name", ["quad-diag", "oscillating-1d"])
+def test_unknown_growth_mode_is_rejected(name):
+    with pytest.raises(ValidationError):
+        check_growth(inst(name), 0.5, "bogus")
+    with pytest.raises(ValidationError):
+        growth_alpha_hat(inst(name), "typo")
 
 
 def test_growth_alpha_hat_analytic_is_the_largest_passing_alpha():

@@ -3,9 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cells import unions_through_origin
 
+from tiltkit.cells import cell_complex
 from tiltkit.model import ANALYTIC_REGISTRY, FunctionSpec, QuadraticForm, ValidationError
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
+from tiltkit.rational import dot, matvec, neg, vec
 from tiltkit.subdiff import (EmptySliceError, analytic_inverse_points,
                              distance_to_inverse, frechet_subdifferential,
                              inverse_image, stationary_points_1d, subdifferential,
@@ -94,7 +99,6 @@ def test_inverse_image_saddle_is_two_segments():
     for t in (F(0), F(1, 4), F(1, 2), F(1)):
         assert sl.contains((t, t)) and sl.contains((t, -t))
     assert not sl.contains((F(1, 2), F(0)))
-    assert sl.truncated  # the rays escape every box
 
 
 def test_inverse_image_smooth_singleton():
@@ -113,19 +117,74 @@ def test_inverse_image_cross_of_zero_is_origin():
         assert not sl.contains(bad)
 
 
-def test_inverse_adjointness_randomized():
-    f = saddle()
-    box = ConvexPolyhedron.box((0, 0), F(2))
-    rng = random.Random(11)
-    for _ in range(25):
-        v = (F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
-        x = (F(rng.randint(0, 2)), F(rng.randint(-2, 2)))
+def row_loop_inverse_image(f, v, box):
+    """Oracle: the inverse image built row by row per global cell, deciding
+    each candidate before it is cut by the box (two DDs per cell)."""
+    v = vec(v)
+    q, c = f.smooth.q, f.smooth.c
+    pieces = []
+    for cell in cell_complex(f.domain):
+        rows = []
+        rhs = []
+        for g in cell.value.ineqs:
+            gq = matvec(q, vec(g))  # Q symmetric: row g.Q
+            rows.append(neg(gq))
+            rhs.append(dot(vec(g), c) - dot(vec(g), v))
+        candidate = cell.closure.with_rows(rows, rhs) if rows else cell.closure
+        if candidate.is_empty():
+            continue
+        boxed = candidate.intersect(box)
+        if not boxed.is_empty():
+            pieces.append(boxed)
+    return pieces
+
+
+small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def exact_functions(draw):
+    """A union through the origin with a random symmetric Q and c."""
+    union = draw(unions_through_origin())
+    n = union.dim
+    upper = {(i, j): draw(small) for i in range(n) for j in range(i, n)}
+    q = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    c = draw(st.lists(small, min_size=n, max_size=n))
+    return FunctionSpec(smooth=QuadraticForm.make(q, c), domain=union)
+
+
+@settings(max_examples=20, deadline=None)
+@given(exact_functions(), st.data())
+def test_graph_slices_match_row_loop_oracle(f, data):
+    n = f.dim
+    v = data.draw(st.lists(small, min_size=n, max_size=n))
+    box = ConvexPolyhedron.box(data.draw(st.lists(small, min_size=n, max_size=n)),
+                               data.draw(st.sampled_from([F(1, 2), F(1), F(2)])))
+    got = inverse_image(f, v, box).pieces
+    want = row_loop_inverse_image(f, v, box)
+    assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
+
+
+@settings(max_examples=20, deadline=None)
+@given(exact_functions(), st.data())
+def test_inverse_adjointness_randomized(f, data):
+    # gph of the subdifferential is the union of f.graph(), checked against
+    # the local-cells subdifferential at points of the box and the domain
+    n = f.dim
+    box = ConvexPolyhedron.box((0,) * n, F(1))
+    xs = [(F(0),) * n] + data.draw(st.lists(st.lists(small.filter(lambda t: abs(t) <= 1),
+                                                     min_size=n, max_size=n), max_size=2))
+    for x in map(vec, xs):
         if not f.domain.contains(x):
             continue
-        sl = inverse_image(f, v, box)
-        member = sl.contains(x)
-        direct = subdifferential(f, x).contains(v)
-        assert member == direct
+        sd = subdifferential(f, x)
+        # the gradient, a drawn vector, and the gradient plus an active row
+        vs = [sd.base, data.draw(st.lists(small, min_size=n, max_size=n))]
+        active = [p.a[i] for p in f.domain.pieces if p.contains(x) for i in sorted(p.active_set(x))]
+        if active:
+            vs.append(tuple(b + a for b, a in zip(sd.base, data.draw(st.sampled_from(active)))))
+        for v in vs:
+            assert inverse_image(f, v, box).contains(x) == sd.contains(v)
 
 
 def test_distance_to_inverse():

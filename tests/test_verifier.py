@@ -125,8 +125,11 @@ def _exact_file(**changes):
     _exact_file(smooth={"Q": [], "c": [], "d": 0}, pieces=[{"A": [], "b": []}],
                 xbar=[], xstar=[]),
     _exact_file(params={"refine_max": True}),
+    _exact_file(smooth={"Q": [[int(i == j) for j in range(4)] for i in range(4)],
+                        "c": [0] * 4}, pieces=[{"A": [], "b": []}],
+                xbar=[0] * 4, xstar=[0] * 4),
 ], ids=["no-A", "A-b-lengths", "piece-not-object", "Q-not-list", "xbar-not-list",
-        "analytic-no-xbar", "zero-dimensional", "refine-max-bool"])
+        "analytic-no-xbar", "zero-dimensional", "refine-max-bool", "four-dimensional"])
 def test_cli_analyze_malformed_file_exits_2(tmp_path, capsys, raw):
     prob = tmp_path / "p.json"
     prob.write_text(json.dumps(raw))
