@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 
-from .rational import MEMO_SIZE, Mat, Vec, int_nullspace, int_row, int_rref, mat, neg, rank, vec
+from .rational import MEMO_SIZE, Mat, Vec, int_nullspace, int_row, int_rref, mat, neg, vec
 
 
 def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -162,7 +162,7 @@ class PolyCone:
         return tuple(map(int_row, self.ineqs))
 
     def _compute_vrep(self) -> None:
-        lin, rays = hrep_to_vrep(self.ineqs, self.dim)
+        lin, rays = hrep_to_vrep(self.int_rows, self.dim)
         self._lineality, self._rays = lin, rays
 
     @property
@@ -208,10 +208,6 @@ class PolyCone:
 
     def is_trivial(self) -> bool:
         return not self.rays and not self.lineality
-
-    def cone_dim(self) -> int:
-        gens = self.rays + self.lineality
-        return rank(mat(gens)) if gens else 0
 
     # -- face lattice --------------------------------------------------------
 

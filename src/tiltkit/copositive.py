@@ -144,32 +144,29 @@ def orthant_zero_witnesses(n: Mat) -> Iterator[Vec]:
 
 def cone_form_min_sign(cone: PolyCone, form: Mat) -> tuple[int, Vec | None]:
     """Sign of min of the form over cone \\ {0}; witness is a cone point."""
+    sign, w, zeros = cone_form_sign_and_zeros(cone, form)
+    if sign:
+        return sign, w
+    # Zero answers must map to a nonzero cone point to count: the first one.
+    return next(((0, v) for v in zeros), (1, None))
+
+
+def cone_form_sign_and_zeros(cone: PolyCone, form: Mat) -> tuple[int, Vec | None, Iterator[Vec]]:
+    """(sign, witness, zeros) from one Gram matrix of the cone's generators:
+    the sign of the simplex minimum, a cone point where the form is
+    negative when that sign is -1, and, when it is 0, the nonzero cone
+    points where the form vanishes, enumerated lazily (none otherwise)."""
     gens = cone.generators()
     if not gens:
-        return 1, None
+        return 1, None, iter(())
     n = gram(gens, form)
     val, t = simplex_min(n)
     if val < 0:
-        return -1, combine(gens, t)
+        return -1, combine(gens, t), iter(())
     if val > 0:
-        return 1, None
-    # Zero answers must map to a nonzero cone point to count: the first of
-    # cone_zero_points.
-    return next(((0, v) for v in _zero_points(gens, n)), (1, None))
-
-
-def cone_zero_points(cone: PolyCone, form: Mat) -> Iterator[Vec]:
-    """Nonzero cone points where a (cone-)copositive form vanishes."""
-    gens = cone.generators()
-    if gens:
-        yield from _zero_points(gens, gram(gens, form))
-
-
-def _zero_points(gens: list[Vec], n: Mat) -> Iterator[Vec]:
-    for t in orthant_zero_witnesses(n):
-        v = combine(gens, t)
-        if not is_zero(v):
-            yield v
+        return 1, None, iter(())
+    points = (combine(gens, t) for t in orthant_zero_witnesses(n))
+    return 0, None, (v for v in points if not is_zero(v))
 
 
 def cone_form_nonnegative(cone: PolyCone, form: Mat) -> tuple[bool, Vec | None]:

@@ -18,11 +18,10 @@ from fractions import Fraction
 
 from .cells import limiting_normal_cone, regular_normal_cone
 from .cones import ConeUnion, PolyCone
-from .copositive import cone_form_min_sign, cone_zero_points, graph_form
+from .copositive import cone_form_sign_and_zeros, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
-from .polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
-from .rational import (F0, F1, Vec, dot, is_zero, mat, matvec, neg,
-                       sub, vec, zeros)
+from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
+from .rational import F0, F1, Vec, dot, is_zero, mat, matvec, neg, sub, vec
 from .subdiff import subdifferential
 
 
@@ -78,7 +77,7 @@ class SecondOrderMap:
 
 def _slice_pieces(cones: list[PolyCone], u: Vec, n: int) -> list[ConvexPolyhedron]:
     """The nonempty slices at z = -u of the cones {(w, z) : g.(w, z) <= 0}."""
-    cuts = (ConvexPolyhedron(k.ineqs, zeros(len(k.ineqs)), dim=2 * n).slice(neg(u)) for k in cones)
+    cuts = (cone_polyhedron(k).slice(neg(u)) for k in cones)
     return [p for p in cuts if not p.is_empty()]
 
 
@@ -130,7 +129,7 @@ def hessian_sum_rule_check(f: FunctionSpec, xbar, xstar,
         qu = matvec(f.smooth.q, u)
         lhs = full.value(u)
         rhs = [p.translate(qu) for p in ind.value(u)]
-        if not (poly_union_covers(lhs, rhs) and poly_union_covers(rhs, lhs)):
+        if not same_union(lhs, rhs):
             return False
     return True
 
@@ -178,8 +177,6 @@ INDEFINITE = "indefinite"
 class DefinitenessVerdict:
     verdict: str
     witness: tuple[Vec, Vec, Fraction] | None  # (u, ustar, <ustar,u>)
-    kernel_basis: tuple[Vec, ...]
-    has_direction_free_normals: bool  # pieces with u = 0 but w != 0 exist
 
 
 def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
@@ -193,35 +190,23 @@ def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
     som = second_order_map(f, xbar, xstar)
     n = f.dim
     form = graph_form(n, 0, -1, 0)  # <w, -z> on stacked (w, z)
-    kr = kernel(f, xbar, xstar)
     neg_wit = None
     zero_wit = None
-    u0_pieces = False
     for k in som.normal_cone.pieces:
-        gens = k.generators()
-        if not gens:
+        if all(is_zero(vec(g[n:])) for g in k.generators()):
             continue
-        if all(is_zero(vec(g[n:])) for g in gens):
-            if any(not is_zero(vec(g[:n])) for g in gens):
-                u0_pieces = True
-            continue
-        sign, w = cone_form_min_sign(k, form)
-        if sign < 0 and neg_wit is None:
+        sign, w, zero_points = cone_form_sign_and_zeros(k, form)
+        if sign < 0:
             neg_wit = w
-        elif sign == 0 and zero_wit is None:
-            # w is the first zero point; scan on only when its z-part is 0
-            zero_wit = w if not is_zero(vec(w[n:])) else next(
-                (v for v in cone_zero_points(k, form) if not is_zero(vec(v[n:]))), None)
-        if neg_wit is not None:
             break
+        if zero_wit is None:
+            zero_wit = next((v for v in zero_points if not is_zero(vec(v[n:]))), None)
     if neg_wit is not None:
         u = neg(vec(neg_wit[n:]))
         ustar = vec(neg_wit[:n])
-        return DefinitenessVerdict(INDEFINITE, (u, ustar, dot(ustar, u)),
-                                   kr.basis, u0_pieces)
+        return DefinitenessVerdict(INDEFINITE, (u, ustar, dot(ustar, u)))
     if zero_wit is not None:
         u = neg(vec(zero_wit[n:]))
         ustar = vec(zero_wit[:n])
-        return DefinitenessVerdict(SEMIDEFINITE_DEGENERATE, (u, ustar, F0),
-                                   kr.basis, u0_pieces)
-    return DefinitenessVerdict(POSITIVE_DEFINITE, None, kr.basis, u0_pieces)
+        return DefinitenessVerdict(SEMIDEFINITE_DEGENERATE, (u, ustar, F0))
+    return DefinitenessVerdict(POSITIVE_DEFINITE, None)

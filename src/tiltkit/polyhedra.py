@@ -205,10 +205,6 @@ class ConvexPolyhedron:
             self._vrep = (points, rec, linv)
         return self._vrep
 
-    def is_bounded(self) -> bool:
-        _, rec, lin = self.vrep()
-        return not rec and not lin
-
     def to_float_rows(self) -> tuple[list[list[float]], list[float]]:
         return [list(map(float, r)) for r in self.a], [float(x) for x in self.b]
 
@@ -252,6 +248,11 @@ def critical_cone(piece: ConvexPolyhedron, x, v) -> PolyCone:
     return PolyCone.from_inequalities(mat(rows), piece.dim)
 
 
+def cone_polyhedron(cone: PolyCone) -> ConvexPolyhedron:
+    """The cone's inequality form {u : G u <= 0} as a polyhedron."""
+    return ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)), dim=cone.dim)
+
+
 def homogenize(a, b) -> tuple[int, ...]:
     """The row a x <= b as the primitive int row of a x - b t <= 0 on (x, t)."""
     return int_row(tuple(a) + (-b,))
@@ -285,6 +286,11 @@ def poly_union_covers(covers: list[ConvexPolyhedron],
                       targets: list[ConvexPolyhedron]) -> bool:
     """Exact test: union(targets) subseteq union(covers)."""
     return all(not _poly_escapes(t, covers) for t in targets)
+
+
+def same_union(a: list[ConvexPolyhedron], b: list[ConvexPolyhedron]) -> bool:
+    """Exact test: union(a) == union(b), as covers both ways."""
+    return poly_union_covers(a, b) and poly_union_covers(b, a)
 
 
 def _poly_escapes(target: ConvexPolyhedron, covers: list[ConvexPolyhedron]) -> bool:

@@ -15,9 +15,9 @@ import functools
 
 import numpy as np
 
-from .polyhedra import ConvexPolyhedron
+from .polyhedra import ConvexPolyhedron, cone_polyhedron
 from .cones import PolyCone
-from .rational import MEMO_SIZE, Mat, Vec, rank, zeros
+from .rational import MEMO_SIZE, Mat, Vec, rank
 
 FEAS_TOL = 1e-9
 
@@ -78,8 +78,7 @@ def distance_to_polyhedron(z, poly: ConvexPolyhedron) -> float:
 
 def project_cone(z, cone: PolyCone) -> np.ndarray:
     """Projection onto a polyhedral cone via its inequality form."""
-    return project_polyhedron(z, ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)),
-                                                  dim=cone.dim))
+    return project_polyhedron(z, cone_polyhedron(cone))
 
 
 def distance_to_cone(z, cone: PolyCone) -> float:

@@ -48,9 +48,6 @@ class ExactSubdifferential:
                 best = min(best, distance_to_cone(w, piece))
         return best
 
-    def is_singleton(self) -> bool:
-        return all(p.is_trivial() for p in self.cones.pieces)
-
 
 @dataclass(frozen=True)
 class Interval1D:

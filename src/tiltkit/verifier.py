@@ -24,12 +24,12 @@ from .cells import limiting_normal_cone, sampled_regular_normals
 from .cones import PolyCone
 from .copositive import cone_form_nonnegative, graph_form
 from .fixtures import CORPUS, fixture, minimizer_fixtures
-from .hessian import (INDEFINITE, POSITIVE_DEFINITE, definiteness,
+from .hessian import (INDEFINITE, POSITIVE_DEFINITE, build_graph_model, definiteness,
                       hessian_sum_rule_check, kernel, second_order_map)
 from .model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
                     ValidationError, ANALYTIC_REGISTRY)
-from .polyhedra import ConvexPolyhedron, PolyUnion, critical_cone
-from .rational import F0, dot, to_float, vec
+from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, critical_cone, same_union
+from .rational import F0, dot, vec
 from .subdiff import stationary_points_1d
 
 PASS = "pass"
@@ -473,104 +473,30 @@ ORACLE_DOMAIN_FIXTURES = ("cross-quadratic", "saddle-cone", "quadrant")
 ORACLE_GRAPH_FIXTURES = ("indicator-halfline", "complementarity-1d")
 
 
-def _section_arcs(cone: PolyCone) -> list[tuple[float, float]]:
-    """Unit-circle section of a 2-D cone as closed angular arcs."""
-    rays = cone.rays
-    lin = cone.lineality
-    if len(lin) >= 2 or (len(lin) == 1 and rays):
-        if len(lin) >= 2:
-            return [(-math.pi, math.pi)]
-        l = np.array(to_float(lin[0]))
-        r = np.array(to_float(rays[0]))
-        # halfplane spanned by +-l and r
-        a1 = math.atan2(l[1], l[0])
-        a2 = math.atan2(-l[1], -l[0])
-        return [_arc_between(a1, math.atan2(r[1], r[0]), a2)]
-    if len(lin) == 1:
-        l = np.array(to_float(lin[0]))
-        a = math.atan2(l[1], l[0])
-        b = math.atan2(-l[1], -l[0])
-        return [(a, a), (b, b)]
-    if not rays:
-        return []
-    if len(rays) == 1:
-        a = math.atan2(float(rays[0][1]), float(rays[0][0]))
-        return [(a, a)]
-    angs = sorted(math.atan2(float(r[1]), float(r[0])) for r in rays)
-    # convex cone: the arc is the one spanning < pi
-    best = None
-    for i, a in enumerate(angs):
-        b = angs[(i + 1) % len(angs)]
-        width = (b - a) % (2 * math.pi)
-        if best is None or width > best[0]:
-            best = (width, a, b)
-    _, a, b = best
-    lo, hi = b, a + (2 * math.pi if a < b else 0)
-    return [(lo, hi)]
-
-
-def _arc_between(a1: float, mid: float, a2: float) -> tuple[float, float]:
-    w = (a2 - a1) % (2 * math.pi)
-    if (mid - a1) % (2 * math.pi) <= w:
-        return (a1, a1 + w)
-    return (a2, a2 + (2 * math.pi - w))
-
-
-def _arc_distance(theta: float, arcs: list[tuple[float, float]]) -> float:
-    best = math.inf
-    for lo, hi in arcs:
-        width = hi - lo  # arcs are stored with hi >= lo, width <= 2*pi
-        d = (theta - lo) % (2 * math.pi)
-        if d <= width + 1e-15:
-            return 0.0
-        gap = min((theta - hi) % (2 * math.pi), (lo - theta) % (2 * math.pi))
-        best = min(best, gap)
-    # chord length on the unit circle
-    return 2 * math.sin(min(best, math.pi) / 2) if math.isfinite(best) else math.inf
-
-
-def _hausdorff_sections(a: list[PolyCone], b: list[PolyCone], samples: int = 2000) -> float:
-    arcs_a = [arc for c in a for arc in _section_arcs(c)]
-    arcs_b = [arc for c in b for arc in _section_arcs(c)]
-    if not arcs_a and not arcs_b:
-        return 0.0
-    if not arcs_a or not arcs_b:
-        return math.inf
-    worst = 0.0
-    for arcs_from, arcs_to in ((arcs_a, arcs_b), (arcs_b, arcs_a)):
-        for lo, hi in arcs_from:
-            width = hi - lo
-            for k in range(samples + 1):
-                theta = lo + width * k / samples
-                worst = max(worst, _arc_distance(theta, arcs_to))
-    return worst
+def _oracle_cases():
+    """(check label, union, point, sampler seed, provenance) per ORACLE case."""
+    for name in ORACLE_DOMAIN_FIXTURES:
+        inst = fixture(name).instance
+        yield (f"{name}: domain", inst.f.domain, inst.xbar, 11,
+               "[DERIVED: oracle=regular normals at 10^4 sampled points]")
+    for name in ORACLE_GRAPH_FIXTURES:
+        inst = fixture(name).instance
+        model = build_graph_model(inst.f, inst.xbar, inst.xstar)
+        yield (f"{name}: graph", model.union, model.basepoint, 13,
+               "[DERIVED: oracle=regular normals at 10^4 sampled graph points]")
 
 
 def _suite_oracle() -> SuiteResult:
+    """Each limiting normal cone against the union of regular normal cones
+    sampled near its point, compared exactly as sets of polyhedra."""
     s = SuiteResult("ORACLE", "limiting normal cones against sampled regular "
                               "normals")
-    for name in ORACLE_DOMAIN_FIXTURES:
-        fx = fixture(name)
-        union = fx.instance.f.domain
-        x = fx.instance.xbar
-        computed = limiting_normal_cone(union, x)
-        sampled = sampled_regular_normals(union, x, 10_000, seed=11)
-        hd = _hausdorff_sections(computed.pieces, sampled)
-        s.add(f"{name}: domain normal sections agree", hd <= 1e-6,
-          "[DERIVED: oracle=regular normals at 10^4 sampled points]",
-          hausdorff=hd, sampled_cones=len(sampled))
-    for name in ORACLE_GRAPH_FIXTURES:
-        fx = fixture(name)
-        inst = fx.instance
-        som = second_order_map(inst.f, inst.xbar, inst.xstar)
-        union = som.model.union
-        base = som.model.basepoint
-        computed = som.normal_cone
-        sampled = sampled_regular_normals(union, base, 10_000, seed=13)
-        hd = _hausdorff_sections(computed.pieces, sampled)
-        s.add(f"{name}: graph normal sections agree", hd <= 1e-6,
-              "[DERIVED: oracle=regular normals at 10^4 sampled graph points]",
-              hausdorff=hd, sampled_cones=len(sampled))
+    for label, union, x, seed, provenance in _oracle_cases():
+        sampled = sampled_regular_normals(union, x, 10_000, seed=seed)
+        equal = same_union([cone_polyhedron(k) for k in limiting_normal_cone(union, x).pieces],
+                           [cone_polyhedron(k) for k in sampled])
+        s.add(f"{label} normal cones agree", equal, provenance,
+              equal=equal, sampled_cones=len(sampled))
     return s
 
 

@@ -9,7 +9,7 @@ from test_lp import minimize
 from tiltkit import lp
 from tiltkit.cones import PolyCone
 from tiltkit.copositive import (_embed, _submatrix, cone_form_min_sign, cone_form_nonnegative,
-                                cone_zero_points, gram, graph_form, orthant_min_sign,
+                                cone_form_sign_and_zeros, gram, graph_form, orthant_min_sign,
                                 orthant_zero_witnesses, simplex_min, _quad)
 from tiltkit.rational import F0, F1, combine, dot, is_zero, mat, solve_affine, vec, zeros
 
@@ -213,8 +213,9 @@ def test_cone_form_zero_spuriousness():
     c = PolyCone.from_generators([(-1, 0), (-1, 1)], 2)
     s, w = cone_form_min_sign(c, pairing)
     assert s == 0
-    zs = list(cone_zero_points(c, pairing))
-    assert zs and all(v[1] == 0 for v in zs)
+    sign, _, zeros = cone_form_sign_and_zeros(c, pairing)
+    zs = list(zeros)
+    assert sign == 0 and zs and all(v[1] == 0 for v in zs)
 
 
 def test_cone_form_lines():
@@ -269,4 +270,4 @@ def test_zero_sign_witness_is_the_first_zero_point():
     form = mat([[1, -1], [-1, 1]])
     quad = PolyCone.from_generators([(1, 0), (0, 1)], 2)
     s, w = cone_form_min_sign(quad, form)
-    assert s == 0 and w == next(cone_zero_points(quad, form))
+    assert s == 0 and w == next(cone_form_sign_and_zeros(quad, form)[2])

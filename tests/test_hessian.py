@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tiltkit.cells import cell_complex
+from tiltkit.copositive import cone_form_min_sign, gram, graph_form, orthant_zero_witnesses
 from tiltkit.fixtures import CORPUS
 from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
                              SEMIDEFINITE_DEGENERATE, _direction_set, build_graph_model,
@@ -12,7 +13,7 @@ from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
                              second_order_subdifferential)
 from tiltkit.model import FunctionSpec, QuadraticForm, ValidationError
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
-from tiltkit.rational import dot, mat, matvec, vec, zeros
+from tiltkit.rational import combine, dot, is_zero, mat, matvec, neg, vec, zeros
 
 
 def full(n):
@@ -143,7 +144,7 @@ def test_definiteness_verdicts():
     deg = FunctionSpec(smooth=QuadraticForm.make([[1, 0], [0, 0]], [0, 0]), domain=full(2))
     dvd = definiteness(deg, (0, 0), (0, 0))
     assert dvd.verdict == SEMIDEFINITE_DEGENERATE
-    assert not dvd.kernel_basis == ()
+    assert not kernel(deg, (0, 0), (0, 0)).trivial
 
 
 def test_definiteness_shift_under_regularization():
@@ -260,3 +261,38 @@ def test_graph_model_and_hessian_values_match_row_loop_oracles(name):
         got = som.value(u)
         want = row_loop_slice_pieces(som.normal_cone.pieces, u, inst.f.dim)
         assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
+
+
+def rescan_definiteness(f, xbar, xstar):
+    """Oracle: the definiteness loop that reads each piece's sign and first
+    zero point, then enumerates the zero points again from a fresh Gram
+    matrix when that point's u-part is 0."""
+    som = second_order_map(f, xbar, xstar)
+    n = f.dim
+    form = graph_form(n, 0, -1, 0)
+    neg_wit = zero_wit = None
+    for k in som.normal_cone.pieces:
+        gens = k.generators()
+        if not gens or all(is_zero(vec(g[n:])) for g in gens):
+            continue
+        sign, w = cone_form_min_sign(k, form)
+        if sign < 0:
+            neg_wit = w
+            break
+        if sign == 0 and zero_wit is None:
+            points = (combine(gens, t) for t in orthant_zero_witnesses(gram(gens, form)))
+            zero_wit = w if not is_zero(vec(w[n:])) else next(
+                (v for v in points if not is_zero(vec(v[n:]))), None)
+    if neg_wit is not None:
+        u, ustar = neg(vec(neg_wit[n:])), vec(neg_wit[:n])
+        return INDEFINITE, (u, ustar, dot(ustar, u))
+    if zero_wit is not None:
+        return SEMIDEFINITE_DEGENERATE, (neg(vec(zero_wit[n:])), vec(zero_wit[:n]), F(0))
+    return POSITIVE_DEFINITE, None
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_definiteness_matches_rescan_oracle(name):
+    inst = CORPUS[name].instance
+    dv = definiteness(inst.f, inst.xbar, inst.xstar)
+    assert (dv.verdict, dv.witness) == rescan_definiteness(inst.f, inst.xbar, inst.xstar)

@@ -8,7 +8,7 @@ from test_lp import feasible_point, max_over
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
-from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers
+from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, poly_union_covers, same_union
 from tiltkit.rational import F0, dot, neg, rank, vec
 
 
@@ -113,7 +113,7 @@ def test_vrep_box_and_halfline():
     hl = ConvexPolyhedron([(-1,)], (0,), dim=1)
     pts, rec, lin = hl.vrep()
     assert pts == [(F(0),)] and rec == [(F(1),)] and not lin
-    assert not hl.is_bounded() and sq.is_bounded()
+    assert hl.vrep()[1] and not any(sq.vrep()[1:])  # bounded: no rays, no lineality
 
 
 def test_empty_and_relint():
@@ -154,6 +154,19 @@ def test_union_coverage():
     assert poly_union_covers([left, right], [sq])
     assert not poly_union_covers([left], [sq])
     assert poly_union_covers([sq], [left])
+
+
+def test_same_union_is_set_equality():
+    # the two coordinate axes of R^2, as cones in inequality form
+    axes = [cone_polyhedron(PolyCone.from_generators([], 2, lineality=[l]))
+            for l in [(1, 0), (0, 1)]]
+    ray = cone_polyhedron(PolyCone.from_generators([(1, 0)], 2))
+    plane = cone_polyhedron(PolyCone.full(2))
+    assert same_union(axes, axes[::-1])
+    assert same_union(axes, axes + [ray])  # a cone inside the union adds nothing
+    assert not same_union(axes, axes[:1])  # a needed cone missing
+    assert not same_union(axes + [plane], axes)  # an extra cone
+    assert same_union([], []) and not same_union([ray], [])
 
 
 def test_translate():
