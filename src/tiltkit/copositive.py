@@ -6,8 +6,8 @@ the cone iff t'Nt < 0 for some t >= 0.  By homogeneity that is a minimum
 over the standard simplex, and every KKT point there satisfies
 2 (N t)_i = lambda on its support with q(t) = lambda / 2, a *rational*
 value from a rational linear system.  Enumerating supports therefore
-computes the exact simplex minimum, with a rational witness, in pure
-Fraction arithmetic: no eigenvalues, no floats.
+computes the exact simplex minimum, with a rational witness, in exact
+integer arithmetic: no eigenvalues, no floats.
 
 Zeros of a copositive form on the orthant lie in kernels of principal
 submatrices, whose orthant sections are rational cones; enumerating their
@@ -21,12 +21,12 @@ conditions pair normals (w, z) with.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator
 
 from .cones import PolyCone
-from .rational import (F0, F1, Mat, Vec, combine, is_zero, mat, nullspace,
-                       solve_affine, vec, zeros)
+from .rational import F0, F1, Mat, Vec, combine, int_rref, is_zero, mat, nullspace, vec
 
 
 def graph_form(n: int, ww, wz, zz) -> Mat:
@@ -77,30 +77,31 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
     system of its own smaller support.  By induction on the support size,
     a smaller support with a unique solution, enumerated earlier, already
     reaches a value at least as low, so no minimum or argmin changes.
+    N is scaled to ints M = dN once; each support's system, in (t, mu =
+    d lambda), is then one fraction-free `int_rref`.
     """
     k = len(n)
     if k == 0:
         raise ValueError("empty form")
-    best: Fraction | None = None
+    d = math.lcm(*(x.denominator for row in n for x in row))
+    m = [[x.numerator * (d // x.denominator) for x in row] for row in n]
+    best: tuple[int, int] | None = None  # the value as (numerator, denominator)
     arg: Vec | None = None
     for size in range(1, k + 1):
+        unique = list(range(size + 1))
         for s in itertools.combinations(range(k), size):
-            ns = _submatrix(n, s)
-            # rows: 2 (N_S t) - lambda 1 = 0 ; sum t = 1, unknowns (t, lambda)
-            rows = [tuple(2 * ns[i][j] for j in range(size)) + (Fraction(-1),)
-                    for i in range(size)]
-            rows.append((F1,) * size + (F0,))
-            rhs = zeros(size) + (F1,)
-            sol = solve_affine(mat(rows), rhs, size + 1)
-            if sol is None:
-                continue
-            part, null = sol
-            t, lam = part[:size], part[size]
-            if not null and all(x >= 0 for x in t):
-                if best is None or lam / 2 < best:
-                    best, arg = lam / 2, _embed(t, s, k)
+            # rows: 2 (M_S t) - mu = 0 ; sum t = 1, columns (t, mu, rhs)
+            rows = [tuple(2 * m[i][j] for j in s) + (-1, 0) for i in s] + [(1,) * size + (0, 1)]
+            red, pivots, sc = int_rref(rows)
+            if pivots != unique:
+                continue  # inconsistent, or more than one solution
+            t = [row[-1] for row in red[:size]]
+            num, den = red[size][-1], 2 * d * sc  # q(t) = mu / (2 d)
+            if all(x >= 0 for x in t) and (best is None or num * best[1] < best[0] * den):
+                best = num, den
+                arg = _embed(tuple(Fraction(x, sc) for x in t), s, k)
     assert best is not None and arg is not None  # singleton supports always qualify
-    return best, arg
+    return Fraction(*best), arg
 
 
 def orthant_min_sign(n: Mat) -> tuple[int, Vec | None]:
@@ -168,8 +169,3 @@ def cone_form_sign_and_zeros(cone: PolyCone, form: Mat) -> tuple[int, Vec | None
     points = (combine(gens, t) for t in orthant_zero_witnesses(n))
     return 0, None, (v for v in points if not is_zero(v))
 
-
-def cone_form_nonnegative(cone: PolyCone, form: Mat) -> tuple[bool, Vec | None]:
-    """(form >= 0 on cone, counterexample point if not)."""
-    sign, w = cone_form_min_sign(cone, form)
-    return (sign >= 0), (w if sign < 0 else None)

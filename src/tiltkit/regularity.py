@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cells import regular_normal_cone
-from .copositive import cone_form_nonnegative, graph_form
+from .copositive import cone_form_min_sign, graph_form
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, mat, matvec, neg, norm_sq,
@@ -649,10 +649,8 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
     for piece in f.domain.pieces:
         for _, face in piece.faces():
             p0, dirs = face.affine_hull()
-            cand.extend(_face_candidates(face, p0, dirs, q, lin, d0, piece,
-                                         xbar, gamma, obj_f))
-            cand.extend(_ball_boundary_candidates(face, p0, dirs, qf, lin_f,
-                                                  float(d0), piece, xbar_f,
+            cand.extend(_face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f))
+            cand.extend(_ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f,
                                                   gamma_f, obj_f))
     if not cand:
         raise ValidationError("empty feasible region for the tilt problem")
@@ -667,7 +665,7 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
     return TiltSolve([tuple(map(float, m)) for m in mins], best, flat)
 
 
-def _face_candidates(face, p0, dirs, q, lin, d0, piece, xbar, gamma, obj_f):
+def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
     out = []
     gamma2 = gamma * gamma
     if not dirs:
@@ -735,8 +733,7 @@ def _ball_clip(inside: np.ndarray, outside: np.ndarray, center: np.ndarray,
     return None
 
 
-def _ball_boundary_candidates(face, p0, dirs, qf, lin_f, d0, piece, xbar_f,
-                              gamma_f, obj_f):
+def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f):
     """Minimize the quadratic on (affine hull of face) x (gamma-sphere)
     through the secular equation in an orthonormal basis of the hull."""
     out = []
@@ -855,9 +852,9 @@ def check_condition_4_1(inst: ProblemInstance, kappa, r) -> CheckOutcome:
         point = tuple(x) + tuple(xs)
         cone = regular_normal_cone(union, point)
         for name, form in forms:
-            ok, wit = cone_form_nonnegative(cone, form)
+            sign, wit = cone_form_min_sign(cone, form)
             checked += 1
-            if not ok:
+            if sign < 0:
                 violations.append((name, to_float(x),
                                    to_float(wit) if wit else None))
     return CheckOutcome(not violations, violations, float(len(violations)), checked)

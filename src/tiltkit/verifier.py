@@ -22,14 +22,14 @@ import numpy as np
 from . import regularity as reg
 from .cells import limiting_normal_cone, sampled_regular_normals
 from .cones import PolyCone
-from .copositive import cone_form_nonnegative, graph_form
+from .copositive import cone_form_min_sign, graph_form
 from .fixtures import CORPUS, fixture, minimizer_fixtures
 from .hessian import (INDEFINITE, POSITIVE_DEFINITE, build_graph_model, definiteness,
                       hessian_sum_rule_check, kernel, second_order_map)
 from .model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
                     ValidationError, ANALYTIC_REGISTRY)
 from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, critical_cone, same_union
-from .rational import F0, dot, vec
+from .rational import F0, dot, is_zero, norm_sq, vec
 from .subdiff import stationary_points_1d
 
 PASS = "pass"
@@ -379,14 +379,8 @@ def _suite_tilt_modulus_lower() -> SuiteResult:
         kappa = Fraction(tilt.modulus).limit_denominator(10_000) * Fraction(21, 20)
         som = second_order_map(inst.f, inst.xbar, inst.xstar)
         form = graph_form(inst.f.dim, 0, -1, -1 / kappa)
-        ok = True
-        wit = None
-        for piece in som.normal_cone.pieces:
-            good, w = cone_form_nonnegative(piece, form)
-            if not good:
-                ok, wit = False, w
-                break
-        s.add(f"{name}: pairing >= |u|^2 / kappa on the graph normals", ok,
+        wit = _negative_witness(som.normal_cone.pieces, form)
+        s.add(f"{name}: pairing >= |u|^2 / kappa on the graph normals", wit is None,
               "[DERIVED: oracle=cone copositivity at the slack modulus]",
               kappa=float(kappa), witness=_jsonable(wit))
     return s
@@ -405,34 +399,46 @@ def _suite_tilt_modulus_bridge() -> SuiteResult:
             continue
         t_floor = _norm_ratio_floor(inst)
         s.add(f"{fx.name}: modulus bridge", tilt.modulus * t_floor >= 0.95,
-              "[DERIVED: oracle=bisection on the copositive norm gap]",
+              "[DERIVED: oracle=Dinkelbach on the copositive norm gap]",
               tilt_modulus=tilt.modulus, ratio_floor=t_floor)
     return s
 
 
+# The floor's precision: an irrational floor is bracketed no wider than this.
+FLOOR_WIDTH = Fraction(1, 2 ** 24)
+
+
+def _negative_witness(pieces: list[PolyCone], form) -> tuple | None:
+    """The first piece's point where the form is negative, or None when the
+    form is copositive on every piece."""
+    return next((w for sign, w in (cone_form_min_sign(p, form) for p in pieces)
+                 if sign < 0), None)
+
+
 def _norm_ratio_floor(inst: ProblemInstance) -> float:
     """Largest t with |w| >= t |z| over every graph normal piece, by
-    rational bisection on an exact copositivity oracle."""
-    som = second_order_map(inst.f, inst.xbar, inst.xstar)
+    Dinkelbach's iteration on tau = t^2: from the least |w|^2 / |z|^2 over
+    the generators, tau drops to the ratio at a negative witness of
+    |w|^2 - tau |z|^2 until that form is copositive on every piece, so tau
+    is the floor.  An irrational floor is bracketed: once a step is no
+    wider than FLOOR_WIDTH min(tau, 1), the check runs at tau minus that
+    width, which bounds t to within FLOOR_WIDTH; that lower end is returned."""
+    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone.pieces
     n = inst.f.dim
 
-    def holds(t: Fraction) -> bool:
-        form = graph_form(n, 1, 0, -t * t)
-        return all(cone_form_nonnegative(piece, form)[0]
-                   for piece in som.normal_cone.pieces)
+    def ratio(v) -> Fraction:
+        return norm_sq(v[:n]) / norm_sq(v[n:])
 
-    lo, hi = Fraction(0), Fraction(1)
-    while holds(hi):
-        lo, hi = hi, hi * 2
-        if hi > 2 ** 20:
-            return float(hi)
-    for _ in range(24):
-        mid = (lo + hi) / 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
+    ratios = [ratio(g) for p in pieces for g in p.generators() if not is_zero(g[n:])]
+    if not ratios:
+        return math.inf  # z = 0 on every graph normal
+    tau = lo = min(ratios)
+    while (w := _negative_witness(pieces, graph_form(n, 1, 0, -lo))) is not None:
+        r = ratio(w)
+        width = FLOOR_WIDTH * min(r, 1)
+        lo = r - width if tau - r <= width else r
+        tau = r
+    return math.sqrt(lo)
 
 
 def _suite_smooth_reduction() -> SuiteResult:

@@ -8,8 +8,7 @@ from test_lp import minimize
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
-from tiltkit.copositive import (_embed, _submatrix, cone_form_min_sign, cone_form_nonnegative,
-                                cone_form_sign_and_zeros, gram, graph_form, orthant_min_sign,
+from tiltkit.copositive import (_embed, _submatrix, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form, orthant_min_sign,
                                 orthant_zero_witnesses, simplex_min, _quad)
 from tiltkit.rational import F0, F1, combine, dot, is_zero, mat, solve_affine, vec, zeros
 
@@ -185,6 +184,42 @@ def forms_with_a_repeated_index(draw):
     return mat([[ext[a][b] for b in order] for a in order])
 
 
+def fraction_simplex_min(n):
+    """Oracle: `simplex_min` on Fractions, one `solve_affine` per support
+    (an elimination for the solution, another for the nullspace)."""
+    k = len(n)
+    best = arg = None
+    for size in range(1, k + 1):
+        for s in itertools.combinations(range(k), size):
+            ns = _submatrix(n, s)
+            rows = [tuple(2 * ns[i][j] for j in range(size)) + (F(-1),)
+                    for i in range(size)]
+            rows.append((F1,) * size + (F0,))
+            sol = solve_affine(mat(rows), zeros(size) + (F1,), size + 1)
+            if sol is None:
+                continue
+            part, null = sol
+            t, lam = part[:size], part[size]
+            if not null and all(x >= 0 for x in t):
+                if best is None or lam / 2 < best:
+                    best, arg = lam / 2, _embed(t, s, k)
+    return best, arg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(rationals, min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_int_simplex_min_matches_fraction_oracle(rows):
+    n = sym(rows)
+    assert simplex_min(n) == fraction_simplex_min(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_with_a_repeated_index())
+def test_int_simplex_min_matches_fraction_oracle_on_degenerate_supports(n):
+    assert simplex_min(n) == fraction_simplex_min(n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(forms_with_a_repeated_index())
 def test_simplex_min_matches_lp_oracle_on_degenerate_supports(n):
@@ -223,7 +258,7 @@ def test_cone_form_lines():
     assert cone_form_min_sign(anti, pairing)[0] == 1
     diag = PolyCone.from_generators([], 2, lineality=[(1, 1)])
     assert cone_form_min_sign(diag, pairing)[0] == -1
-    assert cone_form_nonnegative(anti, pairing) == (True, None)
+    assert cone_form_min_sign(anti, pairing) == (1, None)
 
 
 def test_trivial_cone():

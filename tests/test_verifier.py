@@ -1,10 +1,17 @@
+import hashlib
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from tiltkit.cli import main
-from tiltkit.verifier import (ALIASES, SUITES, conjecture_probe, emit_report,
-                              run_suite)
+from tiltkit.copositive import cone_form_min_sign, graph_form
+from tiltkit.fixtures import CORPUS, _exact
+from tiltkit.hessian import second_order_map
+from tiltkit.polyhedra import ConvexPolyhedron
+from tiltkit.verifier import (ALIASES, FLOOR_WIDTH, SUITES, _negative_witness,
+                              _norm_ratio_floor, conjecture_probe, emit_report, run_suite)
 
 
 def test_unknown_suite():
@@ -180,10 +187,12 @@ def test_cli_analyze_two_heptagons(tmp_path, capsys):
         "params": {"eta": "1/10", "delta": "1/10", "gamma": "1/2", "grid": 3},
     }))
     assert main(["analyze", str(prob)]) == 0
-    arts = json.loads(capsys.readouterr().out)["results"][0]["artifacts"]
+    out = capsys.readouterr().out
+    arts = json.loads(out)["results"][0]["artifacts"]
     assert arts["definiteness"] == "positive_definite"
     assert arts["tilt_verdict"] == "stable"
     assert arts["subregularity_kappa"] == arts["metric_regularity_kappa"] == 1.0
+    assert hashlib.sha1(out.encode()).hexdigest() == "d349764ec6d8bc5d89da4231fced59c670f775b6"
 
 
 def test_cli_analyze_rejects_piece_with_too_many_rows(tmp_path, capsys):
@@ -197,3 +206,56 @@ def test_cli_analyze_rejects_piece_with_too_many_rows(tmp_path, capsys):
     assert main(["analyze", str(prob)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def bisection_norm_ratio_floor(inst):
+    """Oracle: the floor t by doubling, then 24 rational bisection steps on
+    copositivity of |w|^2 - t^2 |z|^2; returns the certified lower end."""
+    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone.pieces
+    n = inst.f.dim
+
+    def holds(t):
+        form = graph_form(n, 1, 0, -t * t)
+        return all(cone_form_min_sign(piece, form)[0] >= 0 for piece in pieces)
+
+    lo, hi = Fraction(0), Fraction(1)
+    while holds(hi):
+        lo, hi = hi, hi * 2
+        if hi > 2 ** 20:
+            return float(hi)
+    for _ in range(24):
+        mid = (lo + hi) / 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_norm_ratio_floor_matches_bisection_on_c411_fixtures():
+    insts = [fx.instance for fx in CORPUS.values() if "c411" in fx.tags]
+    assert len(insts) == 3
+    for inst in insts:
+        assert _norm_ratio_floor(inst) == bisection_norm_ratio_floor(inst) == 1.0
+
+
+@pytest.mark.parametrize("domain", [ConvexPolyhedron.full_space(2),
+                                    ConvexPolyhedron([(-1, 0)], (0,), dim=2)])
+def test_norm_ratio_floor_brackets_an_irrational_floor(domain):
+    # the floor is the least eigenvalue (3 - sqrt 5) / 2 of Q, never a ratio
+    # that the iteration attains, so only the bracket can end it
+    inst = _exact([[2, 1], [1, 1]], [0, 0], [domain], (0, 0), (0, 0), "golden")
+    t = _norm_ratio_floor(inst)
+    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone.pieces
+    lo = Fraction(t)
+    assert _negative_witness(pieces, graph_form(2, 1, 0, -lo * lo)) is None
+    assert _negative_witness(pieces, graph_form(2, 1, 0, -(lo + FLOOR_WIDTH) ** 2)) is not None
+    assert abs(t - bisection_norm_ratio_floor(inst)) <= FLOOR_WIDTH
+    assert 0 < (3 - math.sqrt(5)) / 2 - t <= FLOOR_WIDTH
+
+
+def test_norm_ratio_floor_is_infinite_when_every_normal_has_z_zero():
+    # the indicator of a point: its graph normals are (w, 0), so no t bounds
+    # |w| >= t |z| (the bisection stopped at its doubling cap, 2^21)
+    inst = _exact([[1]], [0], [ConvexPolyhedron([(1,), (-1,)], (0, 0))], (0,), (0,), "point")
+    assert _norm_ratio_floor(inst) == math.inf
