@@ -130,6 +130,7 @@ class PolyCone:
         self._rays = [vec(r) for r in rays] if rays is not None else None
         self._lineality = [vec(l) for l in lineality] if lineality is not None else (
             [] if rays is not None else None)
+        self._polyhedron = None  # kept by `polyhedra.cone_polyhedron`
 
     @classmethod
     def from_inequalities(cls, g, dim: int) -> "PolyCone":

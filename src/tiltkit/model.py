@@ -237,11 +237,13 @@ def evaluate(f: FunctionSpec, x) -> float:
         # grids are dyadic, so each float is an exact rational
         v = evaluate_exact(f, [Fraction(t) if isinstance(t, float) else t for t in x])
         return math.inf if v is None else float(v)
-    t = float(x[0]) if isinstance(x, (list, tuple)) else float(x)
-    fx = f.fixture
-    if not fx.in_domain(t):
-        return math.inf
-    return float(fx.value(t))
+    t = scalar(x)
+    return float(f.fixture.value(t)) if f.fixture.in_domain(t) else math.inf
+
+
+def scalar(x) -> float:
+    """The float of a 1-D point given as a number or a one-entry sequence."""
+    return float(x[0]) if isinstance(x, (list, tuple)) else float(x)
 
 
 def regularize(f: FunctionSpec, theta, center) -> FunctionSpec:

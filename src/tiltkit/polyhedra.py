@@ -37,6 +37,7 @@ class ConvexPolyhedron:
             self.dim = dim
         self._vrep: tuple[list[Vec], list[Vec], list[Vec]] | None = None
         self._implied: frozenset[int] | None = None
+        self._projection = None  # float data kept by `project.project_polyhedron`
 
     @classmethod
     def full_space(cls, dim: int) -> "ConvexPolyhedron":
@@ -249,8 +250,10 @@ def critical_cone(piece: ConvexPolyhedron, x, v) -> PolyCone:
 
 
 def cone_polyhedron(cone: PolyCone) -> ConvexPolyhedron:
-    """The cone's inequality form {u : G u <= 0} as a polyhedron."""
-    return ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)), dim=cone.dim)
+    """The cone's inequality form {u : G u <= 0} as a polyhedron, kept on the cone."""
+    if cone._polyhedron is None:
+        cone._polyhedron = ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)), dim=cone.dim)
+    return cone._polyhedron
 
 
 def homogenize(a, b) -> tuple[int, ...]:

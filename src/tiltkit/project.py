@@ -56,7 +56,9 @@ def project_polyhedron(z, poly: ConvexPolyhedron) -> np.ndarray:
     Raises ValueError on an empty polyhedron.
     """
     z = np.asarray(z, dtype=float)
-    a, b, subs, scale = _projection_data(poly.a, poly.b, poly.dim)
+    if poly._projection is None:  # looked up once per object: the key hashes every row
+        poly._projection = _projection_data(poly.a, poly.b, poly.dim)
+    a, b, subs, scale = poly._projection
     if poly.m == 0 or np.max(a @ z - b) <= FEAS_TOL * scale:
         return z.copy()
     best: tuple[float, np.ndarray] | None = None

@@ -27,12 +27,13 @@ from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exac
 from .polyhedra import ConvexPolyhedron
 from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, mat, matvec, neg, norm_sq,
                        solve_affine, sub, to_float, vec, zeros)
-from .subdiff import (EmptySliceError, InverseSlice, analytic_inverse_points,
-                      distance_to_inverse, inverse_image, subdifferential,
-                      subdifferential_distance)
+from .subdiff import (EmptySliceError, InverseSlice, analytic_distances,
+                      analytic_inverse_points, distance_to_inverse, inverse_image,
+                      subdifferential, subdifferential_distance)
 
 TIE_TOL = 1e-9
 DIST_TOL = 1e-10
+SOLUTION_TOL = 1e-12  # analytic path only: a grid point this near a solution is one
 
 
 # -- grids ---------------------------------------------------------------------
@@ -81,10 +82,8 @@ def domain_lattice_zoomed(f: FunctionSpec, center: Vec, radius: Fraction,
 
 
 def _refinement_schedule(base: int, levels: int) -> list[int]:
-    out = [base]
-    for _ in range(levels - 1):
-        out.append(out[-1] * 2 - 1)
-    return out
+    """base, then each level's count with a midpoint between neighbors."""
+    return [(base - 1) * 2 ** k + 1 for k in range(levels)]
 
 
 # -- graph sampling -------------------------------------------------------------
@@ -187,6 +186,13 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=1)
 
 
+def _gaps(sols: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Distance from each x of xs to the nearest of the sorted sols, a neighbor of x."""
+    j = np.searchsorted(sols, xs)
+    return np.minimum(np.abs(sols[np.maximum(j - 1, 0)] - xs),
+                      np.abs(sols[np.minimum(j, len(sols) - 1)] - xs))
+
+
 GROWTH_MODES = ("norm-squared", "distance-squared")
 
 
@@ -207,7 +213,7 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
             sols = analytic_inverse_points(fx, v0, x0, 4 * eta)
             if not sols:
                 raise EmptySliceError("no solutions of the stationarity inclusion nearby")
-            k = np.min(np.square(xs[:, None] - np.array(sols)[None, :]), axis=1)
+            k = np.square(_gaps(np.array(sols), xs))
         f0 = float(fx.value(x0)) if fx.in_domain(x0) else math.inf
         return xs[:, None], f0 + v0 * (xs - x0), np.asarray(fx.value(xs), dtype=float), k
     try:
@@ -486,16 +492,15 @@ def _subregularity_analytic(inst: ProblemInstance) -> ModulusEstimate:
     arr = np.array(pts)
     lo, hi = max(x0 - float(p.eta), fx.lo), min(x0 + float(p.eta), fx.hi)
 
-    def ratios(n_pts):
-        for x in np.linspace(lo, hi, n_pts):
-            num = float(np.min(np.abs(arr - x)))
-            if num < 1e-12:
-                continue
-            den = subdifferential_distance(inst.f, (float(x),), (v0,))
-            if den > DIST_TOL:
-                yield num / den, (float(x),)
+    def sweep(n_pts):
+        xs = np.linspace(lo, hi, n_pts)
+        num = _gaps(arr, xs)
+        xs, num = xs[num >= SOLUTION_TOL], num[num >= SOLUTION_TOL]
+        den = analytic_distances(fx, xs, v0)
+        ok = den > DIST_TOL
+        return _sup(zip((num[ok] / den[ok]).tolist(), zip(xs[ok].tolist())))
 
-    return _refine([2001, 4001, 8001][: p.refine_max], lambda n: _sup(ratios(n)))
+    return _refine([2001, 4001, 8001][: p.refine_max], sweep)
 
 
 def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
@@ -666,43 +671,35 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
 
 
 def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
-    out = []
     gamma2 = gamma * gamma
+
+    def isolated(pt):  # the one critical point, when it is feasible
+        if not (piece.contains(pt) and norm_sq(sub(pt, xbar)) <= gamma2):
+            return []
+        xf = np.array(to_float(pt))
+        return [(xf, obj_f(xf), False)]
+
     if not dirs:
-        if piece.contains(p0) and norm_sq(sub(p0, xbar)) <= gamma2:
-            xf = np.array(to_float(p0))
-            out.append((xf, obj_f(xf), False))
-        return out
+        return isolated(p0)
     h = mat([[dot(bi, matvec(q, bj)) for bj in dirs] for bi in dirs])
     g = vec([dot(bi, add(matvec(q, p0), lin)) for bi in dirs])
     sol = solve_affine(h, neg(g), len(dirs))
     if sol is None:
-        return out
+        return []
     s0, null = sol
     x0 = add(p0, combine(dirs, s0))
     if not null:
-        if piece.contains(x0) and norm_sq(sub(x0, xbar)) <= gamma2:
-            xf = np.array(to_float(x0))
-            out.append((xf, obj_f(xf), False))
-        return out
+        return isolated(x0)
     # flat critical set: an affine subset with constant objective
     sol_dirs = [combine(dirs, t) for t in null]
     crit = _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma)
-    for pt in crit:
-        xf = np.array(to_float(pt))
-        if norm_sq(sub(pt, xbar)) <= gamma2:
-            out.append((xf, obj_f(xf), True))
+    pts_in = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) <= gamma2]
+    pts_out = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) > gamma2]
+    out = [(xf, obj_f(xf), True) for xf in pts_in]
     # ball clips along the flat set keep witnesses inside the ball
-    pts_in = [np.array(to_float(pt)) for pt in crit
-              if norm_sq(sub(pt, xbar)) <= gamma2]
-    pts_out = [np.array(to_float(pt)) for pt in crit
-               if norm_sq(sub(pt, xbar)) > gamma2]
     xbar_f = np.array(to_float(xbar))
-    for a in pts_in:
-        for b in pts_out:
-            t = _ball_clip(a, b, xbar_f, float(gamma))
-            if t is not None:
-                out.append((t, obj_f(t), True))
+    clips = (_ball_clip(a, b, xbar_f, float(gamma)) for a in pts_in for b in pts_out)
+    out.extend((t, obj_f(t), True) for t in clips if t is not None)
     return out
 
 

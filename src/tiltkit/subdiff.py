@@ -18,7 +18,7 @@ import numpy as np
 
 from .cells import limiting_normal_cone, regular_normal_cone
 from .cones import ConeUnion
-from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact
+from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact, scalar
 from .polyhedra import ConvexPolyhedron
 from .project import distance_to_cone, distance_to_polyhedron
 from .rational import Vec, sub, to_float, vec
@@ -38,15 +38,9 @@ class ExactSubdifferential:
         return self.cones.contains(sub(vec(v), self.base))
 
     def distance(self, v) -> float:
-        w = np.asarray([float(t) for t in v], dtype=float) - \
-            np.asarray(to_float(self.base))
-        best = math.inf
-        for piece in self.cones.pieces:
-            if piece.is_trivial():
-                best = min(best, float(np.linalg.norm(w)))
-            else:
-                best = min(best, distance_to_cone(w, piece))
-        return best
+        w = np.asarray([float(t) for t in v], dtype=float) - np.asarray(to_float(self.base))
+        return min((float(np.linalg.norm(w)) if piece.is_trivial() else distance_to_cone(w, piece)
+                    for piece in self.cones.pieces), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -57,25 +51,23 @@ class Interval1D:
     tol: float = 1e-9
 
     def contains(self, v) -> bool:
-        t = float(v[0]) if isinstance(v, (tuple, list)) else float(v)
-        return self.lo - self.tol <= t <= self.hi + self.tol
+        return self.lo - self.tol <= scalar(v) <= self.hi + self.tol
 
     def distance(self, v) -> float:
-        t = float(v[0]) if isinstance(v, (tuple, list)) else float(v)
-        return max(self.lo - t, t - self.hi, 0.0)
+        return float(_interval_distance(self.lo, self.hi, scalar(v)))
+
+
+def _interval_distance(lo, hi, t):
+    """d(t; [lo, hi]), elementwise over arrays."""
+    return np.maximum(np.maximum(lo - t, t - hi), 0.0)
 
 
 SubdifferentialSet = ExactSubdifferential | Interval1D
 
 
 def _require_finite(f: FunctionSpec, x) -> None:
-    if f.is_exact:
-        if evaluate_exact(f, x) is None:
-            raise ValidationError("point is outside the domain")
-    else:
-        t = float(x[0]) if isinstance(x, (tuple, list)) else float(x)
-        if not f.fixture.in_domain(t):
-            raise ValidationError("point is outside the domain")
+    if (evaluate_exact(f, x) is None) if f.is_exact else not f.fixture.in_domain(scalar(x)):
+        raise ValidationError("point is outside the domain")
 
 
 def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
@@ -106,33 +98,49 @@ def frechet_subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
 
 def subdifferential_distance(f: FunctionSpec, x, v) -> float:
     """d(v; subdifferential at x), accurate to ~1e-10."""
+    if not f.is_exact:
+        return float(analytic_distances(f.fixture, [scalar(x)], scalar(v))[0])
     sd = subdifferential(f, x)
-    if f.is_exact:
-        # floats are exact binary rationals, so the zero fast path is exact
-        v_exact = tuple(Fraction(t) for t in v)
-        if sd.contains(v_exact):
-            return 0.0
-    return sd.distance(v)
+    # floats are exact binary rationals, so the zero fast path is exact
+    return 0.0 if sd.contains(tuple(Fraction(t) for t in v)) else sd.distance(v)
 
 
 # -- analytic path --------------------------------------------------------------
 
 
+# Floats of the analytic path only: a point within POINT_TOL of an exceptional
+# point or a domain end is that point; root bisection stops at BISECT_TOL width.
+POINT_TOL = 1e-12
+BISECT_TOL = 1e-12
+BISECT_STEPS = 80
+
+
 def _analytic_subdifferential(fx: AnalyticFixture1D, x, regular: bool,
                               n_samples: int = 10_000) -> Interval1D:
-    t = float(x[0]) if isinstance(x, (tuple, list)) else float(x)
-    if not any(abs(t - e) < 1e-12 for e in fx.exceptional):
-        interior_lo = t > fx.lo + 1e-12
-        interior_hi = t < fx.hi - 1e-12
-        if interior_lo and interior_hi:
-            d = float(fx.derivative(t))
-            return Interval1D(d, d)
-        # domain boundary: one-sided linearizations open the interval
-        d = float(fx.derivative(t))
-        lo = -math.inf if not interior_lo else d
-        hi = math.inf if not interior_hi else d
-        return Interval1D(lo, hi)
-    return _exceptional_enclosure(fx, t, n_samples)
+    t = scalar(x)
+    if any(abs(t - e) < POINT_TOL for e in fx.exceptional):
+        return _exceptional_enclosure(fx, t, n_samples)
+    d = float(fx.derivative(t))
+    # domain boundary: one-sided linearizations open the interval
+    return Interval1D(d if t > fx.lo + POINT_TOL else -math.inf,
+                      d if t < fx.hi - POINT_TOL else math.inf)
+
+
+def analytic_distances(fx: AnalyticFixture1D, xs, v: float) -> np.ndarray:
+    """d(v; subdifferential at x) for each x of xs, in one array pass over
+    the derivative; exceptional and boundary points take their enclosure."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((fx.lo <= xs) & (xs <= fx.hi)):
+        raise ValidationError("point is outside the domain")
+    lo = np.array(fx.derivative(xs), dtype=float)  # a copy: a derivative may return xs
+    hi = lo.copy()
+    special = (xs <= fx.lo + POINT_TOL) | (xs >= fx.hi - POINT_TOL)
+    for e in fx.exceptional:
+        special |= np.abs(xs - e) < POINT_TOL
+    for i in np.flatnonzero(special):
+        sd = _analytic_subdifferential(fx, xs[i], regular=False)
+        lo[i], hi[i] = sd.lo, sd.hi
+    return _interval_distance(lo, hi, v)
 
 
 def _exceptional_enclosure(fx: AnalyticFixture1D, t: float, n_samples: int) -> Interval1D:
@@ -141,49 +149,36 @@ def _exceptional_enclosure(fx: AnalyticFixture1D, t: float, n_samples: int) -> I
     exact value."""
     ratio = (1e-8) ** (2.0 / n_samples)
     offsets = 0.05 * np.power(ratio, np.arange(n_samples // 2))
-    vals = []
-    for sgn in (+1.0, -1.0):
-        xs = t + sgn * offsets
-        mask = (xs > fx.lo + 1e-300) & (xs < fx.hi) & (np.abs(xs - t) > 1e-14)
-        if mask.any():
-            vals.append(np.asarray(fx.derivative(xs[mask]), dtype=float))
-    lo, hi = math.inf, -math.inf
-    if vals:
-        allv = np.concatenate(vals)
-        lo, hi = float(allv.min()), float(allv.max())
-    at_left_boundary = abs(t - fx.lo) < 1e-12
-    at_right_boundary = abs(t - fx.hi) < 1e-12
-    if at_left_boundary:
-        lo = -math.inf
-    if at_right_boundary:
-        hi = math.inf
+    xs = t + np.concatenate([offsets, -offsets])
+    xs = xs[(xs > fx.lo + 1e-300) & (xs < fx.hi) & (np.abs(xs - t) > 1e-14)]
+    vals = np.asarray(fx.derivative(xs), dtype=float)
+    lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (math.inf, -math.inf)
+    lo = -math.inf if abs(t - fx.lo) < POINT_TOL else lo
+    hi = math.inf if abs(t - fx.hi) < POINT_TOL else hi
     return Interval1D(lo, hi, tol=1e-6)
 
 
 def stationary_points_1d(fixture: AnalyticFixture1D, interval: tuple[float, float],
                          grid_density: int, target: float = 0.0) -> list[float]:
     """Roots of derivative == target inside the interval: sign-change
-    bracketing on a uniform grid, then bisection to 1e-12."""
-    lo, hi = interval
-    xs = np.linspace(lo, hi, grid_density)
+    bracketing on a uniform grid, then all brackets bisected at once, each
+    until its midpoint is a root, its width is below BISECT_TOL or
+    BISECT_STEPS have run."""
+    xs = np.linspace(*interval, grid_density)
     ds = np.asarray(fixture.derivative(xs), dtype=float) - target
-    roots: list[float] = []
     sign = np.sign(ds)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(ds[i])
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = float(fixture.derivative(m)) - target
-            if fm == 0.0 or (b - a) < 1e-12:
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(0.5 * (a + b))
-    for i in np.nonzero(ds == 0.0)[0]:
-        roots.append(float(xs[i]))
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    a, b, fa = xs[i], xs[i + 1], ds[i]
+    live = np.ones(len(i), dtype=bool)
+    for _ in range(BISECT_STEPS):
+        m = 0.5 * (a + b)
+        fm = np.asarray(fixture.derivative(m), dtype=float) - target
+        live &= (fm != 0.0) & ~(b - a < BISECT_TOL)
+        if not live.any():
+            break
+        left = live & ((fa < 0) == (fm < 0))
+        a, fa, b = np.where(left, m, a), np.where(left, fm, fa), np.where(live & ~left, m, b)
+    roots = [*(0.5 * (a + b)).tolist(), *xs[ds == 0.0].tolist()]
     return sorted(set(roots))
 
 
@@ -202,9 +197,9 @@ def analytic_inverse_points(fixture: AnalyticFixture1D, vstar: float,
         if lo <= e <= hi and _exceptional_enclosure(fixture, e, 2000).contains(vstar):
             pts.append(e)
     for b in (fixture.lo, fixture.hi):
-        if math.isfinite(b) and lo <= b <= hi and b not in pts:
-            if _analytic_subdifferential(fixture, b, regular=False).contains(vstar):
-                pts.append(b)
+        if math.isfinite(b) and lo <= b <= hi and b not in pts and \
+                _analytic_subdifferential(fixture, b, regular=False).contains(vstar):
+            pts.append(b)
     return sorted(set(pts))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
-from tiltkit.polyhedra import ConvexPolyhedron
+from tiltkit.polyhedra import ConvexPolyhedron, cone_polyhedron
 from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_cone,
                              distance_to_polyhedron, project_cone, project_polyhedron)
 
@@ -181,3 +181,29 @@ def test_projection_onto_polygon_with_many_rows():
         assert np.max(a @ x - b) <= 1e-12
         assert np.linalg.norm(x - subset_projection(z, polygon)) <= 1e-12
         assert kkt_residual(z, x, polygon) <= 1e-10
+
+
+def projection_data_lookups():
+    info = _projection_data.cache_info()
+    return info.hits + info.misses
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
+def test_projection_data_is_looked_up_once_per_object(zs):
+    rows = [(p, q) for p in range(-2, 3) for q in range(-2, 3) if (p, q) != (0, 0)]
+    polygon = ConvexPolyhedron(rows, [2] * len(rows))
+    cone = PolyCone.from_generators([(1, 0), (1, 2)], 2)
+    before = projection_data_lookups()
+    on_polygon = [project_polyhedron(z, polygon) for z in zs]
+    assert projection_data_lookups() - before <= 1
+    before = projection_data_lookups()
+    on_cone = [project_cone(z, cone) for z in zs]
+    assert projection_data_lookups() - before <= 1
+    assert cone_polyhedron(cone) is cone_polyhedron(cone)
+    # the same projections from freshly looked-up data
+    _projection_data.cache_clear()
+    for poly, kept in ((polygon, on_polygon), (cone_polyhedron(cone), on_cone)):
+        fresh = ConvexPolyhedron(poly.a, poly.b, dim=poly.dim)
+        for z, x in zip(zs, kept):
+            assert np.array_equal(project_polyhedron(z, fresh), x)

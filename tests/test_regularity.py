@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltkit.fixtures import fixture
-from tiltkit.model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
+from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ProblemInstance, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
-from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, PROX_GRID, PROX_MODES, R_CAP,
+from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PROX_MODES, R_CAP,
+                                SOLUTION_TOL, ModulusEstimate, _refine, _sup,
                                 ball_lattice, check_condition_4_1, check_growth,
                                 check_lower_prox_inequality,
                                 check_single_valued_localization,
@@ -19,6 +20,7 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, PROX_GRID, PROX_MODES, 
                                 estimate_subregularity_modulus, graph_point_samples,
                                 growth_alpha_hat, minimal_prox_r, solve_tilt,
                                 tilt_stability_verdict)
+from tiltkit.subdiff import analytic_inverse_points, subdifferential
 
 
 def inst(name):
@@ -45,6 +47,56 @@ def test_subregularity_analytic_abs_scales_with_eta():
     est = estimate_subregularity_modulus(inst("abs-1d"))
     # ratio |x| / 1 peaks at the ball edge
     assert abs(est.value - 0.1) < 0.01
+
+
+def scalar_subregularity_analytic(inst):
+    """Oracle: the point-by-point sweep that the array sweep of the
+    analytic subregularity estimate replaced."""
+    fx = inst.f.fixture
+    p = inst.params
+    x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
+    pts = analytic_inverse_points(fx, v0, x0, 4 * float(p.eta))
+    if not pts:
+        return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
+    arr = np.array(pts)
+    lo, hi = max(x0 - float(p.eta), fx.lo), min(x0 + float(p.eta), fx.hi)
+
+    def ratios(n_pts):
+        for x in np.linspace(lo, hi, n_pts):
+            num = float(np.min(np.abs(arr - x)))
+            if num < SOLUTION_TOL:
+                continue
+            sd = subdifferential(inst.f, (float(x),))
+            den = max(sd.lo - v0, v0 - sd.hi, 0.0)
+            if den > DIST_TOL:
+                yield num / den, (float(x),)
+
+    return _refine([2001, 4001, 8001][: p.refine_max], lambda n: _sup(ratios(n)))
+
+
+def outcome(estimate, inst):
+    try:
+        return estimate(inst)
+    except ValidationError as e:
+        return str(e)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["sin-inv", "abs", "square"]),
+       st.integers(min_value=-500, max_value=500).map(lambda k: k / 1000),
+       st.integers(min_value=-1600, max_value=1600).map(lambda k: k / 1000),
+       st.integers(min_value=1, max_value=30).map(lambda k: F(k, 100)),
+       st.integers(min_value=1, max_value=3))
+@example("sin-inv", 0.0, 0.0, F(1, 20), 3)  # problems/oscillating.json
+@example("sin-inv", 0.0, 1.505, F(1, 10), 2)  # the witness is sin-inv's exceptional x = 0
+@example("abs", 0.0, 0.0, F(1, 10), 3)
+@example("square", 0.25, 0.0, F(1, 10), 3)
+@example("sin-inv", -0.2, 0.0, F(1, 10), 3)  # the sweep leaves the domain
+def test_array_subregularity_sweep_equals_pointwise_sweep(name, x0, v0, eta, levels):
+    i = ProblemInstance(FunctionSpec(fixture=ANALYTIC_REGISTRY[name]), (x0,), (v0,),
+                        Params(eta=eta, refine_max=levels))
+    assert outcome(estimate_subregularity_modulus, i) == \
+        outcome(scalar_subregularity_analytic, i)
 
 
 def test_metric_regularity_quadratic_and_halfline():

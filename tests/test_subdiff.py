@@ -2,16 +2,19 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cells import unions_through_origin
 
 from tiltkit.cells import cell_complex
-from tiltkit.model import ANALYTIC_REGISTRY, FunctionSpec, QuadraticForm, ValidationError
+from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
+                           ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.rational import dot, matvec, neg, vec
-from tiltkit.subdiff import (EmptySliceError, analytic_inverse_points,
+from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, _analytic_subdifferential,
+                             analytic_distances, analytic_inverse_points,
                              distance_to_inverse, frechet_subdifferential,
                              inverse_image, stationary_points_1d, subdifferential,
                              subdifferential_distance)
@@ -216,6 +219,88 @@ def test_stationary_points_square():
     sq = ANALYTIC_REGISTRY["square"]
     assert stationary_points_1d(sq, (-1, 1), 1001) == [0.0]
     assert stationary_points_1d(sq, (1, 2), 101) == []
+
+
+def scalar_bisection_roots(fixture, interval, grid_density, target=0.0):
+    """Oracle: the per-bracket scalar bisection that the array bisection of
+    `stationary_points_1d` replaced."""
+    lo, hi = interval
+    xs = np.linspace(lo, hi, grid_density)
+    ds = np.asarray(fixture.derivative(xs), dtype=float) - target
+    roots = []
+    sign = np.sign(ds)
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa = float(ds[i])
+        for _ in range(BISECT_STEPS):
+            m = 0.5 * (a + b)
+            fm = float(fixture.derivative(m)) - target
+            if fm == 0.0 or (b - a) < BISECT_TOL:
+                break
+            if (fa < 0) == (fm < 0):
+                a, fa = m, fm
+            else:
+                b = m
+        roots.append(0.5 * (a + b))
+    for i in np.nonzero(ds == 0.0)[0]:
+        roots.append(float(xs[i]))
+    return sorted(set(roots))
+
+
+ANALYTIC_NAMES = st.sampled_from(["sin-inv", "abs", "square"])
+ENDS = st.floats(min_value=-2, max_value=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANALYTIC_NAMES, ENDS, ENDS, ENDS, st.integers(min_value=2, max_value=3000))
+def test_array_bisection_equals_scalar_bisection(name, a, b, target, density):
+    fx = ANALYTIC_REGISTRY[name]
+    interval = (min(a, b), max(a, b))
+    assert stationary_points_1d(fx, interval, density, target) == \
+        scalar_bisection_roots(fx, interval, density, target)
+
+
+def test_array_bisection_stops_each_bracket_on_its_own():
+    sq = ANALYTIC_REGISTRY["square"]
+    # the first midpoint of (-1, 0.5) is the root -0.25
+    assert stationary_points_1d(sq, (-1, 0.5), 2, target=-0.25) == [-0.25]
+    # two brackets: the first stops at its exact midpoint root -1 in one
+    # step, the second bisects on toward 0.3 to the width tolerance
+    two = AnalyticFixture1D("two-roots", -math.inf, math.inf, lambda x: x,
+                            lambda x: (np.asarray(x, dtype=float) + 1) *
+                            (np.asarray(x, dtype=float) - 0.3), ())
+    roots = stationary_points_1d(two, (-1.5, 0.5), 3)
+    assert roots == scalar_bisection_roots(two, (-1.5, 0.5), 3)
+    assert roots[0] == -1.0 and abs(roots[1] - 0.3) < 1e-12
+    osc = ANALYTIC_REGISTRY["sin-inv"]
+    assert stationary_points_1d(osc, (0.001, 0.1), 100_000) == \
+        scalar_bisection_roots(osc, (0.001, 0.1), 100_000)
+
+
+def scalar_distance(fx, x, v):
+    """Oracle: d(v; enclosure at x) one point at a time, by the max rule."""
+    sd = _analytic_subdifferential(fx, x, regular=False)
+    return max(sd.lo - v, v - sd.hi, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ANALYTIC_NAMES, ENDS, ENDS.map(abs), ENDS, st.integers(min_value=1, max_value=200))
+def test_array_distances_equal_pointwise_distances(name, center, radius, v, n):
+    fx = ANALYTIC_REGISTRY[name]
+    lo, hi = max(center - radius, fx.lo), max(center + radius, fx.lo)
+    # x = 0 is the exceptional point of each fixture, and sin-inv's domain end
+    xs = np.append(np.linspace(lo, hi, n), 0.0)
+    f = FunctionSpec(fixture=fx)
+    expected = [scalar_distance(fx, x, v) for x in xs]
+    # exact equality; sin-inv's derivative is NaN at subnormal x
+    assert np.array_equal(analytic_distances(fx, xs, v), expected, equal_nan=True)
+    assert np.array_equal([subdifferential_distance(f, (x,), (v,)) for x in xs], expected,
+                          equal_nan=True)
+
+
+def test_analytic_distances_reject_points_outside_the_domain():
+    with pytest.raises(ValidationError):
+        analytic_distances(ANALYTIC_REGISTRY["sin-inv"], [0.5, -0.1], 0.0)
 
 
 def test_analytic_enclosures():
