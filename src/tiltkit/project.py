@@ -24,11 +24,11 @@ FEAS_TOL = 1e-9
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _projection_data(a_rows: Mat, b_rows: Vec, dim: int):
-    """Float rows of {x : a x <= b} plus, per nonempty face, its independent
+    """Float rows of {x : a x <= b}; per nonempty face, its independent
     rows and the pseudoinverse solving the projection onto its affine hull,
     in (size, index) order of the rows, so near-ties go to the fewest rows;
-    memoized on the exact rows, which the grids revisit thousands of
-    times."""
+    the feasibility tolerance, scaled to b; memoized on the exact rows,
+    which the grids revisit thousands of times."""
     m = len(a_rows)
     a = np.array([[float(x) for x in row] for row in a_rows], dtype=float).reshape(m, dim)
     b = np.array([float(x) for x in b_rows], dtype=float)
@@ -46,43 +46,53 @@ def _projection_data(a_rows: Mat, b_rows: Vec, dim: int):
         subs.append((asub, b[idx], asub.T @ np.linalg.pinv(asub @ asub.T, rcond=1e-12)))
     for arr in (a, b, *(x for sub in subs for x in sub)):
         arr.flags.writeable = False  # every caller of the memo shares them
-    scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
-    return a, b, tuple(subs), scale
+    return a, b, tuple(subs), FEAS_TOL * (1.0 + float(np.max(np.abs(b))) if m else 1.0)
+
+
+def _matvec(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Every product here is a stacked matvec and every norm sqrt(d @ d) by stacked matmul
+    (row_norms): these round as the one-point a @ z and norm(d), so the floats match."""
+    return (a @ zs[:, :, None])[:, :, 0]
+
+
+def row_norms(ds: np.ndarray) -> np.ndarray:
+    return np.sqrt(ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
+
+
+def per_point(z: np.ndarray, d: np.ndarray):
+    """d, one entry per row of an (m, n) array z; its float for one point z."""
+    return d if z.ndim > 1 else float(d[0])
 
 
 def project_polyhedron(z, poly: ConvexPolyhedron) -> np.ndarray:
-    """Nearest point of poly to z.
+    """Nearest point of poly to z, or to each row of an (m, n) array z.
 
     Raises ValueError on an empty polyhedron.
     """
     z = np.asarray(z, dtype=float)
+    out = np.array(np.atleast_2d(z))
     if poly._projection is None:  # looked up once per object: the key hashes every row
         poly._projection = _projection_data(poly.a, poly.b, poly.dim)
-    a, b, subs, scale = poly._projection
-    if poly.m == 0 or np.max(a @ z - b) <= FEAS_TOL * scale:
-        return z.copy()
-    best: tuple[float, np.ndarray] | None = None
+    a, b, subs, tol = poly._projection
+    rows = np.flatnonzero(np.max(_matvec(a, out) - b, axis=1, initial=-np.inf) > tol)
+    zs = out[rows]
+    best, found = np.full(len(rows), np.inf), np.zeros(len(rows), dtype=bool)
     for asub, bsub, solve_t in subs:
-        x = z - solve_t @ (asub @ z - bsub)
-        if np.max(a @ x - b) > FEAS_TOL * scale:
-            continue
-        d = float(np.linalg.norm(x - z))
-        if best is None or d < best[0] - 1e-15:
-            best = (d, x)
-    if best is None:
+        xs = zs - _matvec(solve_t, _matvec(asub, zs) - bsub)
+        d = row_norms(xs - zs)
+        take = (np.max(_matvec(a, xs) - b, axis=1) <= tol) & (~found | (d < best - 1e-15))
+        best[take], found[take], out[rows[take]] = d[take], True, xs[take]
+    if not found.all():
         raise ValueError("projection onto empty polyhedron")
-    return best[1]
+    return out if z.ndim > 1 else out[0]
 
 
-def distance_to_polyhedron(z, poly: ConvexPolyhedron) -> float:
-    return float(np.linalg.norm(project_polyhedron(z, poly) - np.asarray(z, dtype=float)))
-
-
-def project_cone(z, cone: PolyCone) -> np.ndarray:
-    """Projection onto a polyhedral cone via its inequality form."""
-    return project_polyhedron(z, cone_polyhedron(cone))
-
-
-def distance_to_cone(z, cone: PolyCone) -> float:
+def distance_to_polyhedron(z, poly: ConvexPolyhedron):
+    """d(z; poly): a float for one point z, an (m,) array for an (m, n) array."""
     z = np.asarray(z, dtype=float)
-    return float(np.linalg.norm(project_cone(z, cone) - z))
+    return per_point(z, row_norms(np.atleast_2d(project_polyhedron(z, poly) - z)))
+
+
+def distance_to_cone(z, cone: PolyCone):
+    """d(z; cone), through its inequality form, as distance_to_polyhedron."""
+    return distance_to_polyhedron(z, cone_polyhedron(cone))

@@ -25,6 +25,7 @@ from .cells import regular_normal_cone
 from .copositive import cone_form_min_sign, graph_form
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
+from .project import row_norms
 from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, mat, matvec, neg, norm_sq,
                        solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, InverseSlice, analytic_distances,
@@ -230,10 +231,9 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
     lhs = np.array([float(evaluate_exact(f, x)) for x in grid])
     if mode == "distance-squared":
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
-        d = np.array([distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
-                      for xf in pts])
+        d = distance_to_inverse(f, inst.xstar, pts, slice_.box, slice_)
     else:
-        d = np.linalg.norm(pts - xbar_f, axis=1)
+        d = row_norms(pts - xbar_f)
     return pts, base, lhs, d * d
 
 
@@ -288,8 +288,7 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
 
         def dist2(pts: np.ndarray) -> np.ndarray:
-            d = np.array([distance_to_inverse(f, inst.xstar, xf, slice_.box, slice_)
-                          for xf in pts])
+            d = distance_to_inverse(f, inst.xstar, pts, slice_.box, slice_)
             return d * d
 
     if mode == "3.1":
@@ -467,19 +466,16 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
     slice_ = inverse_image(f, inst.xstar, box)
     if slice_.is_empty():
         return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
-    xstar_f = to_float(inst.xstar)
 
-    def ratios(per_axis):
-        for x in domain_lattice(f, inst.xbar, p.eta, per_axis):
-            if slice_.contains(x):
-                continue
-            xf = np.array(to_float(x))
-            num = distance_to_inverse(f, inst.xstar, xf, box, slice_)
-            den = subdifferential_distance(f, x, xstar_f)
-            if den > DIST_TOL:
-                yield num / den, tuple(map(float, xf))
+    def sweep(per_axis):
+        xs = [x for x in domain_lattice(f, inst.xbar, p.eta, per_axis) if not slice_.contains(x)]
+        xfs = _floats(xs, f.dim)
+        num = distance_to_inverse(f, inst.xstar, xfs, box, slice_)
+        den = np.array([subdifferential_distance(f, x, to_float(inst.xstar)) for x in xs])
+        ok = den > DIST_TOL
+        return _sup(zip((num[ok] / den[ok]).tolist(), map(tuple, xfs[ok].tolist())))
 
-    return _refine(_refinement_schedule(p.grid, p.refine_max), lambda n: _sup(ratios(n)))
+    return _refine(_refinement_schedule(p.grid, p.refine_max), sweep)
 
 
 def _subregularity_analytic(inst: ProblemInstance) -> ModulusEstimate:
@@ -513,29 +509,32 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
     p = inst.params
     box = _inverse_box(inst)
 
-    def ratios(nx, ny):
-        xs = domain_lattice(f, inst.xbar, p.eta, nx)
-        ys = ball_lattice(inst.xstar, p.delta, ny)
+    def sweep(level):
+        xs = domain_lattice(f, inst.xbar, p.eta, level[0])
+        ys = ball_lattice(inst.xstar, p.delta, level[1])
         slices = []
         for y in ys:  # in y order: no inverse image past the first empty one
             slices.append(inverse_image(f, y, box))
             if slices[-1].is_empty():
                 raise _Unbounded(to_float(y), f"empty preimage at y={to_float(y)}")
-        yfs = [to_float(y) for y in ys]
-        for x in xs:
-            xf = np.array(to_float(x))
+        xfs, yfs = _floats(xs, f.dim), _floats(ys, f.dim)
+        # den per x over the ys outside sd(x), num per y over the xs kept; x-major out
+        den = np.zeros((len(xs), len(ys)))
+        for i, x in enumerate(xs):
             sd = subdifferential(f, x)
-            for y, yf, slice_ in zip(ys, yfs, slices):
-                if sd.contains(y):
-                    continue
-                den = sd.distance(yf)
-                if den > DIST_TOL:
-                    yield (distance_to_inverse(f, y, xf, box, slice_) / den,
-                           (tuple(map(float, xf)), yf))
+            out = [not sd.contains(y) for y in ys]
+            den[i, out] = sd.distance(yfs[out])
+        num = np.zeros_like(den)
+        for j, (y, slice_) in enumerate(zip(ys, slices)):
+            kept = den[:, j] > DIST_TOL
+            num[kept, j] = distance_to_inverse(f, y, xfs[kept], box, slice_)
+        i, j = np.nonzero(den > DIST_TOL)
+        return _sup(zip((num[i, j] / den[i, j]).tolist(),
+                        zip(map(tuple, xfs[i].tolist()), map(tuple, yfs[j].tolist()))))
 
     levels = zip(_refinement_schedule(p.grid, p.refine_max),
                  _refinement_schedule(_coarse(p), p.refine_max))
-    return _refine(levels, lambda level: _sup(ratios(*level)))
+    return _refine(levels, sweep)
 
 
 def check_uniform_growth(inst: ProblemInstance, kappa) -> CheckOutcome:

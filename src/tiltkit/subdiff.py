@@ -20,7 +20,7 @@ from .cells import limiting_normal_cone, regular_normal_cone
 from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact, scalar
 from .polyhedra import ConvexPolyhedron
-from .project import distance_to_cone, distance_to_polyhedron
+from .project import distance_to_cone, distance_to_polyhedron, per_point, row_norms
 from .rational import Vec, sub, to_float, vec
 
 
@@ -37,10 +37,13 @@ class ExactSubdifferential:
     def contains(self, v) -> bool:
         return self.cones.contains(sub(vec(v), self.base))
 
-    def distance(self, v) -> float:
-        w = np.asarray([float(t) for t in v], dtype=float) - np.asarray(to_float(self.base))
-        return min((float(np.linalg.norm(w)) if piece.is_trivial() else distance_to_cone(w, piece)
-                    for piece in self.cones.pieces), default=math.inf)
+    def distance(self, v):
+        """d(v; self): a float for one v, an (m,) array for an (m, n) array."""
+        w = np.asarray(v, dtype=float) - np.asarray(to_float(self.base))
+        ws = np.atleast_2d(w)
+        return per_point(w, np.min([np.full(len(ws), math.inf)] + [
+            row_norms(ws) if piece.is_trivial() else distance_to_cone(ws, piece)
+            for piece in self.cones.pieces], axis=0))
 
 
 @dataclass(frozen=True)
@@ -83,26 +86,29 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
         else:
             cones = limiting_normal_cone(f.domain, x)
         return ExactSubdifferential(f.smooth.gradient(x), cones)
-    return _analytic_subdifferential(f.fixture, x, regular=False)
+    return _analytic_subdifferential(f.fixture, x)
 
 
-def frechet_subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
-    """The regular subdifferential at x; convex-valued."""
-    _require_finite(f, x)
-    if f.is_exact:
-        x = vec(x)
-        cone = regular_normal_cone(f.domain, x)
-        return ExactSubdifferential(f.smooth.gradient(x), ConeUnion([cone], f.dim))
-    return _analytic_subdifferential(f.fixture, x, regular=True)
-
-
-def subdifferential_distance(f: FunctionSpec, x, v) -> float:
-    """d(v; subdifferential at x), accurate to ~1e-10."""
+def frechet_subdifferential(f: FunctionSpec, x) -> ExactSubdifferential:
+    """The regular subdifferential at x; convex-valued; exact variant only."""
     if not f.is_exact:
-        return float(analytic_distances(f.fixture, [scalar(x)], scalar(v))[0])
-    sd = subdifferential(f, x)
-    # floats are exact binary rationals, so the zero fast path is exact
-    return 0.0 if sd.contains(tuple(Fraction(t) for t in v)) else sd.distance(v)
+        raise ValidationError("regular subdifferential needs the exact variant")
+    _require_finite(f, x)
+    x = vec(x)
+    cone = regular_normal_cone(f.domain, x)
+    return ExactSubdifferential(f.smooth.gradient(x), ConeUnion([cone], f.dim))
+
+
+def subdifferential_distance(f: FunctionSpec, x, v):
+    """d(v; subdifferential at x), accurate to ~1e-10: a float for one v, an
+    (m,) array for an (m, n) array of them."""
+    vs = v if np.ndim(v) > 1 else [v]
+    if not f.is_exact:
+        d = analytic_distances(f.fixture, [scalar(x)], np.asarray(vs, dtype=float).reshape(-1))
+    else:
+        sd = subdifferential(f, x)  # floats are exact binary rationals: exact zero test
+        d = [0.0 if sd.contains(tuple(map(Fraction, u))) else sd.distance(u) for u in vs]
+    return per_point(np.asarray(v), np.asarray(d))
 
 
 # -- analytic path --------------------------------------------------------------
@@ -115,8 +121,7 @@ BISECT_TOL = 1e-12
 BISECT_STEPS = 80
 
 
-def _analytic_subdifferential(fx: AnalyticFixture1D, x, regular: bool,
-                              n_samples: int = 10_000) -> Interval1D:
+def _analytic_subdifferential(fx: AnalyticFixture1D, x, n_samples: int = 10_000) -> Interval1D:
     t = scalar(x)
     if any(abs(t - e) < POINT_TOL for e in fx.exceptional):
         return _exceptional_enclosure(fx, t, n_samples)
@@ -138,7 +143,7 @@ def analytic_distances(fx: AnalyticFixture1D, xs, v: float) -> np.ndarray:
     for e in fx.exceptional:
         special |= np.abs(xs - e) < POINT_TOL
     for i in np.flatnonzero(special):
-        sd = _analytic_subdifferential(fx, xs[i], regular=False)
+        sd = _analytic_subdifferential(fx, xs[i])
         lo[i], hi[i] = sd.lo, sd.hi
     return _interval_distance(lo, hi, v)
 
@@ -198,7 +203,7 @@ def analytic_inverse_points(fixture: AnalyticFixture1D, vstar: float,
             pts.append(e)
     for b in (fixture.lo, fixture.hi):
         if math.isfinite(b) and lo <= b <= hi and b not in pts and \
-                _analytic_subdifferential(fixture, b, regular=False).contains(vstar):
+                _analytic_subdifferential(fixture, b).contains(vstar):
             pts.append(b)
     return sorted(set(pts))
 
@@ -243,11 +248,12 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
 
 
 def distance_to_inverse(f: FunctionSpec, v, x, box: ConvexPolyhedron,
-                        slice_: InverseSlice | None = None) -> float:
-    """min distance from x to the inverse slice; raises EmptySliceError
-    when the slice has no pieces (reported distinctly, never as 0)."""
+                        slice_: InverseSlice | None = None):
+    """min distance from x (a point, or each row of an (m, n) array) to the inverse
+    slice; raises EmptySliceError when it has no pieces (reported distinctly, never 0)."""
     s = slice_ if slice_ is not None else inverse_image(f, v, box)
     if s.is_empty():
         raise EmptySliceError(f"inverse image of {to_float(vec(v))} misses the box")
-    z = np.asarray([float(t) for t in x], dtype=float)
-    return min(distance_to_polyhedron(z, p) for p in s.pieces)
+    z = np.asarray(x, dtype=float)
+    return per_point(z, np.min([distance_to_polyhedron(np.atleast_2d(z), p)
+                                for p in s.pieces], axis=0))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from tiltkit.cones import PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron, cone_polyhedron
 from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_cone,
-                             distance_to_polyhedron, project_cone, project_polyhedron)
+                             distance_to_polyhedron, project_polyhedron)
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -156,7 +157,7 @@ def test_face_projection_matches_subset_enumeration(case):
 def test_cone_projection_matches_subset_enumeration(z):
     cone = PolyCone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (1, 1, 2)], 3)
     poly = ConvexPolyhedron(cone.ineqs, [0] * len(cone.ineqs), dim=3)
-    x = project_cone(z, cone)
+    x = project_polyhedron(z, cone_polyhedron(cone))
     assert np.linalg.norm(x - subset_projection(z, poly)) <= 1e-12
     assert kkt_residual(z, x, poly) <= 1e-10
 
@@ -198,7 +199,7 @@ def test_projection_data_is_looked_up_once_per_object(zs):
     on_polygon = [project_polyhedron(z, polygon) for z in zs]
     assert projection_data_lookups() - before <= 1
     before = projection_data_lookups()
-    on_cone = [project_cone(z, cone) for z in zs]
+    on_cone = [project_polyhedron(z, cone_polyhedron(cone)) for z in zs]
     assert projection_data_lookups() - before <= 1
     assert cone_polyhedron(cone) is cone_polyhedron(cone)
     # the same projections from freshly looked-up data
@@ -207,3 +208,90 @@ def test_projection_data_is_looked_up_once_per_object(zs):
         fresh = ConvexPolyhedron(poly.a, poly.b, dim=poly.dim)
         for z, x in zip(zs, kept):
             assert np.array_equal(project_polyhedron(z, fresh), x)
+
+
+def pointwise_projection(z, poly):
+    """Oracle: the one-point projection that the whole-grid projection
+    replaced, the same face candidates tried for one point at a time."""
+    z = np.asarray(z, dtype=float)
+    a, b, subs, tol = _projection_data(poly.a, poly.b, poly.dim)
+    if poly.m == 0 or np.max(a @ z - b) <= tol:
+        return z.copy()
+    best = None
+    for asub, bsub, solve_t in subs:
+        x = z - solve_t @ (asub @ z - bsub)
+        if np.max(a @ x - b) > tol:
+            continue
+        d = float(np.linalg.norm(x - z))
+        if best is None or d < best[0] - 1e-15:
+            best = (d, x)
+    if best is None:
+        raise ValueError("projection onto empty polyhedron")
+    return best[1]
+
+
+@st.composite
+def polyhedron_or_cone_and_grid(draw):
+    """A polyhedron or a cone's inequality polyhedron, with outside points,
+    their projections (on a face) and a relative-interior point."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 6))
+        rows = draw(st.lists(st.tuples(*[small_ints] * n), min_size=m, max_size=m))
+        rhs = draw(st.lists(small_ints, min_size=m, max_size=m))
+        poly = ConvexPolyhedron(rows, rhs, dim=n)
+    else:
+        gens = draw(st.lists(st.tuples(*[small_ints] * n), min_size=1, max_size=4))
+        poly = cone_polyhedron(PolyCone.from_generators(gens, n))
+    point = st.tuples(*[st.floats(-4, 4, allow_nan=False)] * n)
+    zs = draw(st.lists(point, min_size=1, max_size=8))
+    projected = [projection_or_empty(pointwise_projection, z, poly) for z in zs]
+    zs += [tuple(x) for x in projected if x is not None]
+    inner = poly.relint_point()
+    if inner is not None:
+        zs.append(tuple(float(t) for t in inner))
+    order = draw(st.permutations(range(len(zs))))
+    return poly, np.array([zs[i] for i in order], dtype=float).reshape(len(zs), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyhedron_or_cone_and_grid())
+def test_grid_projection_equals_pointwise_projection_bit_for_bit(case):
+    poly, zs = case
+    expected = [projection_or_empty(pointwise_projection, z, poly) for z in zs]
+    if any(x is None for x in expected):  # some point meets an empty polyhedron
+        with pytest.raises(ValueError):
+            project_polyhedron(zs, poly)
+        return
+    assert np.array_equal(project_polyhedron(zs, poly), expected)
+    assert np.array_equal(distance_to_polyhedron(zs, poly),
+                          [np.linalg.norm(x - z) for x, z in zip(expected, zs)])
+    # one point is the m = 1 case: as a 1-D point and as a one-row grid
+    assert np.array_equal(project_polyhedron(zs[0], poly), expected[0])
+    assert np.array_equal(project_polyhedron(zs[:1], poly), expected[:1])
+
+
+def test_empty_polyhedron_raises_on_a_grid():
+    empty = ConvexPolyhedron([(1,), (-1,)], (-1, -1), dim=1)
+    with pytest.raises(ValueError):
+        project_polyhedron(np.array([[0.0], [3.0]]), empty)
+
+
+def test_distance_to_polyhedron_is_a_float_per_point_and_an_array_per_grid():
+    w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
+    grid = np.array([[0.0, 1.0], [1.0, 0.5], [-2.0, 0.0]])
+    for point in [(0, 1), (F(1), F(1, 2)), (-2.0, 0.0)]:
+        d = distance_to_polyhedron(point, w)
+        assert type(d) is float and d == distance_to_polyhedron(np.array(point, float), w)
+    d = distance_to_polyhedron(grid, w)
+    assert d.shape == (3,) and d.tolist() == [distance_to_polyhedron(z, w) for z in grid]
+
+
+def test_distance_to_cone_is_a_float_per_point_and_an_array_per_grid():
+    c = PolyCone.from_generators([(-1, 1), (-1, -1)], 2)
+    grid = np.array([[1.0, 0.0], [-2.0, 0.5], [0.5, 3.0]])
+    for point in [(1, 0), (F(-2), F(1, 2)), (0.5, 3.0)]:
+        d = distance_to_cone(point, c)
+        assert type(d) is float and d == distance_to_cone(np.array(point, float), c)
+    d = distance_to_cone(grid, c)
+    assert d.shape == (3,) and d.tolist() == [distance_to_cone(z, c) for z in grid]

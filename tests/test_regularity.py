@@ -1,26 +1,30 @@
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltkit.fixtures import fixture
+from tiltkit.fixtures import CORPUS, fixture
 from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ProblemInstance, QuadraticForm,
-                           ValidationError)
+                           ValidationError, parse_problem)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PROX_MODES, R_CAP,
-                                SOLUTION_TOL, ModulusEstimate, _refine, _sup,
-                                ball_lattice, check_condition_4_1, check_growth,
+                                SOLUTION_TOL, ModulusEstimate, _coarse, _refine,
+                                _refinement_schedule, _sup, _Unbounded, ball_lattice,
+                                check_condition_4_1, check_growth,
                                 check_lower_prox_inequality,
                                 check_single_valued_localization,
-                                check_uniform_growth,
+                                check_uniform_growth, domain_lattice,
                                 estimate_metric_regularity_modulus,
                                 estimate_subregularity_modulus, graph_point_samples,
                                 growth_alpha_hat, minimal_prox_r, solve_tilt,
                                 tilt_stability_verdict)
-from tiltkit.subdiff import analytic_inverse_points, subdifferential
+from tiltkit.rational import to_float
+from tiltkit.subdiff import (analytic_inverse_points, distance_to_inverse, inverse_image,
+                             subdifferential, subdifferential_distance)
 
 
 def inst(name):
@@ -97,6 +101,76 @@ def test_array_subregularity_sweep_equals_pointwise_sweep(name, x0, v0, eta, lev
                         Params(eta=eta, refine_max=levels))
     assert outcome(estimate_subregularity_modulus, i) == \
         outcome(scalar_subregularity_analytic, i)
+
+
+def pointwise_subregularity(inst):
+    """Oracle: the exact path's point-by-point sweep that the whole-grid
+    sweep of the subregularity estimate replaced."""
+    f, p = inst.f, inst.params
+    box = ConvexPolyhedron.box(inst.xbar, p.box_halfwidth)
+    slice_ = inverse_image(f, inst.xstar, box)
+    if slice_.is_empty():
+        return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
+    xstar_f = to_float(inst.xstar)
+
+    def ratios(per_axis):
+        for x in domain_lattice(f, inst.xbar, p.eta, per_axis):
+            if slice_.contains(x):
+                continue
+            xf = np.array(to_float(x))
+            num = distance_to_inverse(f, inst.xstar, xf, box, slice_)
+            den = subdifferential_distance(f, x, xstar_f)
+            if den > DIST_TOL:
+                yield num / den, tuple(map(float, xf))
+
+    return _refine(_refinement_schedule(p.grid, p.refine_max), lambda n: _sup(ratios(n)))
+
+
+def pointwise_metric_regularity(inst):
+    """Oracle: the pair-by-pair sweep that the whole-grid sweep of the
+    metric regularity estimate replaced."""
+    f, p = inst.f, inst.params
+    box = ConvexPolyhedron.box(inst.xbar, p.box_halfwidth)
+
+    def ratios(nx, ny):
+        xs = domain_lattice(f, inst.xbar, p.eta, nx)
+        ys = ball_lattice(inst.xstar, p.delta, ny)
+        slices = []
+        for y in ys:
+            slices.append(inverse_image(f, y, box))
+            if slices[-1].is_empty():
+                raise _Unbounded(to_float(y), f"empty preimage at y={to_float(y)}")
+        yfs = [to_float(y) for y in ys]
+        for x in xs:
+            xf = np.array(to_float(x))
+            sd = subdifferential(f, x)
+            for y, yf, slice_ in zip(ys, yfs, slices):
+                if sd.contains(y):
+                    continue
+                den = sd.distance(yf)
+                if den > DIST_TOL:
+                    yield (distance_to_inverse(f, y, xf, box, slice_) / den,
+                           (tuple(map(float, xf)), yf))
+
+    levels = zip(_refinement_schedule(p.grid, p.refine_max),
+                 _refinement_schedule(_coarse(p), p.refine_max))
+    return _refine(levels, lambda level: _sup(ratios(*level)))
+
+
+def exact_problem_files():
+    root = Path(__file__).resolve().parent.parent / "problems"
+    insts = [parse_problem(path.read_text()) for path in sorted(root.glob("*.json"))]
+    return [i for i in insts if i.f.is_exact]
+
+
+C39_INSTANCES = [fx.instance for fx in CORPUS.values() if "c39" in fx.tags] + \
+    [fixture("neg-quad").instance]
+
+
+@pytest.mark.parametrize("i", exact_problem_files() + C39_INSTANCES, ids=lambda i: i.name)
+def test_grid_sweeps_equal_pointwise_sweeps(i):
+    assert estimate_metric_regularity_modulus(i) == pointwise_metric_regularity(i)
+    assert estimate_subregularity_modulus(i) == pointwise_subregularity(i)
 
 
 def test_metric_regularity_quadratic_and_halfline():

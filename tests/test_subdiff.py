@@ -200,6 +200,41 @@ def test_distance_to_inverse():
                                    ConvexPolyhedron.box((0,), F(1))) - 0.3) < 1e-12
 
 
+def test_distance_to_inverse_is_a_float_per_point_and_an_array_per_grid():
+    box = ConvexPolyhedron.box((0, 0), F(1))
+    for x in [(1, 0), (F(1, 2), F(1, 3)), (-0.25, 0.75)]:
+        d = distance_to_inverse(saddle(), (0, 0), x, box)
+        assert type(d) is float
+        assert d == distance_to_inverse(saddle(), (0, 0), np.array(x, dtype=float), box)
+    grid = np.array([[1.0, 0.0], [0.5, 0.5], [-0.25, 0.75]])
+    d = distance_to_inverse(saddle(), (0, 0), grid, box)
+    assert d.shape == (3,)
+    assert d.tolist() == [distance_to_inverse(saddle(), (0, 0), x, box) for x in grid]
+
+
+def test_subdifferential_distance_is_a_float_per_point_and_an_array_per_grid():
+    # (1, 0) and (0, 2) lie outside the saddle's subdifferential at the apex
+    for v in [(1, 0), (F(-1), F(1, 2)), (0.0, 2.0)]:
+        d = subdifferential_distance(saddle(), (0, 0), v)
+        assert type(d) is float
+        assert d == subdifferential_distance(saddle(), (0, 0), tuple(map(float, v)))
+    vs = np.array([[1.0, 0.0], [-1.0, 0.5], [0.0, 2.0]])
+    d = subdifferential_distance(saddle(), (0, 0), vs)
+    assert d.shape == (3,) and d[1] == 0.0
+    assert d.tolist() == [subdifferential_distance(saddle(), (0, 0), v) for v in vs]
+    fa = FunctionSpec(fixture=ANALYTIC_REGISTRY["abs"])
+    assert type(subdifferential_distance(fa, (2.0,), (0.0,))) is float
+    assert subdifferential_distance(fa, (2.0,), np.array([[0.0], [1.0], [3.0]])).tolist() == \
+        [1.0, 0.0, 2.0]
+
+
+def test_regular_subdifferential_needs_the_exact_variant():
+    # the analytic enclosure at sin-inv's 0 is (-inf, 1.503...], the limiting
+    # subdifferential; the regular one there is (-inf, 1/2]
+    with pytest.raises(ValidationError, match="exact variant"):
+        frechet_subdifferential(FunctionSpec(fixture=ANALYTIC_REGISTRY["sin-inv"]), (0.0,))
+
+
 def test_distance_to_empty_slice_is_an_error_not_zero():
     f = saddle()
     box = ConvexPolyhedron.box((0, 0), F(1))
@@ -279,7 +314,7 @@ def test_array_bisection_stops_each_bracket_on_its_own():
 
 def scalar_distance(fx, x, v):
     """Oracle: d(v; enclosure at x) one point at a time, by the max rule."""
-    sd = _analytic_subdifferential(fx, x, regular=False)
+    sd = _analytic_subdifferential(fx, x)
     return max(sd.lo - v, v - sd.hi, 0.0)
 
 
