@@ -16,8 +16,7 @@ from .copositive import cone_form_min_sign, orthant_min_sign, simplex_min
 from .fixtures import CORPUS, Fixture, fixture, minimizer_fixtures
 from .hessian import (DefinitenessVerdict, GraphLocalModel, KernelReport,
                       SecondOrderMap, build_graph_model, combined_second_order,
-                      definiteness, graph_normal_cone_limiting,
-                      hessian_sum_rule_check, kernel, second_order_contains,
+                      definiteness, hessian_sum_rule_check, kernel, second_order_contains,
                       second_order_map, second_order_subdifferential)
 from .model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, Params,
                     ParseError, ProblemInstance, QuadraticForm, ValidationError,

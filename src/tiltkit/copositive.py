@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cones import PolyCone
-from .rational import F0, F1, Mat, Vec, combine, int_rref, is_zero, mat, nullspace, vec
+from .rational import F0, Mat, Vec, combine, int_nullspace, int_rref, is_zero, mat, vec
 
 
 def graph_form(n: int, ww, wz, zz) -> Mat:
@@ -55,8 +55,10 @@ def _quad(n: Mat, t: Vec) -> Fraction:
     return sum((t[i] * n[i][j] * t[j] for i in range(len(t)) for j in range(len(t))), F0)
 
 
-def _submatrix(n: Mat, s: tuple[int, ...]) -> Mat:
-    return mat([[n[i][j] for j in s] for i in s])
+def _int_form(n: Mat) -> tuple[int, list[list[int]]]:
+    """(d, dN): the least positive int d that scales N to ints, and dN."""
+    d = math.lcm(*(x.denominator for row in n for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in n]
 
 
 def _embed(t: Vec, s: tuple[int, ...], k: int) -> Vec:
@@ -83,8 +85,7 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
     k = len(n)
     if k == 0:
         raise ValueError("empty form")
-    d = math.lcm(*(x.denominator for row in n for x in row))
-    m = [[x.numerator * (d // x.denominator) for x in row] for row in n]
+    d, m = _int_form(n)
     best: tuple[int, int] | None = None  # the value as (numerator, denominator)
     arg: Vec | None = None
     for size in range(1, k + 1):
@@ -123,17 +124,17 @@ def orthant_min_sign(n: Mat) -> tuple[int, Vec | None]:
 def orthant_zero_witnesses(n: Mat) -> Iterator[Vec]:
     """All generators of {t >= 0 : t'Nt = 0} assuming the form is
     copositive on the orthant: zeros are kernel points of principal
-    submatrices, a finite union of rational cones."""
+    submatrices, a finite union of rational cones, tested on the ints dN."""
     k = len(n)
+    _, m = _int_form(n)
     seen: set[Vec] = set()
     for size in range(1, k + 1):
         for s in itertools.combinations(range(k), size):
-            ns = _submatrix(n, s)
-            if not nullspace(ns, size):
+            ms = [tuple(m[i][j] for j in s) for i in s]
+            if not int_nullspace(ms, size)[0]:
                 continue
-            rows = list(ns) + [tuple(-x for x in row) for row in ns]
-            rows += [tuple(-F1 if j == i else F0 for j in range(size))
-                     for i in range(size)]
+            rows = ms + [tuple(-x for x in row) for row in ms]
+            rows += [tuple(-int(j == i) for j in range(size)) for i in range(size)]
             cone = PolyCone.from_inequalities(mat(rows), size)
             # contained in the orthant, so pointed: rays only, all >= 0
             for g in cone.rays:

@@ -13,6 +13,7 @@ a Hessian value at direction u exactly when (w, -u) is normal to the graph.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .copositive import cone_form_sign_and_zeros, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
 from .rational import F0, F1, Vec, dot, is_zero, mat, matvec, neg, sub, vec
-from .subdiff import subdifferential
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,18 @@ class GraphLocalModel:
 
 
 def build_graph_model(f: FunctionSpec, xbar, xstar) -> GraphLocalModel:
-    """The pieces of `f.graph()` containing the reference pair (their cells' closures hold xbar)."""
+    """The pieces of `f.graph` whose cell holds xbar and whose value holds xstar - grad q(xbar)."""
     if not f.is_exact:
         raise ValidationError("graph models need the exact variant")
     xbar, xstar = vec(xbar), vec(xstar)
-    if not subdifferential(f, xbar).contains(xstar):
+    if len(xbar) != f.dim or len(xstar) != f.dim:
+        raise ValidationError("dimension mismatch")
+    v = sub(xstar, f.smooth.gradient(xbar))
+    pieces = tuple(p for p, c in zip(f.graph, f.cells)
+                   if c.closure.contains(xbar) and c.value.contains(v))
+    if not pieces:
         raise ValidationError("reference pair is not on the subdifferential graph")
-    base = xbar + xstar
-    return GraphLocalModel(f, xbar, xstar, tuple(p for p in f.graph() if p.contains(base)))
-
-
-def graph_normal_cone_limiting(model: GraphLocalModel) -> ConeUnion:
-    """Limiting normal cone to the graph union at the reference pair."""
-    return limiting_normal_cone(model.union, model.basepoint)
+    return GraphLocalModel(f, xbar, xstar, pieces)
 
 
 class SecondOrderMap:
@@ -63,8 +62,12 @@ class SecondOrderMap:
 
     def __init__(self, model: GraphLocalModel):
         self.model = model
-        self.normal_cone = graph_normal_cone_limiting(model)
         self.n = model.f.dim
+
+    @functools.cached_property
+    def normal_cone(self) -> ConeUnion:
+        """Limiting normal cone to the graph union at the reference pair, built when read."""
+        return limiting_normal_cone(self.model.union, self.model.basepoint)
 
     def value(self, u) -> list[ConvexPolyhedron]:
         """{w : (w, -u) normal to the graph} as polyhedra in w-space."""

@@ -9,6 +9,7 @@ path; its machinery never mixes with the exact one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -187,8 +188,7 @@ class FunctionSpec:
             self.domain = domain
             self.fixture = None
             self.dim = smooth.dim
-        # per-function memos: graph, second_order_map, inverse_image
-        self._graph = None
+        # memos of second_order_map and inverse_image; `cells`, `graph` are cached properties
         self._graph_models: dict = {}
         self._inverse_images: dict = {}
 
@@ -196,22 +196,25 @@ class FunctionSpec:
     def is_exact(self) -> bool:
         return self.variant == "exact"
 
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """The domain's global cells (`cells.cell_complex`), read by `graph` and `subdiff`."""
+        from .cells import cell_complex
+        return tuple(cell_complex(self.domain))
+
+    @functools.cached_property
     def graph(self) -> tuple[ConvexPolyhedron, ...]:
         """gph of the subdifferential as one polyhedron {(x, y) : x in cl C, y - Qx - c in V_C}
-        per global cell C (cached): cl C's rows padded with zeros, then (-gQ | g) <= g.c per
+        per global cell C of `cells`: cl C's rows padded with zeros, then (-gQ | g) <= g.c per
         row g of the normal-cone value V_C."""
-        from .cells import cell_complex
-        if self._graph is None:
-            n, q, c = self.dim, self.smooth.q, self.smooth.c
-            cells = cell_complex(self.domain)
-            # cells share value rows, so each distinct g is multiplied out once
-            vrow = {g: (neg(matvec(q, g)) + g, dot(g, c))
-                    for g in dict.fromkeys(g for cell in cells for g in cell.value.ineqs)}
-            self._graph = tuple(ConvexPolyhedron(
-                [row + zeros(n) for row in cell.closure.a] + [vrow[g][0] for g in cell.value.ineqs],
-                cell.closure.b + tuple(vrow[g][1] for g in cell.value.ineqs), dim=2 * n)
-                for cell in cells)
-        return self._graph
+        n, q, c = self.dim, self.smooth.q, self.smooth.c
+        # cells share value rows, so each distinct g is multiplied out once
+        vrow = {g: (neg(matvec(q, g)) + g, dot(g, c))
+                for g in dict.fromkeys(g for cell in self.cells for g in cell.value.ineqs)}
+        return tuple(ConvexPolyhedron(
+            [row + zeros(n) for row in cell.closure.a] + [vrow[g][0] for g in cell.value.ineqs],
+            cell.closure.b + tuple(vrow[g][1] for g in cell.value.ineqs), dim=2 * n)
+            for cell in self.cells)
 
     def __repr__(self) -> str:
         if self.is_exact:
@@ -305,6 +308,8 @@ class ProblemInstance:
 
     def validate(self) -> None:
         from .subdiff import subdifferential
+        if len(self.xbar) != self.f.dim or len(self.xstar) != self.f.dim:
+            raise ValidationError("dimension mismatch")
         sd = subdifferential(self.f, self.xbar)
         if not sd.contains(self.xstar):
             raise ValidationError("reference subgradient is not in the subdifferential "

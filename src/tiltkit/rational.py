@@ -65,11 +65,11 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def scale(a: Vec, s: Fraction) -> Vec:

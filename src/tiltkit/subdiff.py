@@ -1,11 +1,11 @@
 """First-order objects: subdifferentials, their inverses, and distances.
 
 For the exact class the limiting subdifferential is gradient + limiting
-normal cone of the domain union (the smooth-plus-indicator sum rule is an
-identity here), so membership is decided exactly, and an inverse image
-is the slice of the subgradient graph `FunctionSpec.graph` at the queried
-subgradient.  The analytic 1-D path returns certified interval enclosures
-built from derivative limit sampling.
+normal cone of the domain (the sum rule is an identity here): the values of
+the global cells `FunctionSpec.cells` whose closure holds x.  An inverse
+image is the slice of `FunctionSpec.graph`, built from the same cells.  The
+analytic 1-D path returns certified interval enclosures from derivative
+limit sampling.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import limiting_normal_cone, regular_normal_cone
+from .cells import regular_normal_cone
 from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact, scalar
 from .polyhedra import ConvexPolyhedron
@@ -74,17 +74,12 @@ def _require_finite(f: FunctionSpec, x) -> None:
 
 
 def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
-    """The limiting subdifferential at x."""
+    """The limiting subdifferential at x: for the exact class, the gradient
+    plus the values of the global cells whose closure holds x."""
     _require_finite(f, x)
     if f.is_exact:
         x = vec(x)
-        ks = f.domain.pieces_containing(x)
-        if len(ks) == 1:
-            # a closed piece alone near x: limiting = convex normal cone
-            cone = f.domain.pieces[ks[0]].normal_cone(x)
-            cones = ConeUnion([cone], f.dim)
-        else:
-            cones = limiting_normal_cone(f.domain, x)
+        cones = ConeUnion([c.value for c in f.cells if c.closure.contains(x)], f.dim).dedupe()
         return ExactSubdifferential(f.smooth.gradient(x), cones)
     return _analytic_subdifferential(f.fixture, x)
 
@@ -241,7 +236,7 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     key = (v, box.a, box.b)
     hit = f._inverse_images.get(key)
     if hit is None:
-        boxed = (piece.slice(v).intersect(box) for piece in f.graph())
+        boxed = (piece.slice(v).intersect(box) for piece in f.graph)
         hit = f._inverse_images[key] = InverseSlice(
             v, box, tuple(p for p in boxed if not p.is_empty()))
     return hit

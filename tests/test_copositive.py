@@ -8,9 +8,10 @@ from test_lp import minimize
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
-from tiltkit.copositive import (_embed, _submatrix, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form, orthant_min_sign,
+from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form, orthant_min_sign,
                                 orthant_zero_witnesses, simplex_min, _quad)
-from tiltkit.rational import F0, F1, combine, dot, is_zero, mat, solve_affine, vec, zeros
+from tiltkit.rational import (F0, F1, combine, dot, is_zero, mat, nullspace, solve_affine, vec,
+                             zeros)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -106,6 +107,10 @@ def test_simplex_min_is_a_true_minimum(rows):
     for _ in range(200):
         t = rng.dirichlet([1.0, 1.0, 1.0])
         assert t @ nf @ t >= float(val) - 1e-9
+
+
+def _submatrix(n, s):
+    return mat([[n[i][j] for j in s] for i in s])
 
 
 def lp_simplex_min(n):
@@ -226,6 +231,43 @@ def test_simplex_min_matches_lp_oracle_on_degenerate_supports(n):
     val, arg, solved = lp_simplex_min(n)
     assert solved  # the oracle's degenerate branch ran
     assert simplex_min(n) == (val, arg)
+
+
+def fraction_zero_witnesses(n):
+    """Oracle: `orthant_zero_witnesses` on Fractions, each support's kernel
+    tested by `nullspace` and its cone built from the rows of N_S."""
+    k = len(n)
+    seen = set()
+    for size in range(1, k + 1):
+        for s in itertools.combinations(range(k), size):
+            ns = _submatrix(n, s)
+            if not nullspace(ns, size):
+                continue
+            rows = list(ns) + [tuple(-x for x in row) for row in ns]
+            rows += [tuple(-F1 if j == i else F0 for j in range(size)) for i in range(size)]
+            for g in PolyCone.from_inequalities(mat(rows), size).rays:
+                t = _embed(vec(g), s, k)
+                if t not in seen and _quad(n, t) == 0:
+                    seen.add(t)
+                    yield t
+
+
+@st.composite
+def forms_with_singular_ones(draw):
+    """Symmetric 1-4 forms: random ones, and Gram matrices A'A of 1-3 rows,
+    singular whenever A has fewer independent rows than columns."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return sym(draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
+                                 min_size=k, max_size=k)))
+    a = draw(st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=1, max_size=3))
+    return mat([[sum((r[i] * r[j] for r in a), F0) for j in range(k)] for i in range(k)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms_with_singular_ones())
+def test_int_zero_witnesses_match_fraction_oracle(n):
+    assert list(orthant_zero_witnesses(n)) == list(fraction_zero_witnesses(n))
 
 
 def test_zero_witness_enumeration():

@@ -2,13 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from tiltkit.cells import cell_complex
+from tiltkit.cells import cell_complex, limiting_normal_cone
 from tiltkit.copositive import cone_form_min_sign, gram, graph_form, orthant_zero_witnesses
 from tiltkit.fixtures import CORPUS
 from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
                              SEMIDEFINITE_DEGENERATE, _direction_set, build_graph_model,
-                             combined_second_order, definiteness,
-                             graph_normal_cone_limiting, hessian_sum_rule_check,
+                             combined_second_order, definiteness, hessian_sum_rule_check,
                              kernel, second_order_contains, second_order_map,
                              second_order_subdifferential)
 from tiltkit.model import FunctionSpec, QuadraticForm, ValidationError
@@ -35,9 +34,15 @@ def test_smooth_graph_is_a_line():
     m = build_graph_model(f, (0,), (0,))
     assert len(m.pieces) == 1
     assert m.pieces[0].contains((2, 2)) and not m.pieces[0].contains((2, 1))
-    n = graph_normal_cone_limiting(m)
+    n = limiting_normal_cone(m.union, m.basepoint)
     assert len(n.pieces) == 1
     assert n.contains((1, -1)) and not n.contains((1, 1))
+
+
+@pytest.mark.parametrize("xbar, xstar", [((0, 0), (0, 0, 99)), ((0, 0, 0), (0, 0))])
+def test_graph_model_rejects_a_reference_pair_of_the_wrong_length(xbar, xstar):
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        build_graph_model(saddle(), xbar, xstar)
 
 
 def test_indicator_halfline_graph_is_the_complementarity_angle():
@@ -50,7 +55,8 @@ def test_indicator_halfline_graph_is_the_complementarity_angle():
 
 def test_indicator_halfline_normal_cone_quadrant_and_axes():
     f = FunctionSpec(smooth=QuadraticForm.zero(1), domain=halfline())
-    n = graph_normal_cone_limiting(build_graph_model(f, (0,), (0,)))
+    m = build_graph_model(f, (0,), (0,))
+    n = limiting_normal_cone(m.union, m.basepoint)
     # quadrant {w <= 0, z >= 0} plus both coordinate lines
     for p in [(0, 0), (-1, 1), (-1, 0), (0, 1), (0, -1), (1, 0), (-2, 3)]:
         assert n.contains(p), p

@@ -150,3 +150,9 @@ def test_evaluate_finite_iff_member():
         assert evaluate_exact(f, x) is not None
     for x in outside:
         assert evaluate_exact(f, x) is None
+
+
+@pytest.mark.parametrize("xbar, xstar", [((0, 0), (0, 0, 99)), ((0, 0, 0), (0, 0))])
+def test_validate_rejects_a_reference_pair_of_the_wrong_length(xbar, xstar):
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        ProblemInstance(saddle_spec(), xbar, xstar).validate()

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltkit.rational import (F0, F1, dot, int_nullspace, int_row, mat, matvec,
+from tiltkit.rational import (F0, F1, add, dot, int_nullspace, int_row, mat, matvec,
                               nullspace, primitive, rank, rref, solve,
-                              solve_affine, vec)
+                              solve_affine, sub, vec)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -175,3 +176,10 @@ def test_echelon_takes_primitive_int_rows_as_given(monkeypatch):
     assert pivots == [0, 1] and not calls
     rational._echelon(mat([[1, 2], [3, 4]]))
     assert len(calls) == 2
+
+
+def test_add_and_sub_reject_vectors_of_different_lengths():
+    # zip would silently drop the third entry
+    for op in (add, sub):
+        with pytest.raises(ValueError):
+            op(vec((0, 0)), vec((0, 0, 99)))

@@ -351,6 +351,30 @@ def test_condition_pair_bounds():
     assert check_condition_4_1(inst("quad-diag"), 1, 0).passed
 
 
+def test_first_order_paths_run_no_local_cell_search(monkeypatch):
+    import tiltkit.cells
+    import tiltkit.hessian
+    from tiltkit.verifier import conjecture_probe
+
+    def no_search(union, x):
+        raise AssertionError("local-cell search on a first-order path")
+
+    monkeypatch.setattr(tiltkit.cells, "local_cells", no_search)
+    conjecture_probe(1, 3)
+    path = Path(__file__).resolve().parent.parent / "problems" / "cross-quadratic.json"
+    cross = parse_problem(path.read_text())  # a fresh function: no memo from other tests
+    minimal_prox_r(cross)
+    estimate_metric_regularity_modulus(cross)
+    check_condition_4_1(cross, 1, 1)
+
+    # the graph's normal cone is built on its first read, once
+    builds = []
+    monkeypatch.setattr(tiltkit.hessian, "limiting_normal_cone",
+                        lambda union, x: builds.append(x) or object())
+    som = tiltkit.hessian.second_order_map(cross.f, cross.xbar, cross.xstar)
+    assert som.normal_cone is som.normal_cone and len(builds) == 1
+
+
 def test_graph_samples_lie_on_graph():
     from tiltkit.subdiff import subdifferential
     i = inst("complementarity-1d")

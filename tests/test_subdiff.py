@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cells import unions_through_origin
 
-from tiltkit.cells import cell_complex
+from tiltkit.cells import cell_complex, limiting_normal_cone
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
-from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
+from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
 from tiltkit.rational import dot, matvec, neg, vec
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, _analytic_subdifferential,
                              analytic_distances, analytic_inverse_points,
@@ -43,6 +43,11 @@ def test_saddle_subdifferential_at_apex():
     # gradient zero plus the wedge's normal cone
     assert sd.contains((0, 0)) and sd.contains((-3, 1)) and sd.contains((-1, -1))
     assert not sd.contains((0, 5)) and not sd.contains((1, 0))
+
+
+def test_subgradient_of_the_wrong_length_is_rejected_not_truncated():
+    with pytest.raises(ValueError):
+        subdifferential(saddle(), (0, 0)).contains((0, 0, 99))
 
 
 def test_cross_subdifferential_at_origin():
@@ -171,8 +176,8 @@ def test_graph_slices_match_row_loop_oracle(f, data):
 @settings(max_examples=20, deadline=None)
 @given(exact_functions(), st.data())
 def test_inverse_adjointness_randomized(f, data):
-    # gph of the subdifferential is the union of f.graph(), checked against
-    # the local-cells subdifferential at points of the box and the domain
+    # gph of the subdifferential is the union of f.graph, checked against
+    # the cells' subdifferential at points of the box and the domain
     n = f.dim
     box = ConvexPolyhedron.box((0,) * n, F(1))
     xs = [(F(0),) * n] + data.draw(st.lists(st.lists(small.filter(lambda t: abs(t) <= 1),
@@ -188,6 +193,30 @@ def test_inverse_adjointness_randomized(f, data):
             vs.append(tuple(b + a for b, a in zip(sd.base, data.draw(st.sampled_from(active)))))
         for v in vs:
             assert inverse_image(f, v, box).contains(x) == sd.contains(v)
+
+
+def same_cones(a, b):
+    return same_union([cone_polyhedron(k) for k in a], [cone_polyhedron(k) for k in b])
+
+
+@settings(max_examples=15, deadline=None)
+@given(exact_functions(), st.data())
+def test_cells_read_matches_local_cell_oracle(f, data):
+    # the subdifferential read off the global cells against the local-cell
+    # search, at every face's vertices and relative-interior point and at
+    # drawn lattice points of the domain
+    n = f.dim
+    pts = [p for piece in f.domain.pieces for _, face in piece.faces()
+           for p in face.vrep()[0] + [face.relint_point()]]
+    pts += data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=3))
+    for x in dict.fromkeys(map(vec, pts)):
+        if not f.domain.contains(x):
+            continue
+        got = subdifferential(f, x).cones.pieces
+        assert same_cones(got, limiting_normal_cone(f.domain, x).pieces)
+        ks = f.domain.pieces_containing(x)
+        if len(ks) == 1:
+            assert same_cones(got, [f.domain.pieces[ks[0]].normal_cone(x)])
 
 
 def test_distance_to_inverse():
