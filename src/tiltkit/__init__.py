@@ -11,29 +11,6 @@ convergence flags, and a verifier ties the two sides together on a fixture
 corpus.
 """
 
-from .cones import ConeUnion, PolyCone
-from .copositive import cone_form_min_sign, orthant_min_sign, simplex_min
-from .fixtures import CORPUS, Fixture, fixture, minimizer_fixtures
-from .hessian import (DefinitenessVerdict, GraphLocalModel, KernelReport,
-                      SecondOrderMap, build_graph_model, combined_second_order,
-                      definiteness, hessian_sum_rule_check, kernel, second_order_contains,
-                      second_order_map, second_order_subdifferential)
-from .model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, Params,
-                    ParseError, ProblemInstance, QuadraticForm, ValidationError,
-                    evaluate, evaluate_exact, parse_problem, regularize)
-from .polyhedra import ConvexPolyhedron, PolyUnion, critical_cone
-from .regularity import (CheckOutcome, GrowthReport, LocalizationReport,
-                         ModulusEstimate, TiltReport, check_condition_4_1,
-                         check_growth, check_lower_prox_inequality,
-                         check_single_valued_localization, check_uniform_growth,
-                         estimate_metric_regularity_modulus,
-                         estimate_subregularity_modulus, growth_alpha_hat,
-                         minimal_prox_r, solve_tilt, tilt_stability_verdict)
-from .subdiff import (EmptySliceError, ExactSubdifferential, Interval1D,
-                      InverseSlice, analytic_inverse_points, distance_to_inverse,
-                      frechet_subdifferential, inverse_image,
-                      stationary_points_1d, subdifferential,
-                      subdifferential_distance)
-from .verifier import SUITES, SuiteResult, conjecture_probe, emit_report, run_suite
+from . import cli  # imports every other submodule, binding each as tiltkit.<module>
 
 __version__ = "0.1.0"

@@ -93,12 +93,6 @@ def _point_signature(union: PolyUnion, x: Vec) -> Signature:
     return tuple((k, union.pieces[k].active_set(x)) for k in ks)
 
 
-def regular_normal_cone(union: PolyUnion, x) -> PolyCone:
-    """Polar of the union of piece tangent cones at x: the intersection of
-    the pieces' convex normal cones.  Convex, exact."""
-    return _value_cone(union, _point_signature(union, vec(x)))
-
-
 def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:
     """Union of the regular normal cone values over all cells adherent
     to x; realizes the outer limit of regular normal cones exactly."""
@@ -156,8 +150,10 @@ def cell_complex(union: PolyUnion) -> list[Cell]:
 # -- brute-force sampling oracle ----------------------------------------------
 
 
-def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
-                            scale_den: int = 64) -> list[PolyCone]:
+SCALE_DEN = 64  # sample weights and the step cap are multiples of 1/SCALE_DEN
+
+
+def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[PolyCone]:
     """Regular normal cones collected at `count` exact points of the union
     near x.
 
@@ -190,14 +186,14 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int,
             k, gens = face_dirs[rng.randrange(len(face_dirs))]
             u = zeros(dim)
             for g in gens:
-                w = Fraction(rng.randint(1, scale_den), scale_den)
+                w = Fraction(rng.randint(1, SCALE_DEN), SCALE_DEN)
                 u = add(u, scale(vec(g), w))
             if is_zero(u):
                 y = x
             else:
                 # largest exact step keeping x + t u inside piece k
                 piece = union.pieces[k]
-                t = Fraction(1, scale_den)
+                t = Fraction(1, SCALE_DEN)
                 for row, bi in zip(piece.a, piece.b):
                     ru = dot(row, u)
                     if ru > 0:

@@ -105,22 +105,6 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
     return Fraction(*best), arg
 
 
-def orthant_min_sign(n: Mat) -> tuple[int, Vec | None]:
-    """Sign of min {t'Nt : t >= 0, t != 0} with a rational witness for
-    NEGATIVE (-1) and ZERO (0) answers; +1 certifies strict positivity."""
-    k = len(n)
-    if k == 0:
-        return 1, None
-    val, arg = simplex_min(n)
-    if val < 0:
-        return -1, arg
-    if val > 0:
-        return 1, None
-    for t in orthant_zero_witnesses(n):
-        return 0, t
-    return 0, arg
-
-
 def orthant_zero_witnesses(n: Mat) -> Iterator[Vec]:
     """All generators of {t >= 0 : t'Nt = 0} assuming the form is
     copositive on the orthant: zeros are kernel points of principal

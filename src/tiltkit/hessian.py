@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import limiting_normal_cone, regular_normal_cone
+from .cells import limiting_normal_cone
 from .cones import ConeUnion, PolyCone
 from .copositive import cone_form_sign_and_zeros, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
@@ -94,30 +94,10 @@ def second_order_map(f: FunctionSpec, xbar, xstar) -> SecondOrderMap:
     return cached
 
 
-def second_order_subdifferential(f: FunctionSpec, xbar, xstar, u) -> list[ConvexPolyhedron]:
-    """Value of the generalized Hessian at direction u, as an exact finite
-    union of polyhedra in w-space."""
-    return second_order_map(f, xbar, xstar).value(u)
-
-
-def second_order_contains(f: FunctionSpec, xbar, xstar, u, w) -> bool:
-    return second_order_map(f, xbar, xstar).contains(u, w)
-
-
-def combined_second_order(f: FunctionSpec, x, xstar, u) -> ConvexPolyhedron | None:
-    """Regular-coderivative value at a graph point: the slice of the regular
-    graph normal cone; convex (one polyhedron) or None when empty."""
-    model = build_graph_model(f, x, xstar)
-    cone = regular_normal_cone(model.union, model.basepoint)
-    pieces = _slice_pieces([cone], vec(u), f.dim)
-    return pieces[0] if pieces else None
-
-
-def hessian_sum_rule_check(f: FunctionSpec, xbar, xstar,
-                           directions: list | None = None) -> bool:
+def hessian_sum_rule_check(f: FunctionSpec, xbar, xstar) -> bool:
     """Exact set equality of the Hessian slice against Qu + the slice of the
     pure-indicator Hessian at the shifted pair, over a generator set of
-    directions."""
+    directions (`_direction_set`)."""
     if not f.is_exact:
         raise ValidationError("exact variant only")
     xbar, xstar = vec(xbar), vec(xstar)
@@ -126,9 +106,7 @@ def hessian_sum_rule_check(f: FunctionSpec, xbar, xstar,
     vbar = sub(xstar, f.smooth.gradient(xbar))
     full = second_order_map(f, xbar, xstar)
     ind = second_order_map(f_ind, xbar, vbar)
-    if directions is None:
-        directions = _direction_set(n)
-    for u in map(vec, directions):
+    for u in _direction_set(n):
         qu = matvec(f.smooth.q, u)
         lhs = full.value(u)
         rhs = [p.translate(qu) for p in ind.value(u)]

@@ -234,16 +234,6 @@ def evaluate_exact(f: FunctionSpec, x) -> Fraction | None:
     return f.smooth.value(x)
 
 
-def evaluate(f: FunctionSpec, x) -> float:
-    """Extended-real value as a float (+inf outside the domain)."""
-    if f.is_exact:
-        # grids are dyadic, so each float is an exact rational
-        v = evaluate_exact(f, [Fraction(t) if isinstance(t, float) else t for t in x])
-        return math.inf if v is None else float(v)
-    t = scalar(x)
-    return float(f.fixture.value(t)) if f.fixture.in_domain(t) else math.inf
-
-
 def scalar(x) -> float:
     """The float of a 1-D point given as a number or a one-entry sequence."""
     return float(x[0]) if isinstance(x, (list, tuple)) else float(x)

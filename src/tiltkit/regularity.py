@@ -1,7 +1,6 @@
 """Moduli estimation and inequality checking: metric (sub)regularity,
 quadratic growth, prox-type lower estimates, uniform growth, localization
-single-valuedness, tilt stability, and the paired norm/pairing conditions
-on the regular graph normal cone.
+single-valuedness, and tilt stability.
 
 Estimates are deterministic lattice suprema/infima, stated as grid
 bounds, never certified global moduli.  The moduli share one refinement
@@ -21,8 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import regular_normal_cone
-from .copositive import cone_form_min_sign, graph_form
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .project import row_norms
@@ -62,9 +59,12 @@ def domain_lattice(f: FunctionSpec, center: Vec, radius: Fraction,
     return [p for p in pts if f.domain.contains(p)]
 
 
+ZOOM_SCALES = 13  # shrunken copies at ratios 1/2 .. 1/2^13
+
+
 def domain_lattice_zoomed(f: FunctionSpec, center: Vec, radius: Fraction,
-                          per_axis: int, scales: int = 13) -> list[Vec]:
-    """Lattice plus geometrically shrunken copies toward the center.
+                          per_axis: int) -> list[Vec]:
+    """Lattice plus ZOOM_SCALES geometrically shrunken copies toward the center.
 
     Prox-type inequalities fail asymptotically close to the reference
     point; a fixed-pitch lattice cannot see that, shrunken copies can.
@@ -72,7 +72,7 @@ def domain_lattice_zoomed(f: FunctionSpec, center: Vec, radius: Fraction,
     base = domain_lattice(f, center, radius, per_axis)
     seen = set(base)
     out = list(base)
-    for k in range(1, scales + 1):
+    for k in range(1, ZOOM_SCALES + 1):
         w = Fraction(1, 2 ** k)
         for p in base:
             q = tuple(center[i] + (p[i] - center[i]) * w for i in range(len(center)))
@@ -231,7 +231,7 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
     lhs = np.array([float(evaluate_exact(f, x)) for x in grid])
     if mode == "distance-squared":
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
-        d = distance_to_inverse(f, inst.xstar, pts, slice_.box, slice_)
+        d = distance_to_inverse(slice_, pts)
     else:
         d = row_norms(pts - xbar_f)
     return pts, base, lhs, d * d
@@ -288,7 +288,7 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
 
         def dist2(pts: np.ndarray) -> np.ndarray:
-            d = distance_to_inverse(f, inst.xstar, pts, slice_.box, slice_)
+            d = distance_to_inverse(slice_, pts)
             return d * d
 
     if mode == "3.1":
@@ -470,7 +470,7 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
     def sweep(per_axis):
         xs = [x for x in domain_lattice(f, inst.xbar, p.eta, per_axis) if not slice_.contains(x)]
         xfs = _floats(xs, f.dim)
-        num = distance_to_inverse(f, inst.xstar, xfs, box, slice_)
+        num = distance_to_inverse(slice_, xfs)
         den = np.array([subdifferential_distance(f, x, to_float(inst.xstar)) for x in xs])
         ok = den > DIST_TOL
         return _sup(zip((num[ok] / den[ok]).tolist(), map(tuple, xfs[ok].tolist())))
@@ -527,7 +527,7 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
         num = np.zeros_like(den)
         for j, (y, slice_) in enumerate(zip(ys, slices)):
             kept = den[:, j] > DIST_TOL
-            num[kept, j] = distance_to_inverse(f, y, xfs[kept], box, slice_)
+            num[kept, j] = distance_to_inverse(slice_, xfs[kept])
         i, j = np.nonzero(den > DIST_TOL)
         return _sup(zip((num[i, j] / den[i, j]).tolist(),
                         zip(map(tuple, xfs[i].tolist()), map(tuple, yfs[j].tolist()))))
@@ -795,11 +795,14 @@ def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f
     return out
 
 
-def _feasible_float(piece, x: np.ndarray, tol: float = 1e-9) -> bool:
+FEASIBLE_TOL = 1e-9  # a float boundary candidate this far outside a row is on it
+
+
+def _feasible_float(piece, x: np.ndarray) -> bool:
     if piece.m == 0:
         return True
     a, b = piece.to_float_rows()
-    return bool(np.max(np.array(a) @ x - np.array(b)) <= tol)
+    return bool(np.max(np.array(a) @ x - np.array(b)) <= FEASIBLE_TOL)
 
 
 def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
@@ -820,37 +823,3 @@ def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
             return TiltReport("unstable", None, to_float(t), sol.minimizers)
         argmin.append((t, m))
     return TiltReport("stable", _lipschitz(argmin), None, [])
-
-
-# -- paired norm/pairing conditions on the regular graph normal cone ---------------
-
-
-def check_condition_4_1(inst: ProblemInstance, kappa, r) -> CheckOutcome:
-    """At sampled graph points near the reference pair, checks exactly that
-    every regular graph normal (w, z) satisfies kappa^2|w|^2 >= |z|^2 and
-    <w, -z> >= -r |z|^2 (the coderivative norm bound and lower pairing
-    bound), via cone copositivity."""
-    if not inst.f.is_exact:
-        raise ValidationError("exact variant only")
-    from .hessian import second_order_map
-
-    f = inst.f
-    n = f.dim
-    kappa = frac(kappa) if not isinstance(kappa, float) else Fraction(kappa)
-    r = frac(r) if not isinstance(r, float) else Fraction(r)
-    som = second_order_map(f, inst.xbar, inst.xstar)
-    union = som.model.union
-    forms = (("norm", graph_form(n, kappa * kappa, 0, -1)),
-             ("pairing", graph_form(n, 0, -1, r)))
-    violations = []
-    checked = 0
-    for (x, xs) in graph_point_samples(f, inst.xbar, inst.xstar, inst.params.eta):
-        point = tuple(x) + tuple(xs)
-        cone = regular_normal_cone(union, point)
-        for name, form in forms:
-            sign, wit = cone_form_min_sign(cone, form)
-            checked += 1
-            if sign < 0:
-                violations.append((name, to_float(x),
-                                   to_float(wit) if wit else None))
-    return CheckOutcome(not violations, violations, float(len(violations)), checked)

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import regular_normal_cone
 from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact, scalar
 from .polyhedra import ConvexPolyhedron
@@ -39,7 +38,10 @@ class ExactSubdifferential:
 
     def distance(self, v):
         """d(v; self): a float for one v, an (m,) array for an (m, n) array."""
-        w = np.asarray(v, dtype=float) - np.asarray(to_float(self.base))
+        w = np.asarray(v, dtype=float)
+        if w.shape[-1:] != (len(self.base),):
+            raise ValueError(f"dimension mismatch: point shape {w.shape} vs {len(self.base)}")
+        w = w - np.asarray(to_float(self.base))
         ws = np.atleast_2d(w)
         return per_point(w, np.min([np.full(len(ws), math.inf)] + [
             row_norms(ws) if piece.is_trivial() else distance_to_cone(ws, piece)
@@ -84,16 +86,6 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
     return _analytic_subdifferential(f.fixture, x)
 
 
-def frechet_subdifferential(f: FunctionSpec, x) -> ExactSubdifferential:
-    """The regular subdifferential at x; convex-valued; exact variant only."""
-    if not f.is_exact:
-        raise ValidationError("regular subdifferential needs the exact variant")
-    _require_finite(f, x)
-    x = vec(x)
-    cone = regular_normal_cone(f.domain, x)
-    return ExactSubdifferential(f.smooth.gradient(x), ConeUnion([cone], f.dim))
-
-
 def subdifferential_distance(f: FunctionSpec, x, v):
     """d(v; subdifferential at x), accurate to ~1e-10: a float for one v, an
     (m,) array for an (m, n) array of them."""
@@ -114,12 +106,14 @@ def subdifferential_distance(f: FunctionSpec, x, v):
 POINT_TOL = 1e-12
 BISECT_TOL = 1e-12
 BISECT_STEPS = 80
+ENCLOSURE_SAMPLES = 10_000  # derivative samples behind an exceptional point's enclosure
+INVERSE_GRID = 20001  # bracketing grid of analytic_inverse_points
 
 
-def _analytic_subdifferential(fx: AnalyticFixture1D, x, n_samples: int = 10_000) -> Interval1D:
+def _analytic_subdifferential(fx: AnalyticFixture1D, x) -> Interval1D:
     t = scalar(x)
     if any(abs(t - e) < POINT_TOL for e in fx.exceptional):
-        return _exceptional_enclosure(fx, t, n_samples)
+        return _exceptional_enclosure(fx, t, ENCLOSURE_SAMPLES)
     d = float(fx.derivative(t))
     # domain boundary: one-sided linearizations open the interval
     return Interval1D(d if t > fx.lo + POINT_TOL else -math.inf,
@@ -183,15 +177,14 @@ def stationary_points_1d(fixture: AnalyticFixture1D, interval: tuple[float, floa
 
 
 def analytic_inverse_points(fixture: AnalyticFixture1D, vstar: float,
-                            center: float, radius: float,
-                            grid_density: int = 20001) -> list[float]:
+                            center: float, radius: float) -> list[float]:
     """Points x near `center` with vstar in the subdifferential enclosure."""
     lo = max(center - radius, fixture.lo)
     hi = min(center + radius, fixture.hi)
     pts = []
     if hi > lo:
         eps = (hi - lo) * 1e-9
-        pts = stationary_points_1d(fixture, (lo + eps, hi - eps), grid_density,
+        pts = stationary_points_1d(fixture, (lo + eps, hi - eps), INVERSE_GRID,
                                    target=vstar)
     for e in fixture.exceptional:
         if lo <= e <= hi and _exceptional_enclosure(fixture, e, 2000).contains(vstar):
@@ -242,13 +235,11 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     return hit
 
 
-def distance_to_inverse(f: FunctionSpec, v, x, box: ConvexPolyhedron,
-                        slice_: InverseSlice | None = None):
+def distance_to_inverse(slice_: InverseSlice, x):
     """min distance from x (a point, or each row of an (m, n) array) to the inverse
     slice; raises EmptySliceError when it has no pieces (reported distinctly, never 0)."""
-    s = slice_ if slice_ is not None else inverse_image(f, v, box)
-    if s.is_empty():
-        raise EmptySliceError(f"inverse image of {to_float(vec(v))} misses the box")
+    if slice_.is_empty():
+        raise EmptySliceError(f"inverse image of {to_float(slice_.v)} misses the box")
     z = np.asarray(x, dtype=float)
     return per_point(z, np.min([distance_to_polyhedron(np.atleast_2d(z), p)
-                                for p in s.pieces], axis=0))
+                                for p in slice_.pieces], axis=0))

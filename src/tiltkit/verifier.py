@@ -180,7 +180,7 @@ def _suite_oscillating() -> SuiteResult:
     s = SuiteResult("EX3.4", "oscillating growth with accumulating solutions")
     fx = fixture("oscillating-1d")
     inst = fx.instance
-    rep = reg.check_growth(inst, 1.0, "norm-squared", eta=0.05, n_points=100_001)
+    rep = reg.check_growth(inst, 1.0, "norm-squared", eta=0.05)
     s.add("norm-squared growth with rate 1, zero violations", rep.passed,
           fx.expected["growth_alpha_1"].provenance, checked=rep.checked,
           violations=len(rep.violations))

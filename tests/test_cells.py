@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 from test_lp import minimize, strictly_feasible_point
 
 from tiltkit import lp
-from tiltkit.cells import (Cell, _value_cone, cell_complex, limiting_normal_cone,
-                           local_cells, regular_normal_cone, sampled_regular_normals)
+from tiltkit.cells import (Cell, _point_signature, _value_cone, cell_complex,
+                           limiting_normal_cone, local_cells, sampled_regular_normals)
 from tiltkit.cones import ConeUnion, PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, poly_union_covers, same_union
 from tiltkit.rational import add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
+
+
+def regular_normal_cone(union, x):
+    """Polar of the union of piece tangent cones at x: the intersection of
+    the pieces' convex normal cones.  Convex, exact."""
+    return _value_cone(union, _point_signature(union, vec(x)))
 
 
 def cross():

@@ -8,7 +8,7 @@ from test_lp import minimize
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
-from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form, orthant_min_sign,
+from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form,
                                 orthant_zero_witnesses, simplex_min, _quad)
 from tiltkit.rational import (F0, F1, combine, dot, is_zero, mat, nullspace, solve_affine, vec,
                              zeros)
@@ -48,23 +48,25 @@ def test_gram_of_graph_form_matches_stacked_formula(args):
 
 
 def test_identity_strictly_copositive():
-    assert orthant_min_sign(mat([[1, 0], [0, 1]])) == (1, None)
+    assert simplex_min(mat([[1, 0], [0, 1]]))[0] > 0
 
 
 def test_psd_with_positive_kernel_is_zero():
-    s, w = orthant_min_sign(mat([[1, -1], [-1, 1]]))
-    assert s == 0 and w is not None and _quad(mat([[1, -1], [-1, 1]]), w) == 0
+    n = mat([[1, -1], [-1, 1]])
+    assert simplex_min(n)[0] == 0
+    w = next(orthant_zero_witnesses(n), None)
+    assert w is not None and _quad(n, w) == 0
 
 
 def test_hyperbolic_negative():
     n = mat([[0, -1], [-1, 0]])
-    s, w = orthant_min_sign(n)
-    assert s == -1 and _quad(n, w) < 0 and all(x >= 0 for x in w)
+    val, w = simplex_min(n)
+    assert val < 0 and _quad(n, w) < 0 and all(x >= 0 for x in w)
 
 
 def test_indefinite_but_copositive():
     # eigenvalues -1 and 3, yet nonnegative on the orthant
-    assert orthant_min_sign(mat([[1, 2], [2, 1]]))[0] == 1
+    assert simplex_min(mat([[1, 2], [2, 1]]))[0] > 0
 
 
 def test_horn_matrix_exactly_zero():
@@ -72,7 +74,7 @@ def test_horn_matrix_exactly_zero():
              [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
     val, arg = simplex_min(h)
     assert val == 0 and _quad(h, arg) == 0
-    assert orthant_min_sign(h)[0] == 0
+    assert all(_quad(h, t) == 0 for t in orthant_zero_witnesses(h))
 
 
 def test_horn_matrix_perturbed_negative():
@@ -82,8 +84,8 @@ def test_horn_matrix_perturbed_negative():
           [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]]]
     for i in range(5):
         h[i][i] -= eps
-    s, w = orthant_min_sign(mat(h))
-    assert s == -1 and _quad(mat(h), w) < 0
+    val, w = simplex_min(mat(h))
+    assert val < 0 and _quad(mat(h), w) < 0
 
 
 def test_block_pair_with_irrational_spectrum():
@@ -91,8 +93,7 @@ def test_block_pair_with_irrational_spectrum():
     # eigenvector mixes signs, so the orthant minimum is exactly zero
     n = mat([[0, F(1, 2), 0, 0], [F(1, 2), 1, 0, 0],
              [0, 0, 0, F(1, 2)], [0, 0, F(1, 2), 1]])
-    s, w = orthant_min_sign(n)
-    assert s == 0
+    assert simplex_min(n)[0] == 0
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
@@ -314,10 +315,10 @@ def two_pass_min_sign(cone, form):
     if not gens:
         return 1, None
     n = gram(gens, form)
-    sign, t = orthant_min_sign(n)
-    if sign < 0:
+    val, t = simplex_min(n)
+    if val < 0:
         return -1, combine(gens, t)
-    if sign > 0:
+    if val > 0:
         return 1, None
     for t in orthant_zero_witnesses(n):
         v = combine(gens, t)

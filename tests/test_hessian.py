@@ -1,15 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from test_cells import regular_normal_cone
 
 from tiltkit.cells import cell_complex, limiting_normal_cone
 from tiltkit.copositive import cone_form_min_sign, gram, graph_form, orthant_zero_witnesses
 from tiltkit.fixtures import CORPUS
 from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
-                             SEMIDEFINITE_DEGENERATE, _direction_set, build_graph_model,
-                             combined_second_order, definiteness, hessian_sum_rule_check,
-                             kernel, second_order_contains, second_order_map,
-                             second_order_subdifferential)
+                             SEMIDEFINITE_DEGENERATE, _direction_set, _slice_pieces,
+                             build_graph_model, definiteness, hessian_sum_rule_check,
+                             kernel, second_order_map)
 from tiltkit.model import FunctionSpec, QuadraticForm, ValidationError
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.rational import combine, dot, is_zero, mat, matvec, neg, vec, zeros
@@ -66,31 +66,40 @@ def test_indicator_halfline_normal_cone_quadrant_and_axes():
 
 def test_smooth_reduction_diag():
     f = FunctionSpec(smooth=QuadraticForm.make([[1, 0], [0, 2]], [0, 0]), domain=full(2))
+    som = second_order_map(f, (0, 0), (0, 0))
     for u in [(1, 1), (2, -1), (F(1, 3), F(5, 7))]:
         qu = matvec(f.smooth.q, vec(u))
-        assert second_order_contains(f, (0, 0), (0, 0), u, qu)
-        pieces = second_order_subdifferential(f, (0, 0), (0, 0), u)
-        assert all(p.poly_dim() == 0 for p in pieces)
-    assert not second_order_contains(f, (0, 0), (0, 0), (1, 1), (1, 1))
+        assert som.contains(u, qu)
+        assert all(p.poly_dim() == 0 for p in som.value(u))
+    assert not som.contains((1, 1), (1, 1))
 
 
 def test_indicator_at_interior_point_slices_to_zero():
     f = FunctionSpec(smooth=QuadraticForm.zero(1), domain=halfline())
-    pieces = second_order_subdifferential(f, (1,), (0,), (5,))
+    pieces = second_order_map(f, (1,), (0,)).value((5,))
     assert pieces and all(p.contains((0,)) and p.poly_dim() == 0 for p in pieces)
 
 
 def test_saddle_key_membership_and_homogeneity():
-    f = saddle()
-    assert second_order_contains(f, (0, 0), (0, 0), (0, 1), (0, -2))
-    assert second_order_contains(f, (0, 0), (0, 0), (0, 2), (0, -4))
-    assert second_order_contains(f, (0, 0), (0, 0), (0, F(1, 3)), (0, F(-2, 3)))
-    assert not second_order_contains(f, (0, 0), (0, 0), (0, 1), (0, 2))
+    som = second_order_map(saddle(), (0, 0), (0, 0))
+    assert som.contains((0, 1), (0, -2))
+    assert som.contains((0, 2), (0, -4))
+    assert som.contains((0, F(1, 3)), (0, F(-2, 3)))
+    assert not som.contains((0, 1), (0, 2))
 
 
 def test_saddle_graph_model_has_four_pieces():
     m = build_graph_model(saddle(), (0, 0), (0, 0))
     assert len(m.pieces) == 4
+
+
+def combined_second_order(f, x, xstar, u):
+    """Regular-coderivative value at a graph point: the slice of the regular
+    graph normal cone; convex (one polyhedron) or None when empty."""
+    model = build_graph_model(f, x, xstar)
+    cone = regular_normal_cone(model.union, model.basepoint)
+    pieces = _slice_pieces([cone], vec(u), f.dim)
+    return pieces[0] if pieces else None
 
 
 def test_combined_subset_of_limiting():
@@ -136,7 +145,7 @@ def test_definiteness_verdicts():
     dv = definiteness(saddle(), (0, 0), (0, 0))
     assert dv.verdict == INDEFINITE
     u, ustar, val = dv.witness
-    assert val < 0 and second_order_contains(saddle(), (0, 0), (0, 0), u, ustar)
+    assert val < 0 and second_order_map(saddle(), (0, 0), (0, 0)).contains(u, ustar)
 
     f = FunctionSpec(smooth=QuadraticForm.make([[1, 0], [0, 2]], [0, 0]), domain=full(2))
     assert definiteness(f, (0, 0), (0, 0)).verdict == POSITIVE_DEFINITE
@@ -195,10 +204,11 @@ def test_regularize_shifts_hessian_values_exactly():
     g = regularize(f, 1, (0, 0))
     # every second-order value shifts by exactly theta * u
     cases = [((0, 1), (0, -2)), ((1, 1), (2, -2)), ((0, 2), (0, -4))]
+    som_f, som_g = second_order_map(f, (0, 0), (0, 0)), second_order_map(g, (0, 0), (0, 0))
     for u, w in cases:
-        assert second_order_contains(f, (0, 0), (0, 0), u, w)
+        assert som_f.contains(u, w)
         shifted = tuple(a + b for a, b in zip(w, u))
-        assert second_order_contains(g, (0, 0), (0, 0), u, shifted)
+        assert som_g.contains(u, shifted)
     # the indefiniteness gap narrows by exactly theta on the witness pair
     dv_f = definiteness(f, (0, 0), (0, 0))
     dv_g = definiteness(g, (0, 0), (0, 0))
@@ -206,7 +216,7 @@ def test_regularize_shifts_hessian_values_exactly():
     u, ustar, val = dv_f.witness
     norm_u = sum(x * x for x in u)
     shifted_pair = tuple(a + b for a, b in zip(ustar, u))
-    assert second_order_contains(g, (0, 0), (0, 0), u, shifted_pair)
+    assert som_g.contains(u, shifted_pair)
     assert val + norm_u == sum(a * b for a, b in zip(shifted_pair, u))
 
 

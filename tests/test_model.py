@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ParseError,
                            ProblemInstance, QuadraticForm, ValidationError,
-                           evaluate, evaluate_exact, parse_problem, regularize)
+                           evaluate_exact, parse_problem, regularize)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.subdiff import subdifferential
 
@@ -79,15 +79,16 @@ def test_evaluate_saddle():
     f = saddle_spec()
     assert evaluate_exact(f, (1, 0)) == 1
     assert evaluate_exact(f, (0, 1)) is None
-    assert evaluate(f, (1.0, 0.0)) == 1.0
-    assert evaluate(f, (0.0, 1.0)) == math.inf
+    # grid floats are dyadic, so each is an exact rational
+    assert float(evaluate_exact(f, (F(1.0), F(0.0)))) == 1.0
+    assert evaluate_exact(f, (F(0.0), F(1.0))) is None
 
 
 def test_evaluate_oscillating_at_zero():
-    f = FunctionSpec(fixture=ANALYTIC_REGISTRY["sin-inv"])
-    assert evaluate(f, (0.0,)) == 0.0
-    assert evaluate(f, (-0.5,)) == math.inf
-    assert abs(evaluate(f, (0.1,)) - (0.05 - 0.01 * math.sin(10.0))) < 1e-15
+    fx = ANALYTIC_REGISTRY["sin-inv"]
+    assert fx.in_domain(0.0) and float(fx.value(0.0)) == 0.0
+    assert not fx.in_domain(-0.5)
+    assert abs(float(fx.value(0.1)) - (0.05 - 0.01 * math.sin(10.0))) < 1e-15
 
 
 def test_regularize_algebra():

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cells import regular_normal_cone
 
+from tiltkit.copositive import cone_form_min_sign, graph_form
 from tiltkit.fixtures import CORPUS, fixture
+from tiltkit.hessian import second_order_map
 from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ProblemInstance, QuadraticForm,
                            ValidationError, parse_problem)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PROX_MODES, R_CAP,
-                                SOLUTION_TOL, ModulusEstimate, _coarse, _refine,
+                                SOLUTION_TOL, CheckOutcome, ModulusEstimate, _coarse, _refine,
                                 _refinement_schedule, _sup, _Unbounded, ball_lattice,
-                                check_condition_4_1, check_growth,
+                                check_growth,
                                 check_lower_prox_inequality,
                                 check_single_valued_localization,
                                 check_uniform_growth, domain_lattice,
@@ -22,7 +25,7 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PR
                                 estimate_subregularity_modulus, graph_point_samples,
                                 growth_alpha_hat, minimal_prox_r, solve_tilt,
                                 tilt_stability_verdict)
-from tiltkit.rational import to_float
+from tiltkit.rational import frac, to_float
 from tiltkit.subdiff import (analytic_inverse_points, distance_to_inverse, inverse_image,
                              subdifferential, subdifferential_distance)
 
@@ -118,7 +121,7 @@ def pointwise_subregularity(inst):
             if slice_.contains(x):
                 continue
             xf = np.array(to_float(x))
-            num = distance_to_inverse(f, inst.xstar, xf, box, slice_)
+            num = distance_to_inverse(slice_, xf)
             den = subdifferential_distance(f, x, xstar_f)
             if den > DIST_TOL:
                 yield num / den, tuple(map(float, xf))
@@ -149,7 +152,7 @@ def pointwise_metric_regularity(inst):
                     continue
                 den = sd.distance(yf)
                 if den > DIST_TOL:
-                    yield (distance_to_inverse(f, y, xf, box, slice_) / den,
+                    yield (distance_to_inverse(slice_, xf) / den,
                            (tuple(map(float, xf)), yf))
 
     levels = zip(_refinement_schedule(p.grid, p.refine_max),
@@ -341,6 +344,29 @@ def test_tilt_verdicts():
     assert tr3.verdict == "unstable"
     tr4 = tilt_stability_verdict(inst("degenerate-psd"))
     assert tr4.verdict == "unstable"
+
+
+def check_condition_4_1(inst: ProblemInstance, kappa, r) -> CheckOutcome:
+    """At sampled graph points near the reference pair, checks exactly that
+    every regular graph normal (w, z) satisfies kappa^2|w|^2 >= |z|^2 and
+    <w, -z> >= -r |z|^2 (the coderivative norm bound and lower pairing
+    bound), via cone copositivity."""
+    f = inst.f
+    n = f.dim
+    kappa, r = frac(kappa), frac(r)
+    union = second_order_map(f, inst.xbar, inst.xstar).model.union
+    forms = (("norm", graph_form(n, kappa * kappa, 0, -1)),
+             ("pairing", graph_form(n, 0, -1, r)))
+    violations = []
+    checked = 0
+    for (x, xs) in graph_point_samples(f, inst.xbar, inst.xstar, inst.params.eta):
+        cone = regular_normal_cone(union, tuple(x) + tuple(xs))
+        for name, form in forms:
+            sign, wit = cone_form_min_sign(cone, form)
+            checked += 1
+            if sign < 0:
+                violations.append((name, to_float(x), to_float(wit) if wit else None))
+    return CheckOutcome(not violations, violations, float(len(violations)), checked)
 
 
 def test_condition_pair_bounds():

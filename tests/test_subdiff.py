@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cells import unions_through_origin
+from test_cells import regular_normal_cone, unions_through_origin
 
 from tiltkit.cells import cell_complex, limiting_normal_cone
+from tiltkit.cones import ConeUnion
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
 from tiltkit.rational import dot, matvec, neg, vec
-from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, _analytic_subdifferential,
-                             analytic_distances, analytic_inverse_points,
-                             distance_to_inverse, frechet_subdifferential,
-                             inverse_image, stationary_points_1d, subdifferential,
-                             subdifferential_distance)
+from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
+                             _analytic_subdifferential, analytic_distances,
+                             analytic_inverse_points, distance_to_inverse, inverse_image,
+                             stationary_points_1d, subdifferential, subdifferential_distance)
 
 
 def saddle():
@@ -38,6 +38,14 @@ def smooth_1d():
                         domain=PolyUnion([ConvexPolyhedron.full_space(1)]))
 
 
+def frechet_subdifferential(f, x):
+    """The regular subdifferential at x: the gradient plus the regular normal
+    cone of the domain; convex-valued."""
+    x = vec(x)
+    return ExactSubdifferential(f.smooth.gradient(x),
+                                ConeUnion([regular_normal_cone(f.domain, x)], f.dim))
+
+
 def test_saddle_subdifferential_at_apex():
     sd = subdifferential(saddle(), (0, 0))
     # gradient zero plus the wedge's normal cone
@@ -48,6 +56,14 @@ def test_saddle_subdifferential_at_apex():
 def test_subgradient_of_the_wrong_length_is_rejected_not_truncated():
     with pytest.raises(ValueError):
         subdifferential(saddle(), (0, 0)).contains((0, 0, 99))
+
+
+def test_distance_to_a_point_of_the_wrong_length_is_rejected_not_broadcast():
+    sd = subdifferential(saddle(), (0, 0))
+    for v in [(3.0,), (3.0, 3.0, 0.0), np.array([[3.0], [1.0]])]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sd.distance(v)
+    assert abs(sd.distance((3.0, 3.0)) - 3 * math.sqrt(2)) < 1e-12
 
 
 def test_cross_subdifferential_at_origin():
@@ -221,24 +237,24 @@ def test_cells_read_matches_local_cell_oracle(f, data):
 
 def test_distance_to_inverse():
     box = ConvexPolyhedron.box((0, 0), F(1))
-    d = distance_to_inverse(saddle(), (0, 0), (1.0, 0.0), box)
+    s = inverse_image(saddle(), (0, 0), box)
+    d = distance_to_inverse(s, (1.0, 0.0))
     assert abs(d - math.sqrt(2) / 2) < 1e-10
-    assert distance_to_inverse(saddle(), (0, 0), (0.5, 0.5), box) <= 1e-10
-    f1 = smooth_1d()
-    assert abs(distance_to_inverse(f1, (0,), (0.3,),
-                                   ConvexPolyhedron.box((0,), F(1))) - 0.3) < 1e-12
+    assert distance_to_inverse(s, (0.5, 0.5)) <= 1e-10
+    s1 = inverse_image(smooth_1d(), (0,), ConvexPolyhedron.box((0,), F(1)))
+    assert abs(distance_to_inverse(s1, (0.3,)) - 0.3) < 1e-12
 
 
 def test_distance_to_inverse_is_a_float_per_point_and_an_array_per_grid():
-    box = ConvexPolyhedron.box((0, 0), F(1))
+    s = inverse_image(saddle(), (0, 0), ConvexPolyhedron.box((0, 0), F(1)))
     for x in [(1, 0), (F(1, 2), F(1, 3)), (-0.25, 0.75)]:
-        d = distance_to_inverse(saddle(), (0, 0), x, box)
+        d = distance_to_inverse(s, x)
         assert type(d) is float
-        assert d == distance_to_inverse(saddle(), (0, 0), np.array(x, dtype=float), box)
+        assert d == distance_to_inverse(s, np.array(x, dtype=float))
     grid = np.array([[1.0, 0.0], [0.5, 0.5], [-0.25, 0.75]])
-    d = distance_to_inverse(saddle(), (0, 0), grid, box)
+    d = distance_to_inverse(s, grid)
     assert d.shape == (3,)
-    assert d.tolist() == [distance_to_inverse(saddle(), (0, 0), x, box) for x in grid]
+    assert d.tolist() == [distance_to_inverse(s, x) for x in grid]
 
 
 def test_subdifferential_distance_is_a_float_per_point_and_an_array_per_grid():
@@ -257,18 +273,11 @@ def test_subdifferential_distance_is_a_float_per_point_and_an_array_per_grid():
         [1.0, 0.0, 2.0]
 
 
-def test_regular_subdifferential_needs_the_exact_variant():
-    # the analytic enclosure at sin-inv's 0 is (-inf, 1.503...], the limiting
-    # subdifferential; the regular one there is (-inf, 1/2]
-    with pytest.raises(ValidationError, match="exact variant"):
-        frechet_subdifferential(FunctionSpec(fixture=ANALYTIC_REGISTRY["sin-inv"]), (0.0,))
-
-
 def test_distance_to_empty_slice_is_an_error_not_zero():
     f = saddle()
     box = ConvexPolyhedron.box((0, 0), F(1))
     with pytest.raises(EmptySliceError):
-        distance_to_inverse(f, (0, F(1, 10)), (0.0, 0.0), box)
+        distance_to_inverse(inverse_image(f, (0, F(1, 10)), box), (0.0, 0.0))
 
 
 def test_stationary_points_oscillating():
