@@ -16,6 +16,7 @@ pieces left out; the signatures come ordered by their first feasible path.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .cones import ConeUnion, PolyCone, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
-from .rational import Vec, add, dot, is_zero, mat, neg, scale, vec, zeros
+from .rational import Vec, int_row, mat, neg, vec, zeros
 
 
 Signature = tuple[tuple[int, frozenset[int]], ...]  # (piece, active rows) per member
@@ -85,14 +86,6 @@ def local_cells(union: PolyUnion, x) -> list[Signature]:
     return [sig for _, sig in sorted(found)]
 
 
-def _point_signature(union: PolyUnion, x: Vec) -> Signature:
-    """The pieces containing x, each with its active set there."""
-    ks = union.pieces_containing(x)
-    if not ks:
-        raise ValueError("point is not in the union")
-    return tuple((k, union.pieces[k].active_set(x)) for k in ks)
-
-
 def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:
     """Union of the regular normal cone values over all cells adherent
     to x; realizes the outer limit of regular normal cones exactly."""
@@ -150,7 +143,19 @@ def cell_complex(union: PolyUnion) -> list[Cell]:
 # -- brute-force sampling oracle ----------------------------------------------
 
 
-SCALE_DEN = 64  # sample weights and the step cap are multiples of 1/SCALE_DEN
+SCALE_DEN = 64  # direction weights are 1..SCALE_DEN over SCALE_DEN; steps are at most 1/SCALE_DEN
+
+
+def _signature(union: PolyUnion, p: Sequence[int]) -> Signature:
+    """The pieces containing the point whose homogeneous ints are p (a
+    positive multiple of (y, 1)), each with its active rows there, read off
+    the piece's int rows in one pass; () outside the union."""
+    sig = []
+    for k, piece in enumerate(union.pieces):
+        vals = [sum(map(operator.mul, row, p)) for row in piece.rows]
+        if all(v <= 0 for v in vals):
+            sig.append((k, frozenset(i for i, v in enumerate(vals) if v == 0)))
+    return tuple(sig)
 
 
 def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[PolyCone]:
@@ -160,49 +165,44 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[
     Independent of the cell enumeration: each sample's cone comes straight
     from active sets at the sampled point.  Used as the outer-limit oracle.
     Equal signatures give equal cones, so a cone is built only for a
-    signature not seen before.
+    signature not seen before.  Points are homogeneous int vectors, x as
+    p = int_row((x, 1)).
     """
     x = vec(x)
     rng = random.Random(seed)
-    dim = union.dim
-    sig = _point_signature(union, x)
+    p = int_row(x + (1,))
+    sig = _signature(union, p)
+    if not sig:
+        raise ValueError("point is not in the union")
 
-    # Directions that stay in some piece: relint points of tangent faces.
-    face_dirs: list[tuple[int, list[Vec]]] = []
+    # Directions that stay in piece k: relint points of its tangent faces,
+    # from the faces' generators (primitive int rows) padded to (g, 0); each
+    # kept with the rows of piece k slack at x, as (row, -row.p > 0).
+    face_dirs = []
     for k, _ in sig:
+        rows = union.pieces[k].rows
+        vals = [sum(map(operator.mul, r, p)) for r in rows]
+        slack = [(r, -v) for r, v in zip(rows, vals) if v < 0]
         for _, face in union.pieces[k].tangent_cone(x).faces():
-            gens = face.generators()
+            gens = [int_row(g) + (0,) for g in face.generators()]
             if gens:
-                face_dirs.append((k, gens))
+                face_dirs.append((slack, gens))
 
     # constant sequences reach the query point itself, so its regular cone
-    # always belongs to the outer limit
+    # always belongs to the outer limit; with no direction every sample is x
     collected: list[PolyCone] = [_value_cone(union, sig)]
     seen = {sig}
-    for _ in range(count):
-        if not face_dirs:
-            y = x
-        else:
-            k, gens = face_dirs[rng.randrange(len(face_dirs))]
-            u = zeros(dim)
-            for g in gens:
-                w = Fraction(rng.randint(1, SCALE_DEN), SCALE_DEN)
-                u = add(u, scale(vec(g), w))
-            if is_zero(u):
-                y = x
-            else:
-                # largest exact step keeping x + t u inside piece k
-                piece = union.pieces[k]
-                t = Fraction(1, SCALE_DEN)
-                for row, bi in zip(piece.a, piece.b):
-                    ru = dot(row, u)
-                    if ru > 0:
-                        slack = bi - dot(row, x)
-                        t = min(t, slack / ru / 2) if slack > 0 else t
-                y = add(x, scale(u, t))
-                if not union.contains(y):
-                    y = x
-        sig = _point_signature(union, y)
+    for _ in range(count if face_dirs else 0):
+        slack, gens = face_dirs[rng.randrange(len(face_dirs))]
+        weights = [rng.randint(1, SCALE_DEN) for _ in gens]
+        u = [sum(map(operator.mul, weights, col)) for col in zip(*gens)]
+        # the sample x + t u / SCALE_DEN, its step t <= 1/SCALE_DEN halving each
+        # slack that u spends so it stays in piece k, is (p + tau u) / p[-1] with
+        # tau = t p[-1] / SCALE_DEN
+        spent = [(s, sum(map(operator.mul, r, u))) for r, s in slack]
+        tau = min([Fraction(p[-1], SCALE_DEN ** 2)]
+                  + [Fraction(s, 2 * ru) for s, ru in spent if ru > 0])
+        sig = _signature(union, [tau.denominator * a + tau.numerator * b for a, b in zip(p, u)])
         if sig in seen:
             continue
         seen.add(sig)
@@ -210,4 +210,3 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[
         if not any(cone.equals(c) for c in collected):
             collected.append(cone)
     return collected
-

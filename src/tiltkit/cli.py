@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from fractions import Fraction
 
 from . import regularity as reg
@@ -156,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as e:  # ValidationError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    import time
     t0 = time.perf_counter()
     result = _analyze(inst)
     result.runtime = time.perf_counter() - t0

@@ -9,6 +9,7 @@ path; its machinery never mixes with the exact one.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cells import cell_complex
 from .polyhedra import ConvexPolyhedron, PolyUnion
 from .rational import (F0, Mat, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
                        scale, sub, vec, zeros)
@@ -199,7 +201,6 @@ class FunctionSpec:
     @functools.cached_property
     def cells(self) -> tuple:
         """The domain's global cells (`cells.cell_complex`), read by `graph` and `subdiff`."""
-        from .cells import cell_complex
         return tuple(cell_complex(self.domain))
 
     @functools.cached_property
@@ -279,7 +280,6 @@ class Params:
             raise ValidationError("grid densities must be positive")
 
     def replace(self, **kw) -> "Params":
-        import dataclasses
         return dataclasses.replace(self, **kw)
 
 
@@ -297,7 +297,7 @@ class ProblemInstance:
         self.xstar = vec(self.xstar) if self.f.is_exact else self.xstar
 
     def validate(self) -> None:
-        from .subdiff import subdifferential
+        from .subdiff import subdifferential  # not at the top: subdiff imports model
         if len(self.xbar) != self.f.dim or len(self.xstar) != self.f.dim:
             raise ValidationError("dimension mismatch")
         sd = subdifferential(self.f, self.xbar)

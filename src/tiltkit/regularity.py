@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .hessian import second_order_map
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .project import row_norms
@@ -38,19 +39,14 @@ SOLUTION_TOL = 1e-12  # analytic path only: a grid point this near a solution is
 
 
 def ball_lattice(center: Vec, radius: Fraction, per_axis: int) -> list[Vec]:
-    """Rational lattice on the box, filtered to the Euclidean ball (exact)."""
-    n = len(center)
-    radius = frac(radius)
-    axes = []
-    for i in range(n):
-        axes.append([center[i] - radius + Fraction(2 * k, per_axis - 1) * radius
-                     for k in range(per_axis)])
-    rr = radius * radius
-    out = []
-    for pt in itertools.product(*axes):
-        if norm_sq(sub(pt, center)) <= rr:
-            out.append(tuple(pt))
-    return out
+    """Rational lattice on the box, filtered to the Euclidean ball (exact):
+    center + o radius / m over int offsets o in {-m, -m + 2, ..., m}^n,
+    m = per_axis - 1, kept when |o|^2 <= m^2."""
+    m = per_axis - 1
+    step = frac(radius) / m
+    return [tuple(c + o * step for c, o in zip(center, off))
+            for off in itertools.product(range(-m, m + 1, 2), repeat=len(center))
+            if sum(o * o for o in off) <= m * m]
 
 
 def domain_lattice(f: FunctionSpec, center: Vec, radius: Fraction,
@@ -95,8 +91,6 @@ def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
     """Exact points of gph of the subdifferential within the radius ball
     around the reference pair: the pair itself, then the ball points of the
     graph pieces (see _ball_points)."""
-    from .hessian import second_order_map
-
     n = f.dim
     base = tuple(xbar) + tuple(xstar)
     pieces = tuple((p.a, p.b) for p in second_order_map(f, xbar, xstar).model.pieces)

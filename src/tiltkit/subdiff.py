@@ -113,7 +113,7 @@ INVERSE_GRID = 20001  # bracketing grid of analytic_inverse_points
 def _analytic_subdifferential(fx: AnalyticFixture1D, x) -> Interval1D:
     t = scalar(x)
     if any(abs(t - e) < POINT_TOL for e in fx.exceptional):
-        return _exceptional_enclosure(fx, t, ENCLOSURE_SAMPLES)
+        return _exceptional_enclosure(fx, t)
     d = float(fx.derivative(t))
     # domain boundary: one-sided linearizations open the interval
     return Interval1D(d if t > fx.lo + POINT_TOL else -math.inf,
@@ -137,12 +137,12 @@ def analytic_distances(fx: AnalyticFixture1D, xs, v: float) -> np.ndarray:
     return _interval_distance(lo, hi, v)
 
 
-def _exceptional_enclosure(fx: AnalyticFixture1D, t: float, n_samples: int) -> Interval1D:
-    """Hull of derivative cluster values on geometric approach sequences,
-    widened by domain-boundary one-sided behavior.  An enclosure, not an
-    exact value."""
-    ratio = (1e-8) ** (2.0 / n_samples)
-    offsets = 0.05 * np.power(ratio, np.arange(n_samples // 2))
+def _exceptional_enclosure(fx: AnalyticFixture1D, t: float) -> Interval1D:
+    """Hull of derivative cluster values on geometric approach sequences of
+    ENCLOSURE_SAMPLES points, widened by domain-boundary one-sided behavior.
+    An enclosure, not an exact value."""
+    ratio = (1e-8) ** (2.0 / ENCLOSURE_SAMPLES)
+    offsets = 0.05 * np.power(ratio, np.arange(ENCLOSURE_SAMPLES // 2))
     xs = t + np.concatenate([offsets, -offsets])
     xs = xs[(xs > fx.lo + 1e-300) & (xs < fx.hi) & (np.abs(xs - t) > 1e-14)]
     vals = np.asarray(fx.derivative(xs), dtype=float)
@@ -178,7 +178,9 @@ def stationary_points_1d(fixture: AnalyticFixture1D, interval: tuple[float, floa
 
 def analytic_inverse_points(fixture: AnalyticFixture1D, vstar: float,
                             center: float, radius: float) -> list[float]:
-    """Points x near `center` with vstar in the subdifferential enclosure."""
+    """Points x near `center` with vstar in the subdifferential enclosure:
+    the roots of derivative == vstar, then each exceptional point and finite
+    domain end whose `_analytic_subdifferential` holds vstar."""
     lo = max(center - radius, fixture.lo)
     hi = min(center + radius, fixture.hi)
     pts = []
@@ -186,13 +188,10 @@ def analytic_inverse_points(fixture: AnalyticFixture1D, vstar: float,
         eps = (hi - lo) * 1e-9
         pts = stationary_points_1d(fixture, (lo + eps, hi - eps), INVERSE_GRID,
                                    target=vstar)
-    for e in fixture.exceptional:
-        if lo <= e <= hi and _exceptional_enclosure(fixture, e, 2000).contains(vstar):
+    for e in {*fixture.exceptional, fixture.lo, fixture.hi}:
+        if math.isfinite(e) and lo <= e <= hi and \
+                _analytic_subdifferential(fixture, e).contains(vstar):
             pts.append(e)
-    for b in (fixture.lo, fixture.hi):
-        if math.isfinite(b) and lo <= b <= hi and b not in pts and \
-                _analytic_subdifferential(fixture, b).contains(vstar):
-            pts.append(b)
     return sorted(set(pts))
 
 

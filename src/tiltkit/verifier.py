@@ -29,8 +29,8 @@ from .hessian import (INDEFINITE, POSITIVE_DEFINITE, build_graph_model, definite
 from .model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
                     ValidationError, ANALYTIC_REGISTRY)
 from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, critical_cone, same_union
-from .rational import F0, dot, is_zero, norm_sq, vec
-from .subdiff import stationary_points_1d
+from .rational import F0, dot, is_zero, matvec, norm_sq, vec
+from .subdiff import inverse_image, stationary_points_1d
 
 PASS = "pass"
 FAIL = "fail"
@@ -240,7 +240,6 @@ def _suite_strong_subregularity() -> SuiteResult:
             s.skip(fx.name, "reference-side lower estimate fails at beta")
             continue
         box = ConvexPolyhedron.box(inst.xbar, inst.params.eta)
-        from .subdiff import inverse_image
         sl = inverse_image(inst.f, inst.xstar, box)
         pts = reg._slice_points(sl, inst.xbar, inst.params.eta)
         only_ref = all(p == inst.xbar for p in pts)
@@ -450,7 +449,6 @@ def _suite_smooth_reduction() -> SuiteResult:
     dirs = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1), (2, 1), (1, -3),
             (Fraction(1, 2), Fraction(1, 3)), (-2, 5)]
     q = f.smooth.q
-    from .rational import matvec
     ok = True
     for u in dirs:
         u = vec(u)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 from pathlib import Path
@@ -25,7 +26,7 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PR
                                 estimate_subregularity_modulus, graph_point_samples,
                                 growth_alpha_hat, minimal_prox_r, solve_tilt,
                                 tilt_stability_verdict)
-from tiltkit.rational import frac, to_float
+from tiltkit.rational import frac, norm_sq, sub, to_float
 from tiltkit.subdiff import (analytic_inverse_points, distance_to_inverse, inverse_image,
                              subdifferential, subdifferential_distance)
 
@@ -39,6 +40,25 @@ def test_ball_lattice_is_rational_and_inside():
     assert (F(0), F(0)) in pts
     for p in pts:
         assert sum(x * x for x in p) <= F(1, 100)
+
+
+def fraction_ball_lattice(center, radius, per_axis):
+    """Oracle: the box lattice in Fractions, filtered by the exact norm."""
+    axes = [[c - radius + F(2 * k, per_axis - 1) * radius for k in range(per_axis)]
+            for c in center]
+    return [pt for pt in itertools.product(*axes) if norm_sq(sub(pt, center)) <= radius * radius]
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=30)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=3),
+       rationals.map(abs).filter(lambda r: r > 0), st.integers(2, 17))
+def test_ball_lattice_matches_fraction_oracle(center, radius, per_axis):
+    got = ball_lattice(tuple(center), radius, per_axis)
+    assert got == fraction_ball_lattice(tuple(center), radius, per_axis)
+    assert all(type(x) is F for pt in got for x in pt)
 
 
 def test_subregularity_quadratics():

@@ -391,3 +391,16 @@ def test_analytic_enclosures():
 def test_analytic_inverse_points_abs():
     pts = analytic_inverse_points(ANALYTIC_REGISTRY["abs"], 0.0, 0.0, 1.0)
     assert pts == [0.0]
+
+
+@pytest.mark.parametrize("name, e", [(name, e) for name, fx in sorted(ANALYTIC_REGISTRY.items())
+                                     for e in sorted({*fx.exceptional, fx.lo, fx.hi})
+                                     if math.isfinite(e)])
+def test_inverse_points_keep_a_special_point_iff_its_subdifferential_holds_v(name, e):
+    # exceptional points and finite domain ends: the inverse points test them
+    # with the enclosure `subdifferential` uses, on and just past each end
+    fx = ANALYTIC_REGISTRY[name]
+    sd = _analytic_subdifferential(fx, e)
+    for v in (sd.lo, sd.hi, sd.lo - 2 * sd.tol, sd.hi + 2 * sd.tol):
+        if math.isfinite(v):
+            assert (e in analytic_inverse_points(fx, v, e, 0.01)) == sd.contains(v), v
