@@ -152,7 +152,7 @@ def _signature(union: PolyUnion, p: Sequence[int]) -> Signature:
     the piece's int rows in one pass; () outside the union."""
     sig = []
     for k, piece in enumerate(union.pieces):
-        vals = [sum(map(operator.mul, row, p)) for row in piece.rows]
+        vals = piece.values_at(p)
         if all(v <= 0 for v in vals):
             sig.append((k, frozenset(i for i, v in enumerate(vals) if v == 0)))
     return tuple(sig)
@@ -181,8 +181,7 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[
     face_dirs = []
     for k, _ in sig:
         rows = union.pieces[k].rows
-        vals = [sum(map(operator.mul, r, p)) for r in rows]
-        slack = [(r, -v) for r, v in zip(rows, vals) if v < 0]
+        slack = [(r, -v) for r, v in zip(rows, union.pieces[k].values_at(p)) if v < 0]
         for _, face in union.pieces[k].tangent_cone(x).faces():
             gens = [int_row(g) + (0,) for g in face.generators()]
             if gens:

@@ -18,7 +18,8 @@ import functools
 import itertools
 import operator
 
-from .rational import MEMO_SIZE, Mat, Vec, int_nullspace, int_row, int_rref, mat, neg, vec
+from .rational import (MEMO_SIZE, Mat, Vec, as_int_row, int_nullspace, int_row, int_rref, mat,
+                       neg, vec)
 
 
 def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -69,7 +70,7 @@ def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
     caller's order) and computed from that key alone, so what a caller gets
     never depends on which caller filled the memo.
     """
-    lin, rays = _vrep(dim, tuple(r for r in map(int_row, g) if any(r)))
+    lin, rays = _vrep(dim, tuple(r for r in map(as_int_row, g) if any(r)))
     return list(lin), list(rays)
 
 
@@ -197,8 +198,11 @@ class PolyCone:
         v = vec(v)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        p = int_row(v)
-        return all(sum(map(operator.mul, row, p)) <= 0 for row in self.int_rows)
+        return self.holds_at(int_row(v))
+
+    def holds_at(self, u) -> bool:
+        """Is v in the cone, for u the ints of a positive multiple of v?"""
+        return all(sum(map(operator.mul, row, u)) <= 0 for row in self.int_rows)
 
     def contains_cone(self, other: "PolyCone") -> bool:
         return all(self.contains(g) for g in other.generators()) if other.generators() \

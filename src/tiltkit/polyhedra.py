@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Vec, dot, int_row, is_zero, mat, neg, nullspace,
+from .rational import (F0, F1, Vec, as_int_row, dot, int_row, is_zero, mat, neg, nullspace,
                        primitive, rank, sub, unit, vec, zeros)
 
 
@@ -61,15 +61,19 @@ class ConvexPolyhedron:
         return tuple(map(homogenize, self.a, self.b))
 
     def _values(self, x, t=F1) -> list[int]:
-        """Positive multiples of A_i x - b_i t: each kept row against int_row((x, t))."""
-        x = vec(x)
-        if len(x) != self.dim:
-            raise ValueError(f"dimension mismatch: {len(x)} vs {self.dim}")
-        p = int_row(x + (t,))
+        """Positive multiples of A_i x - b_i t: `values_at` the ints of (x, t)."""
+        return self.values_at(_homogeneous(x, self.dim, t))
+
+    def values_at(self, p) -> list[int]:
+        """`_values` at the ints p of (x, t), up to a positive factor."""
         return [sum(map(operator.mul, row, p)) for row in self.rows]
 
+    def holds_at(self, p) -> bool:
+        """Is x in the polyhedron, for p the ints of (x, 1) up to a positive factor?"""
+        return all(v <= 0 for v in self.values_at(p))
+
     def contains(self, x) -> bool:
-        return all(v <= 0 for v in self._values(x))
+        return self.holds_at(_homogeneous(x, self.dim))
 
     def active_set(self, x) -> frozenset[int]:
         """{i : A_i x = b_i}; raises if x is outside."""
@@ -127,6 +131,19 @@ class ConvexPolyhedron:
         return ConvexPolyhedron(tuple(tuple(dot(row, c) for c in cols) for row in self.a),
                                 tuple(bi - dot(row, shift) for row, bi in zip(self.a, self.b)),
                                 dim=len(cols))
+
+    def slice_meets(self, p, other: "ConvexPolyhedron") -> bool:
+        """Does `slice(y)` meet `other`, for p the ints of (y, 1) up to a
+        positive factor?  At y = q/d a kept row (r_x, r_y, r_t) is (d r_x,
+        r_y.q + d r_t) made primitive, the row of `slice(y).intersect(other)`:
+        the same DD memo decides, with no polyhedron built."""
+        *q, d = p
+        k = self.dim - len(q)
+        rows = tuple(as_int_row([d * a for a in row[:k]]
+                                + [sum(map(operator.mul, row[k:-1], q)) + d * row[-1]])
+                     for row in self.rows)
+        _, rays = hrep_to_vrep(rows + other.rows + ((0,) * k + (-1,),), k + 1)
+        return any(r[-1] > 0 for r in rays)
 
     def slice(self, y) -> "ConvexPolyhedron":
         """{x : (x, y) in P}, y the trailing coordinates: rows a[:k], right sides b - a[k:].y."""
@@ -229,7 +246,11 @@ class PolyUnion:
         self.dim = pieces[0].dim
 
     def contains(self, x) -> bool:
-        return any(p.contains(x) for p in self.pieces)
+        return self.holds_at(_homogeneous(x, self.dim))
+
+    def holds_at(self, p) -> bool:
+        """Is x in the union, for p the ints of (x, 1) up to a positive factor?"""
+        return any(piece.holds_at(p) for piece in self.pieces)
 
     def pieces_containing(self, x) -> list[int]:
         return [k for k, p in enumerate(self.pieces) if p.contains(x)]
@@ -254,6 +275,14 @@ def cone_polyhedron(cone: PolyCone) -> ConvexPolyhedron:
     if cone._polyhedron is None:
         cone._polyhedron = ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)), dim=cone.dim)
     return cone._polyhedron
+
+
+def _homogeneous(x, dim: int, t=F1) -> tuple[int, ...]:
+    """The primitive ints of (x, t), x a rational point of R^dim."""
+    x = vec(x)
+    if len(x) != dim:
+        raise ValueError(f"dimension mismatch: {len(x)} vs {dim}")
+    return int_row(x + (t,))
 
 
 def homogenize(a, b) -> tuple[int, ...]:

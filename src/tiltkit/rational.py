@@ -113,6 +113,14 @@ def int_row(a: Sequence) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
+def as_int_row(a: Sequence) -> tuple[int, ...]:
+    """`int_row(a)`; a row of ints is only divided by its gcd."""
+    if not all(type(x) is int for x in a):
+        return int_row(a)
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else tuple(a)
+
+
 def primitive(a: Vec) -> Vec:
     """Scale a nonzero rational vector to integer entries with gcd 1.
 
@@ -121,21 +129,13 @@ def primitive(a: Vec) -> Vec:
     return tuple(Fraction(v) for v in int_row(a))
 
 
-def _int_list(a: Sequence) -> list[int]:
-    """`int_row(a)` as a list; a row of ints is only divided by its gcd."""
-    if not all(type(x) is int for x in a):
-        return list(int_row(a))
-    g = math.gcd(*a)
-    return [x // g for x in a] if g > 1 else list(a)
-
-
 def _echelon(m: Mat) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination: (rows, pivot columns), each
     row a nonzero multiple of the matching rref row (zero rows last).
 
     Rows are primitive ints, made primitive again after each step.
     """
-    rows = [_int_list(r) for r in m]
+    rows = [list(as_int_row(r)) for r in m]
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(len(rows[0]) if nrows else 0):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from .hessian import second_order_map
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .project import row_norms
-from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, mat, matvec, neg, norm_sq,
-                       solve_affine, sub, to_float, vec, zeros)
+from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, mat, matvec, neg,
+                       norm_sq, solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, InverseSlice, analytic_distances,
                       analytic_inverse_points, distance_to_inverse, inverse_image,
                       subdifferential, subdifferential_distance)
@@ -42,39 +43,39 @@ def ball_lattice(center: Vec, radius: Fraction, per_axis: int) -> list[Vec]:
     """Rational lattice on the box, filtered to the Euclidean ball (exact):
     center + o radius / m over int offsets o in {-m, -m + 2, ..., m}^n,
     m = per_axis - 1, kept when |o|^2 <= m^2."""
-    m = per_axis - 1
-    step = frac(radius) / m
-    return [tuple(c + o * step for c, o in zip(center, off))
-            for off in itertools.product(range(-m, m + 1, 2), repeat=len(center))
-            if sum(o * o for o in off) <= m * m]
-
-
-def domain_lattice(f: FunctionSpec, center: Vec, radius: Fraction,
-                   per_axis: int) -> list[Vec]:
-    pts = ball_lattice(center, radius, per_axis)
-    return [p for p in pts if f.domain.contains(p)]
+    return domain_lattice(None, center, radius, per_axis)
 
 
 ZOOM_SCALES = 13  # shrunken copies at ratios 1/2 .. 1/2^13
 
 
-def domain_lattice_zoomed(f: FunctionSpec, center: Vec, radius: Fraction,
-                          per_axis: int) -> list[Vec]:
-    """Lattice plus ZOOM_SCALES geometrically shrunken copies toward the center.
-
-    Prox-type inequalities fail asymptotically close to the reference
-    point; a fixed-pitch lattice cannot see that, shrunken copies can.
-    """
-    base = domain_lattice(f, center, radius, per_axis)
-    seen = set(base)
-    out = list(base)
-    for k in range(1, ZOOM_SCALES + 1):
-        w = Fraction(1, 2 ** k)
-        for p in base:
-            q = tuple(center[i] + (p[i] - center[i]) * w for i in range(len(center)))
-            if q not in seen and f.domain.contains(q):
-                seen.add(q)
-                out.append(q)
+def domain_lattice(f: FunctionSpec | None, center: Vec, radius: Fraction, per_axis: int,
+                   scales: int = 0) -> list[Vec]:
+    """The `ball_lattice` points in f's domain (all of them when f is None),
+    then each of them shrunk by 1/2^k toward the center, k = 1..scales, when
+    new and in the domain.  Prox-type inequalities fail asymptotically close
+    to the reference point; a fixed-pitch lattice cannot see that, shrunken
+    copies can.  A point is ints until kept: with center c / den and ball
+    offsets o, the k-th copy is (2^k c + o) / (2^k den), its ints tested once
+    against the domain's int rows."""
+    m = per_axis - 1
+    step = frac(radius) / m
+    den = math.lcm(step.denominator, *(x.denominator for x in center))
+    c, s = [int(x * den) for x in center], int(step * den)
+    offsets = [[o * s for o in off]
+               for off in itertools.product(range(-m, m + 1, 2), repeat=len(c))
+               if sum(o * o for o in off) <= m * m]
+    out, seen = [], set()
+    for k in range(scales + 1):
+        pts = [[(a << k) + b for a, b in zip(c, o)] for o in offsets]
+        keep = [f is None or f.domain.holds_at(p + [den << k]) for p in pts]
+        if k == 0:  # the copies shrink the points kept here
+            offsets = list(itertools.compress(offsets, keep))
+        for p in itertools.compress(pts, keep):
+            x = tuple(Fraction(a, den << k) for a in p)
+            if x not in seen:
+                seen.add(x)
+                out.append(x)
     return out
 
 
@@ -173,6 +174,23 @@ PROX_GRID = 7
 VIOLATIONS_KEPT = 50
 
 
+def _values(f: FunctionSpec, points) -> np.ndarray:
+    """float(evaluate_exact(f, x)) for each point x of the domain: f(x) is
+    (x, 1)' M (x, 1) / 2 with M = [[Q, c], [c', 2d]], so with M = N / l and
+    p the ints of (x, 1), it is the int p' N p over 2 l p_t^2, and int / int
+    rounds as float(Fraction) does."""
+    sm = f.smooth
+    m = [[*row, ci] for row, ci in zip(sm.q, sm.c)] + [[*sm.c, 2 * sm.d]]
+    l = math.lcm(*(x.denominator for row in m for x in row))
+    m = [[int(x * l) for x in row] for row in m]
+    out = []
+    for x in points:
+        p = int_row(tuple(x) + (1,))
+        out.append(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, m))
+                   / (2 * l * p[-1] ** 2))
+    return np.array(out)
+
+
 def _floats(points, n: int) -> np.ndarray:
     return np.array([to_float(p) for p in points], dtype=float).reshape(len(points), n)
 
@@ -222,7 +240,7 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
     xbar_f = np.array(to_float(inst.xbar))
     base = float(evaluate_exact(f, inst.xbar)) + \
         _rowdot(pts - xbar_f, np.array(to_float(inst.xstar)))
-    lhs = np.array([float(evaluate_exact(f, x)) for x in grid])
+    lhs = _values(f, grid)
     if mode == "distance-squared":
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
         d = distance_to_inverse(slice_, pts)
@@ -289,13 +307,13 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
         grid = domain_lattice(f, inst.xbar, eta, per_axis)
         xs = _floats(grid, n)
         base = fbar + _rowdot(xs - xbar_f, np.array(to_float(inst.xstar)))
-        yield base, np.array([float(evaluate_exact(f, x)) for x in grid]), dist2(xs), (), xs
+        yield base, _values(f, grid), dist2(xs), (), xs
         return
 
     pairs = graph_point_samples(f, inst.xbar, inst.xstar, eta)
     xs = _floats([x for x, _ in pairs], n)
     ss = _floats([s for _, s in pairs], n)
-    fxs = np.array([float(evaluate_exact(f, x)) for x, _ in pairs])
+    fxs = _values(f, [x for x, _ in pairs])
     if mode == "3.3":
         d2 = dist2(xs)
         for u in _slice_points(slice_, inst.xbar, eta):
@@ -311,9 +329,9 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
     # modes 2.8 / 3.15 / 3.13: full two-point neighborhood inequalities;
     # the x-grid is densified geometrically toward the reference point,
     # where prox failures concentrate
-    zoomed = domain_lattice_zoomed(f, inst.xbar, eta, per_axis)
+    zoomed = domain_lattice(f, inst.xbar, eta, per_axis, ZOOM_SCALES)
     zs = _floats(zoomed, n)
-    fzs = np.array([float(evaluate_exact(f, z)) for z in zoomed])
+    fzs = _values(f, zoomed)
     xstar_f = np.array(to_float(inst.xstar))
     for uf, usf, fu in zip(xs, ss, fxs):
         if mode == "2.8" and (float(np.linalg.norm(usf - xstar_f)) > float(eta)
@@ -512,11 +530,12 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
             if slices[-1].is_empty():
                 raise _Unbounded(to_float(y), f"empty preimage at y={to_float(y)}")
         xfs, yfs = _floats(xs, f.dim), _floats(ys, f.dim)
+        yints = [int_row(y + (1,)) for y in ys]
         # den per x over the ys outside sd(x), num per y over the xs kept; x-major out
         den = np.zeros((len(xs), len(ys)))
         for i, x in enumerate(xs):
             sd = subdifferential(f, x)
-            out = [not sd.contains(y) for y in ys]
+            out = [not h for h in sd.holds_at_each(yints)]
             den[i, out] = sd.distance(yfs[out])
         num = np.zeros_like(den)
         for j, (y, slice_) in enumerate(zip(ys, slices)):
@@ -542,7 +561,7 @@ def check_uniform_growth(inst: ProblemInstance, kappa) -> CheckOutcome:
     box = _inverse_box(inst)
     xs = domain_lattice(f, inst.xbar, p.eta, p.grid)
     xs_f = _floats(xs, f.dim)
-    fvals = np.array([float(evaluate_exact(f, x)) for x in xs])
+    fvals = _values(f, xs)
     two_kappa = 2 * float(kappa)
 
     def dominates(u: Vec, usf: np.ndarray) -> bool:

@@ -20,7 +20,7 @@ from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact, scalar
 from .polyhedra import ConvexPolyhedron
 from .project import distance_to_cone, distance_to_polyhedron, per_point, row_norms
-from .rational import Vec, sub, to_float, vec
+from .rational import F1, Vec, int_row, sub, to_float, vec
 
 
 class EmptySliceError(ValueError):
@@ -35,6 +35,13 @@ class ExactSubdifferential:
 
     def contains(self, v) -> bool:
         return self.cones.contains(sub(vec(v), self.base))
+
+    def holds_at_each(self, ps) -> list[bool]:
+        """Is v in the set, for each p of ps the ints of (v, 1) up to a positive
+        factor?  With base = g/e, v - base is a positive multiple of e p' - p_t g."""
+        *g, e = int_row(self.base + (F1,))
+        return [any(c.holds_at([e * a - p[-1] * b for a, b in zip(p, g)])
+                    for c in self.cones.pieces) for p in ps]
 
     def distance(self, v):
         """d(v; self): a float for one v, an (m,) array for an (m, n) array."""
@@ -81,7 +88,8 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
     _require_finite(f, x)
     if f.is_exact:
         x = vec(x)
-        cones = ConeUnion([c.value for c in f.cells if c.closure.contains(x)], f.dim).dedupe()
+        p = int_row(x + (F1,))
+        cones = ConeUnion([c.value for c in f.cells if c.closure.holds_at(p)], f.dim).dedupe()
         return ExactSubdifferential(f.smooth.gradient(x), cones)
     return _analytic_subdifferential(f.fixture, x)
 
@@ -218,8 +226,9 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
 
     The inverse image is the slice of the subgradient graph at y = v, so
     per graph piece it is the polyhedron `piece.slice(v)`, kept when it
-    meets the box.  Cached per (v, box): the estimators revisit the same
-    tilted subgradients many times.
+    meets the box.  Most do not, and `slice_meets` decides that on int rows
+    before any polyhedron is built.  Cached per (v, box): the estimators
+    revisit the same tilted subgradients many times.
     """
     if not f.is_exact:
         raise ValidationError("inverse_image needs the exact variant "
@@ -228,9 +237,9 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     key = (v, box.a, box.b)
     hit = f._inverse_images.get(key)
     if hit is None:
-        boxed = (piece.slice(v).intersect(box) for piece in f.graph)
-        hit = f._inverse_images[key] = InverseSlice(
-            v, box, tuple(p for p in boxed if not p.is_empty()))
+        p = int_row(v + (F1,))
+        hit = f._inverse_images[key] = InverseSlice(v, box, tuple(
+            piece.slice(v).intersect(box) for piece in f.graph if piece.slice_meets(p, box)))
     return hit
 
 

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cells import regular_normal_cone
+from test_subdiff import exact_functions, over_dens
 
 from tiltkit.copositive import cone_form_min_sign, graph_form
 from tiltkit.fixtures import CORPUS, fixture
 from tiltkit.hessian import second_order_map
 from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ProblemInstance, QuadraticForm,
-                           ValidationError, parse_problem)
+                           ValidationError, evaluate_exact, parse_problem)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PROX_MODES, R_CAP,
-                                SOLUTION_TOL, CheckOutcome, ModulusEstimate, _coarse, _refine,
-                                _refinement_schedule, _sup, _Unbounded, ball_lattice,
+                                SOLUTION_TOL, ZOOM_SCALES, CheckOutcome, ModulusEstimate, _coarse,
+                                _refine, _refinement_schedule, _sup, _Unbounded, _values,
+                                ball_lattice,
                                 check_growth,
                                 check_lower_prox_inequality,
                                 check_single_valued_localization,
@@ -26,7 +28,7 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PR
                                 estimate_subregularity_modulus, graph_point_samples,
                                 growth_alpha_hat, minimal_prox_r, solve_tilt,
                                 tilt_stability_verdict)
-from tiltkit.rational import frac, norm_sq, sub, to_float
+from tiltkit.rational import dot, frac, norm_sq, sub, to_float
 from tiltkit.subdiff import (analytic_inverse_points, distance_to_inverse, inverse_image,
                              subdifferential, subdifferential_distance)
 
@@ -59,6 +61,46 @@ def test_ball_lattice_matches_fraction_oracle(center, radius, per_axis):
     got = ball_lattice(tuple(center), radius, per_axis)
     assert got == fraction_ball_lattice(tuple(center), radius, per_axis)
     assert all(type(x) is F for pt in got for x in pt)
+
+
+def fraction_in(union, x):
+    """Oracle: x in some piece of the union, row by row in Fractions."""
+    return any(all(dot(a, x) <= b for a, b in zip(p.a, p.b)) for p in union.pieces)
+
+
+def fraction_zoomed(f, center, radius, per_axis):
+    """Oracle: the zoomed lattice as Fraction points, each shrunk toward the
+    center and tested row by row."""
+    base = [x for x in ball_lattice(center, radius, per_axis) if fraction_in(f.domain, x)]
+    seen, out = set(base), list(base)
+    for k in range(1, ZOOM_SCALES + 1):
+        for x in base:
+            q = tuple(c + (xi - c) * F(1, 2 ** k) for c, xi in zip(center, x))
+            if q not in seen and fraction_in(f.domain, q):
+                seen.add(q)
+                out.append(q)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_functions(), st.data())
+def test_int_lattices_and_values_match_fraction_oracles(f, data):
+    n = f.dim
+    vecs = st.lists(over_dens(1), min_size=n, max_size=n).map(tuple)
+    upper = {(i, j): data.draw(over_dens()) for i in range(n) for j in range(i, n)}
+    smooth = QuadraticForm.make([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)],
+                                data.draw(vecs), data.draw(over_dens()))
+    f = FunctionSpec(smooth=smooth, domain=f.domain)
+    pts = data.draw(st.lists(vecs, max_size=4))
+    assert [f.domain.contains(x) for x in pts] == [fraction_in(f.domain, x) for x in pts]
+    center, per_axis = data.draw(vecs), data.draw(st.integers(2, 4))
+    radius = data.draw(st.sampled_from([F(1, 3), F(1, 7), F(1), F(3, 64)]))
+    grid = domain_lattice(f, center, radius, per_axis)
+    assert grid == [x for x in ball_lattice(center, radius, per_axis) if fraction_in(f.domain, x)]
+    zoomed = domain_lattice(f, center, radius, per_axis, ZOOM_SCALES)
+    assert zoomed == fraction_zoomed(f, center, radius, per_axis)
+    # f at points whose denominators reach 64 * 7 * 2^13: most values round
+    assert _values(f, zoomed).tolist() == [float(evaluate_exact(f, x)) for x in zoomed]
 
 
 def test_subregularity_quadratics():

@@ -13,7 +13,7 @@ from tiltkit.cones import ConeUnion
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
-from tiltkit.rational import dot, matvec, neg, vec
+from tiltkit.rational import dot, int_row, matvec, neg, vec
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
                              _analytic_subdifferential, analytic_distances,
                              analytic_inverse_points, distance_to_inverse, inverse_image,
@@ -209,6 +209,52 @@ def test_inverse_adjointness_randomized(f, data):
             vs.append(tuple(b + a for b, a in zip(sd.base, data.draw(st.sampled_from(active)))))
         for v in vs:
             assert inverse_image(f, v, box).contains(x) == sd.contains(v)
+
+
+def over_dens(bound=3):
+    """Rationals k/d in [-bound, bound] over the denominators 1, 3, 7 and 64."""
+    return st.sampled_from([1, 3, 7, 64]).flatmap(
+        lambda d: st.integers(-bound * d, bound * d).map(lambda k: F(k, d)))
+
+
+def fraction_inverse_image(f, v, box):
+    """Oracle: every graph piece sliced and boxed in Fractions, kept when
+    its vrep has a point."""
+    boxed = (piece.slice(vec(v)).intersect(box) for piece in f.graph)
+    return [p for p in boxed if not p.is_empty()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_functions(), st.data())
+def test_int_slices_match_fraction_slices(f, data):
+    n = f.dim
+    box = ConvexPolyhedron.box(data.draw(st.lists(over_dens(1), min_size=n, max_size=n)),
+                               data.draw(st.sampled_from([F(1, 3), F(1), F(2)])))
+    for v in data.draw(st.lists(st.lists(over_dens(), min_size=n, max_size=n),
+                                min_size=1, max_size=3)):
+        got = inverse_image(f, v, box).pieces
+        assert [(p.a, p.b) for p in got] == \
+            [(p.a, p.b) for p in fraction_inverse_image(f, v, box)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_functions(), st.data())
+def test_int_membership_matches_fraction_membership(f, data):
+    # the metric sweep's mask: y in sd(x) from the ints of (y, 1), against
+    # the Fraction test on y - gradient; drawn y, and the gradient plus
+    # fractions of each generator of sd(x), which lie on its boundary
+    n = f.dim
+    xs = [(0,) * n] + data.draw(st.lists(st.lists(over_dens(1), min_size=n, max_size=n),
+                                         max_size=3))
+    ys = data.draw(st.lists(st.lists(over_dens(), min_size=n, max_size=n), max_size=4))
+    for x in map(vec, xs):
+        if not f.domain.contains(x):
+            continue
+        sd = subdifferential(f, x)
+        gens = [g for c in sd.cones.pieces for g in c.generators()]
+        vs = list(map(vec, ys)) + [sd.base] + [
+            tuple(b + g * F(k, 7) for b, g in zip(sd.base, gen)) for gen in gens for k in (1, -1)]
+        assert sd.holds_at_each([int_row(v + (1,)) for v in vs]) == [sd.contains(v) for v in vs]
 
 
 def same_cones(a, b):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,18 @@ def test_cli_analyze_two_heptagons(tmp_path, capsys):
     assert arts["tilt_verdict"] == "stable"
     assert arts["subregularity_kappa"] == arts["metric_regularity_kappa"] == 1.0
     assert hashlib.sha1(out.encode()).hexdigest() == "d349764ec6d8bc5d89da4231fced59c670f775b6"
+
+
+@pytest.mark.parametrize("name,sha1", [
+    ("cross-quadratic", "cf3224927128c8eb54956684d73a49259fe8ff76"),
+    ("saddle-cone", "76750f2dee4d70baa3c48e0eb9e4e95fa2f42cb6"),
+])
+def test_cli_analyze_non_dyadic_lattices(name, sha1, capsys):
+    # lattice denominators are multiples of 3 and 7, so f(x) and every
+    # distance round, and the exact grid work must round them as before
+    path = Path(__file__).resolve().parent.parent / "problems" / f"{name}.json"
+    assert main(["analyze", str(path), "--eta", "1/3", "--delta", "1/7"]) == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == sha1
 
 
 def test_cli_analyze_rejects_piece_with_too_many_rows(tmp_path, capsys):
