@@ -9,9 +9,10 @@ value from a rational linear system.  Enumerating supports therefore
 computes the exact simplex minimum, with a rational witness, in exact
 integer arithmetic: no eigenvalues, no floats.
 
-Zeros of a copositive form on the orthant lie in kernels of principal
-submatrices, whose orthant sections are rational cones; enumerating their
-generators yields every zero direction up to conic combination.
+For a copositive form, a zero t >= 0 minimizes t'Nt on the orthant, so
+N t >= 0 and N_S t_S = 0 on its support S.  An extreme zero direction is
+then the one ray of the kernel of N_S, positive on S: one nullspace per
+support yields every zero direction up to conic combination.
 
 A form B(p, q) = p'Mq is given as its symmetric matrix M; `graph_form`
 builds the ones on the graph space R^n x R^n that the second-order
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cones import PolyCone
-from .rational import F0, Mat, Vec, combine, int_nullspace, int_rref, is_zero, mat, vec
+from .rational import F0, Mat, Vec, combine, int_nullspace, int_row, int_rref, is_zero, mat, vec
 
 
 def graph_form(n: int, ww, wz, zz) -> Mat:
@@ -49,10 +50,6 @@ def gram(gens: list[Vec], form: Mat) -> Mat:
         g, h = gens[a], gens[b]
         n[a][b] = n[b][a] = sum((g[i] * v * h[j] for i, j, v in entries), F0)
     return tuple(map(tuple, n))
-
-
-def _quad(n: Mat, t: Vec) -> Fraction:
-    return sum((t[i] * n[i][j] * t[j] for i in range(len(t)) for j in range(len(t))), F0)
 
 
 def _int_form(n: Mat) -> tuple[int, list[list[int]]]:
@@ -106,26 +103,26 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
 
 
 def orthant_zero_witnesses(n: Mat) -> Iterator[Vec]:
-    """All generators of {t >= 0 : t'Nt = 0} assuming the form is
-    copositive on the orthant: zeros are kernel points of principal
-    submatrices, a finite union of rational cones, tested on the ints dN."""
+    """Generators of the zeros {t >= 0 : t'Nt = 0} of a form copositive on
+    the orthant: every zero is a conic combination of them.  On a form that
+    is not copositive the result is unspecified.
+
+    A zero t minimizes the form on the orthant, so N t >= 0 and N_S t_S = 0
+    on S = supp t: t lies in the cone C(S) = {t_S >= 0 : N_S t_S = 0}.  An
+    extreme ray of C(S) with support S' is extreme in C(S') too, since
+    (N t)_i >= 0 on C(S') makes the part of C(S') inside C(S) a face; being
+    positive on S', it is all of C(S').  So a support adds a witness exactly
+    when the kernel of N_S, on the ints dN, is one line through a positive
+    vector (its free entry is positive, so no sign flip), and the witness is
+    that vector made primitive.  Supports run by size, then lexicographically.
+    """
     k = len(n)
     _, m = _int_form(n)
-    seen: set[Vec] = set()
     for size in range(1, k + 1):
         for s in itertools.combinations(range(k), size):
-            ms = [tuple(m[i][j] for j in s) for i in s]
-            if not int_nullspace(ms, size)[0]:
-                continue
-            rows = ms + [tuple(-x for x in row) for row in ms]
-            rows += [tuple(-int(j == i) for j in range(size)) for i in range(size)]
-            cone = PolyCone.from_inequalities(mat(rows), size)
-            # contained in the orthant, so pointed: rays only, all >= 0
-            for g in cone.rays:
-                t = _embed(vec(g), s, k)
-                if t not in seen and _quad(n, t) == 0:
-                    seen.add(t)
-                    yield t
+            basis, _ = int_nullspace([tuple(m[i][j] for j in s) for i in s], size)
+            if len(basis) == 1 and all(x > 0 for x in basis[0]):
+                yield _embed(vec(int_row(basis[0])), s, k)
 
 
 def cone_form_min_sign(cone: PolyCone, form: Mat) -> tuple[int, Vec | None]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cones import ConeUnion
-from .model import AnalyticFixture1D, FunctionSpec, ValidationError, evaluate_exact, scalar
+from .model import AnalyticFixture1D, FunctionSpec, ValidationError, scalar
 from .polyhedra import ConvexPolyhedron
 from .project import distance_to_cone, distance_to_polyhedron, per_point, row_norms
 from .rational import F1, Vec, int_row, sub, to_float, vec
@@ -77,21 +77,22 @@ def _interval_distance(lo, hi, t):
 SubdifferentialSet = ExactSubdifferential | Interval1D
 
 
-def _require_finite(f: FunctionSpec, x) -> None:
-    if (evaluate_exact(f, x) is None) if f.is_exact else not f.fixture.in_domain(scalar(x)):
-        raise ValidationError("point is outside the domain")
-
-
 def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
     """The limiting subdifferential at x: for the exact class, the gradient
-    plus the values of the global cells whose closure holds x."""
-    _require_finite(f, x)
-    if f.is_exact:
-        x = vec(x)
-        p = int_row(x + (F1,))
-        cones = ConeUnion([c.value for c in f.cells if c.closure.holds_at(p)], f.dim).dedupe()
-        return ExactSubdifferential(f.smooth.gradient(x), cones)
-    return _analytic_subdifferential(f.fixture, x)
+    plus the values of the global cells whose closure holds x.  The domain
+    and each closure are tested on the ints of (x, 1)."""
+    if not f.is_exact:
+        if not f.fixture.in_domain(scalar(x)):
+            raise ValidationError("point is outside the domain")
+        return _analytic_subdifferential(f.fixture, x)
+    x = vec(x)
+    if len(x) != f.dim:
+        raise ValidationError("dimension mismatch")
+    p = int_row(x + (F1,))
+    if not f.domain.holds_at(p):
+        raise ValidationError("point is outside the domain")
+    cones = ConeUnion([c.value for c in f.cells if c.closure.holds_at(p)], f.dim).dedupe()
+    return ExactSubdifferential(f.smooth.gradient(x), cones)
 
 
 def subdifferential_distance(f: FunctionSpec, x, v):

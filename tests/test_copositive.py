@@ -9,11 +9,15 @@ from test_lp import minimize
 from tiltkit import lp
 from tiltkit.cones import PolyCone
 from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form,
-                                orthant_zero_witnesses, simplex_min, _quad)
+                                orthant_zero_witnesses, simplex_min)
 from tiltkit.rational import (F0, F1, combine, dot, is_zero, mat, nullspace, solve_affine, vec,
                              zeros)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _quad(n, t):
+    return sum((t[i] * n[i][j] * t[j] for i in range(len(t)) for j in range(len(t))), F0)
 
 
 def sym(rows):
@@ -69,12 +73,14 @@ def test_indefinite_but_copositive():
     assert simplex_min(mat([[1, 2], [2, 1]]))[0] > 0
 
 
+HORN = mat([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+            [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
+
+
 def test_horn_matrix_exactly_zero():
-    h = mat([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
-             [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
-    val, arg = simplex_min(h)
-    assert val == 0 and _quad(h, arg) == 0
-    assert all(_quad(h, t) == 0 for t in orthant_zero_witnesses(h))
+    val, arg = simplex_min(HORN)
+    assert val == 0 and _quad(HORN, arg) == 0
+    assert all(_quad(HORN, t) == 0 for t in orthant_zero_witnesses(HORN))
 
 
 def test_horn_matrix_perturbed_negative():
@@ -255,20 +261,55 @@ def fraction_zero_witnesses(n):
 
 @st.composite
 def forms_with_singular_ones(draw):
-    """Symmetric 1-4 forms: random ones, and Gram matrices A'A of 1-3 rows,
-    singular whenever A has fewer independent rows than columns."""
+    """Copositive 1-4 forms A'A + P with zeros on the orthant.  A has 1-3
+    rows, and one column is solved for so that A t = 0 at a drawn t >= 0
+    when t is not 0; P is symmetric and entrywise nonnegative, with zero
+    rows and columns on the support of t and on a drawn set of indices."""
     k = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        return sym(draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
-                                 min_size=k, max_size=k)))
     a = draw(st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=1, max_size=3))
-    return mat([[sum((r[i] * r[j] for r in a), F0) for j in range(k)] for i in range(k)])
+    t = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    if any(t):
+        c = t.index(max(t))
+        for r in a:
+            r[c] = -sum((r[j] * t[j] for j in range(k) if j != c), F0) / t[c]
+    n = [[sum((r[i] * r[j] for r in a), F0) for j in range(k)] for i in range(k)]
+    if draw(st.booleans()):
+        free = draw(st.sets(st.integers(0, k - 1))) | {j for j in range(k) if t[j]}
+        p = draw(st.lists(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
+                                   min_size=k, max_size=k), min_size=k, max_size=k))
+        for i, j in itertools.product(range(k), repeat=2):
+            if i not in free and j not in free:
+                n[i][j] += (p[i][j] + p[j][i]) / 2
+    return mat(n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(forms_with_singular_ones())
 def test_int_zero_witnesses_match_fraction_oracle(n):
+    assert simplex_min(n)[0] >= 0  # copositive, the function's precondition
     assert list(orthant_zero_witnesses(n)) == list(fraction_zero_witnesses(n))
+
+
+def test_zero_witnesses_of_a_form_that_is_not_copositive_differ_from_the_oracle():
+    # the kernel rule needs copositivity: (N t)_2 = (t0 - t1)/2 changes sign
+    # on the quadrant of the support {0, 1}, so (1, 1, 0), extreme in the
+    # cone of {0, 1, 2} but not in that quadrant, is one more oracle ray
+    n = mat([[0, 0, F(1, 2)], [0, 0, F(-1, 2)], [F(1, 2), F(-1, 2), 0]])
+    assert simplex_min(n)[0] < 0
+    assert list(orthant_zero_witnesses(n)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert list(fraction_zero_witnesses(n)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+
+
+def test_zero_witnesses_where_a_support_has_a_two_dimensional_kernel():
+    # t'Nt = 2 t2 (t0 + t1): N_S of S = {0, 1} is 0, whose kernel is the
+    # plane, and the orthant's zeros are its quadrant and the t2 axis
+    n = mat([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    assert simplex_min(n)[0] == 0
+    assert list(orthant_zero_witnesses(n)) == list(fraction_zero_witnesses(n))
+
+
+def test_zero_witnesses_of_the_horn_matrix_match_the_oracle():
+    assert list(orthant_zero_witnesses(HORN)) == list(fraction_zero_witnesses(HORN))
 
 
 def test_zero_witness_enumeration():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from test_cells import regular_normal_cone
+from test_copositive import fraction_simplex_min, fraction_zero_witnesses
 
 from tiltkit.cells import cell_complex, limiting_normal_cone
 from tiltkit.copositive import cone_form_min_sign, gram, graph_form, orthant_zero_witnesses
@@ -10,7 +11,7 @@ from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
                              SEMIDEFINITE_DEGENERATE, _direction_set, _slice_pieces,
                              build_graph_model, definiteness, hessian_sum_rule_check,
                              kernel, second_order_map)
-from tiltkit.model import FunctionSpec, QuadraticForm, ValidationError
+from tiltkit.model import FunctionSpec, ProblemInstance, QuadraticForm, ValidationError
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.rational import combine, dot, is_zero, mat, matvec, neg, vec, zeros
 
@@ -312,3 +313,60 @@ def test_definiteness_matches_rescan_oracle(name):
     inst = CORPUS[name].instance
     dv = definiteness(inst.f, inst.xbar, inst.xstar)
     assert (dv.verdict, dv.witness) == rescan_definiteness(inst.f, inst.xbar, inst.xstar)
+
+
+def fraction_definiteness(f, xbar, xstar):
+    """Oracle: `definiteness`'s per-piece loop, with each piece's simplex
+    minimum and zero witnesses taken from the Fraction oracles, whose zero
+    witnesses come from a double description per support."""
+    som = second_order_map(f, xbar, xstar)
+    n = f.dim
+    form = graph_form(n, 0, -1, 0)
+    zero_wit = None
+    for k in som.normal_cone.pieces:
+        gens = k.generators()
+        if all(is_zero(vec(g[n:])) for g in gens):
+            continue
+        gm = gram(gens, form)
+        val, t = fraction_simplex_min(gm)
+        if val < 0:
+            w = combine(gens, t)
+            u, ustar = neg(vec(w[n:])), vec(w[:n])
+            return INDEFINITE, (u, ustar, dot(ustar, u))
+        if val == 0 and zero_wit is None:
+            points = (combine(gens, t) for t in fraction_zero_witnesses(gm))
+            zero_wit = next((v for v in points if not is_zero(vec(v[n:]))), None)
+    if zero_wit is not None:
+        return SEMIDEFINITE_DEGENERATE, (neg(vec(zero_wit[n:])), vec(zero_wit[:n]), F(0))
+    return POSITIVE_DEFINITE, None
+
+
+def signed_permuted(inst):
+    """The instance composed with x = P y, for the signed permutation with
+    x_i = s_i y_(i+1 mod n) and s = (-1, 1, -1): one per dimension."""
+    f, n = inst.f, inst.f.dim
+    perm, sign = [(i + 1) % n for i in range(n)], [(-1) ** (i + 1) for i in range(n)]
+
+    def pt(v):  # P'v
+        out = [F(0)] * n
+        for i in range(n):
+            out[perm[i]] = sign[i] * F(v[i])
+        return out
+
+    q = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            q[perm[i]][perm[k]] = sign[i] * sign[k] * F(f.smooth.q[i][k])
+    domain = PolyUnion([ConvexPolyhedron([pt(r) for r in p.a], p.b, dim=n) for p in f.domain.pieces])
+    g = FunctionSpec(smooth=QuadraticForm.make(q, pt(f.smooth.c), f.smooth.d), domain=domain)
+    return ProblemInstance(g, pt(inst.xbar), pt(inst.xstar), inst.params, name=inst.name)
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+@pytest.mark.parametrize("name", EXACT)
+def test_definiteness_witness_matches_fraction_oracle(name, permuted):
+    inst = CORPUS[name].instance
+    if permuted:
+        inst = signed_permuted(inst)
+    dv = definiteness(inst.f, inst.xbar, inst.xstar)
+    assert (dv.verdict, dv.witness) == fraction_definiteness(inst.f, inst.xbar, inst.xstar)

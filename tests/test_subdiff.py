@@ -113,8 +113,14 @@ def test_subdifferential_distance_examples():
 
 
 def test_outside_domain_raises():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="outside the domain"):
         subdifferential(saddle(), (0, 1))
+
+
+@pytest.mark.parametrize("x", [(0,), (0, 0, 0)])
+def test_point_of_the_wrong_length_raises(x):
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        subdifferential(saddle(), x)
 
 
 def test_inverse_image_saddle_is_two_segments():
