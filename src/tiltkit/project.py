@@ -59,18 +59,12 @@ def row_norms(ds: np.ndarray) -> np.ndarray:
     return np.sqrt(ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
 
 
-def per_point(z: np.ndarray, d: np.ndarray):
-    """d, one entry per row of an (m, n) array z; its float for one point z."""
-    return d if z.ndim > 1 else float(d[0])
-
-
-def project_polyhedron(z, poly: ConvexPolyhedron) -> np.ndarray:
-    """Nearest point of poly to z, or to each row of an (m, n) array z.
+def project_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
+    """Nearest point of poly to each row of an (m, n) array z.
 
     Raises ValueError on an empty polyhedron.
     """
-    z = np.asarray(z, dtype=float)
-    out = np.array(np.atleast_2d(z))
+    out = np.array(z, dtype=float)
     if poly._projection is None:  # looked up once per object: the key hashes every row
         poly._projection = _projection_data(poly.a, poly.b, poly.dim)
     a, b, subs, tol = poly._projection
@@ -84,15 +78,14 @@ def project_polyhedron(z, poly: ConvexPolyhedron) -> np.ndarray:
         best[take], found[take], out[rows[take]] = d[take], True, xs[take]
     if not found.all():
         raise ValueError("projection onto empty polyhedron")
-    return out if z.ndim > 1 else out[0]
+    return out
 
 
-def distance_to_polyhedron(z, poly: ConvexPolyhedron):
-    """d(z; poly): a float for one point z, an (m,) array for an (m, n) array."""
-    z = np.asarray(z, dtype=float)
-    return per_point(z, row_norms(np.atleast_2d(project_polyhedron(z, poly) - z)))
+def distance_to_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
+    """d(z_i; poly) for each row z_i of an (m, n) array z."""
+    return row_norms(project_polyhedron(z, poly) - z)
 
 
-def distance_to_cone(z, cone: PolyCone):
-    """d(z; cone), through its inequality form, as distance_to_polyhedron."""
+def distance_to_cone(z: np.ndarray, cone: PolyCone) -> np.ndarray:
+    """d(z_i; cone), through its inequality form, as distance_to_polyhedron."""
     return distance_to_polyhedron(z, cone_polyhedron(cone))

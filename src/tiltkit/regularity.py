@@ -29,7 +29,7 @@ from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, mat, ma
                        norm_sq, solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, InverseSlice, analytic_distances,
                       analytic_inverse_points, distance_to_inverse, inverse_image,
-                      subdifferential, subdifferential_distance)
+                      subdifferential_distance)
 
 TIE_TOL = 1e-9
 DIST_TOL = 1e-10
@@ -116,19 +116,6 @@ class ModulusEstimate:
 
 
 @dataclass
-class GrowthReport:
-    mode: str
-    alpha: float
-    eta: float
-    violations: list
-    checked: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class CheckOutcome:
     passed: bool
     violations: list
@@ -162,10 +149,10 @@ def _inverse_box(inst: ProblemInstance) -> ConvexPolyhedron:
 # Every inequality below reads lhs >= base + c/2 * k on each sample, with
 # k >= 0 and c = alpha for quadratic growth or c = -r for the lower
 # prox-type estimates; a sample violates it when base + c/2 * k - lhs
-# exceeds TIE_TOL.  The checks evaluate that at one constant; the closed
-# forms take the extreme ratio of lhs - base to k/2 over the same samples.
-# TIE_TOL stays out of the ratios: folding it in lifts alpha-hat from 0
-# to ~2e-7 on flat directions.
+# exceeds TIE_TOL.  Both checks evaluate that at one constant in one loop,
+# _outcome; the closed forms take the extreme ratio of lhs - base to k/2
+# over the same samples.  TIE_TOL stays out of the ratios: folding it in
+# lifts alpha-hat from 0 to ~2e-7 on flat directions.
 
 ALPHA_CAP = 2.0 ** 16
 ALPHA_POINTS = 2001
@@ -210,7 +197,7 @@ GROWTH_MODES = ("norm-squared", "distance-squared")
 
 
 def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
-                  n_points: int):
+                  n_points: int = ALPHA_POINTS):
     """(points, base, lhs, k) of the growth inequality on the eta-ball grid:
     lhs = f(x), base = f(xbar) + <xstar, x - xbar>, k = D(x)^2."""
     if mode not in GROWTH_MODES:
@@ -251,19 +238,14 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
 
 def check_growth(inst: ProblemInstance, alpha, mode: str,
                  eta=None, per_axis: int | None = None,
-                 n_points: int | None = None) -> GrowthReport:
+                 n_points: int | None = None) -> CheckOutcome:
     """Checks f(x) >= f(xbar) + <xstar, x-xbar> + alpha/2 * D(x)^2 on a grid
     in the eta-ball, D = distance to the solution set ("distance-squared")
     or to the reference point ("norm-squared")."""
-    alpha = float(alpha)
     eta = inst.params.eta if eta is None else eta
     pts, base, lhs, k = _growth_terms(inst, mode, eta, per_axis or inst.params.grid,
                                       n_points or 100_001)
-    rhs = base + 0.5 * alpha * k
-    bad = np.nonzero(lhs < rhs - TIE_TOL)[0]
-    violations = [(tuple(map(float, pts[i])), float(lhs[i]), float(rhs[i]))
-                  for i in bad[:VIOLATIONS_KEPT]]
-    return GrowthReport(mode, alpha, float(Fraction(eta)), violations, len(lhs))
+    return _outcome([(base, lhs, k, (), pts)], float(alpha))
 
 
 def growth_alpha_hat(inst: ProblemInstance, mode: str) -> float:
@@ -271,8 +253,7 @@ def growth_alpha_hat(inst: ProblemInstance, mode: str) -> float:
     ratio of f(x) - f(xbar) - <xstar, x-xbar> to D(x)^2/2 over the grid
     (analytic variant: ALPHA_POINTS points), clipped to [0, ALPHA_CAP];
     -inf when the inequality already fails at alpha = 0."""
-    _, base, lhs, k = _growth_terms(inst, mode, inst.params.eta, inst.params.grid,
-                                    ALPHA_POINTS)
+    _, base, lhs, k = _growth_terms(inst, mode, inst.params.eta, inst.params.grid)
     if np.any(lhs < base - TIE_TOL):
         return -math.inf
     far = k > 0
@@ -296,18 +277,9 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
     eta = inst.params.eta
     xbar_f = np.array(to_float(inst.xbar))
     fbar = float(evaluate_exact(f, inst.xbar))
-    if mode in ("3.1", "3.3"):
-        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
-
-        def dist2(pts: np.ndarray) -> np.ndarray:
-            d = distance_to_inverse(slice_, pts)
-            return d * d
-
     if mode == "3.1":
-        grid = domain_lattice(f, inst.xbar, eta, per_axis)
-        xs = _floats(grid, n)
-        base = fbar + _rowdot(xs - xbar_f, np.array(to_float(inst.xstar)))
-        yield base, _values(f, grid), dist2(xs), (), xs
+        xs, base, lhs, k = _growth_terms(inst, "distance-squared", eta, per_axis)
+        yield base, lhs, k, (), xs
         return
 
     pairs = graph_point_samples(f, inst.xbar, inst.xstar, eta)
@@ -315,7 +287,8 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
     ss = _floats([s for _, s in pairs], n)
     fxs = _values(f, [x for x, _ in pairs])
     if mode == "3.3":
-        d2 = dist2(xs)
+        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
+        d2 = np.square(distance_to_inverse(slice_, xs))
         for u in _slice_points(slice_, inst.xbar, eta):
             uf = np.array(to_float(u))
             yield (fxs + _rowdot(ss, uf - xs), np.full(len(xs), float(evaluate_exact(f, u))),
@@ -352,19 +325,22 @@ def check_lower_prox_inequality(inst: ProblemInstance, beta, mode: str,
     inequality; "3.15" its two-sided neighborhood version; "3.13" the
     plain subgradient inequality (r = 0 case of "3.15").
     """
-    return _prox_outcome(_prox_terms(inst, mode, per_axis or inst.params.grid), float(beta))
+    return _outcome(_prox_terms(inst, mode, per_axis or inst.params.grid), -float(beta))
 
 
-def _prox_outcome(blocks, r: float) -> CheckOutcome:
+def _outcome(blocks, c: float) -> CheckOutcome:
+    """The check of lhs >= base + c/2 * k on each sample of the blocks
+    (base, lhs, k, head, points), keeping the first VIOLATIONS_KEPT
+    violations; c = alpha for growth, c = -r for the lower estimates."""
     violations = []
     worst = 0.0
     checked = 0
     for base, lhs, k, head, pts in blocks:
-        rhs = base - 0.5 * r * k
+        rhs = base + 0.5 * c * k
         vio = rhs - lhs
         checked += len(vio)
         worst = max(worst, float(vio.max(initial=0.0)))
-        for i in np.nonzero(vio > TIE_TOL)[0]:
+        for i in np.nonzero(vio > TIE_TOL)[0][:VIOLATIONS_KEPT - len(violations)]:
             pt = tuple(map(float, pts[i]))
             violations.append((head + (pt,) if head else pt, float(lhs[i]), float(rhs[i])))
     return CheckOutcome(not violations, violations, worst, checked)
@@ -388,7 +364,7 @@ def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, Che
             r = max(r, float(np.max(slack[hot] / (0.5 * k[hot]))))
     if r > R_CAP:
         r = math.inf
-    return r, _prox_outcome(blocks, min(r, R_CAP))
+    return r, _outcome(blocks, -min(r, R_CAP))
 
 
 def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[Vec]:
@@ -467,6 +443,21 @@ def _refine(levels, sweep) -> ModulusEstimate:
     return ModulusEstimate(history[-1], False, witness, history)
 
 
+def _ratios(f: FunctionSpec, xs: list[Vec], ys: list[Vec], slices) -> tuple[float, tuple | None]:
+    """_sup of d(x; slice of y) / d(y; subdifferential at x) over the pairs
+    whose denominator exceeds DIST_TOL, x-major, witnessed by the pair (x, y)
+    as floats; slices[j] is the inverse image of ys[j]."""
+    xfs, yfs = _floats(xs, f.dim), _floats(ys, f.dim)
+    den = subdifferential_distance(f, xs, ys)
+    num = np.zeros_like(den)
+    for j, slice_ in enumerate(slices):
+        kept = den[:, j] > DIST_TOL
+        num[kept, j] = distance_to_inverse(slice_, xfs[kept])
+    i, j = np.nonzero(den > DIST_TOL)
+    return _sup(zip((num[i, j] / den[i, j]).tolist(),
+                    zip(map(tuple, xfs[i].tolist()), map(tuple, yfs[j].tolist()))))
+
+
 def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
     """sup over grid x of d(x; solution set) / d(reference subgradient;
     subdifferential at x) on the refined x-grids."""
@@ -479,13 +470,10 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
     if slice_.is_empty():
         return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
 
-    def sweep(per_axis):
-        xs = [x for x in domain_lattice(f, inst.xbar, p.eta, per_axis) if not slice_.contains(x)]
-        xfs = _floats(xs, f.dim)
-        num = distance_to_inverse(slice_, xfs)
-        den = np.array([subdifferential_distance(f, x, to_float(inst.xstar)) for x in xs])
-        ok = den > DIST_TOL
-        return _sup(zip((num[ok] / den[ok]).tolist(), map(tuple, xfs[ok].tolist())))
+    def sweep(per_axis):  # the metric sweep at y = xstar alone
+        best, at = _ratios(f, domain_lattice(f, inst.xbar, p.eta, per_axis), [inst.xstar],
+                           [slice_])
+        return best, at and at[0]
 
     return _refine(_refinement_schedule(p.grid, p.refine_max), sweep)
 
@@ -529,21 +517,7 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
             slices.append(inverse_image(f, y, box))
             if slices[-1].is_empty():
                 raise _Unbounded(to_float(y), f"empty preimage at y={to_float(y)}")
-        xfs, yfs = _floats(xs, f.dim), _floats(ys, f.dim)
-        yints = [int_row(y + (1,)) for y in ys]
-        # den per x over the ys outside sd(x), num per y over the xs kept; x-major out
-        den = np.zeros((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            sd = subdifferential(f, x)
-            out = [not h for h in sd.holds_at_each(yints)]
-            den[i, out] = sd.distance(yfs[out])
-        num = np.zeros_like(den)
-        for j, (y, slice_) in enumerate(zip(ys, slices)):
-            kept = den[:, j] > DIST_TOL
-            num[kept, j] = distance_to_inverse(slice_, xfs[kept])
-        i, j = np.nonzero(den > DIST_TOL)
-        return _sup(zip((num[i, j] / den[i, j]).tolist(),
-                        zip(map(tuple, xfs[i].tolist()), map(tuple, yfs[j].tolist()))))
+        return _ratios(f, xs, ys, slices)
 
     levels = zip(_refinement_schedule(p.grid, p.refine_max),
                  _refinement_schedule(_coarse(p), p.refine_max))
@@ -585,7 +559,7 @@ def _lipschitz(pairs) -> float:
     lip = 0.0
     for (t1, m1), (t2, m2) in itertools.combinations(pairs, 2):
         dt = float(np.linalg.norm(np.array(to_float(t1)) - np.array(to_float(t2))))
-        if dt > 1e-12:
+        if dt > PARAM_TOL:
             lip = max(lip, float(np.linalg.norm(m1 - m2)) / dt)
     return lip
 
@@ -628,18 +602,27 @@ def check_single_valued_localization(inst: ProblemInstance) -> LocalizationRepor
 # -- tilt stability ----------------------------------------------------------------
 
 
+FEASIBLE_TOL = 1e-9  # a float boundary candidate this far outside a row is on it
+MINIMIZER_TOL = 1e-7  # candidates this near are one; one this near the gamma-sphere is on it
+CLIP_TOL = 1e-30  # a ball-clip segment of smaller squared length is a point
+SECTION_TOL = 1e-18  # a sphere section of squared radius up to this is empty
+SECULAR_OFFSET = 1e-12  # the secular root's lower bracket end, above the least pole
+SECULAR_DOUBLINGS = 200  # at most this many doublings of the upper bracket end
+SECULAR_BISECTIONS = 120
+EIGEN_TIE_TOL = 1e-12  # hard case: eigenvalues this near the least share its eigenspace
+PARAM_TOL = 1e-12  # _lipschitz: parameters this near are one
+
+
 @dataclass
 class TiltSolve:
     minimizers: list[tuple[float, ...]]
-    value: float
-    flat: bool  # argmin contains a nontrivial face
 
 
 def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
     """Exact-candidate global solve of min f(x) - <tilt, x> over the
     gamma-ball: per domain cell face, interior critical points are exact
     rational solves; ball-boundary candidates come from a secular-equation
-    solve on the face's affine hull.  All minimizers within 1e-9 of the
+    solve on the face's affine hull.  All minimizers within TIE_TOL of the
     best value are returned (ties are a verdict, not an error)."""
     if not inst.f.is_exact:
         raise ValidationError("exact variant only")
@@ -661,7 +644,7 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
     def obj_f(x: np.ndarray) -> float:
         return 0.5 * float(x @ qf @ x) + float(lin_f @ x) + float(d0)
 
-    cand: list[tuple[np.ndarray, float, bool]] = []  # (point, value, flat)
+    cand: list[tuple[np.ndarray, float]] = []  # (point, value)
 
     for piece in f.domain.pieces:
         for _, face in piece.faces():
@@ -671,15 +654,12 @@ def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
                                                   gamma_f, obj_f))
     if not cand:
         raise ValidationError("empty feasible region for the tilt problem")
-    best = min(v for _, v, _ in cand)
+    best = min(v for _, v in cand)
     mins: list[np.ndarray] = []
-    flat = False
-    for x, v, fl in cand:
-        if v <= best + TIE_TOL:
-            if not any(np.linalg.norm(x - m) <= 1e-7 for m in mins):
-                mins.append(x)
-            flat = flat or fl
-    return TiltSolve([tuple(map(float, m)) for m in mins], best, flat)
+    for x, v in cand:
+        if v <= best + TIE_TOL and not any(np.linalg.norm(x - m) <= MINIMIZER_TOL for m in mins):
+            mins.append(x)
+    return TiltSolve([tuple(map(float, m)) for m in mins])
 
 
 def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
@@ -689,7 +669,7 @@ def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
         if not (piece.contains(pt) and norm_sq(sub(pt, xbar)) <= gamma2):
             return []
         xf = np.array(to_float(pt))
-        return [(xf, obj_f(xf), False)]
+        return [(xf, obj_f(xf))]
 
     if not dirs:
         return isolated(p0)
@@ -707,11 +687,11 @@ def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
     crit = _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma)
     pts_in = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) <= gamma2]
     pts_out = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) > gamma2]
-    out = [(xf, obj_f(xf), True) for xf in pts_in]
+    out = [(xf, obj_f(xf)) for xf in pts_in]
     # ball clips along the flat set keep witnesses inside the ball
     xbar_f = np.array(to_float(xbar))
     clips = (_ball_clip(a, b, xbar_f, float(gamma)) for a in pts_in for b in pts_out)
-    out.extend((t, obj_f(t), True) for t in clips if t is not None)
+    out.extend((t, obj_f(t)) for t in clips if t is not None)
     return out
 
 
@@ -729,7 +709,7 @@ def _ball_clip(inside: np.ndarray, outside: np.ndarray, center: np.ndarray,
                gamma: float) -> np.ndarray | None:
     d = outside - inside
     a = float(d @ d)
-    if a < 1e-30:
+    if a < CLIP_TOL:
         return None
     b = 2 * float((inside - center) @ d)
     c = float((inside - center) @ (inside - center)) - gamma * gamma
@@ -756,7 +736,7 @@ def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f
     v_par = bq.T @ v
     v_perp2 = float(v @ v) - float(v_par @ v_par)
     rad2 = gamma_f * gamma_f - v_perp2
-    if rad2 <= 1e-18:
+    if rad2 <= SECTION_TOL:
         return out
     # objective in y: 1/2 y'Hy + g'y + const, centered so sphere is |y + v_par|^2 = rad2
     h = bq.T @ qf @ bq
@@ -774,14 +754,14 @@ def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f
     roots: list[np.ndarray] = []
     # easy case scan on (lo, lo + big]
     mu_hi = lo + 1.0
-    for _ in range(200):
+    for _ in range(SECULAR_DOUBLINGS):
         if norm2(mu_hi) < rad2:
             break
         mu_hi = lo + (mu_hi - lo) * 2
-    mu_lo = lo + 1e-12
+    mu_lo = lo + SECULAR_OFFSET
     if norm2(mu_lo) >= rad2:
         a, bb = mu_lo, mu_hi
-        for _ in range(120):
+        for _ in range(SECULAR_BISECTIONS):
             mid = 0.5 * (a + bb)
             if norm2(mid) >= rad2:
                 a = mid
@@ -792,8 +772,8 @@ def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f
         roots.append(z)
     else:
         # hard case: minimum eigenspace component free
-        z0 = -(u @ np.where(np.abs(w - w[0]) < 1e-12, 0.0, beta / np.where(
-            np.abs(w - w[0]) < 1e-12, 1.0, w + lo)))
+        tie = np.abs(w - w[0]) < EIGEN_TIE_TOL
+        z0 = -(u @ np.where(tie, 0.0, beta / np.where(tie, 1.0, w + lo)))
         tail = rad2 - float(z0 @ z0)
         if tail > 0:
             emin = u[:, 0]
@@ -803,12 +783,9 @@ def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f
         y = z - v_par
         x = p0f + bq @ y
         if _feasible_float(piece, x) and abs(
-                float(np.linalg.norm(x - xbar_f)) - gamma_f) < 1e-7:
-            out.append((x, obj_f(x), False))
+                float(np.linalg.norm(x - xbar_f)) - gamma_f) < MINIMIZER_TOL:
+            out.append((x, obj_f(x)))
     return out
-
-
-FEASIBLE_TOL = 1e-9  # a float boundary candidate this far outside a row is on it
 
 
 def _feasible_float(piece, x: np.ndarray) -> bool:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, scalar
 from .polyhedra import ConvexPolyhedron
-from .project import distance_to_cone, distance_to_polyhedron, per_point, row_norms
+from .project import distance_to_cone, distance_to_polyhedron, row_norms
 from .rational import F1, Vec, int_row, sub, to_float, vec
 
 
@@ -43,16 +42,14 @@ class ExactSubdifferential:
         return [any(c.holds_at([e * a - p[-1] * b for a, b in zip(p, g)])
                     for c in self.cones.pieces) for p in ps]
 
-    def distance(self, v):
-        """d(v; self): a float for one v, an (m,) array for an (m, n) array."""
-        w = np.asarray(v, dtype=float)
-        if w.shape[-1:] != (len(self.base),):
-            raise ValueError(f"dimension mismatch: point shape {w.shape} vs {len(self.base)}")
-        w = w - np.asarray(to_float(self.base))
-        ws = np.atleast_2d(w)
-        return per_point(w, np.min([np.full(len(ws), math.inf)] + [
+    def distance(self, vs: np.ndarray) -> np.ndarray:
+        """d(v; self) for each row v of an (m, n) array vs."""
+        if np.ndim(vs) != 2 or np.shape(vs)[1] != len(self.base):
+            raise ValueError(f"dimension mismatch: shape {np.shape(vs)} vs (m, {len(self.base)})")
+        ws = vs - np.asarray(to_float(self.base))
+        return np.min([np.full(len(ws), math.inf)] + [
             row_norms(ws) if piece.is_trivial() else distance_to_cone(ws, piece)
-            for piece in self.cones.pieces], axis=0))
+            for piece in self.cones.pieces], axis=0)
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,6 @@ class Interval1D:
 
     def contains(self, v) -> bool:
         return self.lo - self.tol <= scalar(v) <= self.hi + self.tol
-
-    def distance(self, v) -> float:
-        return float(_interval_distance(self.lo, self.hi, scalar(v)))
 
 
 def _interval_distance(lo, hi, t):
@@ -95,16 +89,19 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
     return ExactSubdifferential(f.smooth.gradient(x), cones)
 
 
-def subdifferential_distance(f: FunctionSpec, x, v):
-    """d(v; subdifferential at x), accurate to ~1e-10: a float for one v, an
-    (m,) array for an (m, n) array of them."""
-    vs = v if np.ndim(v) > 1 else [v]
-    if not f.is_exact:
-        d = analytic_distances(f.fixture, [scalar(x)], np.asarray(vs, dtype=float).reshape(-1))
-    else:
-        sd = subdifferential(f, x)  # floats are exact binary rationals: exact zero test
-        d = [0.0 if sd.contains(tuple(map(Fraction, u))) else sd.distance(u) for u in vs]
-    return per_point(np.asarray(v), np.asarray(d))
+def subdifferential_distance(f: FunctionSpec, xs, ys) -> np.ndarray:
+    """d(y; subdifferential at x) of the exact variant, x by y: 0 where y is
+    in the set, tested on the ints of (y, 1), made once per call; elsewhere
+    the float distance, accurate to ~1e-10."""
+    yints = [int_row(tuple(y) + (F1,)) for y in ys]
+    yfs = np.array([to_float(y) for y in ys], dtype=float).reshape(len(ys), f.dim)
+    out = np.zeros((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        sd = subdifferential(f, x)
+        far = np.logical_not(sd.holds_at_each(yints))
+        if far.any():
+            out[i, far] = sd.distance(yfs[far])
+    return out
 
 
 # -- analytic path --------------------------------------------------------------
@@ -244,11 +241,9 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     return hit
 
 
-def distance_to_inverse(slice_: InverseSlice, x):
-    """min distance from x (a point, or each row of an (m, n) array) to the inverse
-    slice; raises EmptySliceError when it has no pieces (reported distinctly, never 0)."""
+def distance_to_inverse(slice_: InverseSlice, x: np.ndarray) -> np.ndarray:
+    """min distance from each row of an (m, n) array x to the inverse slice; raises
+    EmptySliceError when it has no pieces (reported distinctly, never 0)."""
     if slice_.is_empty():
         raise EmptySliceError(f"inverse image of {to_float(slice_.v)} misses the box")
-    z = np.asarray(x, dtype=float)
-    return per_point(z, np.min([distance_to_polyhedron(np.atleast_2d(z), p)
-                                for p in slice_.pieces], axis=0))
+    return np.min([distance_to_polyhedron(x, p) for p in slice_.pieces], axis=0)

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -70,6 +69,11 @@ def kkt_residual(z, x, poly, active_tol=1e-8):
     return best
 
 
+def row(z):
+    """One point as a one-row (1, n) array."""
+    return np.array([z], dtype=float)
+
+
 def projection_or_empty(project, z, poly):
     try:
         return project(z, poly)
@@ -79,48 +83,48 @@ def projection_or_empty(project, z, poly):
 
 def test_projection_onto_quadrant():
     rpp = ConvexPolyhedron([(-1, 0), (0, -1)], (0, 0))
-    x = project_polyhedron((-1.0, -1.0), rpp)
+    x = project_polyhedron(row((-1.0, -1.0)), rpp)[0]
     assert np.allclose(x, [0.0, 0.0]) and kkt_residual((-1.0, -1.0), x, rpp) <= 1e-12
 
 
 def test_projection_onto_wedge_edge():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
-    x = project_polyhedron((0.0, 1.0), w)
+    x = project_polyhedron(row((0.0, 1.0)), w)[0]
     # nearest point on the edge ray x2 = x1 by 1-D minimization along the ray
     assert np.allclose(x, [0.5, 0.5])
-    assert abs(distance_to_polyhedron((0.0, 1.0), w) - math.sqrt(2) / 2) < 1e-12
+    assert abs(distance_to_polyhedron(row((0.0, 1.0)), w)[0] - math.sqrt(2) / 2) < 1e-12
     assert kkt_residual((0.0, 1.0), x, w) <= 1e-12
 
 
 def test_interior_point_projects_to_itself():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
-    x = project_polyhedron((0.5, 0.1), w)
+    x = project_polyhedron(row((0.5, 0.1)), w)[0]
     assert np.allclose(x, [0.5, 0.1])
 
 
 def test_distance_zero_iff_member():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
-    assert distance_to_polyhedron((1.0, 0.5), w) == 0.0
-    assert distance_to_polyhedron((0.0, 0.0), w) == 0.0
-    assert distance_to_polyhedron((-0.1, 0.0), w) > 0
+    assert distance_to_polyhedron(row((1.0, 0.5)), w)[0] == 0.0
+    assert distance_to_polyhedron(row((0.0, 0.0)), w)[0] == 0.0
+    assert distance_to_polyhedron(row((-0.1, 0.0)), w)[0] > 0
 
 
 def test_cone_distance():
     c = PolyCone.from_generators([(-1, 1), (-1, -1)], 2)
-    assert abs(distance_to_cone((1.0, 0.0), c) - 1.0) < 1e-12
-    assert distance_to_cone((-2.0, 0.5), c) == 0.0
+    assert abs(distance_to_cone(row((1.0, 0.0)), c)[0] - 1.0) < 1e-12
+    assert distance_to_cone(row((-2.0, 0.5)), c)[0] == 0.0
 
 
 def test_empty_projection_raises():
     empty = ConvexPolyhedron([(1,), (-1,)], (-1, -1), dim=1)
     with pytest.raises(ValueError):
-        project_polyhedron((0.0,), empty)
+        project_polyhedron(row((0.0,)), empty)
 
 
 @given(st.tuples(coords, coords))
 def test_projection_kkt_invariant(z):
     w = ConvexPolyhedron([(-1, 1), (-1, -1), (1, 0)], (0, 0, 2))
-    x = project_polyhedron(z, w)
+    x = project_polyhedron(row(z), w)[0]
     # the step z - x must be an outward normal at x
     assert kkt_residual(z, x, w) <= 1e-10
 
@@ -145,7 +149,8 @@ def test_face_projection_matches_subset_enumeration(case):
     poly, points = case
     tol = 1e-12 * (1.0 + max((abs(float(x)) for x in poly.b), default=0.0))
     for z in points:
-        x = projection_or_empty(project_polyhedron, z, poly)
+        x = projection_or_empty(project_polyhedron, row(z), poly)
+        x = None if x is None else x[0]
         ref = projection_or_empty(subset_projection, z, poly)
         assert (x is None) == (ref is None)
         if x is not None:
@@ -157,7 +162,7 @@ def test_face_projection_matches_subset_enumeration(case):
 def test_cone_projection_matches_subset_enumeration(z):
     cone = PolyCone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (1, 1, 2)], 3)
     poly = ConvexPolyhedron(cone.ineqs, [0] * len(cone.ineqs), dim=3)
-    x = project_polyhedron(z, cone_polyhedron(cone))
+    x = project_polyhedron(row(z), cone_polyhedron(cone))[0]
     assert np.linalg.norm(x - subset_projection(z, poly)) <= 1e-12
     assert kkt_residual(z, x, poly) <= 1e-10
 
@@ -168,7 +173,7 @@ def test_single_point_piece_has_one_candidate():
     rows = [r for d in dirs for r in (d, tuple(-x for x in d))]
     point = ConvexPolyhedron(rows, [0] * 12)
     assert len(_projection_data(point.a, point.b, 2)[2]) == 1  # 78 row subsets
-    x = project_polyhedron((0.3, -0.7), point)
+    x = project_polyhedron(row((0.3, -0.7)), point)[0]
     assert np.array_equal(x, [0.0, 0.0])
 
 
@@ -178,7 +183,7 @@ def test_projection_onto_polygon_with_many_rows():
     assert polygon.m > 20
     a, b = float_rows(polygon)
     for z in [(5.0, 0.3), (-3.0, 4.0), (0.2, 0.1), (1.5, 1.5)]:
-        x = project_polyhedron(z, polygon)
+        x = project_polyhedron(row(z), polygon)[0]
         assert np.max(a @ x - b) <= 1e-12
         assert np.linalg.norm(x - subset_projection(z, polygon)) <= 1e-12
         assert kkt_residual(z, x, polygon) <= 1e-10
@@ -196,10 +201,10 @@ def test_projection_data_is_looked_up_once_per_object(zs):
     polygon = ConvexPolyhedron(rows, [2] * len(rows))
     cone = PolyCone.from_generators([(1, 0), (1, 2)], 2)
     before = projection_data_lookups()
-    on_polygon = [project_polyhedron(z, polygon) for z in zs]
+    on_polygon = [project_polyhedron(row(z), polygon) for z in zs]
     assert projection_data_lookups() - before <= 1
     before = projection_data_lookups()
-    on_cone = [project_polyhedron(z, cone_polyhedron(cone)) for z in zs]
+    on_cone = [project_polyhedron(row(z), cone_polyhedron(cone)) for z in zs]
     assert projection_data_lookups() - before <= 1
     assert cone_polyhedron(cone) is cone_polyhedron(cone)
     # the same projections from freshly looked-up data
@@ -207,7 +212,7 @@ def test_projection_data_is_looked_up_once_per_object(zs):
     for poly, kept in ((polygon, on_polygon), (cone_polyhedron(cone), on_cone)):
         fresh = ConvexPolyhedron(poly.a, poly.b, dim=poly.dim)
         for z, x in zip(zs, kept):
-            assert np.array_equal(project_polyhedron(z, fresh), x)
+            assert np.array_equal(project_polyhedron(row(z), fresh), x)
 
 
 def pointwise_projection(z, poly):
@@ -266,8 +271,7 @@ def test_grid_projection_equals_pointwise_projection_bit_for_bit(case):
     assert np.array_equal(project_polyhedron(zs, poly), expected)
     assert np.array_equal(distance_to_polyhedron(zs, poly),
                           [np.linalg.norm(x - z) for x, z in zip(expected, zs)])
-    # one point is the m = 1 case: as a 1-D point and as a one-row grid
-    assert np.array_equal(project_polyhedron(zs[0], poly), expected[0])
+    # one point is the m = 1 case, a one-row grid
     assert np.array_equal(project_polyhedron(zs[:1], poly), expected[:1])
 
 
@@ -277,21 +281,17 @@ def test_empty_polyhedron_raises_on_a_grid():
         project_polyhedron(np.array([[0.0], [3.0]]), empty)
 
 
-def test_distance_to_polyhedron_is_a_float_per_point_and_an_array_per_grid():
+def test_distance_to_polyhedron_of_a_grid_equals_its_rows_one_by_one():
     w = ConvexPolyhedron([(-1, 1), (-1, -1)], (0, 0))
     grid = np.array([[0.0, 1.0], [1.0, 0.5], [-2.0, 0.0]])
-    for point in [(0, 1), (F(1), F(1, 2)), (-2.0, 0.0)]:
-        d = distance_to_polyhedron(point, w)
-        assert type(d) is float and d == distance_to_polyhedron(np.array(point, float), w)
     d = distance_to_polyhedron(grid, w)
-    assert d.shape == (3,) and d.tolist() == [distance_to_polyhedron(z, w) for z in grid]
+    assert d.shape == (3,)
+    assert d.tolist() == [distance_to_polyhedron(grid[i:i + 1], w)[0] for i in range(3)]
 
 
-def test_distance_to_cone_is_a_float_per_point_and_an_array_per_grid():
+def test_distance_to_cone_of_a_grid_equals_its_rows_one_by_one():
     c = PolyCone.from_generators([(-1, 1), (-1, -1)], 2)
     grid = np.array([[1.0, 0.0], [-2.0, 0.5], [0.5, 3.0]])
-    for point in [(1, 0), (F(-2), F(1, 2)), (0.5, 3.0)]:
-        d = distance_to_cone(point, c)
-        assert type(d) is float and d == distance_to_cone(np.array(point, float), c)
     d = distance_to_cone(grid, c)
-    assert d.shape == (3,) and d.tolist() == [distance_to_cone(z, c) for z in grid]
+    assert d.shape == (3,)
+    assert d.tolist() == [distance_to_cone(grid[i:i + 1], c)[0] for i in range(3)]

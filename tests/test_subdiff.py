@@ -60,10 +60,10 @@ def test_subgradient_of_the_wrong_length_is_rejected_not_truncated():
 
 def test_distance_to_a_point_of_the_wrong_length_is_rejected_not_broadcast():
     sd = subdifferential(saddle(), (0, 0))
-    for v in [(3.0,), (3.0, 3.0, 0.0), np.array([[3.0], [1.0]])]:
+    for v in [[[3.0]], [[3.0, 3.0, 0.0]], [[3.0], [1.0]], [3.0, 3.0]]:
         with pytest.raises(ValueError, match="dimension mismatch"):
-            sd.distance(v)
-    assert abs(sd.distance((3.0, 3.0)) - 3 * math.sqrt(2)) < 1e-12
+            sd.distance(np.array(v))
+    assert abs(sd.distance(np.array([[3.0, 3.0]]))[0] - 3 * math.sqrt(2)) < 1e-12
 
 
 def test_cross_subdifferential_at_origin():
@@ -107,9 +107,9 @@ def test_convex_fixture_frechet_equals_limiting():
 
 
 def test_subdifferential_distance_examples():
-    assert subdifferential_distance(smooth_1d(), (1,), (0.0,)) == 1.0
-    assert abs(subdifferential_distance(saddle(), (0, 0), (1.0, 0.0)) - 1.0) < 1e-12
-    assert subdifferential_distance(saddle(), (0, 0), (-1.0, 0.5)) == 0.0
+    assert subdifferential_distance(smooth_1d(), [(1,)], [(0,)]).tolist() == [[1.0]]
+    d = subdifferential_distance(saddle(), [(0, 0)], [(1, 0), (-1, F(1, 2))])
+    assert abs(d[0, 0] - 1.0) < 1e-12 and d[0, 1] == 0.0
 
 
 def test_outside_domain_raises():
@@ -290,46 +290,39 @@ def test_cells_read_matches_local_cell_oracle(f, data):
 def test_distance_to_inverse():
     box = ConvexPolyhedron.box((0, 0), F(1))
     s = inverse_image(saddle(), (0, 0), box)
-    d = distance_to_inverse(s, (1.0, 0.0))
-    assert abs(d - math.sqrt(2) / 2) < 1e-10
-    assert distance_to_inverse(s, (0.5, 0.5)) <= 1e-10
+    d = distance_to_inverse(s, np.array([[1.0, 0.0]]))
+    assert d.shape == (1,) and abs(d[0] - math.sqrt(2) / 2) < 1e-10
+    assert distance_to_inverse(s, np.array([[0.5, 0.5]]))[0] <= 1e-10
     s1 = inverse_image(smooth_1d(), (0,), ConvexPolyhedron.box((0,), F(1)))
-    assert abs(distance_to_inverse(s1, (0.3,)) - 0.3) < 1e-12
+    assert abs(distance_to_inverse(s1, np.array([[0.3]]))[0] - 0.3) < 1e-12
 
 
-def test_distance_to_inverse_is_a_float_per_point_and_an_array_per_grid():
+def test_distance_to_inverse_of_a_grid_equals_its_rows_one_by_one():
     s = inverse_image(saddle(), (0, 0), ConvexPolyhedron.box((0, 0), F(1)))
-    for x in [(1, 0), (F(1, 2), F(1, 3)), (-0.25, 0.75)]:
-        d = distance_to_inverse(s, x)
-        assert type(d) is float
-        assert d == distance_to_inverse(s, np.array(x, dtype=float))
-    grid = np.array([[1.0, 0.0], [0.5, 0.5], [-0.25, 0.75]])
+    grid = np.array([[1.0, 0.0], [0.5, 0.5], [-0.25, 0.75], [0.5, 1 / 3]])
     d = distance_to_inverse(s, grid)
-    assert d.shape == (3,)
-    assert d.tolist() == [distance_to_inverse(s, x) for x in grid]
+    assert d.shape == (4,)
+    assert d.tolist() == [distance_to_inverse(s, grid[i:i + 1])[0] for i in range(4)]
 
 
-def test_subdifferential_distance_is_a_float_per_point_and_an_array_per_grid():
-    # (1, 0) and (0, 2) lie outside the saddle's subdifferential at the apex
-    for v in [(1, 0), (F(-1), F(1, 2)), (0.0, 2.0)]:
-        d = subdifferential_distance(saddle(), (0, 0), v)
-        assert type(d) is float
-        assert d == subdifferential_distance(saddle(), (0, 0), tuple(map(float, v)))
-    vs = np.array([[1.0, 0.0], [-1.0, 0.5], [0.0, 2.0]])
-    d = subdifferential_distance(saddle(), (0, 0), vs)
-    assert d.shape == (3,) and d[1] == 0.0
-    assert d.tolist() == [subdifferential_distance(saddle(), (0, 0), v) for v in vs]
-    fa = FunctionSpec(fixture=ANALYTIC_REGISTRY["abs"])
-    assert type(subdifferential_distance(fa, (2.0,), (0.0,))) is float
-    assert subdifferential_distance(fa, (2.0,), np.array([[0.0], [1.0], [3.0]])).tolist() == \
-        [1.0, 0.0, 2.0]
+def test_subdifferential_distance_of_a_grid_equals_its_entries_one_by_one():
+    # rows x, columns y; 0 exactly where y is in the set, tested on ints: (-1, 1/3)
+    # lies in the saddle's subdifferential at the apex, and the gradient
+    # (2/3, 2/7) at (1/3, -1/7) is its whole subdifferential there
+    xs = [(0, 0), (1, 0), (F(1, 3), F(-1, 7))]
+    ys = [(1, 0), (F(-1), F(1, 3)), (0, 2), (F(2, 3), F(2, 7))]
+    d = subdifferential_distance(saddle(), xs, ys)
+    assert d.shape == (3, 4) and d[0, 1] == 0.0 and d[2, 3] == 0.0
+    assert (np.delete(d.reshape(-1), [1, 11]) > 0).all()
+    assert d.tolist() == [[subdifferential_distance(saddle(), [x], [y])[0, 0] for y in ys]
+                          for x in xs]
 
 
 def test_distance_to_empty_slice_is_an_error_not_zero():
     f = saddle()
     box = ConvexPolyhedron.box((0, 0), F(1))
     with pytest.raises(EmptySliceError):
-        distance_to_inverse(inverse_image(f, (0, F(1, 10)), box), (0.0, 0.0))
+        distance_to_inverse(inverse_image(f, (0, F(1, 10)), box), np.array([[0.0, 0.0]]))
 
 
 def test_stationary_points_oscillating():
@@ -415,11 +408,10 @@ def test_array_distances_equal_pointwise_distances(name, center, radius, v, n):
     lo, hi = max(center - radius, fx.lo), max(center + radius, fx.lo)
     # x = 0 is the exceptional point of each fixture, and sin-inv's domain end
     xs = np.append(np.linspace(lo, hi, n), 0.0)
-    f = FunctionSpec(fixture=fx)
     expected = [scalar_distance(fx, x, v) for x in xs]
     # exact equality; sin-inv's derivative is NaN at subnormal x
     assert np.array_equal(analytic_distances(fx, xs, v), expected, equal_nan=True)
-    assert np.array_equal([subdifferential_distance(f, (x,), (v,)) for x in xs], expected,
+    assert np.array_equal([analytic_distances(fx, [x], v)[0] for x in xs], expected,
                           equal_nan=True)
 
 
@@ -437,7 +429,8 @@ def test_analytic_enclosures():
     sd0 = subdifferential(fa, (0.0,))
     assert sd0.contains(1.0) and sd0.contains(-1.0) and not sd0.contains(1.5)
     assert subdifferential(fa, (2.0,)).contains(1.0)
-    assert subdifferential_distance(fa, (2.0,), (0.0,)) == 1.0
+    assert [analytic_distances(fa.fixture, [2.0], v)[0] for v in (0.0, 1.0, 3.0)] == \
+        [1.0, 0.0, 2.0]
 
 
 def test_analytic_inverse_points_abs():

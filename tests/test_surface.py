@@ -1,13 +1,18 @@
 """The library surface: every function in src/tiltkit has a caller there,
-every import there is used, and `import tiltkit` binds every submodule."""
+every import there is used, `import tiltkit` binds every submodule, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import functools
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tiltkit"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 # Functions kept with no caller in src/, each because tests check a paper
@@ -63,3 +68,18 @@ def test_import_tiltkit_binds_every_submodule():
                          text=True, check=True).stdout.split()
     assert out == sorted(f"tiltkit.{m[:-3]}" for m in TREES
                          if m not in ("__init__.py", "__main__.py"))
+
+
+def test_every_traced_name_resolves_as_the_tracer_reads_it():
+    # perfbench/tracer.py wraps these entry points by name, reading each from
+    # its module's or class's __dict__; a rename here would break the benchmark
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, path in tracer.LAYERS + tracer.EXTRA:
+        *cls, attr = path.split(".")
+        owner = functools.reduce(getattr, cls, importlib.import_module(f"tiltkit.{modname}"))
+        if attr not in vars(owner):
+            missing.append(f"{modname}.{path}")
+    assert missing == []
