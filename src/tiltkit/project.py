@@ -27,8 +27,8 @@ def _projection_data(a_rows: Mat, b_rows: Vec, dim: int):
     """Float rows of {x : a x <= b}; per nonempty face, its independent
     rows and the pseudoinverse solving the projection onto its affine hull,
     in (size, index) order of the rows, so near-ties go to the fewest rows;
-    the feasibility tolerance, scaled to b; memoized on the exact rows,
-    which the grids revisit thousands of times."""
+    the largest |b_i|, to which the feasibility tolerances scale; memoized
+    on the exact rows, which the grids revisit thousands of times."""
     m = len(a_rows)
     a = np.array([[float(x) for x in row] for row in a_rows], dtype=float).reshape(m, dim)
     b = np.array([float(x) for x in b_rows], dtype=float)
@@ -46,7 +46,7 @@ def _projection_data(a_rows: Mat, b_rows: Vec, dim: int):
         subs.append((asub, b[idx], asub.T @ np.linalg.pinv(asub @ asub.T, rcond=1e-12)))
     for arr in (a, b, *(x for sub in subs for x in sub)):
         arr.flags.writeable = False  # every caller of the memo shares them
-    return a, b, tuple(subs), FEAS_TOL * (1.0 + float(np.max(np.abs(b))) if m else 1.0)
+    return a, b, tuple(subs), float(np.max(np.abs(b), initial=0.0))
 
 
 def _matvec(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -67,14 +67,18 @@ def project_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
     out = np.array(z, dtype=float)
     if poly._projection is None:  # looked up once per object: the key hashes every row
         poly._projection = _projection_data(poly.a, poly.b, poly.dim)
-    a, b, subs, tol = poly._projection
+    a, b, subs, b_max = poly._projection
+    tol = FEAS_TOL * (1.0 + b_max)
     rows = np.flatnonzero(np.max(_matvec(a, out) - b, axis=1, initial=-np.inf) > tol)
     zs = out[rows]
+    # a candidate's tolerance shrinks with z and b, so near a cone's apex no
+    # candidate a few FEAS_TOL outside the cone beats the true projection
+    cand_tol = tol * np.minimum(1.0, np.max(np.abs(zs), axis=1, initial=0.0) + b_max)
     best, found = np.full(len(rows), np.inf), np.zeros(len(rows), dtype=bool)
     for asub, bsub, solve_t in subs:
         xs = zs - _matvec(solve_t, _matvec(asub, zs) - bsub)
         d = row_norms(xs - zs)
-        take = (np.max(_matvec(a, xs) - b, axis=1) <= tol) & (~found | (d < best - 1e-15))
+        take = (np.max(_matvec(a, xs) - b, axis=1) <= cand_tol) & (~found | (d < best - 1e-15))
         best[take], found[take], out[rows[take]] = d[take], True, xs[take]
     if not found.all():
         raise ValueError("projection onto empty polyhedron")

@@ -613,96 +613,132 @@ EIGEN_TIE_TOL = 1e-12  # hard case: eigenvalues this near the least share its ei
 PARAM_TOL = 1e-12  # _lipschitz: parameters this near are one
 
 
-@dataclass
-class TiltSolve:
-    minimizers: list[tuple[float, ...]]
-
-
-def solve_tilt(inst: ProblemInstance, tilt) -> TiltSolve:
-    """Exact-candidate global solve of min f(x) - <tilt, x> over the
-    gamma-ball: per domain cell face, interior critical points are exact
-    rational solves; ball-boundary candidates come from a secular-equation
-    solve on the face's affine hull.  All minimizers within TIE_TOL of the
-    best value are returned (ties are a verdict, not an error)."""
+def solve_tilts(inst: ProblemInstance, tilts):
+    """Exact-candidate global solves of min f(x) - <tilt, x> over the
+    gamma-ball, yielding each tilt's minimizers in turn, so a caller may
+    stop at any tilt.  Only the linear term changes with the tilt, so each
+    domain cell face's affine hull, reduced Hessians and eigenpairs are
+    built once per instance (_tilt_face).  All minimizers within TIE_TOL of
+    the best value are yielded (ties are a verdict, not an error)."""
     if not inst.f.is_exact:
         raise ValidationError("exact variant only")
     f = inst.f
-    n = f.dim
-    if n > 3:
+    if f.dim > 3:
         raise ValidationError("tilt solves are limited to ambient dimension <= 3")
-    p = inst.params
-    tilt = vec(tilt)
-    gamma = p.gamma
-    q, lin = f.smooth.q, sub(f.smooth.c, tilt)
-    d0 = f.smooth.d
-    xbar = inst.xbar
-    gamma_f = float(gamma)
+    qf = np.array([[float(v) for v in row] for row in f.smooth.q])
+    d0 = float(f.smooth.d)
+    faces = [_tilt_face(inst, qf, piece, *face.affine_hull())
+             for piece in f.domain.pieces for _, face in piece.faces()]
+    for tilt in tilts:
+        lin = sub(f.smooth.c, vec(tilt))
+        lin_f = np.array(to_float(lin))
+        cand = [(x, 0.5 * float(x @ qf @ x) + float(lin_f @ x) + d0)
+                for face in faces for x in face(lin, lin_f)]
+        if not cand:
+            raise ValidationError("empty feasible region for the tilt problem")
+        best = min(v for _, v in cand)
+        mins: list[np.ndarray] = []
+        for x, v in cand:
+            if v <= best + TIE_TOL and not any(np.linalg.norm(x - m) <= MINIMIZER_TOL for m in mins):
+                mins.append(x)
+        yield [tuple(map(float, m)) for m in mins]
+
+
+def _tilt_face(inst: ProblemInstance, qf: np.ndarray, piece: ConvexPolyhedron, p0: Vec,
+               dirs: list[Vec]):
+    """The candidate points of the face with affine hull p0 + span dirs, as a
+    function of the linear term, exact and float: interior critical points
+    are exact rational solves; ball-boundary candidates come from a
+    secular-equation solve on the hull's section of the gamma-sphere.  What
+    does not depend on the tilt is built here, once."""
+    q, xbar, gamma = inst.f.smooth.q, inst.xbar, inst.params.gamma
+    gamma2, gamma_f = gamma * gamma, float(gamma)
     xbar_f = np.array(to_float(xbar))
-    qf = np.array([[float(v) for v in row] for row in q])
-    lin_f = np.array(to_float(lin))
-
-    def obj_f(x: np.ndarray) -> float:
-        return 0.5 * float(x @ qf @ x) + float(lin_f @ x) + float(d0)
-
-    cand: list[tuple[np.ndarray, float]] = []  # (point, value)
-
-    for piece in f.domain.pieces:
-        for _, face in piece.faces():
-            p0, dirs = face.affine_hull()
-            cand.extend(_face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f))
-            cand.extend(_ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f,
-                                                  gamma_f, obj_f))
-    if not cand:
-        raise ValidationError("empty feasible region for the tilt problem")
-    best = min(v for _, v in cand)
-    mins: list[np.ndarray] = []
-    for x, v in cand:
-        if v <= best + TIE_TOL and not any(np.linalg.norm(x - m) <= MINIMIZER_TOL for m in mins):
-            mins.append(x)
-    return TiltSolve([tuple(map(float, m)) for m in mins])
-
-
-def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
-    gamma2 = gamma * gamma
 
     def isolated(pt):  # the one critical point, when it is feasible
         if not (piece.contains(pt) and norm_sq(sub(pt, xbar)) <= gamma2):
             return []
-        xf = np.array(to_float(pt))
-        return [(xf, obj_f(xf))]
+        return [np.array(to_float(pt))]
 
     if not dirs:
-        return isolated(p0)
+        pts = isolated(p0)
+        return lambda lin, lin_f: pts
     h = mat([[dot(bi, matvec(q, bj)) for bj in dirs] for bi in dirs])
-    g = vec([dot(bi, add(matvec(q, p0), lin)) for bi in dirs])
-    sol = solve_affine(h, neg(g), len(dirs))
-    if sol is None:
-        return []
-    s0, null = sol
-    x0 = add(p0, combine(dirs, s0))
-    if not null:
-        return isolated(x0)
-    # flat critical set: an affine subset with constant objective
-    sol_dirs = [combine(dirs, t) for t in null]
-    crit = _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma)
-    pts_in = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) <= gamma2]
-    pts_out = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) > gamma2]
-    out = [(xf, obj_f(xf)) for xf in pts_in]
-    # ball clips along the flat set keep witnesses inside the ball
-    xbar_f = np.array(to_float(xbar))
-    clips = (_ball_clip(a, b, xbar_f, float(gamma)) for a in pts_in for b in pts_out)
-    out.extend((t, obj_f(t)) for t in clips if t is not None)
-    return out
+    qp0 = matvec(q, p0)
 
+    def interior(lin) -> list[np.ndarray]:
+        sol = solve_affine(h, neg(vec([dot(bi, add(qp0, lin)) for bi in dirs])), len(dirs))
+        if sol is None:
+            return []
+        s0, null = sol
+        x0 = add(p0, combine(dirs, s0))
+        if not null:
+            return isolated(x0)
+        # flat critical set: an affine subset with constant objective, represented
+        # vertex-style inside the piece and the gamma box
+        sol_dirs = [combine(dirs, t) for t in null]
+        polyt = piece.intersect(ConvexPolyhedron.box(xbar, gamma)).preimage(sol_dirs, x0)
+        vs, _, _ = polyt.vrep()
+        crit = [add(x0, combine(sol_dirs, t)) for t in vs + [polyt.relint_point()]] if vs else []
+        pts_in = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) <= gamma2]
+        pts_out = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) > gamma2]
+        # ball clips along the flat set keep witnesses inside the ball
+        clips = (_ball_clip(a, b, xbar_f, gamma_f) for a in pts_in for b in pts_out)
+        return pts_in + [t for t in clips if t is not None]
 
-def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
-    """Vertex-style representatives of (x0 + span sol_dirs) inside the piece
-    and the gamma box."""
-    polyt = piece.intersect(ConvexPolyhedron.box(xbar, gamma)).preimage(sol_dirs, x0)
-    vs, _, _ = polyt.vrep()
-    if not vs:
-        return []
-    return [add(x0, combine(sol_dirs, t)) for t in vs + [polyt.relint_point()]]
+    bq, _ = np.linalg.qr(np.array([to_float(d) for d in dirs], dtype=float).T)  # n x k
+    p0f = np.array(to_float(p0))
+    # x = p0 + bq y ; sphere: |x - xbar| = gamma
+    v = p0f - xbar_f
+    v_par = bq.T @ v
+    rad2 = gamma_f * gamma_f - (float(v @ v) - float(v_par @ v_par))
+    if rad2 <= SECTION_TOL:
+        return lambda lin, lin_f: interior(lin)
+    # objective in y: 1/2 y'Hy + g'y + const, centered so sphere is |y + v_par|^2 = rad2
+    hf = bq.T @ qf @ bq
+    hv, qp0f = hf @ v_par, qf @ p0f
+    w, u = np.linalg.eigh(hf)
+    lo = -float(w[0])
+    rows, rhs = (np.array(r) for r in piece.to_float_rows())
+
+    def sphere(lin_f) -> list[np.ndarray]:
+        # shift z = y + v_par: minimize 1/2 z'Hz + (g - H v_par)'z over |z|^2 = rad2
+        beta = u.T @ (bq.T @ (qp0f + lin_f) - hv)
+
+        def norm2(mu: float) -> float:
+            den = w + mu
+            return float(np.sum((beta / den) ** 2))
+
+        roots: list[np.ndarray] = []
+        # easy case scan on (lo, lo + big]
+        mu_hi = lo + 1.0
+        for _ in range(SECULAR_DOUBLINGS):
+            if norm2(mu_hi) < rad2:
+                break
+            mu_hi = lo + (mu_hi - lo) * 2
+        mu_lo = lo + SECULAR_OFFSET
+        if norm2(mu_lo) >= rad2:
+            a, bb = mu_lo, mu_hi
+            for _ in range(SECULAR_BISECTIONS):
+                mid = 0.5 * (a + bb)
+                if norm2(mid) >= rad2:
+                    a = mid
+                else:
+                    bb = mid
+            mu = 0.5 * (a + bb)
+            roots.append(-(u @ (beta / (w + mu))))
+        else:
+            # hard case: minimum eigenspace component free
+            tie = np.abs(w - w[0]) < EIGEN_TIE_TOL
+            z0 = -(u @ np.where(tie, 0.0, beta / np.where(tie, 1.0, w + lo)))
+            tail = rad2 - float(z0 @ z0)
+            if tail > 0:
+                roots.extend(z0 + sgn * math.sqrt(tail) * u[:, 0] for sgn in (+1.0, -1.0))
+        xs = (p0f + bq @ (z - v_par) for z in roots)
+        return [x for x in xs if (piece.m == 0 or np.max(rows @ x - rhs) <= FEASIBLE_TOL)
+                and abs(float(np.linalg.norm(x - xbar_f)) - gamma_f) < MINIMIZER_TOL]
+
+    return lambda lin, lin_f: interior(lin) + sphere(lin_f)
 
 
 def _ball_clip(inside: np.ndarray, outside: np.ndarray, center: np.ndarray,
@@ -722,79 +758,6 @@ def _ball_clip(inside: np.ndarray, outside: np.ndarray, center: np.ndarray,
     return None
 
 
-def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f):
-    """Minimize the quadratic on (affine hull of face) x (gamma-sphere)
-    through the secular equation in an orthonormal basis of the hull."""
-    out = []
-    if not dirs:
-        return out
-    b = np.array([to_float(d) for d in dirs], dtype=float).T  # n x k
-    bq, _ = np.linalg.qr(b)
-    p0f = np.array(to_float(p0))
-    # x = p0 + bq y ; sphere: |x - xbar| = gamma
-    v = p0f - xbar_f
-    v_par = bq.T @ v
-    v_perp2 = float(v @ v) - float(v_par @ v_par)
-    rad2 = gamma_f * gamma_f - v_perp2
-    if rad2 <= SECTION_TOL:
-        return out
-    # objective in y: 1/2 y'Hy + g'y + const, centered so sphere is |y + v_par|^2 = rad2
-    h = bq.T @ qf @ bq
-    g = bq.T @ (qf @ p0f + lin_f)
-    # shift z = y + v_par: minimize 1/2 z'Hz + (g - H v_par)'z over |z|^2 = rad2
-    gg = g - h @ v_par
-    w, u = np.linalg.eigh(h)
-    beta = u.T @ gg
-    lo = -float(w[0])
-
-    def norm2(mu: float) -> float:
-        den = w + mu
-        return float(np.sum((beta / den) ** 2))
-
-    roots: list[np.ndarray] = []
-    # easy case scan on (lo, lo + big]
-    mu_hi = lo + 1.0
-    for _ in range(SECULAR_DOUBLINGS):
-        if norm2(mu_hi) < rad2:
-            break
-        mu_hi = lo + (mu_hi - lo) * 2
-    mu_lo = lo + SECULAR_OFFSET
-    if norm2(mu_lo) >= rad2:
-        a, bb = mu_lo, mu_hi
-        for _ in range(SECULAR_BISECTIONS):
-            mid = 0.5 * (a + bb)
-            if norm2(mid) >= rad2:
-                a = mid
-            else:
-                bb = mid
-        mu = 0.5 * (a + bb)
-        z = -(u @ (beta / (w + mu)))
-        roots.append(z)
-    else:
-        # hard case: minimum eigenspace component free
-        tie = np.abs(w - w[0]) < EIGEN_TIE_TOL
-        z0 = -(u @ np.where(tie, 0.0, beta / np.where(tie, 1.0, w + lo)))
-        tail = rad2 - float(z0 @ z0)
-        if tail > 0:
-            emin = u[:, 0]
-            for sgn in (+1.0, -1.0):
-                roots.append(z0 + sgn * math.sqrt(tail) * emin)
-    for z in roots:
-        y = z - v_par
-        x = p0f + bq @ y
-        if _feasible_float(piece, x) and abs(
-                float(np.linalg.norm(x - xbar_f)) - gamma_f) < MINIMIZER_TOL:
-            out.append((x, obj_f(x)))
-    return out
-
-
-def _feasible_float(piece, x: np.ndarray) -> bool:
-    if piece.m == 0:
-        return True
-    a, b = piece.to_float_rows()
-    return bool(np.max(np.array(a) @ x - np.array(b)) <= FEASIBLE_TOL)
-
-
 def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
     """Stable iff every sampled tilt has a unique minimizer, the zero tilt
     recovers the reference point, and difference quotients stay bounded;
@@ -805,11 +768,10 @@ def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
     # the zero tilt anchors the verdict; check it first
     tilts.sort(key=lambda t: sum(abs(x) for x in t))
     argmin: list[tuple[tuple, np.ndarray]] = []
-    for t in tilts:
-        sol = solve_tilt(inst, t)
-        m = np.array(sol.minimizers[0])
-        if len(sol.minimizers) > 1 or (
+    for t, mins in zip(tilts, solve_tilts(inst, tilts)):
+        m = np.array(mins[0])
+        if len(mins) > 1 or (
                 all(x == 0 for x in t) and float(np.linalg.norm(m - xbar_f)) > TIE_TOL):
-            return TiltReport("unstable", None, to_float(t), sol.minimizers)
+            return TiltReport("unstable", None, to_float(t), mins)
         argmin.append((t, m))
     return TiltReport("stable", _lipschitz(argmin), None, [])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
@@ -27,6 +27,7 @@ def subset_projection(z, poly):
     scale = 1.0 + float(np.max(np.abs(b))) if poly.m else 1.0
     if poly.m == 0 or np.max(a @ z - b) <= FEAS_TOL * scale:
         return z.copy()
+    near = float(np.max(np.abs(z)) + np.max(np.abs(b)))
     best = None
     for k in range(1, min(poly.dim, poly.m) + 1):
         for subset in itertools.combinations(range(poly.m), k):
@@ -36,8 +37,8 @@ def subset_projection(z, poly):
             x = z - solve_t @ (asub @ z - b[idx])
             if np.max(np.abs(asub @ x - b[idx])) > 1e-7 * scale:
                 continue  # inconsistent subset for this z
-            if np.max(a @ x - b) > FEAS_TOL * scale:
-                continue
+            if np.max(a @ x - b) > FEAS_TOL * scale * min(1.0, near):
+                continue  # outside, by a tolerance that shrinks with z and b
             d = float(np.linalg.norm(x - z))
             if best is None or d < best[0] - 1e-15:
                 best = (d, x)
@@ -159,6 +160,7 @@ def test_face_projection_matches_subset_enumeration(case):
 
 
 @given(st.tuples(coords, coords, coords))
+@example((1e-9, 1e-9, 0.0))  # near the apex: (1e-9, 0, 0) is within FEAS_TOL, but outside
 def test_cone_projection_matches_subset_enumeration(z):
     cone = PolyCone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (1, 1, 2)], 3)
     poly = ConvexPolyhedron(cone.ineqs, [0] * len(cone.ineqs), dim=3)
@@ -219,13 +221,14 @@ def pointwise_projection(z, poly):
     """Oracle: the one-point projection that the whole-grid projection
     replaced, the same face candidates tried for one point at a time."""
     z = np.asarray(z, dtype=float)
-    a, b, subs, tol = _projection_data(poly.a, poly.b, poly.dim)
+    a, b, subs, b_max = _projection_data(poly.a, poly.b, poly.dim)
+    tol = FEAS_TOL * (1.0 + b_max)
     if poly.m == 0 or np.max(a @ z - b) <= tol:
         return z.copy()
     best = None
     for asub, bsub, solve_t in subs:
         x = z - solve_t @ (asub @ z - bsub)
-        if np.max(a @ x - b) > tol:
+        if np.max(a @ x - b) > tol * min(1.0, np.max(np.abs(z)) + b_max):
             continue
         d = float(np.linalg.norm(x - z))
         if best is None or d < best[0] - 1e-15:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,9 +17,12 @@ from tiltkit.hessian import second_order_map
 from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ProblemInstance, QuadraticForm,
                            ValidationError, evaluate_exact, parse_problem)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
-from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PROX_MODES, R_CAP,
-                                SOLUTION_TOL, ZOOM_SCALES, CheckOutcome, ModulusEstimate, _coarse,
-                                _refine, _refinement_schedule, _sup, _Unbounded, _values,
+from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, EIGEN_TIE_TOL, FEASIBLE_TOL,
+                                MINIMIZER_TOL, PROX_GRID, PROX_MODES, R_CAP, SECTION_TOL,
+                                SECULAR_BISECTIONS, SECULAR_DOUBLINGS, SECULAR_OFFSET,
+                                SOLUTION_TOL, TIE_TOL, ZOOM_SCALES, CheckOutcome, ModulusEstimate,
+                                _ball_clip, _coarse, _refine, _refinement_schedule, _sup,
+                                _Unbounded, _values,
                                 ball_lattice,
                                 check_growth,
                                 check_lower_prox_inequality,
@@ -26,11 +30,13 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, PROX_GRID, PR
                                 check_uniform_growth, domain_lattice,
                                 estimate_metric_regularity_modulus,
                                 estimate_subregularity_modulus, graph_point_samples,
-                                growth_alpha_hat, minimal_prox_r, solve_tilt,
+                                growth_alpha_hat, minimal_prox_r, solve_tilts,
                                 tilt_stability_verdict)
-from tiltkit.rational import dot, frac, norm_sq, sub, to_float
+from tiltkit.rational import (add, combine, dot, frac, mat, matvec, neg, norm_sq, solve_affine,
+                              sub, to_float, vec, zeros)
 from tiltkit.subdiff import (analytic_inverse_points, distance_to_inverse, inverse_image,
                              subdifferential)
+from tiltkit.verifier import _random_instance
 
 
 def inst(name):
@@ -388,19 +394,19 @@ def test_localization():
 
 
 def test_solve_tilt_unique_quadratic():
-    sol = solve_tilt(inst("quad-diag"), (F(1, 10), F(1, 10)))
-    assert len(sol.minimizers) == 1
-    assert np.allclose(sol.minimizers[0], (0.1, 0.05))
+    [mins] = solve_tilts(inst("quad-diag"), [(F(1, 10), F(1, 10))])
+    assert len(mins) == 1
+    assert np.allclose(mins[0], (0.1, 0.05))
 
 
 def test_solve_tilt_cross_symmetric_split():
-    sol = solve_tilt(inst("cross-quadratic"), (F(1, 10), F(1, 10)))
-    assert sorted(sol.minimizers) == [(0.0, 0.05), (0.05, 0.0)]
+    [mins] = solve_tilts(inst("cross-quadratic"), [(F(1, 10), F(1, 10))])
+    assert sorted(mins) == [(0.0, 0.05), (0.05, 0.0)]
 
 
 def test_solve_tilt_saddle_flat_rays():
-    sol = solve_tilt(inst("saddle-cone"), (0, 0))
-    pts = np.array(sol.minimizers)
+    [mins] = solve_tilts(inst("saddle-cone"), [(0, 0)])
+    pts = np.array(mins)
     dia = max(np.linalg.norm(p - q) for p in pts for q in pts)
     assert dia >= 0.4
 
@@ -413,7 +419,214 @@ def test_solve_tilt_dimension_guard():
                            domain=PolyUnion([ConvexPolyhedron.full_space(4)]))
     bad = model.ProblemInstance(f, (0,) * 4, (0,) * 4, model.Params())
     with pytest.raises(ValidationError):
-        solve_tilt(bad, (0,) * 4)
+        next(solve_tilts(bad, [(0,) * 4]))
+
+
+# The per-tilt solver that solve_tilts replaced, kept as its oracle: it
+# rebuilds every face's hull, reduced Hessians and eigenpairs for each tilt.
+
+def solve_tilt(inst: ProblemInstance, tilt) -> list[tuple[float, ...]]:
+    """Exact-candidate global solve of min f(x) - <tilt, x> over the
+    gamma-ball: per domain cell face, interior critical points are exact
+    rational solves; ball-boundary candidates come from a secular-equation
+    solve on the face's affine hull.  All minimizers within TIE_TOL of the
+    best value are returned (ties are a verdict, not an error)."""
+    if not inst.f.is_exact:
+        raise ValidationError("exact variant only")
+    f = inst.f
+    n = f.dim
+    if n > 3:
+        raise ValidationError("tilt solves are limited to ambient dimension <= 3")
+    p = inst.params
+    tilt = vec(tilt)
+    gamma = p.gamma
+    q, lin = f.smooth.q, sub(f.smooth.c, tilt)
+    d0 = f.smooth.d
+    xbar = inst.xbar
+    gamma_f = float(gamma)
+    xbar_f = np.array(to_float(xbar))
+    qf = np.array([[float(v) for v in row] for row in q])
+    lin_f = np.array(to_float(lin))
+
+    def obj_f(x: np.ndarray) -> float:
+        return 0.5 * float(x @ qf @ x) + float(lin_f @ x) + float(d0)
+
+    cand: list[tuple[np.ndarray, float]] = []  # (point, value)
+
+    for piece in f.domain.pieces:
+        for _, face in piece.faces():
+            p0, dirs = face.affine_hull()
+            cand.extend(_face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f))
+            cand.extend(_ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f,
+                                                  gamma_f, obj_f))
+    if not cand:
+        raise ValidationError("empty feasible region for the tilt problem")
+    best = min(v for _, v in cand)
+    mins: list[np.ndarray] = []
+    for x, v in cand:
+        if v <= best + TIE_TOL and not any(np.linalg.norm(x - m) <= MINIMIZER_TOL for m in mins):
+            mins.append(x)
+    return [tuple(map(float, m)) for m in mins]
+
+
+def _face_candidates(p0, dirs, q, lin, piece, xbar, gamma, obj_f):
+    gamma2 = gamma * gamma
+
+    def isolated(pt):  # the one critical point, when it is feasible
+        if not (piece.contains(pt) and norm_sq(sub(pt, xbar)) <= gamma2):
+            return []
+        xf = np.array(to_float(pt))
+        return [(xf, obj_f(xf))]
+
+    if not dirs:
+        return isolated(p0)
+    h = mat([[dot(bi, matvec(q, bj)) for bj in dirs] for bi in dirs])
+    g = vec([dot(bi, add(matvec(q, p0), lin)) for bi in dirs])
+    sol = solve_affine(h, neg(g), len(dirs))
+    if sol is None:
+        return []
+    s0, null = sol
+    x0 = add(p0, combine(dirs, s0))
+    if not null:
+        return isolated(x0)
+    # flat critical set: an affine subset with constant objective
+    sol_dirs = [combine(dirs, t) for t in null]
+    crit = _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma)
+    pts_in = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) <= gamma2]
+    pts_out = [np.array(to_float(pt)) for pt in crit if norm_sq(sub(pt, xbar)) > gamma2]
+    out = [(xf, obj_f(xf)) for xf in pts_in]
+    # ball clips along the flat set keep witnesses inside the ball
+    xbar_f = np.array(to_float(xbar))
+    clips = (_ball_clip(a, b, xbar_f, float(gamma)) for a in pts_in for b in pts_out)
+    out.extend((t, obj_f(t)) for t in clips if t is not None)
+    return out
+
+
+def _affine_in_polyhedron(x0, sol_dirs, piece, xbar, gamma):
+    """Vertex-style representatives of (x0 + span sol_dirs) inside the piece
+    and the gamma box."""
+    polyt = piece.intersect(ConvexPolyhedron.box(xbar, gamma)).preimage(sol_dirs, x0)
+    vs, _, _ = polyt.vrep()
+    if not vs:
+        return []
+    return [add(x0, combine(sol_dirs, t)) for t in vs + [polyt.relint_point()]]
+
+
+def _ball_boundary_candidates(p0, dirs, qf, lin_f, piece, xbar_f, gamma_f, obj_f):
+    """Minimize the quadratic on (affine hull of face) x (gamma-sphere)
+    through the secular equation in an orthonormal basis of the hull."""
+    out = []
+    if not dirs:
+        return out
+    b = np.array([to_float(d) for d in dirs], dtype=float).T  # n x k
+    bq, _ = np.linalg.qr(b)
+    p0f = np.array(to_float(p0))
+    # x = p0 + bq y ; sphere: |x - xbar| = gamma
+    v = p0f - xbar_f
+    v_par = bq.T @ v
+    v_perp2 = float(v @ v) - float(v_par @ v_par)
+    rad2 = gamma_f * gamma_f - v_perp2
+    if rad2 <= SECTION_TOL:
+        return out
+    # objective in y: 1/2 y'Hy + g'y + const, centered so sphere is |y + v_par|^2 = rad2
+    h = bq.T @ qf @ bq
+    g = bq.T @ (qf @ p0f + lin_f)
+    # shift z = y + v_par: minimize 1/2 z'Hz + (g - H v_par)'z over |z|^2 = rad2
+    gg = g - h @ v_par
+    w, u = np.linalg.eigh(h)
+    beta = u.T @ gg
+    lo = -float(w[0])
+
+    def norm2(mu: float) -> float:
+        den = w + mu
+        return float(np.sum((beta / den) ** 2))
+
+    roots: list[np.ndarray] = []
+    # easy case scan on (lo, lo + big]
+    mu_hi = lo + 1.0
+    for _ in range(SECULAR_DOUBLINGS):
+        if norm2(mu_hi) < rad2:
+            break
+        mu_hi = lo + (mu_hi - lo) * 2
+    mu_lo = lo + SECULAR_OFFSET
+    if norm2(mu_lo) >= rad2:
+        a, bb = mu_lo, mu_hi
+        for _ in range(SECULAR_BISECTIONS):
+            mid = 0.5 * (a + bb)
+            if norm2(mid) >= rad2:
+                a = mid
+            else:
+                bb = mid
+        mu = 0.5 * (a + bb)
+        z = -(u @ (beta / (w + mu)))
+        roots.append(z)
+    else:
+        # hard case: minimum eigenspace component free
+        tie = np.abs(w - w[0]) < EIGEN_TIE_TOL
+        z0 = -(u @ np.where(tie, 0.0, beta / np.where(tie, 1.0, w + lo)))
+        tail = rad2 - float(z0 @ z0)
+        if tail > 0:
+            emin = u[:, 0]
+            for sgn in (+1.0, -1.0):
+                roots.append(z0 + sgn * math.sqrt(tail) * emin)
+    for z in roots:
+        y = z - v_par
+        x = p0f + bq @ y
+        if _feasible_float(piece, x) and abs(
+                float(np.linalg.norm(x - xbar_f)) - gamma_f) < MINIMIZER_TOL:
+            out.append((x, obj_f(x)))
+    return out
+
+
+def _feasible_float(piece, x: np.ndarray) -> bool:
+    if piece.m == 0:
+        return True
+    a, b = piece.to_float_rows()
+    return bool(np.max(np.array(a) @ x - np.array(b)) <= FEASIBLE_TOL)
+
+
+def tie_instance():
+    """-(x1^2 + x2^2)/2 + x3^2 on R^3: the least eigenvalue, -1, is double, so
+    a tilt along x3 leaves the sphere solve in the hard case with a tie."""
+    q = [[-1, 0, 0], [0, -1, 0], [0, 0, 2]]
+    f = FunctionSpec(smooth=QuadraticForm.make(q, [0] * 3),
+                     domain=PolyUnion([ConvexPolyhedron.full_space(3)]))
+    return ProblemInstance(f, (0,) * 3, (0,) * 3, Params())
+
+
+def tilt_cases():
+    """(instance, tilts): each exact corpus fixture at its verdict's lattice,
+    the hard case with an eigenvalue tie, and seeded random 1-D and 2-D
+    instances at random rational tilts."""
+    for fx in CORPUS.values():
+        if fx.instance.f.is_exact:
+            p = fx.instance.params
+            yield fx.instance, ball_lattice(zeros(fx.instance.f.dim), p.rho, _coarse(p))
+    yield tie_instance(), [(0, 0, 0), (0, 0, F(1, 10)), (F(1, 10), 0, 0), (F(1, 30), F(-1, 7), 1)]
+    rng = random.Random(5)
+    for _ in range(30):
+        case = _random_instance(rng, rng.choice((1, 2)))
+        if case is not None:
+            yield case, [tuple(F(rng.randint(-12, 12), rng.randint(1, 24))
+                               for _ in range(case.f.dim)) for _ in range(3)]
+
+
+def test_solve_tilts_matches_per_tilt_oracle():
+    for case, tilts in tilt_cases():
+        together = list(solve_tilts(case, tilts))
+        assert together == [solve_tilt(case, t) for t in tilts]
+        # no state carries from one tilt to the next
+        assert together == [next(solve_tilts(case, [t])) for t in tilts]
+
+
+def test_solve_tilts_hard_case_tie_has_two_sphere_minimizers():
+    # the multiplier is the least pole, 1, so x3 = (1/10) / (2 + 1) and the rest
+    # of the gamma-sphere's radius goes along the tied (x1, x2) plane, either way
+    [mins] = solve_tilts(tie_instance(), [(0, 0, F(1, 10))])
+    assert len(mins) == 2
+    for m in mins:
+        assert abs(np.linalg.norm(m) - 0.5) < 1e-12 and abs(m[2] - 1 / 30) < 1e-12
+    assert np.allclose(mins[0], -np.array(mins[1]) * (1, 1, -1))
 
 
 def test_tilt_verdicts():

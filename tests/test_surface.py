@@ -3,6 +3,7 @@ every import there is used, `import tiltkit` binds every submodule, and every
 name the benchmark's tracer wraps exists."""
 
 import ast
+import collections
 import functools
 import importlib
 import importlib.util
@@ -34,14 +35,16 @@ def definitions():
                     yield module, d.name, d
 
 
-def referenced_outside(name, definition):
-    own = {id(n) for n in ast.walk(definition)}
-    return any(id(n) not in own and name in (getattr(n, "id", None), getattr(n, "attr", None))
-               for tree in TREES.values() for n in ast.walk(tree))
+def name_counts(root):
+    """How many Name and Attribute nodes under root spell each name."""
+    return collections.Counter(getattr(n, "id", None) or getattr(n, "attr", None)
+                               for n in ast.walk(root))
 
 
 def test_every_function_in_src_has_a_caller_in_src():
-    uncalled = {name for _, name, d in definitions() if not referenced_outside(name, d)}
+    # a definition is uncalled when every use of its name lies inside itself
+    total = sum(map(name_counts, TREES.values()), collections.Counter())
+    uncalled = {name for _, name, d in definitions() if name_counts(d)[name] == total[name]}
     assert uncalled == set(UNCALLED)
 
 
