@@ -190,7 +190,7 @@ class FunctionSpec:
             self.domain = domain
             self.fixture = None
             self.dim = smooth.dim
-        # memos of second_order_map and inverse_image; `cells`, `graph` are cached properties
+        # second_order_map's memo; inverse_image's slices per (y, box) and shadows per box
         self._graph_models: dict = {}
         self._inverse_images: dict = {}
 

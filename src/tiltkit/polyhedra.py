@@ -14,8 +14,8 @@ import operator
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Vec, as_int_row, dot, frac, int_row, is_zero, mat, neg,
-                       nullspace, primitive, rank, sub, unit, vec, zeros)
+from .rational import (F0, F1, Vec, dot, frac, int_row, is_zero, mat, neg, nullspace, primitive,
+                       rank, sub, unit, vec, zeros)
 
 
 class ConvexPolyhedron:
@@ -131,18 +131,15 @@ class ConvexPolyhedron:
                                 tuple(bi - dot(row, shift) for row, bi in zip(self.a, self.b)),
                                 dim=len(cols))
 
-    def slice_meets(self, p, other: "ConvexPolyhedron") -> bool:
-        """Does `slice(y)` meet `other`, for p the ints of (y, 1) up to a
-        positive factor?  At y = q/d a kept row (r_x, r_y, r_t) is (d r_x,
-        r_y.q + d r_t) made primitive, the row of `slice(y).intersect(other)`:
-        the same DD memo decides, with no polyhedron built."""
-        *q, d = p
-        k = self.dim - len(q)
-        rows = tuple(as_int_row([d * a for a in row[:k]]
-                                + [sum(map(operator.mul, row[k:-1], q)) + d * row[-1]])
-                     for row in self.rows)
-        _, rays = hrep_to_vrep(rows + other.rows + ((0,) * k + (-1,),), k + 1)
-        return any(r[-1] > 0 for r in rays)
+    def shadow(self, other: "ConvexPolyhedron") -> PolyCone:
+        """A cone holding (y, 1) iff `slice(y)` meets `other`: K = {(x, y, t) : these rows,
+        other's rows on (x, t), t >= 0} projected onto (y, t), so generated by K's
+        generators with the x-part dropped (Fukuda, polyhedral computation FAQ, 2004)."""
+        k = other.dim
+        lifted = tuple(row[:k] + (0,) * (self.dim - k) + row[k:] for row in other.rows)
+        lin, rays = hrep_to_vrep(self.rows + lifted + ((0,) * self.dim + (-1,),), self.dim + 1)
+        return PolyCone.from_generators([r[k:] for r in rays], self.dim - k + 1,
+                                        [l[k:] for l in lin])
 
     def slice(self, y) -> "ConvexPolyhedron":
         """{x : (x, y) in P}, y the trailing coordinates: rows a[:k], right sides b - a[k:].y."""

@@ -223,10 +223,10 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     """All x in box with v in the subdifferential at x.
 
     The inverse image is the slice of the subgradient graph at y = v, so
-    per graph piece it is the polyhedron `piece.slice(v)`, kept when it
-    meets the box.  Most do not, and `slice_meets` decides that on int rows
-    before any polyhedron is built.  Cached per (v, box): the estimators
-    revisit the same tilted subgradients many times.
+    per graph piece it is the polyhedron `piece.slice(v)`, kept when the
+    piece's `shadow` on the box, built once per box and kept on f, holds at
+    the ints of (v, 1).  Cached per (v, box): the estimators revisit the
+    same tilted subgradients many times.
     """
     if not f.is_exact:
         raise ValidationError("inverse_image needs the exact variant "
@@ -235,9 +235,12 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     key = (v, box.a, box.b)
     hit = f._inverse_images.get(key)
     if hit is None:
+        shadows = f._inverse_images.get((box.a, box.b))
+        if shadows is None:
+            shadows = f._inverse_images[box.a, box.b] = [piece.shadow(box) for piece in f.graph]
         p = int_row(v + (F1,))
         hit = f._inverse_images[key] = InverseSlice(v, box, tuple(
-            piece.slice(v).intersect(box) for piece in f.graph if piece.slice_meets(p, box)))
+            piece.slice(v).intersect(box) for piece, s in zip(f.graph, shadows) if s.holds_at(p)))
     return hit
 
 

@@ -30,8 +30,10 @@ class _Tableau:
         self.n = len(c)
         self.basis = []
         self.obj_shift = F0
+        self.pivots = []  # (row, column) of each pivot, in order
 
     def pivot(self, r, col):
+        self.pivots.append((r, col))
         piv = self.a[r][col]
         self.a[r] = [x / piv for x in self.a[r]]
         self.b[r] /= piv
@@ -69,10 +71,10 @@ class _Tableau:
         return x
 
 
-def fraction_solve_standard(c, a, b):
-    """min c x  s.t.  a x = b, x >= 0, by Bland's rule on Fractions: the
-    optimizing oracle, whose phase 1 `lp.solve_standard` must match."""
-    m, n = len(a), len(c)
+def fraction_phase1(a, b):
+    """Phase 1 of Bland's rule on the Fraction tableau [a | I | b], b >= 0,
+    run to its optimum: the tableau whose pivots `lp.solve_standard` must take."""
+    m, n = len(a), len(a[0])
     rows = [[F(x) for x in r] for r in a]
     rhs = [F(x) for x in b]
     for i in range(m):
@@ -87,6 +89,14 @@ def fraction_solve_standard(c, a, b):
         t.c = [x - y for x, y in zip(t.c, t.a[i])]
         t.obj_shift -= t.b[i]
     assert t.run() == OPTIMAL  # phase 1 is bounded below by 0
+    return t
+
+
+def fraction_solve_standard(c, a, b):
+    """min c x  s.t.  a x = b, x >= 0, by Bland's rule on Fractions: the
+    optimizing oracle, whose phase 1 `lp.solve_standard` must match."""
+    m, n = len(a), len(c)
+    t = fraction_phase1(a, b)
     if t.obj_shift != 0:
         return INFEASIBLE, None, None
     # Drive remaining artificials out of the basis where possible.
@@ -187,8 +197,23 @@ def standard_lps(draw):
 @settings(max_examples=300)
 @given(standard_lps())
 def test_integer_tableau_matches_fraction_bland(lp_data):
+    # the same verdict by the same pivots: each (row, column) the int
+    # tableau pivots on is the Fraction phase 1's, in the same order
     c, a, b = lp_data
-    assert lp.solve_standard(a, b) == (fraction_solve_standard(c, a, b)[0] != INFEASIBLE)
+    pivots = []
+
+    def recorded(t, d, r, col):
+        pivots.append((r, col))
+        return pivot(t, d, r, col)
+
+    pivot = lp._pivot
+    lp._pivot = recorded
+    try:
+        feasible = lp.solve_standard(a, b)
+    finally:
+        lp._pivot = pivot
+    assert pivots == fraction_phase1(a, b).pivots
+    assert feasible == (fraction_solve_standard(c, a, b)[0] != INFEASIBLE)
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cells import regular_normal_cone
-from test_subdiff import exact_functions, over_dens
+from test_subdiff import exact_functions, line_2d, over_dens
 
 from tiltkit.copositive import cone_form_min_sign, graph_form
 from tiltkit.fixtures import CORPUS, fixture
@@ -304,6 +304,14 @@ def test_metric_regularity_failure_is_reported():
     est = estimate_metric_regularity_modulus(inst("saddle-cone"))
     assert est.failed and est.value == math.inf
     assert "empty preimage" in est.failure
+
+
+def test_a_box_missing_the_domain_is_an_empty_preimage_not_a_traceback():
+    # the unit box about (5, -5) misses the line x1 = x2: every shadow lies
+    # in t = 0, so the first y of the sweep already has an empty preimage
+    est = estimate_metric_regularity_modulus(ProblemInstance(line_2d(), (5, -5), (0, 0)))
+    assert est.failed and est.value == math.inf and not est.converged
+    assert est.failure == f"empty preimage at y={est.witness}"
 
 
 def test_growth_checks():

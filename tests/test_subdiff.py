@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cells import regular_normal_cone, unions_through_origin
 
+from tiltkit import cones, polyhedra
 from tiltkit.cells import cell_complex, limiting_normal_cone
-from tiltkit.cones import ConeUnion
+from tiltkit.cones import ConeUnion, hrep_to_vrep
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
-from tiltkit.rational import dot, int_row, matvec, neg, vec
+from tiltkit.rational import as_int_row, dot, int_row, matvec, neg, vec
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
                              _analytic_subdifferential, analytic_distances,
                              analytic_inverse_points, distance_to_inverse, inverse_image,
@@ -36,6 +38,13 @@ def cross_quad():
 def smooth_1d():
     return FunctionSpec(smooth=QuadraticForm.make([[1]], [0]),
                         domain=PolyUnion([ConvexPolyhedron.full_space(1)]))
+
+
+def line_2d():
+    """|x|^2 / 2 on the line x1 = x2: its one normal cone is the line
+    span (1, -1), so each graph piece has lineality."""
+    return FunctionSpec(smooth=QuadraticForm.make([[1, 0], [0, 1]], [0, 0]),
+                        domain=PolyUnion([ConvexPolyhedron([(1, -1), (-1, 1)], (0, 0))]))
 
 
 def frechet_subdifferential(f, x):
@@ -261,6 +270,78 @@ def test_int_membership_matches_fraction_membership(f, data):
         vs = list(map(vec, ys)) + [sd.base] + [
             tuple(b + g * F(k, 7) for b, g in zip(sd.base, gen)) for gen in gens for k in (1, -1)]
         assert sd.holds_at_each([int_row(v + (1,)) for v in vs]) == [sd.contains(v) for v in vs]
+
+
+def slice_meets(piece, p, box):
+    """Oracle: does `piece.slice(y)` meet the box, for p the ints of (y, 1)?
+    At y = q/d a row (r_x, r_y, r_t) is (d r_x, r_y.q + d r_t) made primitive,
+    the row of `piece.slice(y).intersect(box)`: one DD per (piece, y)."""
+    *q, d = p
+    k = piece.dim - len(q)
+    rows = tuple(as_int_row([d * a for a in row[:k]]
+                            + [sum(map(operator.mul, row[k:-1], q)) + d * row[-1]])
+                 for row in piece.rows)
+    _, rays = hrep_to_vrep(rows + box.rows + ((0,) * k + (-1,),), k + 1)
+    return any(r[-1] > 0 for r in rays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_functions(), st.data())
+def test_shadows_match_the_slice_meets_oracle(f, data):
+    n = f.dim
+    box = ConvexPolyhedron.box(data.draw(st.lists(over_dens(1), min_size=n, max_size=n)),
+                               data.draw(st.sampled_from([F(1, 3), F(1), F(2)])))
+    ps = [int_row(vec(y) + (1,)) for y in data.draw(
+        st.lists(st.lists(over_dens(), min_size=n, max_size=n), min_size=1, max_size=4))]
+    for piece in f.graph:
+        shadow = piece.shadow(box)
+        assert [shadow.holds_at(p) for p in ps] == [slice_meets(piece, p, box) for p in ps]
+
+
+def test_shadow_of_a_line_carries_the_projected_lineality():
+    # y is in the inverse image over the unit box iff y = x + s (1, -1) with
+    # x1 = x2 in [-1, 1]: iff |y1 + y2| <= 2, a shadow with lineality (1, -1, 0)
+    (piece,) = line_2d().graph
+    box = ConvexPolyhedron.box((0, 0), F(1))
+    shadow = piece.shadow(box)
+    assert [int_row(l) for l in shadow.lineality] in ([(1, -1, 0)], [(-1, 1, 0)])
+    for y in [(0, 0), (100, -100), (-50, 49), (F(3, 2), F(1, 2)), (F(3, 2), F(2, 3)),
+              (F(-7, 3), F(1, 3)), (F(-7, 3), F(1, 7))]:
+        p = int_row(vec(y) + (1,))
+        assert shadow.holds_at(p) == slice_meets(piece, p, box) == (abs(sum(y)) <= 2)
+
+
+def test_a_box_missing_the_domain_has_shadows_in_t_0_and_empty_slices():
+    f = line_2d()
+    box = ConvexPolyhedron.box((5, -5), F(1))
+    for piece in f.graph:
+        assert all(g[-1] == 0 for g in piece.shadow(box).generators())
+    for y in [(0, 0), (5, -5), (F(1, 3), F(-1, 7))]:
+        assert inverse_image(f, y, box).is_empty()
+
+
+def test_inverse_images_run_two_dds_per_graph_piece_whatever_the_ys(monkeypatch):
+    # one DD for each piece's lifted generators, one for its shadow's rows,
+    # once per box: none per y
+    f = saddle()
+    graph = f.graph  # the cell complex behind it runs DDs of its own
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(polyhedra, "hrep_to_vrep", spy(polyhedra.hrep_to_vrep))
+    monkeypatch.setattr(cones, "hrep_to_vrep", spy(cones.hrep_to_vrep))
+    box = ConvexPolyhedron.box((0, 0), F(1))
+    ys = [(F(i, 7), F(j, 3)) for i in range(-7, 8) for j in range(-3, 4)]
+    slices = [inverse_image(f, y, box) for y in ys]
+    assert len(calls) == 2 * len(graph)
+    assert any(s.is_empty() for s in slices) and not all(s.is_empty() for s in slices)
+    inverse_image(f, (0, 0), ConvexPolyhedron.box((0, 0), F(1, 2)))
+    assert len(calls) == 4 * len(graph)
 
 
 def same_cones(a, b):
