@@ -9,8 +9,9 @@ Fraction tableau.  Problem sizes here are tiny (tens of variables), so
 termination and exactness matter far more than pivoting heuristics.  No
 float enters.  Its one caller is the strict-feasibility test of the cell
 recursion (`polyhedra.strict_leaves`), which decides every memo miss by
-Gordan's alternative; emptiness, implied equalities, faces and cone
-membership are read off the double description instead.
+Gordan's alternative on the strict rows reduced against its equality set's
+integer nullspace, memoized per equality set; emptiness, implied
+equalities, faces and cone membership are read off the double description.
 """
 
 from __future__ import annotations
@@ -90,11 +91,18 @@ def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     (`polyhedra.strict_leaves`) passes frozensets of primitive int rows.
     The memo key is (n, nonzero rows of E, rows of S) as frozensets of the
     rows exactly as given, and the answer is computed from that key alone.
-    Substitutes the integer nullspace basis of E and applies Gordan's
-    alternative: exists t with M t < 0 iff no lambda >= 0, sum 1,
-    M' lambda = 0, which phase 1 of `solve_standard` decides alone.
+    Substitutes the integer nullspace basis of E, memoized on (n, rows of E)
+    since it depends on E alone, and applies Gordan's alternative: exists
+    t with M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0, which phase 1
+    of `solve_standard` decides alone.
     """
     return _strict_feasible(n, frozenset(eq_rows) - {(0,) * n}, frozenset(strict_rows))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _equality_basis(n: int, eq: frozenset) -> tuple[tuple[int, ...], ...]:
+    # s times the rref nullspace of E, in any row order; int_row removes s
+    return tuple(int_nullspace(tuple(eq), n)[0])
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -102,7 +110,7 @@ def _strict_feasible(n: int, eq: frozenset, strict: frozenset) -> bool:
     if not eq:
         reduced, d = list(strict), n
     else:
-        basis, _ = int_nullspace(tuple(eq), n)
+        basis = _equality_basis(n, eq)
         if not basis:
             return not strict  # only u = 0 remains
         reduced = [int_row([sum(x * y for x, y in zip(r, b)) for b in basis]) for r in strict]

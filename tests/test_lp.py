@@ -331,19 +331,26 @@ def strict_systems(draw):
         # minus the sum of the strict rows: infeasible, but dropping any
         # one row can make it feasible
         strict.append(tuple(-sum(col) for col in zip(*strict)))
+    # more strict sets against the same equality set, its rows reordered
+    tries = draw(st.lists(st.tuples(st.permutations(eq), st.lists(row, max_size=4)), max_size=3))
     return (eq, strict, n,
-            draw(st.lists(st.fractions(min_value=F(1, 7), max_value=7), min_size=8, max_size=8)))
+            draw(st.lists(st.fractions(min_value=F(1, 7), max_value=7), min_size=8, max_size=8)),
+            tries)
 
 
 @settings(max_examples=100)
 @given(strict_systems())
 def test_strict_homogeneous_feasible_matches_gordan_oracle(system):
-    eq, strict, n, scales = system
+    eq, strict, n, scales, tries = system
     expected = gordan_oracle(eq, strict, n)
     assert lp.strict_homogeneous_feasible(frozenset(eq), frozenset(strict), n) == expected
     # positive rational multiples of the rows describe the same system
     scaled = [tuple(scales[i] * x for x in r) for i, r in enumerate(eq + strict)]
     assert lp.strict_homogeneous_feasible(scaled[:len(eq)], scaled[len(eq):], n) == expected
+    # the equality set's nullspace is now warm: every other strict set, with
+    # the rows of E in another order, still gets the oracle's verdict
+    for eq_order, other in tries:
+        assert lp.strict_homogeneous_feasible(eq_order, other, n) == gordan_oracle(eq, other, n)
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=1, max_size=4),
