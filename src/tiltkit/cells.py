@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .cones import ConeUnion, PolyCone, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
-from .rational import Vec, int_row, mat, neg, vec, zeros
+from .rational import int_row, mat, neg, vec, zeros
 
 
 Signature = tuple[tuple[int, frozenset[int]], ...]  # (piece, active rows) per member
@@ -34,11 +34,11 @@ def _value_cone(union: PolyUnion, memberships: Sequence[tuple[int, frozenset[int
     """Regular normal cone on a locus where piece k is active exactly on S_k:
     the intersection over pieces of cone{A_k,i : i in S_k}."""
     dim = union.dim
-    ineq_rows: list[Vec] = []
+    ineq_rows: list[tuple[int, ...]] = []
     for k, s in memberships:
         rows = tuple(union.pieces[k].a[i] for i in sorted(s))
         ineq_rows.extend(generated_cone(rows, dim).ineqs)
-    return PolyCone(dim, ineqs=mat(ineq_rows))
+    return PolyCone(dim, ineqs=ineq_rows)
 
 
 def local_cells(union: PolyUnion, x) -> list[Signature]:
@@ -61,7 +61,7 @@ def local_cells(union: PolyUnion, x) -> list[Signature]:
         piece = union.pieces[k]
         act = sorted(piece.active_set(x))
         tangent = piece.tangent_cone(x)
-        rows = dict(zip(act, tangent.int_rows))
+        rows = dict(zip(act, tangent.ineqs))
         opts = []
         for j, (key, _) in enumerate(tangent.faces()):
             eq = frozenset(act[i] for i in key)
@@ -166,7 +166,10 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[
     from active sets at the sampled point.  Used as the outer-limit oracle.
     Equal signatures give equal cones, so a cone is built only for a
     signature not seen before.  Points are homogeneous int vectors, x as
-    p = int_row((x, 1)).
+    p = int_row((x, 1)).  A step halves, toward 0, the value at x of every
+    row of every piece that is nonzero there, so a sample keeps that row's
+    sign: it leaves no piece that holds x off its active rows and enters
+    no piece that misses x, and so stays near x.
     """
     x = vec(x)
     rng = random.Random(seed)
@@ -176,31 +179,27 @@ def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[
         raise ValueError("point is not in the union")
 
     # Directions that stay in piece k: relint points of its tangent faces,
-    # from the faces' generators (primitive int rows) padded to (g, 0); each
-    # kept with the rows of piece k slack at x, as (row, -row.p > 0).
-    face_dirs = []
-    for k, _ in sig:
-        rows = union.pieces[k].rows
-        slack = [(r, -v) for r, v in zip(rows, union.pieces[k].values_at(p)) if v < 0]
-        for _, face in union.pieces[k].tangent_cone(x).faces():
-            gens = [int_row(g) + (0,) for g in face.generators()]
-            if gens:
-                face_dirs.append((slack, gens))
+    # from the faces' generators (primitive int rows) padded to (g, 0).
+    face_dirs = [gens for k, _ in sig for _, face in union.pieces[k].tangent_cone(x).faces()
+                 if (gens := [g + (0,) for g in face.generators()])]
+    # every row of every piece with its value row.p != 0 at x
+    nonzero = [(r, v) for piece in union.pieces
+               for r, v in zip(piece.rows, piece.values_at(p)) if v]
 
     # constant sequences reach the query point itself, so its regular cone
     # always belongs to the outer limit; with no direction every sample is x
     collected: list[PolyCone] = [_value_cone(union, sig)]
     seen = {sig}
     for _ in range(count if face_dirs else 0):
-        slack, gens = face_dirs[rng.randrange(len(face_dirs))]
+        gens = face_dirs[rng.randrange(len(face_dirs))]
         weights = [rng.randint(1, SCALE_DEN) for _ in gens]
         u = [sum(map(operator.mul, weights, col)) for col in zip(*gens)]
         # the sample x + t u / SCALE_DEN, its step t <= 1/SCALE_DEN halving each
-        # slack that u spends so it stays in piece k, is (p + tau u) / p[-1] with
+        # nonzero value that u moves toward 0, is (p + tau u) / p[-1] with
         # tau = t p[-1] / SCALE_DEN
-        spent = [(s, sum(map(operator.mul, r, u))) for r, s in slack]
+        spent = [(v, sum(map(operator.mul, r, u))) for r, v in nonzero]
         tau = min([Fraction(p[-1], SCALE_DEN ** 2)]
-                  + [Fraction(s, 2 * ru) for s, ru in spent if ru > 0])
+                  + [Fraction(-v, 2 * ru) for v, ru in spent if v * ru < 0])
         sig = _signature(union, [tau.denominator * a + tau.numerator * b for a, b in zip(p, u)])
         if sig in seen:
             continue

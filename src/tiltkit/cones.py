@@ -6,10 +6,12 @@ description pass over ints (int rays, bitmask zero sets), so the two forms
 always describe the same set.  It runs on the pointed quotient (the cone
 cut down to the orthogonal complement of its lineality space), so its
 output is already the set of extreme rays, each orthogonal to the
-lineality; no LP runs.  Polarity is the representation swap: the polar of
-{u : G u <= 0} is cone(rows of G), and vice versa.  Membership tests the
-int rows of the inequality form, which a cone given by generators gets
-once, from its polar's double description.
+lineality; no LP runs.  Rows, rays and lineality are primitive int tuples
+throughout: given ones are made primitive, which keeps the cone, and the
+double description hands out the ints it computes.  Polarity is the
+representation swap: the polar of {u : G u <= 0} is cone(rows of G), and
+vice versa.  Membership tests the rows of the inequality form, which a
+cone given by generators gets once, from its polar's double description.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import functools
 import itertools
 import operator
 
-from .rational import (MEMO_SIZE, Mat, Vec, as_int_row, int_nullspace, int_row, int_rref, mat,
-                       neg, vec)
+from .rational import MEMO_SIZE, as_int_row, int_nullspace, int_row, int_rref, neg, vec
+
+Row = tuple[int, ...]
 
 
 def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -58,8 +61,9 @@ def _dd_pointed(dim: int, extra: list[tuple[int, ...]]) -> list[tuple[int, ...]]
     return rays
 
 
-def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
-    """Generators of {u : g u <= 0}: (lineality basis, rays).
+def hrep_to_vrep(g, dim: int) -> tuple[list[Row], list[Row]]:
+    """Generators of {u : g u <= 0}: (lineality basis, rays), primitive int
+    tuples; g's rows are exact.
 
     The rays are the cone's extreme rays, taken orthogonal to the lineality
     space, primitive and sorted.  The double description runs on the
@@ -75,7 +79,7 @@ def hrep_to_vrep(g: Mat, dim: int) -> tuple[list[Vec], list[Vec]]:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _vrep(dim: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+def _vrep(dim: int, rows: tuple[Row, ...]) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
     lineality = [int_row(l) for l in int_nullspace(rows, dim)[0]]
     # the rref of g^T (times an int): its pivot columns pick B, its other
     # columns hold the c_j
@@ -89,7 +93,7 @@ def _vrep(dim: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[Vec, ...],
     back = [row[dim:] for row in int_rref(system)[0]]
     rays = sorted(int_row([sum(map(operator.mul, row, x)) for row in back])
                   for x in _dd_pointed(k, extra))
-    return tuple(map(vec, lineality)), tuple(map(vec, rays))
+    return tuple(lineality), tuple(rays)
 
 
 def close_under_meets(seeds, tight_sets) -> set[frozenset[int]]:
@@ -113,24 +117,25 @@ def close_under_meets(seeds, tight_sets) -> set[frozenset[int]]:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def generated_cone(rows: tuple[Vec, ...], dim: int) -> PolyCone:
+def generated_cone(rows: tuple, dim: int) -> PolyCone:
     """cone(rows), memoized on the rows in the caller's order: normal cones
     and cell values ask for the same few cones over and over."""
     return PolyCone.from_generators(rows, dim)
 
 
 class PolyCone:
-    """Immutable polyhedral convex cone in R^n."""
+    """Immutable polyhedral convex cone in R^n; exact rows and generators
+    given are kept made primitive."""
 
-    def __init__(self, dim: int, ineqs: Mat | None = None,
-                 rays: list[Vec] | None = None, lineality: list[Vec] | None = None):
+    def __init__(self, dim: int, ineqs=None, rays=None, lineality=None):
         if ineqs is None and rays is None and lineality is None:
             raise ValueError("cone needs at least one description")
         self.dim = dim
         if ineqs is not None:
-            self.ineqs = mat(ineqs)
+            self.ineqs = tuple(map(as_int_row, ineqs))
         if rays is not None or lineality is not None:
-            self._lin_rays = ([vec(l) for l in lineality or ()], [vec(r) for r in rays or ()])
+            self._lin_rays = ([as_int_row(l) for l in lineality or ()],
+                              [as_int_row(r) for r in rays or ()])
         self._polyhedron = None  # kept by `polyhedra.cone_polyhedron`
 
     @classmethod
@@ -148,29 +153,24 @@ class PolyCone:
     # -- representations ---------------------------------------------------
 
     @functools.cached_property
-    def ineqs(self) -> Mat:
+    def ineqs(self) -> tuple[Row, ...]:
         # Bipolar: {x : <h,x> <= 0 for every generator h of the polar}.
-        return mat(self.polar().generators())
+        return tuple(self.polar().generators())
 
     @functools.cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """`int_row` of each row of `ineqs`."""
-        return tuple(map(int_row, self.ineqs))
-
-    @functools.cached_property
-    def _lin_rays(self) -> tuple[list[Vec], list[Vec]]:
+    def _lin_rays(self) -> tuple[list[Row], list[Row]]:
         """(lineality basis, extreme rays), by double description of `ineqs`."""
-        return hrep_to_vrep(self.int_rows, self.dim)
+        return hrep_to_vrep(self.ineqs, self.dim)
 
     @property
-    def rays(self) -> list[Vec]:
+    def rays(self) -> list[Row]:
         return self._lin_rays[1]
 
     @property
-    def lineality(self) -> list[Vec]:
+    def lineality(self) -> list[Row]:
         return self._lin_rays[0]
 
-    def generators(self) -> list[Vec]:
+    def generators(self) -> list[Row]:
         """Rays plus +-lineality: a finite set whose conic hull is the cone."""
         gens = list(self.rays)
         for l in self.lineality:
@@ -193,7 +193,7 @@ class PolyCone:
 
     def holds_at(self, u) -> bool:
         """Is v in the cone, for u the ints of a positive multiple of v?"""
-        return all(sum(map(operator.mul, row, u)) <= 0 for row in self.int_rows)
+        return all(sum(map(operator.mul, row, u)) <= 0 for row in self.ineqs)
 
     def contains_cone(self, other: "PolyCone") -> bool:
         return all(self.contains(g) for g in other.generators()) if other.generators() \
@@ -216,9 +216,9 @@ class PolyCone:
         lineality space, which is tight on every row; so the keys are the
         set of all rows closed under intersection with each ray's tight set.
         """
-        rays, rows = self.rays, self.int_rows
+        rays, rows = self.rays, self.ineqs
         tight = [frozenset(a for a, row in enumerate(rows) if not sum(map(operator.mul, row, r)))
-                 for r in map(int_row, rays)]
+                 for r in rays]
         on = {key: [i for i, t in enumerate(tight) if key <= t]
               for key in close_under_meets([frozenset(range(len(rows)))], tight)}
         return [(key, PolyCone(self.dim, rays=[rays[i] for i in on[key]],

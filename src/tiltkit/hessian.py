@@ -22,7 +22,7 @@ from .cones import ConeUnion, PolyCone
 from .copositive import cone_form_sign_and_zeros, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
-from .rational import F0, F1, Vec, dot, is_zero, mat, matvec, neg, sub, vec
+from .rational import F0, F1, Vec, dot, is_zero, matvec, neg, sub, vec
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,9 @@ def kernel(f: FunctionSpec, xbar, xstar) -> KernelReport:
     n = f.dim
     witnesses: list[Vec] = []
     for k in som.normal_cone.pieces:
-        zrows = [vec(g[n:]) for g in k.ineqs]
-        sect = PolyCone.from_inequalities(mat(zrows), n)
+        sect = PolyCone.from_inequalities([g[n:] for g in k.ineqs], n)
         for g in sect.rays + sect.lineality + [neg(l) for l in sect.lineality]:
-            u = neg(vec(g))
+            u = neg(g)
             if not is_zero(u) and u not in witnesses:
                 witnesses.append(u)
     return KernelReport(trivial=not witnesses, basis=tuple(witnesses))
@@ -174,20 +173,18 @@ def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
     neg_wit = None
     zero_wit = None
     for k in som.normal_cone.pieces:
-        if all(is_zero(vec(g[n:])) for g in k.generators()):
+        if all(is_zero(g[n:]) for g in k.generators()):
             continue
         sign, w, zero_points = cone_form_sign_and_zeros(k, form)
         if sign < 0:
             neg_wit = w
             break
         if zero_wit is None:
-            zero_wit = next((v for v in zero_points if not is_zero(vec(v[n:]))), None)
+            zero_wit = next((v for v in zero_points if not is_zero(v[n:])), None)
     if neg_wit is not None:
-        u = neg(vec(neg_wit[n:]))
-        ustar = vec(neg_wit[:n])
+        u, ustar = neg(neg_wit[n:]), neg_wit[:n]
         return DefinitenessVerdict(INDEFINITE, (u, ustar, dot(ustar, u)))
     if zero_wit is not None:
-        u = neg(vec(zero_wit[n:]))
-        ustar = vec(zero_wit[:n])
+        u, ustar = neg(zero_wit[n:]), zero_wit[:n]
         return DefinitenessVerdict(SEMIDEFINITE_DEGENERATE, (u, ustar, F0))
     return DefinitenessVerdict(POSITIVE_DEFINITE, None)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import functools
 import operator
+from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Vec, dot, frac, int_row, is_zero, mat, neg, nullspace, primitive,
-                       rank, sub, unit, vec, zeros)
+from .rational import (F0, F1, Vec, dot, frac, int_row, mat, neg, nullspace, rank, sub, unit, vec,
+                       zeros)
 
 
 class ConvexPolyhedron:
@@ -34,7 +35,6 @@ class ConvexPolyhedron:
             if dim is None:
                 raise ValueError("empty A needs explicit dimension")
             self.dim = dim
-        self._vrep: tuple[list[Vec], list[Vec], list[Vec]] | None = None
         self._implied: frozenset[int] | None = None
         self._projection = None  # float data kept by `project.project_polyhedron`
 
@@ -59,12 +59,9 @@ class ConvexPolyhedron:
         """Each row a_i x <= b_i as its primitive int row `homogenize(a_i, b_i)`."""
         return tuple(map(homogenize, self.a, self.b))
 
-    def _values(self, x, t=F1) -> list[int]:
-        """Positive multiples of A_i x - b_i t: `values_at` the ints of (x, t)."""
-        return self.values_at(_homogeneous(x, self.dim, t))
-
     def values_at(self, p) -> list[int]:
-        """`_values` at the ints p of (x, t), up to a positive factor."""
+        """Positive multiples of A_i x - b_i t, for p the ints of (x, t) up to
+        a positive factor."""
         return [sum(map(operator.mul, row, p)) for row in self.rows]
 
     def holds_at(self, p) -> bool:
@@ -76,30 +73,35 @@ class ConvexPolyhedron:
 
     def active_set(self, x) -> frozenset[int]:
         """{i : A_i x = b_i}; raises if x is outside."""
-        vals = self._values(x)
+        vals = self.values_at(_homogeneous(x, self.dim))
         if any(v > 0 for v in vals):
             raise ValueError("point is not in the polyhedron")
         return frozenset(i for i, v in enumerate(vals) if v == 0)
 
+    @functools.cached_property
+    def _generators(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """(lineality, rays) of the homogenization cone {(x, t) : Ax - tb <= 0,
+        t >= 0}, primitive int tuples."""
+        return hrep_to_vrep(self.rows + ((0,) * self.dim + (-1,),), self.dim + 1)
+
     def is_empty(self) -> bool:
-        """No vrep() point: the homogenization cone has no generator with t > 0."""
-        return not self.vrep()[0]
+        """No generator of the homogenization cone has t > 0."""
+        return not any(r[-1] for r in self._generators[1])
 
     def implied_equalities(self) -> frozenset[int]:
         """Rows holding with equality on the entire polyhedron (none when
-        it is empty): the rows tight on every vrep() generator."""
+        it is empty): the rows tight on every generator."""
         if self._implied is None:
             tight = [t for t, _ in self._generator_tight_sets()]
-            self._implied = frozenset.intersection(*tight) if self.vrep()[0] else frozenset()
+            self._implied = frozenset() if self.is_empty() else frozenset.intersection(*tight)
         return self._implied
 
     def _generator_tight_sets(self) -> list[tuple[frozenset[int], bool]]:
-        """(rows tight on it, is a point) per vrep() generator: the points
-        (t = 1), rays and lineality (t = 0) generating the homogenization
-        cone {(x, t) : Ax - tb <= 0, t >= 0}."""
-        points, rec, lin = self.vrep()
-        return [(frozenset(i for i, v in enumerate(self._values(g, t)) if not v), t == 1)
-                for g, t in [(p, F1) for p in points] + [(r, F0) for r in rec + lin]]
+        """(rows tight on it, is a point: t > 0) per generator of the
+        homogenization cone, its rays then its lineality."""
+        lin, rays = self._generators
+        return [(frozenset(i for i, v in enumerate(self.values_at(g)) if not v), g[-1] > 0)
+                for g in rays + lin]
 
     def relint_point(self) -> Vec | None:
         """A point strict on every non-implied row, or None when empty.
@@ -168,12 +170,12 @@ class ConvexPolyhedron:
     def faces(self) -> list[tuple[frozenset[int], "ConvexPolyhedron"]]:
         """Nonempty faces as (implied-active row set, face polyhedron).
 
-        The homogenization of a face is generated by the vrep() generators
-        on it, so the face is nonempty iff one of them is a point, and its
-        key (the rows tight on all of it) is the intersection of their
-        tight sets.  The keys are therefore the points' tight sets closed
-        under intersection with every generator's tight set; each face
-        appears once, under its exact active set.
+        The homogenization of a face is generated by the homogenization
+        cone's generators on it, so the face is nonempty iff one of them is
+        a point, and its key (the rows tight on all of it) is the
+        intersection of their tight sets.  The keys are therefore the
+        points' tight sets closed under intersection with every generator's
+        tight set; each face appears once, under its exact active set.
         """
         gens = self._generator_tight_sets()
         keys = close_under_meets([t for t, is_point in gens if is_point], [t for t, _ in gens])
@@ -202,22 +204,15 @@ class ConvexPolyhedron:
     def vrep(self) -> tuple[list[Vec], list[Vec], list[Vec]]:
         """(vertex-like points, recession rays, lineality basis).
 
-        From the homogenization cone {(x,t): Ax - tb <= 0, -t <= 0}; when
-        the polyhedron has lineality, the 'vertices' are points of minimal
-        faces rather than true vertices.
+        From the generators (x, t) of the homogenization cone: a point x / t
+        per ray with t > 0, as Fractions; the rest have t = 0 (lineality is
+        tight on the row -t <= 0) and give their x, still primitive ints.
+        When the polyhedron has lineality, the 'vertices' are points of
+        minimal faces rather than true vertices.
         """
-        if self._vrep is None:
-            lin, rays = hrep_to_vrep(self.rows + ((0,) * self.dim + (-1,),), self.dim + 1)
-            points, rec = [], []
-            # lineality is tight on the row -t <= 0, so its t-part is 0
-            linv = [primitive(l[:-1]) for l in lin]
-            for r in rays:
-                if r[-1] > 0:
-                    points.append(tuple(x / r[-1] for x in r[:-1]))
-                elif not is_zero(r[:-1]):
-                    rec.append(primitive(r[:-1]))
-            self._vrep = (points, rec, linv)
-        return self._vrep
+        lin, rays = self._generators
+        return ([tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]],
+                [r[:-1] for r in rays if not r[-1]], [l[:-1] for l in lin])
 
     def to_float_rows(self) -> tuple[list[list[float]], list[float]]:
         return [list(map(float, r)) for r in self.a], [float(x) for x in self.b]
@@ -261,9 +256,7 @@ def critical_cone(piece: ConvexPolyhedron, x, v) -> PolyCone:
     v = vec(v)
     if not piece.normal_cone(x).contains(v):
         raise ValueError("direction is not in the normal cone at the point")
-    t = piece.tangent_cone(x)
-    rows = list(t.ineqs) + [v, neg(v)]
-    return PolyCone.from_inequalities(mat(rows), piece.dim)
+    return PolyCone.from_inequalities(piece.tangent_cone(x).ineqs + (v, neg(v)), piece.dim)
 
 
 def cone_polyhedron(cone: PolyCone) -> ConvexPolyhedron:
@@ -273,12 +266,12 @@ def cone_polyhedron(cone: PolyCone) -> ConvexPolyhedron:
     return cone._polyhedron
 
 
-def _homogeneous(x, dim: int, t=F1) -> tuple[int, ...]:
-    """The primitive ints of (x, t), x a rational point of R^dim."""
+def _homogeneous(x, dim: int) -> tuple[int, ...]:
+    """The primitive ints of (x, 1), x a rational point of R^dim."""
     x = vec(x)
     if len(x) != dim:
         raise ValueError(f"dimension mismatch: {len(x)} vs {dim}")
-    return int_row(x + (t,))
+    return int_row(x + (F1,))
 
 
 def homogenize(a, b) -> tuple[int, ...]:

@@ -1,11 +1,11 @@
 """Exact rational vectors, matrices, and the small linear algebra the
 polyhedral machinery needs.
 
-Vectors are tuples of Fraction, matrices tuples of row tuples.  Everything
-here is pure; callers rely on exactness.  Elimination (rref, int_rref,
-rank, nullspace, solve) is one fraction-free pass over primitive integer rows,
-so its hot loop does int products only and Fractions appear only in
-results.
+Vectors are tuples of exact scalars, Fractions or ints, matrices tuples of
+row tuples; cone data are primitive int rows.  Everything here is pure;
+callers rely on exactness.  Elimination (rref, int_rref, rank, nullspace,
+solve) is one fraction-free pass over primitive integer rows, so its hot
+loop does int products only and Fractions appear only in results.
 """
 
 from __future__ import annotations
@@ -114,19 +114,12 @@ def int_row(a: Sequence) -> tuple[int, ...]:
 
 
 def as_int_row(a: Sequence) -> tuple[int, ...]:
-    """`int_row(a)`; a row of ints is only divided by its gcd."""
+    """`int_row(vec(a))`, so a float raises TypeError as in `frac`; a row of
+    ints is only divided by its gcd."""
     if not all(type(x) is int for x in a):
-        return int_row(a)
+        return int_row(vec(a))
     g = math.gcd(*a)
     return tuple(x // g for x in a) if g > 1 else tuple(a)
-
-
-def primitive(a: Vec) -> Vec:
-    """Scale a nonzero rational vector to integer entries with gcd 1.
-
-    The positive scaling keeps ray directions and signs.
-    """
-    return tuple(Fraction(v) for v in int_row(a))
 
 
 def _echelon(m: Mat) -> tuple[list[list[int]], list[int]]:

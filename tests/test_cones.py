@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,15 @@ from hypothesis import strategies as st
 from tiltkit import cones, lp
 from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
-from tiltkit.rational import (F0, F1, add, dot, int_row, is_zero, mat, neg, nullspace, primitive,
-                              rank, rref, scale, sub, unit, vec, zeros)
+from tiltkit.rational import (F0, F1, add, dot, int_row, is_zero, mat, neg, nullspace, rank, rref,
+                              scale, sub, unit, vec, zeros)
 from test_lp import ARITHMETIC
+
+def primitive(a):
+    """The oracles' scaling of a nonzero rational vector to coprime integer
+    entries, kept as Fractions."""
+    return tuple(F(v) for v in int_row(a))
+
 
 small_ints = st.integers(min_value=-3, max_value=3)
 ray2 = st.tuples(small_ints, small_ints).filter(lambda r: any(r))
@@ -196,7 +203,7 @@ def test_hrep_to_vrep_matches_fraction_oracle(case):
     lin, rays = hrep_to_vrep(rows, n)
     ref_lin, ref_rays = fraction_vrep(n, [int_row(r) for r in rows if any(r)])
     assert (lin, rays) == (ref_lin, ref_rays)
-    assert all(type(x) is F for v in lin + rays for x in v)
+    assert all(type(x) is int for v in lin + rays for x in v)
 
 
 def lp_in_generated(v, rays, lineality):
@@ -364,3 +371,57 @@ def test_int_kernels_do_no_fraction_arithmetic(monkeypatch):
     assert contains == ref_contains == [True, True, True, True, False]
     assert active == [frozenset(), frozenset([0, 1]), frozenset(), frozenset([0])]
     assert in_cone == ref_cone
+
+
+def is_primitive_int(v):
+    """Ints with gcd 1, or all zero."""
+    return all(type(x) is int for x in v) and math.gcd(*v) == (1 if any(v) else 0)
+
+
+@st.composite
+def rows_and_rescaled_copy(draw):
+    """(n, int rows, the same rows times positive rationals, as Fractions)."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=5))
+    factors = draw(st.lists(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6),
+                            min_size=len(rows), max_size=len(rows)))
+    return n, rows, [scale(vec(r), c) for r, c in zip(rows, factors)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_and_rescaled_copy())
+def test_cone_data_are_primitive_int_rows(case):
+    # whatever the scale of the rows given, a cone keeps their primitive ints,
+    # and its other description comes from the double description as ints
+    n, rows, rescaled = case
+    for make in (PolyCone.from_inequalities,
+                 lambda g, n: PolyCone.from_generators(g[1:], n, lineality=g[:1])):
+        cone, copy = make(rows, n), make(rescaled, n)
+        data = [cone.ineqs, cone.rays, cone.lineality]
+        assert [copy.ineqs, copy.rays, copy.lineality] == data
+        for c in (cone, copy):
+            assert all(is_primitive_int(v) for part in (c.ineqs, c.rays, c.lineality)
+                       for v in part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[small_ints] * n), st.fractions(-2, 2, max_denominator=3)),
+    min_size=1, max_size=5)))
+def test_vrep_points_are_fractions_and_directions_primitive_ints(rows):
+    poly = ConvexPolyhedron([a for a, _ in rows], [b for _, b in rows])
+    points, rec, lin = poly.vrep()
+    assert all(type(x) is F for p in points for x in p)
+    assert all(is_primitive_int(v) and any(v) for v in rec + lin)
+    assert poly.is_empty() == (not points)
+
+
+def test_float_and_bool_entries_raise_type_error():
+    # as `frac` rejects them: the exact path must not absorb binary rounding
+    for bad in (0.5, True):
+        for make in (lambda: PolyCone.from_inequalities([(bad, 1)], 2),
+                     lambda: PolyCone.from_generators([(1, bad)], 2),
+                     lambda: PolyCone.from_generators([], 2, lineality=[(bad, 0)]),
+                     lambda: hrep_to_vrep([(1, bad)], 2)):
+            with pytest.raises(TypeError):
+                make()

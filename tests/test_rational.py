@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltkit.rational import (F0, F1, add, dot, int_nullspace, int_row, mat, matvec,
-                              nullspace, primitive, rank, rref, solve,
-                              solve_affine, sub, vec)
+from tiltkit.rational import (F0, F1, add, dot, int_nullspace, int_row, mat, matvec, nullspace,
+                              rank, rref, solve, solve_affine, sub, vec)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -90,13 +89,12 @@ def test_elimination_matches_fraction_oracle(m, rhs):
     b = vec(rhs[:len(m)])
     assert solve(m, b) == fraction_solve(m, b)
     for r in m:
-        p = primitive(r)
         ir = int_row(r)
-        assert p == ir and all(type(x) is int for x in ir)
+        assert all(type(x) is int for x in ir)
         if any(r):
             # a positive multiple of r with coprime integer entries
-            k = next(x / y for x, y in zip(p, r) if y)
-            assert k > 0 and tuple(k * x for x in r) == p
+            k = next(x / y for x, y in zip(ir, r) if y)
+            assert k > 0 and tuple(k * x for x in r) == ir
             assert math.gcd(*ir) == 1
 
 
@@ -122,8 +120,8 @@ def test_solve_affine_full_set():
 
 
 def test_primitive_scaling():
-    assert primitive(vec([F(2, 3), F(4, 3)])) == vec([1, 2])
-    assert primitive(vec([F(-1, 2), F(1, 2)])) == vec([-1, 1])
+    assert int_row(vec([F(2, 3), F(4, 3)])) == (1, 2)
+    assert int_row(vec([F(-1, 2), F(1, 2)])) == (-1, 1)
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2),
