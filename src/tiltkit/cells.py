@@ -19,12 +19,11 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cones import ConeUnion, PolyCone, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
-from .rational import int_row, mat, neg, vec, zeros
+from .rational import mat, neg, vec, zeros
 
 
 Signature = tuple[tuple[int, frozenset[int]], ...]  # (piece, active rows) per member
@@ -143,64 +142,50 @@ def cell_complex(union: PolyUnion) -> list[Cell]:
 # -- brute-force sampling oracle ----------------------------------------------
 
 
-SCALE_DEN = 64  # direction weights are 1..SCALE_DEN over SCALE_DEN; steps are at most 1/SCALE_DEN
-
-
-def _signature(union: PolyUnion, p: Sequence[int]) -> Signature:
-    """The pieces containing the point whose homogeneous ints are p (a
-    positive multiple of (y, 1)), each with its active rows there, read off
-    the piece's int rows in one pass; () outside the union."""
-    sig = []
-    for k, piece in enumerate(union.pieces):
-        vals = piece.values_at(p)
-        if all(v <= 0 for v in vals):
-            sig.append((k, frozenset(i for i, v in enumerate(vals) if v == 0)))
-    return tuple(sig)
+SCALE_DEN = 64  # each generator's weight in a sampled direction is drawn from 1..SCALE_DEN
 
 
 def sampled_regular_normals(union: PolyUnion, x, count: int, seed: int) -> list[PolyCone]:
-    """Regular normal cones collected at `count` exact points of the union
-    near x.
+    """Regular normal cones collected at `count` points of the union near x.
 
     Independent of the cell enumeration: each sample's cone comes straight
-    from active sets at the sampled point.  Used as the outer-limit oracle.
-    Equal signatures give equal cones, so a cone is built only for a
-    signature not seen before.  Points are homogeneous int vectors, x as
-    p = int_row((x, 1)).  A step halves, toward 0, the value at x of every
-    row of every piece that is nonzero there, so a sample keeps that row's
-    sign: it leaves no piece that holds x off its active rows and enters
-    no piece that misses x, and so stays near x.
+    from the pieces and active rows at the sampled point.  Used as the
+    outer-limit oracle.  A sample is x + t u, u a random direction in a face
+    of a piece's tangent cone at x and t > 0 small enough, so its signature
+    is read off signs without forming the point: a piece that misses x stays
+    out, and so does each slack row; an active row has value t (row . u).
+    So the sample lies in exactly the pieces holding x whose active rows all
+    have row . u <= 0, active in each on the rows with row . u = 0.  Equal
+    signatures give equal cones, so a cone is built only for a signature
+    not seen before.
     """
     x = vec(x)
     rng = random.Random(seed)
-    p = int_row(x + (1,))
-    sig = _signature(union, p)
-    if not sig:
+    held = tuple((k, union.pieces[k].active_set(x)) for k in union.pieces_containing(x))
+    if not held:
         raise ValueError("point is not in the union")
 
     # Directions that stay in piece k: relint points of its tangent faces,
     # from the faces' generators (primitive int rows) padded to (g, 0).
-    face_dirs = [gens for k, _ in sig for _, face in union.pieces[k].tangent_cone(x).faces()
+    face_dirs = [gens for k, _ in held for _, face in union.pieces[k].tangent_cone(x).faces()
                  if (gens := [g + (0,) for g in face.generators()])]
-    # every row of every piece with its value row.p != 0 at x
-    nonzero = [(r, v) for piece in union.pieces
-               for r, v in zip(piece.rows, piece.values_at(p)) if v]
+    # the active rows at x of each piece holding x, as (index, int row)
+    active = [(k, [(i, union.pieces[k].rows[i]) for i in act]) for k, act in held]
 
     # constant sequences reach the query point itself, so its regular cone
     # always belongs to the outer limit; with no direction every sample is x
-    collected: list[PolyCone] = [_value_cone(union, sig)]
-    seen = {sig}
+    collected: list[PolyCone] = [_value_cone(union, held)]
+    seen = {held}
     for _ in range(count if face_dirs else 0):
         gens = face_dirs[rng.randrange(len(face_dirs))]
         weights = [rng.randint(1, SCALE_DEN) for _ in gens]
         u = [sum(map(operator.mul, weights, col)) for col in zip(*gens)]
-        # the sample x + t u / SCALE_DEN, its step t <= 1/SCALE_DEN halving each
-        # nonzero value that u moves toward 0, is (p + tau u) / p[-1] with
-        # tau = t p[-1] / SCALE_DEN
-        spent = [(v, sum(map(operator.mul, r, u))) for r, v in nonzero]
-        tau = min([Fraction(p[-1], SCALE_DEN ** 2)]
-                  + [Fraction(-v, 2 * ru) for v, ru in spent if v * ru < 0])
-        sig = _signature(union, [tau.denominator * a + tau.numerator * b for a, b in zip(p, u)])
+        sig = []
+        for k, rows in active:
+            vals = [(i, sum(map(operator.mul, r, u))) for i, r in rows]
+            if all(v <= 0 for _, v in vals):
+                sig.append((k, frozenset(i for i, v in vals if not v)))
+        sig = tuple(sig)
         if sig in seen:
             continue
         seen.add(sig)

@@ -277,7 +277,7 @@ class Params:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"param {name} must be positive")
         if self.grid < 2 or self.refine_max < 1:
-            raise ValidationError("grid densities must be positive")
+            raise ValidationError("param grid must be at least 2 and refine_max at least 1")
 
     def replace(self, **kw) -> "Params":
         return dataclasses.replace(self, **kw)

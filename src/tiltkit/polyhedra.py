@@ -35,7 +35,6 @@ class ConvexPolyhedron:
             if dim is None:
                 raise ValueError("empty A needs explicit dimension")
             self.dim = dim
-        self._implied: frozenset[int] | None = None
         self._projection = None  # float data kept by `project.project_polyhedron`
 
     @classmethod
@@ -91,10 +90,9 @@ class ConvexPolyhedron:
     def implied_equalities(self) -> frozenset[int]:
         """Rows holding with equality on the entire polyhedron (none when
         it is empty): the rows tight on every generator."""
-        if self._implied is None:
-            tight = [t for t, _ in self._generator_tight_sets()]
-            self._implied = frozenset() if self.is_empty() else frozenset.intersection(*tight)
-        return self._implied
+        if self.is_empty():
+            return frozenset()
+        return frozenset.intersection(*(t for t, _ in self._generator_tight_sets()))
 
     def _generator_tight_sets(self) -> list[tuple[frozenset[int], bool]]:
         """(rows tight on it, is a point: t > 0) per generator of the

@@ -18,8 +18,8 @@ from tiltkit.rational import add, dot, int_row, is_zero, mat, neg, scale, vec, z
 def regular_normal_cone(union, x):
     """Polar of the union of piece tangent cones at x: the intersection of
     the pieces' convex normal cones.  Convex, exact.  Reads the pieces and
-    active sets off the Fraction point, sharing no code with the sampler's
-    int signatures."""
+    active sets off the Fraction point itself, where the sampler reads its
+    signatures off the signs of row . u and forms no point."""
     x = vec(x)
     ks = union.pieces_containing(x)
     if not ks:
@@ -82,8 +82,13 @@ def test_interior_point_trivial():
 
 
 def test_outside_raises():
-    with pytest.raises(ValueError):
-        limiting_normal_cone(cross(), (1, 1))
+    # a point of the wrong dimension is reported as such, not as outside
+    for x, match in [((1, 1), "not in the union"), ((5, 5, 0), "dimension mismatch"),
+                     ((5,), "dimension mismatch")]:
+        with pytest.raises(ValueError, match=match):
+            limiting_normal_cone(cross(), x)
+        with pytest.raises(ValueError, match=match):
+            sampled_regular_normals(cross(), x, 50, 1)
 
 
 def test_global_cells_of_wedge():
@@ -305,16 +310,27 @@ def lp_escapes(target, covers):
 
 
 @st.composite
-def unions_through_origin(draw, max_pieces=3):
+def unions_through_origin(draw, max_pieces=3, miss=False):
     """1-max_pieces pieces in R^1..R^3, each with 1-4 small integer rows
-    and a nonnegative right-hand side, so every piece contains the origin."""
+    and a nonnegative right-hand side, so every piece contains the origin.
+    With `miss`, maybe one more piece, at a drawn index, that misses the
+    origin: one drawn as above, moved to a nonzero integer point c and cut
+    by -c . x <= -c . c, which c meets and the origin violates."""
     n = draw(st.integers(1, 3))
-    pieces = []
-    for _ in range(draw(st.integers(1, max_pieces))):
+
+    def rows_rhs():
         m = draw(st.integers(1, 4))
         rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=m, max_size=m))
-        rhs = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
-        pieces.append(ConvexPolyhedron(rows, rhs, dim=n))
+        return rows, draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+
+    pieces = [ConvexPolyhedron(*rows_rhs(), dim=n)
+              for _ in range(draw(st.integers(1, max_pieces)))]
+    if miss and draw(st.booleans()):
+        rows, rhs = rows_rhs()
+        c = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+        away = ConvexPolyhedron(rows + [neg(c)], [b + dot(r, c) for r, b in zip(rows, rhs)]
+                                + [-dot(c, c)])
+        pieces.insert(draw(st.integers(0, len(pieces))), away)
     return PolyUnion(pieces)
 
 
@@ -374,12 +390,17 @@ def test_limiting_normal_cone_equals_sampled_union(union):
 
 
 @settings(max_examples=50, deadline=None)
-@given(unions_through_origin(max_pieces=4), st.sampled_from([1, F(1, 64), F(1, 4096)]),
+@given(unions_through_origin(max_pieces=4, miss=True), st.sampled_from([1, F(1, 64), F(1, 4096)]),
        st.integers(0, 2 ** 16))
 @example(PolyUnion([ConvexPolyhedron([(1,), (-1,)], (0, 0))]), 1, 0)  # no direction to draw
+# the origin is on the first piece's edge x = y = 0; the second piece misses
+# it, and a step along the edge into it would collect cone{(1, 1, 0)}
+@example(PolyUnion([ConvexPolyhedron([(1, 0, 0), (0, 1, 0)], (0, 0)),
+                    ConvexPolyhedron([(1, 1, 0), (0, 0, -1)], (0, -1))]), F(1, 4096), 0)
 def test_int_sampler_matches_fraction_oracle(union, shrink, seed):
-    # same cones in the same order: the int points draw the Fraction points.
-    # Shrunken right sides leave small slacks at the origin, which steps halve.
+    # same cones in the same order: the int signatures read off signs match
+    # the Fraction points.  Shrunken right sides leave small slacks at the
+    # origin, which steps halve, and bring a piece that misses it near.
     union = PolyUnion([ConvexPolyhedron(p.a, [b * shrink for b in p.b]) for p in union.pieces])
     origin = (0,) * union.dim
     got = sampled_regular_normals(union, origin, 300, seed)

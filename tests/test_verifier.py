@@ -146,6 +146,19 @@ def test_cli_analyze_malformed_file_exits_2(tmp_path, capsys, raw):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, params", [(["--grid", "1"], {}), ([], {"grid": 1}),
+                                          ([], {"refine_max": 0})],
+                         ids=["grid-flag-1", "grid-param-1", "refine-max-0"])
+def test_cli_grid_below_2_exits_2(tmp_path, capsys, flag, params):
+    # the grid divides by per_axis - 1, so 1 is too coarse although positive
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps(_exact_file(params=params)))
+    assert main(["analyze", str(prob)] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: param grid must be at least 2 and refine_max at least 1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_cli_probe_count_below_1_exits_2(capsys, count):
     assert main(["probe", "--seed", "1", "--count", count]) == 2
