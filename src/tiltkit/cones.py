@@ -136,7 +136,6 @@ class PolyCone:
         if rays is not None or lineality is not None:
             self._lin_rays = ([as_int_row(l) for l in lineality or ()],
                               [as_int_row(r) for r in rays or ()])
-        self._polyhedron = None  # kept by `polyhedra.cone_polyhedron`
 
     @classmethod
     def from_inequalities(cls, g, dim: int) -> "PolyCone":
@@ -161,6 +160,12 @@ class PolyCone:
     def _lin_rays(self) -> tuple[list[Row], list[Row]]:
         """(lineality basis, extreme rays), by double description of `ineqs`."""
         return hrep_to_vrep(self.ineqs, self.dim)
+
+    @functools.cached_property
+    def polyhedron(self) -> "ConvexPolyhedron":
+        """The inequality form {u : G u <= 0} as a `ConvexPolyhedron`."""
+        from .polyhedra import ConvexPolyhedron  # not at the top: polyhedra imports cones
+        return ConvexPolyhedron(self.ineqs, (0,) * len(self.ineqs), dim=self.dim)
 
     @property
     def rays(self) -> list[Row]:

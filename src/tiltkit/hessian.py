@@ -21,7 +21,7 @@ from .cells import limiting_normal_cone
 from .cones import ConeUnion, PolyCone
 from .copositive import cone_form_sign_and_zeros, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
-from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, same_union
+from .polyhedra import ConvexPolyhedron, PolyUnion, same_union
 from .rational import F0, F1, Vec, dot, is_zero, matvec, neg, sub, vec
 
 
@@ -80,7 +80,7 @@ class SecondOrderMap:
 
 def _slice_pieces(cones: list[PolyCone], u: Vec, n: int) -> list[ConvexPolyhedron]:
     """The nonempty slices at z = -u of the cones {(w, z) : g.(w, z) <= 0}."""
-    cuts = (cone_polyhedron(k).slice(neg(u)) for k in cones)
+    cuts = (k.polyhedron.slice(neg(u)) for k in cones)
     return [p for p in cuts if not p.is_empty()]
 
 

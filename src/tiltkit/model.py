@@ -28,6 +28,7 @@ from .rational import (F0, Mat, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
 # quickly with the rows of the pieces, the grids and tilt solves with the dimension.
 MAX_ROWS = 20
 MAX_DIM = 3
+TINY = np.finfo(float).tiny  # sin-inv's 1/x takes x >= TINY: at subnormal x, 1/x is inf
 
 
 class ParseError(ValueError):
@@ -125,15 +126,14 @@ class AnalyticFixture1D:
 
 def _oscillating_value(x):
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, 0.5 * x - np.square(x) * np.sin(np.divide(
-        1.0, np.where(x > 0, x, 1.0))), 0.0)
+    out = np.where(x > 0, 0.5 * x - np.square(x) * np.sin(1.0 / np.fmax(x, TINY)), 0.0)
     return out if out.ndim else float(out)
 
 
 def _oscillating_derivative(x):
     x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0, x, 1.0)
-    out = np.where(x > 0, 0.5 - 2.0 * x * np.sin(1.0 / safe) + np.cos(1.0 / safe), 0.5)
+    w = 1.0 / np.fmax(x, TINY)  # at x <= 0 and nan too, where 0.5 is taken
+    out = np.where(x > 0, 0.5 - 2.0 * x * np.sin(w) + np.cos(w), 0.5)
     return out if out.ndim else float(out)
 
 

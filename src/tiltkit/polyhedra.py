@@ -20,7 +20,8 @@ from .rational import (F0, F1, Vec, dot, frac, int_row, mat, neg, nullspace, ran
 
 
 class ConvexPolyhedron:
-    """Immutable polyhedron {x in R^n : A x <= b}; A and b kept as given."""
+    """Immutable polyhedron {x in R^n : A x <= b}; A and b kept as given, and a
+    value: equal, and hashed alike, iff (dim, A, b) are, so memos key on it."""
 
     def __init__(self, a, b, dim: int | None = None):
         self.a = mat(a)
@@ -35,7 +36,17 @@ class ConvexPolyhedron:
             if dim is None:
                 raise ValueError("empty A needs explicit dimension")
             self.dim = dim
-        self._projection = None  # float data kept by `project.project_polyhedron`
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConvexPolyhedron) and \
+            (self.dim, self.a, self.b) == (other.dim, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.a, self.b))
 
     @classmethod
     def full_space(cls, dim: int) -> "ConvexPolyhedron":
@@ -255,13 +266,6 @@ def critical_cone(piece: ConvexPolyhedron, x, v) -> PolyCone:
     if not piece.normal_cone(x).contains(v):
         raise ValueError("direction is not in the normal cone at the point")
     return PolyCone.from_inequalities(piece.tangent_cone(x).ineqs + (v, neg(v)), piece.dim)
-
-
-def cone_polyhedron(cone: PolyCone) -> ConvexPolyhedron:
-    """The cone's inequality form {u : G u <= 0} as a polyhedron, kept on the cone."""
-    if cone._polyhedron is None:
-        cone._polyhedron = ConvexPolyhedron(cone.ineqs, zeros(len(cone.ineqs)), dim=cone.dim)
-    return cone._polyhedron
 
 
 def _homogeneous(x, dim: int) -> tuple[int, ...]:

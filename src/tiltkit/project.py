@@ -15,28 +15,27 @@ import functools
 
 import numpy as np
 
-from .polyhedra import ConvexPolyhedron, cone_polyhedron
-from .cones import PolyCone
-from .rational import MEMO_SIZE, Mat, Vec, rank
+from .polyhedra import ConvexPolyhedron
+from .rational import MEMO_SIZE, rank
 
 FEAS_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _projection_data(a_rows: Mat, b_rows: Vec, dim: int):
-    """Float rows of {x : a x <= b}; per nonempty face, its independent
-    rows and the pseudoinverse solving the projection onto its affine hull,
-    in (size, index) order of the rows, so near-ties go to the fewest rows;
-    the largest |b_i|, to which the feasibility tolerances scale; memoized
-    on the exact rows, which the grids revisit thousands of times."""
-    m = len(a_rows)
-    a = np.array([[float(x) for x in row] for row in a_rows], dtype=float).reshape(m, dim)
-    b = np.array([float(x) for x in b_rows], dtype=float)
+def _projection_data(poly: ConvexPolyhedron):
+    """Float rows of poly; per nonempty face, its independent rows and the
+    pseudoinverse solving the projection onto its affine hull, in (size,
+    index) order of the rows, so near-ties go to the fewest rows; the
+    largest |b_i|, to which the feasibility tolerances scale.  Memoized on
+    the polyhedron, which compares by its rows, so the grids' thousands of
+    calls, and equal polyhedra built apart, share one entry."""
+    a, b = (np.array(rows, dtype=float) for rows in poly.to_float_rows())
+    a = a.reshape(poly.m, poly.dim)
     bases = []
-    for key, _ in ConvexPolyhedron(a_rows, b_rows, dim=dim).faces():
+    for key, _ in poly.faces():
         idx: list[int] = []
         for i in sorted(key):
-            if rank(tuple(a_rows[j] for j in idx + [i])) > len(idx):
+            if rank(tuple(poly.a[j] for j in idx + [i])) > len(idx):
                 idx.append(i)
         if idx:  # else the face is all of a full-dimensional P, and z is outside
             bases.append(idx)
@@ -65,9 +64,7 @@ def project_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
     Raises ValueError on an empty polyhedron.
     """
     out = np.array(z, dtype=float)
-    if poly._projection is None:  # looked up once per object: the key hashes every row
-        poly._projection = _projection_data(poly.a, poly.b, poly.dim)
-    a, b, subs, b_max = poly._projection
+    a, b, subs, b_max = _projection_data(poly)
     tol = FEAS_TOL * (1.0 + b_max)
     rows = np.flatnonzero(np.max(_matvec(a, out) - b, axis=1, initial=-np.inf) > tol)
     zs = out[rows]
@@ -88,8 +85,3 @@ def project_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
 def distance_to_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
     """d(z_i; poly) for each row z_i of an (m, n) array z."""
     return row_norms(project_polyhedron(z, poly) - z)
-
-
-def distance_to_cone(z: np.ndarray, cone: PolyCone) -> np.ndarray:
-    """d(z_i; cone), through its inequality form, as distance_to_polyhedron."""
-    return distance_to_polyhedron(z, cone_polyhedron(cone))

@@ -27,9 +27,8 @@ from .polyhedra import ConvexPolyhedron
 from .project import row_norms
 from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, mat, matvec, neg,
                        norm_sq, solve_affine, sub, to_float, vec, zeros)
-from .subdiff import (EmptySliceError, InverseSlice, analytic_distances,
-                      analytic_inverse_points, distance_to_inverse, inverse_image,
-                      subdifferential_distance)
+from .subdiff import (EmptySliceError, analytic_distances, analytic_inverse_points,
+                      distance_to_inverse, inverse_image, subdifferential_distance)
 
 TIE_TOL = 1e-9
 DIST_TOL = 1e-10
@@ -94,7 +93,7 @@ def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
     graph pieces (see _ball_points)."""
     n = f.dim
     base = tuple(xbar) + tuple(xstar)
-    pieces = tuple((p.a, p.b) for p in second_order_map(f, xbar, xstar).model.pieces)
+    pieces = second_order_map(f, xbar, xstar).model.pieces
     pts = [base] + [p for p in _ball_points(pieces, base, frac(radius)) if p != base]
     return [(p[:n], p[n:]) for p in pts]
 
@@ -289,7 +288,7 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
     if mode == "3.3":
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
         d2 = np.square(distance_to_inverse(slice_, xs))
-        for u in _slice_points(slice_, inst.xbar, eta):
+        for u in _ball_points(slice_.pieces, inst.xbar, eta):
             uf = np.array(to_float(u))
             yield (fxs + _rowdot(ss, uf - xs), np.full(len(xs), float(evaluate_exact(f, u))),
                    d2, (tuple(map(float, uf)),), xs)
@@ -367,23 +366,19 @@ def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, Che
     return r, _outcome(blocks, -min(r, R_CAP))
 
 
-def _slice_points(slice_: InverseSlice, center: Vec, radius: Fraction) -> list[Vec]:
-    """Rational points of an inverse slice inside the radius ball."""
-    return list(_ball_points(tuple((p.a, p.b) for p in slice_.pieces), tuple(center),
-                             frac(radius)))
-
-
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _ball_points(pieces: tuple, center: Vec, radius: Fraction) -> tuple[Vec, ...]:
+def _ball_points(pieces: tuple[ConvexPolyhedron, ...], center: Vec,
+                 radius: Fraction) -> tuple[Vec, ...]:
     """Vertices, vertex midpoints and a relative-interior point (the
-    vertex barycenter) of each piece {a x <= b} clipped to the box around
-    center, kept when inside the radius ball; memoized on the pieces' rows,
-    the center and the radius."""
+    vertex barycenter) of each piece clipped to the box around center, kept
+    when inside the radius ball: the rational points of an inverse slice or
+    of graph pieces near a point.  Memoized on the pieces, which compare by
+    their rows, the center and the radius."""
     rr = radius ** 2
     pts: list[Vec] = []
-    for rows, rhs in pieces:
-        clipped = ConvexPolyhedron(rows, rhs, dim=len(center)).intersect(
-            ConvexPolyhedron.box(center, radius))
+    box = ConvexPolyhedron.box(center, radius)
+    for piece in pieces:
+        clipped = piece.intersect(box)
         vs, _, _ = clipped.vrep()
         if not vs:
             continue
@@ -547,7 +542,7 @@ def check_uniform_growth(inst: ProblemInstance, kappa) -> CheckOutcome:
     violations = []
     for ustar in ustars:
         usf = np.array(to_float(ustar))
-        cands = _slice_points(inverse_image(f, ustar, box), inst.xbar, p.eta)
+        cands = _ball_points(inverse_image(f, ustar, box).pieces, inst.xbar, p.eta)
         if not any(dominates(u, usf) for u in cands):
             violations.append(tuple(map(float, usf)))
     return CheckOutcome(not violations, violations, float(len(violations)), len(ustars))
@@ -579,7 +574,7 @@ def check_single_valued_localization(inst: ProblemInstance) -> LocalizationRepor
     failures: list[tuple[float, tuple, list]] = []
     for ustar in ball_lattice(inst.xstar, p.delta, _coarse(p)):
         slice_ = inverse_image(f, ustar, box)
-        cands = _slice_points(slice_, inst.xbar, p.eta)
+        cands = _ball_points(slice_.pieces, inst.xbar, p.eta)
         if not cands:
             continue
         arr = np.array([to_float(c) for c in cands], dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, scalar
 from .polyhedra import ConvexPolyhedron
-from .project import distance_to_cone, distance_to_polyhedron, row_norms
+from .project import distance_to_polyhedron, row_norms
 from .rational import F1, Vec, int_row, sub, to_float, vec
 
 
@@ -48,7 +48,7 @@ class ExactSubdifferential:
             raise ValueError(f"dimension mismatch: shape {np.shape(vs)} vs (m, {len(self.base)})")
         ws = vs - np.asarray(to_float(self.base))
         return np.min([np.full(len(ws), math.inf)] + [
-            row_norms(ws) if piece.is_trivial() else distance_to_cone(ws, piece)
+            row_norms(ws) if piece.is_trivial() else distance_to_polyhedron(ws, piece.polyhedron)
             for piece in self.cones.pieces], axis=0)
 
 
@@ -225,21 +225,20 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     The inverse image is the slice of the subgradient graph at y = v, so
     per graph piece it is the polyhedron `piece.slice(v)`, kept when the
     piece's `shadow` on the box, built once per box and kept on f, holds at
-    the ints of (v, 1).  Cached per (v, box): the estimators revisit the
-    same tilted subgradients many times.
+    the ints of (v, 1).  Cached on f per (v, box), the box by its rows: the
+    estimators revisit the same tilted subgradients many times.
     """
     if not f.is_exact:
         raise ValidationError("inverse_image needs the exact variant "
                               "(use analytic_inverse_points)")
     v = vec(v)
-    key = (v, box.a, box.b)
-    hit = f._inverse_images.get(key)
+    hit = f._inverse_images.get((v, box))
     if hit is None:
-        shadows = f._inverse_images.get((box.a, box.b))
+        shadows = f._inverse_images.get(box)
         if shadows is None:
-            shadows = f._inverse_images[box.a, box.b] = [piece.shadow(box) for piece in f.graph]
+            shadows = f._inverse_images[box] = [piece.shadow(box) for piece in f.graph]
         p = int_row(v + (F1,))
-        hit = f._inverse_images[key] = InverseSlice(v, box, tuple(
+        hit = f._inverse_images[v, box] = InverseSlice(v, box, tuple(
             piece.slice(v).intersect(box) for piece, s in zip(f.graph, shadows) if s.holds_at(p)))
     return hit
 

@@ -28,7 +28,7 @@ from .hessian import (INDEFINITE, POSITIVE_DEFINITE, build_graph_model, definite
                       hessian_sum_rule_check, kernel, second_order_map)
 from .model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
                     ValidationError, ANALYTIC_REGISTRY)
-from .polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, critical_cone, same_union
+from .polyhedra import ConvexPolyhedron, PolyUnion, critical_cone, same_union
 from .rational import F0, dot, is_zero, matvec, norm_sq, vec
 from .subdiff import inverse_image, stationary_points_1d
 
@@ -241,7 +241,7 @@ def _suite_strong_subregularity() -> SuiteResult:
             continue
         box = ConvexPolyhedron.box(inst.xbar, inst.params.eta)
         sl = inverse_image(inst.f, inst.xstar, box)
-        pts = reg._slice_points(sl, inst.xbar, inst.params.eta)
+        pts = reg._ball_points(sl.pieces, inst.xbar, inst.params.eta)
         only_ref = all(p == inst.xbar for p in pts)
         s.add(f"{fx.name}: solution set is the reference point alone", only_ref,
               "[DERIVED: oracle=exact inverse slice in the eta-ball]",
@@ -497,8 +497,8 @@ def _suite_oracle() -> SuiteResult:
                               "normals")
     for label, union, x, seed, provenance in _oracle_cases():
         sampled = sampled_regular_normals(union, x, 10_000, seed=seed)
-        equal = same_union([cone_polyhedron(k) for k in limiting_normal_cone(union, x).pieces],
-                           [cone_polyhedron(k) for k in sampled])
+        equal = same_union([k.polyhedron for k in limiting_normal_cone(union, x).pieces],
+                           [k.polyhedron for k in sampled])
         s.add(f"{label} normal cones agree", equal, provenance,
               equal=equal, sampled_cones=len(sampled))
     return s

@@ -11,7 +11,7 @@ from tiltkit import lp
 from tiltkit.cells import (Cell, _value_cone, cell_complex, limiting_normal_cone, local_cells,
                            sampled_regular_normals)
 from tiltkit.cones import ConeUnion, PolyCone
-from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, poly_union_covers, same_union
+from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers, same_union
 from tiltkit.rational import add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
 
 
@@ -385,8 +385,7 @@ def test_limiting_normal_cone_equals_sampled_union(union):
     origin = (0,) * union.dim
     computed = limiting_normal_cone(union, origin).pieces
     sampled = sampled_regular_normals(union, origin, 2000, seed=11)
-    assert same_union([cone_polyhedron(k) for k in computed],
-                      [cone_polyhedron(k) for k in sampled])
+    assert same_union([k.polyhedron for k in computed], [k.polyhedron for k in sampled])
 
 
 @settings(max_examples=50, deadline=None)

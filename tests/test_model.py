@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,11 +85,15 @@ def test_evaluate_saddle():
     assert evaluate_exact(f, (F(0.0), F(1.0))) is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluate_oscillating_at_zero():
     fx = ANALYTIC_REGISTRY["sin-inv"]
     assert fx.in_domain(0.0) and float(fx.value(0.0)) == 0.0
     assert not fx.in_domain(-0.5)
     assert abs(float(fx.value(0.1)) - (0.05 - 0.01 * math.sin(10.0))) < 1e-15
+    # at subnormal x, 1/x overflows to inf, and sin(inf) is NaN
+    xs = np.array([5e-324, 1e-308])
+    assert np.isfinite(fx.value(xs)).all() and np.isfinite(fx.derivative(xs)).all()
 
 
 def test_regularize_algebra():

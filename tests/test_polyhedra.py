@@ -8,7 +8,7 @@ from test_lp import OPTIMAL, feasible, max_over
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
-from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, cone_polyhedron, poly_union_covers, same_union
+from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers, same_union
 from tiltkit.rational import F0, dot, neg, rank, vec
 
 
@@ -24,6 +24,18 @@ def test_active_sets():
     assert rpp.active_set((2, 3)) == frozenset()
     with pytest.raises(ValueError):
         w.active_set((0, 1))
+
+
+def test_polyhedra_compare_and_hash_by_their_rows():
+    w = wedge()
+    same = ConvexPolyhedron([(F(-1), 1), (-1, F(-1))], [F(0), 0])
+    assert same == w and hash(same) == hash(w) and same is not w
+    assert {w: "kept"}[same] == "kept"
+    # the same set from other rows, or another ambient space, is another value
+    assert ConvexPolyhedron([(-1, -1), (-1, 1)], (0, 0)) != w
+    assert ConvexPolyhedron([(-2, 2), (-1, -1)], (0, 0)) != w
+    assert ConvexPolyhedron.full_space(1) != ConvexPolyhedron.full_space(2)
+    assert (w == object()) is False and w != w.a
 
 
 fracs = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
@@ -166,10 +178,10 @@ def test_union_coverage():
 
 def test_same_union_is_set_equality():
     # the two coordinate axes of R^2, as cones in inequality form
-    axes = [cone_polyhedron(PolyCone.from_generators([], 2, lineality=[l]))
+    axes = [PolyCone.from_generators([], 2, lineality=[l]).polyhedron
             for l in [(1, 0), (0, 1)]]
-    ray = cone_polyhedron(PolyCone.from_generators([(1, 0)], 2))
-    plane = cone_polyhedron(PolyCone.from_inequalities([], 2))
+    ray = PolyCone.from_generators([(1, 0)], 2).polyhedron
+    plane = PolyCone.from_inequalities([], 2).polyhedron
     assert same_union(axes, axes[::-1])
     assert same_union(axes, axes + [ray])  # a cone inside the union adds nothing
     assert not same_union(axes, axes[:1])  # a needed cone missing

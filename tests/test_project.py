@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltkit.cones import PolyCone
-from tiltkit.polyhedra import ConvexPolyhedron, cone_polyhedron
-from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_cone,
-                             distance_to_polyhedron, project_polyhedron)
+from tiltkit.polyhedra import ConvexPolyhedron
+from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_polyhedron,
+                             project_polyhedron)
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -112,8 +112,8 @@ def test_distance_zero_iff_member():
 
 def test_cone_distance():
     c = PolyCone.from_generators([(-1, 1), (-1, -1)], 2)
-    assert abs(distance_to_cone(row((1.0, 0.0)), c)[0] - 1.0) < 1e-12
-    assert distance_to_cone(row((-2.0, 0.5)), c)[0] == 0.0
+    assert abs(distance_to_polyhedron(row((1.0, 0.0)), c.polyhedron)[0] - 1.0) < 1e-12
+    assert distance_to_polyhedron(row((-2.0, 0.5)), c.polyhedron)[0] == 0.0
 
 
 def test_empty_projection_raises():
@@ -164,7 +164,7 @@ def test_face_projection_matches_subset_enumeration(case):
 def test_cone_projection_matches_subset_enumeration(z):
     cone = PolyCone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (1, 1, 2)], 3)
     poly = ConvexPolyhedron(cone.ineqs, [0] * len(cone.ineqs), dim=3)
-    x = project_polyhedron(row(z), cone_polyhedron(cone))[0]
+    x = project_polyhedron(row(z), cone.polyhedron)[0]
     assert np.linalg.norm(x - subset_projection(z, poly)) <= 1e-12
     assert kkt_residual(z, x, poly) <= 1e-10
 
@@ -174,7 +174,7 @@ def test_single_point_piece_has_one_candidate():
     dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]
     rows = [r for d in dirs for r in (d, tuple(-x for x in d))]
     point = ConvexPolyhedron(rows, [0] * 12)
-    assert len(_projection_data(point.a, point.b, 2)[2]) == 1  # 78 row subsets
+    assert len(_projection_data(point)[2]) == 1  # 78 row subsets
     x = project_polyhedron(row((0.3, -0.7)), point)[0]
     assert np.array_equal(x, [0.0, 0.0])
 
@@ -191,37 +191,28 @@ def test_projection_onto_polygon_with_many_rows():
         assert kkt_residual(z, x, polygon) <= 1e-10
 
 
-def projection_data_lookups():
-    info = _projection_data.cache_info()
-    return info.hits + info.misses
-
-
 @settings(deadline=None)
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
-def test_projection_data_is_looked_up_once_per_object(zs):
+def test_projection_data_is_computed_once_per_value(zs):
     rows = [(p, q) for p in range(-2, 3) for q in range(-2, 3) if (p, q) != (0, 0)]
     polygon = ConvexPolyhedron(rows, [2] * len(rows))
     cone = PolyCone.from_generators([(1, 0), (1, 2)], 2)
-    before = projection_data_lookups()
-    on_polygon = [project_polyhedron(row(z), polygon) for z in zs]
-    assert projection_data_lookups() - before <= 1
-    before = projection_data_lookups()
-    on_cone = [project_polyhedron(row(z), cone_polyhedron(cone)) for z in zs]
-    assert projection_data_lookups() - before <= 1
-    assert cone_polyhedron(cone) is cone_polyhedron(cone)
-    # the same projections from freshly looked-up data
-    _projection_data.cache_clear()
-    for poly, kept in ((polygon, on_polygon), (cone_polyhedron(cone), on_cone)):
-        fresh = ConvexPolyhedron(poly.a, poly.b, dim=poly.dim)
+    assert cone.polyhedron is cone.polyhedron
+    for poly in (polygon, cone.polyhedron):
+        _projection_data.cache_clear()
+        kept = [project_polyhedron(row(z), poly) for z in zs]
+        # polyhedra built apart with equal rows share the memo's one entry
         for z, x in zip(zs, kept):
+            fresh = ConvexPolyhedron(poly.a, poly.b, dim=poly.dim)
             assert np.array_equal(project_polyhedron(row(z), fresh), x)
+        assert _projection_data.cache_info().misses == 1
 
 
 def pointwise_projection(z, poly):
     """Oracle: the one-point projection that the whole-grid projection
     replaced, the same face candidates tried for one point at a time."""
     z = np.asarray(z, dtype=float)
-    a, b, subs, b_max = _projection_data(poly.a, poly.b, poly.dim)
+    a, b, subs, b_max = _projection_data(poly)
     tol = FEAS_TOL * (1.0 + b_max)
     if poly.m == 0 or np.max(a @ z - b) <= tol:
         return z.copy()
@@ -250,7 +241,7 @@ def polyhedron_or_cone_and_grid(draw):
         poly = ConvexPolyhedron(rows, rhs, dim=n)
     else:
         gens = draw(st.lists(st.tuples(*[small_ints] * n), min_size=1, max_size=4))
-        poly = cone_polyhedron(PolyCone.from_generators(gens, n))
+        poly = PolyCone.from_generators(gens, n).polyhedron
     point = st.tuples(*[st.floats(-4, 4, allow_nan=False)] * n)
     zs = draw(st.lists(point, min_size=1, max_size=8))
     projected = [projection_or_empty(pointwise_projection, z, poly) for z in zs]
@@ -295,6 +286,7 @@ def test_distance_to_polyhedron_of_a_grid_equals_its_rows_one_by_one():
 def test_distance_to_cone_of_a_grid_equals_its_rows_one_by_one():
     c = PolyCone.from_generators([(-1, 1), (-1, -1)], 2)
     grid = np.array([[1.0, 0.0], [-2.0, 0.5], [0.5, 3.0]])
-    d = distance_to_cone(grid, c)
+    d = distance_to_polyhedron(grid, c.polyhedron)
     assert d.shape == (3,)
-    assert d.tolist() == [distance_to_cone(grid[i:i + 1], c)[0] for i in range(3)]
+    assert d.tolist() == [distance_to_polyhedron(grid[i:i + 1], c.polyhedron)[0]
+                          for i in range(3)]

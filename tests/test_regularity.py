@@ -337,7 +337,7 @@ def pointwise_uniform_growth(i, kappa):
     point against the x-grid."""
     from tiltkit.model import evaluate_exact
     from tiltkit.rational import to_float
-    from tiltkit.regularity import TIE_TOL, _coarse, _slice_points, domain_lattice
+    from tiltkit.regularity import TIE_TOL, _ball_points, _coarse, domain_lattice
     from tiltkit.subdiff import inverse_image
 
     f, p = i.f, i.params
@@ -354,7 +354,7 @@ def pointwise_uniform_growth(i, kappa):
     refuted = []
     for ustar in ball_lattice(i.xstar, p.delta, _coarse(p)):
         usf = np.array(to_float(ustar))
-        cands = _slice_points(inverse_image(f, ustar, box), i.xbar, p.eta)
+        cands = _ball_points(inverse_image(f, ustar, box).pieces, i.xbar, p.eta)
         if not any(dominates(u, usf) for u in cands):
             refuted.append(tuple(map(float, usf)))
     return refuted
@@ -715,17 +715,15 @@ def test_graph_samples_lie_on_graph():
 
 
 def test_slice_points_cache_keys_on_content():
-    from tiltkit.regularity import _slice_points
-    from tiltkit.subdiff import InverseSlice
+    from tiltkit.regularity import _ball_points
 
-    box = ConvexPolyhedron.box((0,), 1)
-    v, center, radius = (F(0),), (F(0),), F(1, 10)
-    # each slice is dropped before the next, different one is built, so
-    # CPython tends to hand the next slice the previous one's id
+    center, radius = (F(0),), F(1, 10)
+    # each piece is dropped before the next, different one is built, so
+    # CPython tends to hand the next piece the previous one's id
     for k in range(20):
         t = F(k, 200)
         piece = ConvexPolyhedron([(1,), (-1,)], (t, -t))
-        assert _slice_points(InverseSlice(v, box, (piece,)), center, radius) == [(t,)]
+        assert _ball_points((piece,), center, radius) == ((t,),)
 
 
 @pytest.mark.parametrize("name", ["quad-diag", "oscillating-1d"])
