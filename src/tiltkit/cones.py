@@ -165,7 +165,7 @@ class PolyCone:
     def polyhedron(self) -> "ConvexPolyhedron":
         """The inequality form {u : G u <= 0} as a `ConvexPolyhedron`."""
         from .polyhedra import ConvexPolyhedron  # not at the top: polyhedra imports cones
-        return ConvexPolyhedron(self.ineqs, (0,) * len(self.ineqs), dim=self.dim)
+        return ConvexPolyhedron.from_rows(self.dim, ((g + (0,), 1) for g in self.ineqs))
 
     @property
     def rays(self) -> list[Row]:
@@ -201,8 +201,10 @@ class PolyCone:
         return all(sum(map(operator.mul, row, u)) <= 0 for row in self.ineqs)
 
     def contains_cone(self, other: "PolyCone") -> bool:
-        return all(self.contains(g) for g in other.generators()) if other.generators() \
-            else True
+        """Does every generator of other, a primitive int row, hold here?"""
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return all(self.holds_at(g) for g in other.generators())
 
     def equals(self, other: "PolyCone") -> bool:
         return self.contains_cone(other) and other.contains_cone(self)

@@ -10,18 +10,19 @@ int rows, behind union covers here and the cell complexes in `cells`.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Vec, dot, frac, int_row, mat, neg, nullspace, rank, sub, unit, vec,
-                       zeros)
+from .rational import (F0, F1, Mat, Vec, as_int_row, dot, frac, int_row, mat, neg, nullspace, rank,
+                       sub, unit, vec, zeros)
 
 
 class ConvexPolyhedron:
-    """Immutable polyhedron {x in R^n : A x <= b}; A and b kept as given, and a
-    value: equal, and hashed alike, iff (dim, A, b) are, so memos key on it."""
+    """Immutable polyhedron {x in R^n : A x <= b}, given by A and b or by int `ab_rows`,
+    each derived when first read; a value: equal, and hashed alike, iff (dim, A, b) are."""
 
     def __init__(self, a, b, dim: int | None = None):
         self.a = mat(a)
@@ -37,16 +38,40 @@ class ConvexPolyhedron:
                 raise ValueError("empty A needs explicit dimension")
             self.dim = dim
 
+    @classmethod
+    def from_rows(cls, dim: int, ab_rows) -> "ConvexPolyhedron":
+        """From rows (ints, den), den > 0, (a_i, -b_i) = ints / den, put in lowest terms."""
+        poly = cls.__new__(cls)
+        poly.dim, poly.ab_rows = dim, tuple((tuple(x // g for x in r), d // g)
+                                            for r, d in ab_rows for g in [math.gcd(d, *r)])
+        return poly
+
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexPolyhedron) and \
-            (self.dim, self.a, self.b) == (other.dim, other.a, other.b)
+            (self.dim, self.ab_rows) == (other.dim, other.ab_rows)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.dim, self.ab_rows))  # int tuples: cheap to hash at each lookup
 
     @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.dim, self.a, self.b))
+    def ab_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row (a_i, -b_i) as ints over den, the lcm of its entries' denominators."""
+        return tuple((tuple(x.numerator * (d // x.denominator) for x in (*ai, -bi)), d)
+                     for ai, bi in zip(self.a, self.b)
+                     for d in [math.lcm(bi.denominator, *(x.denominator for x in ai))])
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row a_i x <= b_i as its primitive int row `homogenize(a_i, b_i)`."""
+        return tuple(as_int_row(r) for r, _ in self.ab_rows)
+
+    @functools.cached_property
+    def a(self) -> Mat:
+        return tuple(tuple(Fraction(x, d) for x in r[:-1]) for r, d in self.ab_rows)
+
+    @functools.cached_property
+    def b(self) -> Vec:
+        return tuple(Fraction(-r[-1], d) for r, d in self.ab_rows)
 
     @classmethod
     def full_space(cls, dim: int) -> "ConvexPolyhedron":
@@ -54,20 +79,17 @@ class ConvexPolyhedron:
 
     @classmethod
     def box(cls, center, halfwidth) -> "ConvexPolyhedron":
-        center = vec(center)
-        h = frac(halfwidth)
-        units = [unit(len(center), i) for i in range(len(center))]
-        return cls([r for e in units for r in (e, neg(e))],
-                   [v for c in center for v in (c + h, -(c - h))])
+        """Rows s x_i <= h + s c_i, s = +-1, as ints over q w, for c_i = p / q and h = u / w."""
+        center, h = vec(center), frac(halfwidth)
+        u, w = h.numerator, h.denominator
+        return cls.from_rows(len(center), (
+            ([s * c.denominator * w * (j == i) for j in range(len(center))]
+             + [-s * c.numerator * w - u * c.denominator], c.denominator * w)
+            for i, c in enumerate(center) for s in (1, -1)))
 
     @property
     def m(self) -> int:
-        return len(self.a)
-
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row a_i x <= b_i as its primitive int row `homogenize(a_i, b_i)`."""
-        return tuple(map(homogenize, self.a, self.b))
+        return len(self.rows)
 
     def values_at(self, p) -> list[int]:
         """Positive multiples of A_i x - b_i t, for p the ints of (x, t) up to
@@ -127,10 +149,7 @@ class ConvexPolyhedron:
                      for i in range(self.dim))
 
     def intersect(self, other: "ConvexPolyhedron") -> "ConvexPolyhedron":
-        return ConvexPolyhedron(self.a + other.a, self.b + other.b, dim=self.dim)
-
-    def with_rows(self, rows, rhs) -> "ConvexPolyhedron":
-        return ConvexPolyhedron(self.a + mat(rows), self.b + vec(rhs), dim=self.dim)
+        return self.from_rows(self.dim, self.ab_rows + other.ab_rows)
 
     def translate(self, t) -> "ConvexPolyhedron":
         return self.preimage([unit(self.dim, i) for i in range(self.dim)], neg(vec(t)))
@@ -153,12 +172,13 @@ class ConvexPolyhedron:
                                         [l[k:] for l in lin])
 
     def slice(self, y) -> "ConvexPolyhedron":
-        """{x : (x, y) in P}, y the trailing coordinates: rows a[:k], right sides b - a[k:].y."""
-        y = vec(y)
-        k = self.dim - len(y)
-        return ConvexPolyhedron(tuple(row[:k] for row in self.a),
-                                tuple(bi - dot(row[k:], y) for row, bi in zip(self.a, self.b)),
-                                dim=k)
+        """{x : (x, y) in P}, y the trailing coordinates: for (p, q) the ints of (y, 1),
+        the row (r_x, r_y, r_t) / d becomes (q r_x, r_y . p + q r_t) / (q d)."""
+        *p, q = int_row(vec(y) + (F1,))
+        k = self.dim - len(p)
+        return self.from_rows(k, (([q * x for x in r[:k]]
+                                   + [sum(map(operator.mul, r[k:-1], p)) + q * r[-1]], q * d)
+                                  for r, d in self.ab_rows))
 
     # -- local cones ---------------------------------------------------------
 
@@ -174,7 +194,8 @@ class ConvexPolyhedron:
     # -- faces ----------------------------------------------------------------
 
     def face(self, eq) -> "ConvexPolyhedron":
-        return self.with_rows([neg(self.a[i]) for i in eq], [-self.b[i] for i in eq])
+        rs = self.ab_rows  # the rows of eq again, negated
+        return self.from_rows(self.dim, rs + tuple((neg(rs[i][0]), rs[i][1]) for i in eq))
 
     def faces(self) -> list[tuple[frozenset[int], "ConvexPolyhedron"]]:
         """Nonempty faces as (implied-active row set, face polyhedron).
@@ -224,7 +245,9 @@ class ConvexPolyhedron:
                 [r[:-1] for r in rays if not r[-1]], [l[:-1] for l in lin])
 
     def to_float_rows(self) -> tuple[list[list[float]], list[float]]:
-        return [list(map(float, r)) for r in self.a], [float(x) for x in self.b]
+        """Entries ints / den by int true division, which rounds as float(Fraction) does."""
+        rs = self.ab_rows
+        return [[x / d for x in r[:-1]] for r, d in rs], [-r[-1] / d for r, d in rs]
 
     def __repr__(self) -> str:
         return f"ConvexPolyhedron(m={self.m}, dim={self.dim})"

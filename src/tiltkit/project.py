@@ -27,15 +27,15 @@ def _projection_data(poly: ConvexPolyhedron):
     pseudoinverse solving the projection onto its affine hull, in (size,
     index) order of the rows, so near-ties go to the fewest rows; the
     largest |b_i|, to which the feasibility tolerances scale.  Memoized on
-    the polyhedron, which compares by its rows, so the grids' thousands of
-    calls, and equal polyhedra built apart, share one entry."""
+    the polyhedron's value, its int rows, so the grids' calls, and equal
+    polyhedra built apart, share one entry."""
     a, b = (np.array(rows, dtype=float) for rows in poly.to_float_rows())
     a = a.reshape(poly.m, poly.dim)
     bases = []
     for key, _ in poly.faces():
         idx: list[int] = []
         for i in sorted(key):
-            if rank(tuple(poly.a[j] for j in idx + [i])) > len(idx):
+            if rank(tuple(poly.rows[j][:-1] for j in idx + [i])) > len(idx):
                 idx.append(i)
         if idx:  # else the face is all of a full-dimensional P, and z is outside
             bases.append(idx)
@@ -85,3 +85,15 @@ def project_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
 def distance_to_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
     """d(z_i; poly) for each row z_i of an (m, n) array z."""
     return row_norms(project_polyhedron(z, poly) - z)
+
+
+def distances_to_unions(requests) -> list[np.ndarray]:
+    """Per request (z, polys), polys nonempty, min over polys of d(z_i; poly) per row z_i:
+    one projection per distinct polyhedron, on the stacked z asking for it, each row alone."""
+    stacks: dict[ConvexPolyhedron, list[np.ndarray]] = {}
+    for z, poly in ((z, poly) for z, polys in requests for poly in polys):
+        stacks.setdefault(poly, []).append(z)
+    parts = {poly: iter(np.split(distance_to_polyhedron(np.concatenate(zs), poly),
+                                 np.cumsum([len(z) for z in zs[:-1]])))
+             for poly, zs in stacks.items()}
+    return [np.min([next(parts[poly]) for poly in polys], axis=0) for _, polys in requests]

@@ -24,7 +24,7 @@ import numpy as np
 from .hessian import second_order_map
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
-from .project import row_norms
+from .project import distances_to_unions, row_norms
 from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, mat, matvec, neg,
                        norm_sq, solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, analytic_distances, analytic_inverse_points,
@@ -441,14 +441,15 @@ def _refine(levels, sweep) -> ModulusEstimate:
 def _ratios(f: FunctionSpec, xs: list[Vec], ys: list[Vec], slices) -> tuple[float, tuple | None]:
     """_sup of d(x; slice of y) / d(y; subdifferential at x) over the pairs
     whose denominator exceeds DIST_TOL, x-major, witnessed by the pair (x, y)
-    as floats; slices[j] is the inverse image of ys[j]."""
+    as floats; slices[j] is the nonempty inverse image of ys[j]."""
     xfs, yfs = _floats(xs, f.dim), _floats(ys, f.dim)
     den = subdifferential_distance(f, xs, ys)
+    kept = den > DIST_TOL
     num = np.zeros_like(den)
-    for j, slice_ in enumerate(slices):
-        kept = den[:, j] > DIST_TOL
-        num[kept, j] = distance_to_inverse(slice_, xfs[kept])
-    i, j = np.nonzero(den > DIST_TOL)
+    requests = [(xfs[k], s.pieces) for k, s in zip(kept.T, slices)]
+    for j, d in enumerate(distances_to_unions(requests)):
+        num[kept[:, j], j] = d
+    i, j = np.nonzero(kept)
     return _sup(zip((num[i, j] / den[i, j]).tolist(),
                     zip(map(tuple, xfs[i].tolist()), map(tuple, yfs[j].tolist()))))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .cones import ConeUnion
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, scalar
 from .polyhedra import ConvexPolyhedron
-from .project import distance_to_polyhedron, row_norms
+from .project import distances_to_unions, row_norms
 from .rational import F1, Vec, int_row, sub, to_float, vec
 
 
@@ -41,15 +41,6 @@ class ExactSubdifferential:
         *g, e = int_row(self.base + (F1,))
         return [any(c.holds_at([e * a - p[-1] * b for a, b in zip(p, g)])
                     for c in self.cones.pieces) for p in ps]
-
-    def distance(self, vs: np.ndarray) -> np.ndarray:
-        """d(v; self) for each row v of an (m, n) array vs."""
-        if np.ndim(vs) != 2 or np.shape(vs)[1] != len(self.base):
-            raise ValueError(f"dimension mismatch: shape {np.shape(vs)} vs (m, {len(self.base)})")
-        ws = vs - np.asarray(to_float(self.base))
-        return np.min([np.full(len(ws), math.inf)] + [
-            row_norms(ws) if piece.is_trivial() else distance_to_polyhedron(ws, piece.polyhedron)
-            for piece in self.cones.pieces], axis=0)
 
 
 @dataclass(frozen=True)
@@ -92,15 +83,24 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
 def subdifferential_distance(f: FunctionSpec, xs, ys) -> np.ndarray:
     """d(y; subdifferential at x) of the exact variant, x by y: 0 where y is
     in the set, tested on the ints of (y, 1), made once per call; elsewhere
-    the float distance, accurate to ~1e-10."""
+    the float distance, accurate to ~1e-10 (`distances_to_unions`)."""
+    if any(len(y) != f.dim for y in ys):
+        raise ValueError(f"dimension mismatch: subgradients of R^{f.dim} have {f.dim} entries")
     yints = [int_row(tuple(y) + (F1,)) for y in ys]
     yfs = np.array([to_float(y) for y in ys], dtype=float).reshape(len(ys), f.dim)
     out = np.zeros((len(xs), len(ys)))
+    far = []
     for i, x in enumerate(xs):
         sd = subdifferential(f, x)
-        far = np.logical_not(sd.holds_at_each(yints))
-        if far.any():
-            out[i, far] = sd.distance(yfs[far])
+        js = np.flatnonzero(np.logical_not(sd.holds_at_each(yints)))
+        ws = yfs[js] - np.asarray(to_float(sd.base))
+        polys = [c.polyhedron for c in sd.cones.pieces if not c.is_trivial()]
+        if not polys:  # the cones are {0}, which dedupe keeps only alone
+            out[i, js] = row_norms(ws)
+        elif len(js):
+            far.append((i, js, (ws, polys)))
+    for (i, js, _), d in zip(far, distances_to_unions([r for _, _, r in far])):
+        out[i, js] = d
     return out
 
 
@@ -225,8 +225,8 @@ def inverse_image(f: FunctionSpec, v, box: ConvexPolyhedron) -> InverseSlice:
     The inverse image is the slice of the subgradient graph at y = v, so
     per graph piece it is the polyhedron `piece.slice(v)`, kept when the
     piece's `shadow` on the box, built once per box and kept on f, holds at
-    the ints of (v, 1).  Cached on f per (v, box), the box by its rows: the
-    estimators revisit the same tilted subgradients many times.
+    the ints of (v, 1); slice and box meet on int rows.  Cached on f per (v,
+    box): the estimators revisit the same tilted subgradients many times.
     """
     if not f.is_exact:
         raise ValidationError("inverse_image needs the exact variant "
@@ -248,4 +248,4 @@ def distance_to_inverse(slice_: InverseSlice, x: np.ndarray) -> np.ndarray:
     EmptySliceError when it has no pieces (reported distinctly, never 0)."""
     if slice_.is_empty():
         raise EmptySliceError(f"inverse image of {to_float(slice_.v)} misses the box")
-    return np.min([distance_to_polyhedron(x, p) for p in slice_.pieces], axis=0)
+    return distances_to_unions([(x, slice_.pieces)])[0]

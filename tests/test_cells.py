@@ -446,7 +446,7 @@ def test_searches_run_no_strict_lp(monkeypatch):
     model = build_graph_model(inst.f, inst.xbar, inst.xstar)
     union = model.union
     sq = ConvexPolyhedron.box((0, 0), F(1))
-    left, right = sq.with_rows([(1, 0)], [F(0)]), sq.with_rows([(-1, 0)], [F(0)])
+    left, right = (sq.intersect(ConvexPolyhedron([row], [0])) for row in [(1, 0), (-1, 0)])
     empty = ConvexPolyhedron([(1, 0), (-1, 0)], (-1, -1))
 
     real = lp.solve_standard

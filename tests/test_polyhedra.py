@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lp import OPTIMAL, feasible, max_over
+from test_lp import ARITHMETIC, OPTIMAL, feasible, max_over
 
 from tiltkit import lp
 from tiltkit.cones import PolyCone
@@ -169,8 +169,8 @@ def test_union_rejects_empty_piece():
 
 def test_union_coverage():
     sq = ConvexPolyhedron.box((0, 0), F(1))
-    left = sq.with_rows([(1, 0)], [F(0)])
-    right = sq.with_rows([(-1, 0)], [F(0)])
+    left = sq.intersect(ConvexPolyhedron([(1, 0)], [0]))
+    right = sq.intersect(ConvexPolyhedron([(-1, 0)], [0]))
     assert poly_union_covers([left, right], [sq])
     assert not poly_union_covers([left], [sq])
     assert poly_union_covers([sq], [left])
@@ -317,3 +317,102 @@ def test_faces_of_an_18_gon(lifted):
         sorted(map(frozenset, vertices), key=sorted))
     for k, face in p.faces():  # face() appends -A_k x <= -b_k after row 17
         assert {i for i in face.implied_equalities() if i < 18} == k
+
+
+# Polyhedra built from int rows against the Fraction formulas: slices,
+# intersections, faces and boxes must be the polyhedron `ConvexPolyhedron(a, b)`
+# builds from those formulas, read back as the same Fractions and floats.
+
+sevenths = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 3, 7, 21]))
+
+
+@st.composite
+def thirds_and_sevenths(draw, n=None):
+    """(a, b, n): rows of denominators 3 and 7, among them zero rows, rows
+    0 x <= b and rows with b = 0."""
+    n = n or draw(st.integers(1, 3))
+    a, b = [], []
+    for kind in draw(st.lists(st.sampled_from(["free", "zero", "flat", "through 0"]),
+                              max_size=4)):
+        flat = kind in ("zero", "flat")
+        a.append((F0,) * n if flat else draw(st.tuples(*[sevenths] * n)))
+        b.append(F0 if kind in ("zero", "through 0") else draw(sevenths))
+    return a, b, n
+
+
+def fraction_slice(p, y):
+    k = p.dim - len(y)
+    return ConvexPolyhedron([row[:k] for row in p.a],
+                            [bi - dot(row[k:], vec(y)) for row, bi in zip(p.a, p.b)], dim=k)
+
+
+def fraction_face(p, eq):
+    return ConvexPolyhedron(p.a + tuple(neg(p.a[i]) for i in eq),
+                            p.b + tuple(-p.b[i] for i in eq), dim=p.dim)
+
+
+def fraction_box(center, h):
+    units = [tuple(F(int(i == j)) for j in range(len(center))) for i in range(len(center))]
+    return ConvexPolyhedron([r for e in units for r in (e, neg(e))],
+                            [v for c in center for v in (c + h, -(c - h))])
+
+
+def assert_same_polyhedron(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.dim == want.dim and got.a == want.a and got.b == want.b
+    assert got.to_float_rows() == ([[float(x) for x in r] for r in want.a],
+                                   [float(x) for x in want.b])
+    assert all(type(x) is F for r in got.a for x in r) and all(type(x) is F for x in got.b)
+
+
+@st.composite
+def int_built_cases(draw):
+    """A Fraction-built polyhedron p, a second one q in the same space, a
+    rational y, a row subset and a box center and halfwidth."""
+    a, b, n = draw(thirds_and_sevenths())
+    p = ConvexPolyhedron(a, b, dim=n)
+    q = ConvexPolyhedron(*draw(thirds_and_sevenths(n))[:2], dim=n)
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+    y = draw(st.lists(rationals, max_size=n))
+    eq = sorted(draw(st.sets(st.integers(0, max(p.m - 1, 0)), max_size=p.m)))
+    center = draw(st.lists(st.one_of(sevenths, rationals), min_size=1, max_size=3))
+    return p, q, y, eq, center, draw(st.one_of(sevenths, rationals))
+
+
+@settings(max_examples=200)
+@given(int_built_cases())
+def test_int_built_polyhedra_match_the_fraction_formulas(case):
+    p, q, y, eq, center, h = case
+    s = p.slice(y)
+    assert_same_polyhedron(s, fraction_slice(p, y))
+    assert_same_polyhedron(p.intersect(q), ConvexPolyhedron(p.a + q.a, p.b + q.b, dim=p.dim))
+    assert_same_polyhedron(p.face(eq), fraction_face(p, eq))
+    box = ConvexPolyhedron.box(center, h)
+    assert_same_polyhedron(box, fraction_box(vec(center), h))
+    # and again from int-built operands
+    assert_same_polyhedron(s.intersect(s), ConvexPolyhedron(s.a + s.a, s.b + s.b, dim=s.dim))
+    assert_same_polyhedron(box.slice(center[1:]), fraction_slice(fraction_box(vec(center), h),
+                                                                   center[1:]))
+    assert_same_polyhedron(box.face([0]), fraction_face(fraction_box(vec(center), h), [0]))
+
+
+def test_int_built_polyhedra_do_no_fraction_arithmetic(monkeypatch):
+    p = ConvexPolyhedron([(F(1, 3), F(-2, 7)), (0, 0), (0, 0), (F(5, 21), 1)],
+                         [F(4, 7), 0, F(-1, 3), 0])
+    cone = PolyCone.from_generators([(1, 2), (-1, 3)], 2)
+    args = [(F(2, 7),), [2, 0, 1], ((F(1, 3), F(-5, 7)), F(2, 3))]
+    want = (fraction_slice(p, args[0]), fraction_face(p, args[1]), fraction_box(*args[2]),
+            ConvexPolyhedron(p.a * 2, p.b * 2), ConvexPolyhedron(cone.ineqs, (0, 0), dim=2))
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in an int-row polyhedron")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, no_arithmetic)
+    got = (p.slice(args[0]), p.face(args[1]), ConvexPolyhedron.box(*args[2]), p.intersect(p),
+           cone.polyhedron)
+    floats = [g.to_float_rows() for g in got]
+    monkeypatch.undo()
+    for g, w, fl in zip(got, want, floats):
+        assert_same_polyhedron(g, w)
+        assert fl == g.to_float_rows()

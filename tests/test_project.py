@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tiltkit import project
 from tiltkit.cones import PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron
 from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_polyhedron,
-                             project_polyhedron)
+                             distances_to_unions, project_polyhedron)
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -290,3 +291,44 @@ def test_distance_to_cone_of_a_grid_equals_its_rows_one_by_one():
     assert d.shape == (3,)
     assert d.tolist() == [distance_to_polyhedron(grid[i:i + 1], c.polyhedron)[0]
                           for i in range(3)]
+
+
+@st.composite
+def union_requests(draw):
+    """Requests (z, polys) over a pool of nonempty polyhedra in R^n, among them
+    equal polyhedra built apart, with empty point arrays and polyhedra asked
+    for by several requests."""
+    n = draw(st.integers(1, 3))
+    cone = PolyCone.from_generators(
+        draw(st.lists(st.tuples(*[small_ints] * n), min_size=1, max_size=3)), n)
+    center = draw(st.tuples(*[small_ints] * n))
+    pool = [cone.polyhedron, ConvexPolyhedron(cone.ineqs, [0] * len(cone.ineqs), dim=n),
+            ConvexPolyhedron.box(center, 1), ConvexPolyhedron.box(center, 1).intersect(
+                ConvexPolyhedron.full_space(n))]
+    point = st.tuples(*[st.floats(-4, 4, allow_nan=False)] * n)
+    requests = []
+    for _ in range(draw(st.integers(1, 5))):
+        zs = draw(st.lists(point, max_size=4))
+        polys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        requests.append((np.array(zs, dtype=float).reshape(len(zs), n), polys))
+    return requests
+
+
+@settings(deadline=None)
+@given(union_requests())
+def test_batched_distances_equal_per_request_distances(requests):
+    calls = []
+
+    def counted(z, poly):
+        calls.append(poly)
+        return distance_to_polyhedron(z, poly)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(project, "distance_to_polyhedron", counted)
+        got = distances_to_unions(requests)
+    assert len(got) == len(requests)
+    for (z, polys), d in zip(requests, got):
+        want = np.min([distance_to_polyhedron(z, p) for p in polys], axis=0)
+        assert d.shape == (len(z),) and np.array_equal(d, want)
+    # one projection per distinct polyhedron, equal ones built apart included
+    assert len(calls) == len(set(calls)) == len({p for _, polys in requests for p in polys})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cells import regular_normal_cone
-from test_subdiff import exact_functions, line_2d, over_dens
+from test_subdiff import exact_functions, line_2d, over_dens, subgradient_distances
 
 from tiltkit.copositive import cone_form_min_sign, graph_form
 from tiltkit.fixtures import CORPUS, fixture
@@ -193,7 +193,7 @@ def pointwise_subregularity(inst):
                 continue
             xf = np.array([to_float(x)])
             num = distance_to_inverse(slice_, xf)[0]
-            den = sd.distance(xstar_f)[0]
+            den = subgradient_distances(sd, xstar_f)[0]
             if den > DIST_TOL:
                 yield num / den, to_float(x)
 
@@ -220,7 +220,7 @@ def pointwise_metric_regularity(inst):
             for y, slice_ in zip(ys, slices):
                 if sd.contains(y):
                     continue
-                den = sd.distance(np.array([to_float(y)]))[0]
+                den = subgradient_distances(sd, np.array([to_float(y)]))[0]
                 if den > DIST_TOL:
                     yield distance_to_inverse(slice_, xf)[0] / den, (to_float(x), to_float(y))
 

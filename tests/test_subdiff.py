@@ -15,7 +15,8 @@ from tiltkit.cones import ConeUnion, hrep_to_vrep
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, same_union
-from tiltkit.rational import as_int_row, dot, int_row, matvec, neg, vec
+from tiltkit.project import distance_to_polyhedron, row_norms
+from tiltkit.rational import as_int_row, dot, int_row, matvec, neg, to_float, vec
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
                              _analytic_subdifferential, analytic_distances,
                              analytic_inverse_points, distance_to_inverse, inverse_image,
@@ -55,6 +56,16 @@ def frechet_subdifferential(f, x):
                                 ConeUnion([regular_normal_cone(f.domain, x)], f.dim))
 
 
+def subgradient_distances(sd, vs):
+    """Oracle of subdifferential_distance, one request at a time: d(v; sd) for
+    each row v of an (m, n) array vs, by `distance_to_polyhedron` per cone
+    ({0} by the norm)."""
+    ws = vs - np.asarray(to_float(sd.base))
+    return np.min([np.full(len(ws), math.inf)] + [
+        row_norms(ws) if c.is_trivial() else distance_to_polyhedron(ws, c.polyhedron)
+        for c in sd.cones.pieces], axis=0)
+
+
 def test_saddle_subdifferential_at_apex():
     sd = subdifferential(saddle(), (0, 0))
     # gradient zero plus the wedge's normal cone
@@ -68,11 +79,12 @@ def test_subgradient_of_the_wrong_length_is_rejected_not_truncated():
 
 
 def test_distance_to_a_point_of_the_wrong_length_is_rejected_not_broadcast():
-    sd = subdifferential(saddle(), (0, 0))
-    for v in [[[3.0]], [[3.0, 3.0, 0.0]], [[3.0], [1.0]], [3.0, 3.0]]:
+    for ys in [[(3,)], [(3, 3, 0)], [(3,), (1,)], [(3, 3), (1,)]]:
         with pytest.raises(ValueError, match="dimension mismatch"):
-            sd.distance(np.array(v))
-    assert abs(sd.distance(np.array([[3.0, 3.0]]))[0] - 3 * math.sqrt(2)) < 1e-12
+            subdifferential_distance(saddle(), [(0, 0)], ys)
+    d = subdifferential_distance(saddle(), [(0, 0)], [(3, 3)])[0, 0]
+    assert d == subgradient_distances(subdifferential(saddle(), (0, 0)), np.array([[3.0, 3.0]]))[0]
+    assert abs(d - 3 * math.sqrt(2)) < 1e-12
 
 
 def test_cross_subdifferential_at_origin():
@@ -169,7 +181,7 @@ def row_loop_inverse_image(f, v, box):
             gq = matvec(q, vec(g))  # Q symmetric: row g.Q
             rows.append(neg(gq))
             rhs.append(dot(vec(g), c) - dot(vec(g), v))
-        candidate = cell.closure.with_rows(rows, rhs) if rows else cell.closure
+        candidate = cell.closure.intersect(ConvexPolyhedron(rows, rhs, dim=f.dim))
         if candidate.is_empty():
             continue
         boxed = candidate.intersect(box)
