@@ -6,12 +6,13 @@ description pass over ints (int rays, bitmask zero sets), so the two forms
 always describe the same set.  It runs on the pointed quotient (the cone
 cut down to the orthogonal complement of its lineality space), so its
 output is already the set of extreme rays, each orthogonal to the
-lineality; no LP runs.  Rows, rays and lineality are primitive int tuples
-throughout: given ones are made primitive, which keeps the cone, and the
-double description hands out the ints it computes.  Polarity is the
-representation swap: the polar of {u : G u <= 0} is cone(rows of G), and
-vice versa.  Membership tests the rows of the inequality form, which a
-cone given by generators gets once, from its polar's double description.
+lineality; no LP runs.  One integer elimination of [G^T | I] sets it up.
+Rows, rays and lineality are primitive int tuples throughout: given ones
+are made primitive, which keeps the cone, and the double description
+hands out the ints it computes.  Polarity is the representation swap: the
+polar of {u : G u <= 0} is cone(rows of G), and vice versa.  Membership
+tests the rows of the inequality form, which a cone given by generators
+gets once, from its polar's double description.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def hrep_to_vrep(g, dim: int) -> tuple[list[Row], list[Row]]:
     pointed quotient: with B a maximal independent set of rows, x = -g_B u
     maps the orthogonal complement of the lineality onto R^rank(g), where
     the cone is {x >= 0, -c_j.x <= 0} for each other row g_j = c_j g_B.
+    B, the c_j and, for a pointed cone, the map back -g_B^-1 come from one
+    fraction-free elimination of [g^T | I].
     Memoized on (dim, the nonzero rows made primitive int rows, in the
     caller's order) and computed from that key alone, so what a caller gets
     never depends on which caller filled the memo.
@@ -80,20 +83,25 @@ def hrep_to_vrep(g, dim: int) -> tuple[list[Row], list[Row]]:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _vrep(dim: int, rows: tuple[Row, ...]) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
-    lineality = [int_row(l) for l in int_nullspace(rows, dim)[0]]
-    # the rref of g^T (times an int): its pivot columns pick B, its other
-    # columns hold the c_j
-    red, basis, _ = int_rref(tuple(zip(*rows)))
+    # rref([g^T | I]) = E [g^T | I]: its left pivots pick B, its left block's
+    # other columns hold the c_j, and its right block's first k rows T have
+    # g_B T^T = s I, s > 0
+    m = len(rows)
+    red, pivots, _ = int_rref([tuple(r[i] for r in rows) + tuple(int(i == j) for j in range(dim))
+                               for i in range(dim)])
+    basis = [c for c in pivots if c < m]
     k = len(basis)
-    extra = [tuple(-row[j] for row in red) for j in range(len(rows)) if j not in basis]
-    # back to u through the matrix with g_B u_i = -e_i and u_i orthogonal to
-    # the lineality: the right block of the rref of [g_B, -I; lineality, 0]
-    system = [rows[b] + tuple(-int(i == r) for i in range(k)) for r, b in enumerate(basis)]
-    system += [l + (0,) * k for l in lineality]
-    back = [row[dim:] for row in int_rref(system)[0]]
+    extra = [tuple(-row[j] for row in red[:k]) for j in range(m) if j not in basis]
+    if k == dim:  # pointed: g_B u = -x is u = -T^T x / s
+        lineality, back = (), [[-row[m + j] for row in red] for j in range(dim)]
+    else:  # the right block of the rref of [g_B, -I; lineality, 0]; g_B spans g's rows
+        lineality = tuple(int_row(l) for l in int_nullspace([rows[b] for b in basis], dim)[0])
+        system = [rows[b] + tuple(-int(i == r) for i in range(k)) for r, b in enumerate(basis)]
+        system += [l + (0,) * k for l in lineality]
+        back = [row[dim:] for row in int_rref(system)[0]]
     rays = sorted(int_row([sum(map(operator.mul, row, x)) for row in back])
                   for x in _dd_pointed(k, extra))
-    return tuple(lineality), tuple(rays)
+    return lineality, tuple(rays)
 
 
 def close_under_meets(seeds, tight_sets) -> set[frozenset[int]]:

@@ -111,14 +111,14 @@ class ConvexPolyhedron:
         return frozenset(i for i, v in enumerate(vals) if v == 0)
 
     @functools.cached_property
-    def _generators(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    def homogeneous_generators(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """(lineality, rays) of the homogenization cone {(x, t) : Ax - tb <= 0,
         t >= 0}, primitive int tuples."""
         return hrep_to_vrep(self.rows + ((0,) * self.dim + (-1,),), self.dim + 1)
 
     def is_empty(self) -> bool:
         """No generator of the homogenization cone has t > 0."""
-        return not any(r[-1] for r in self._generators[1])
+        return not any(r[-1] for r in self.homogeneous_generators[1])
 
     def implied_equalities(self) -> frozenset[int]:
         """Rows holding with equality on the entire polyhedron (none when
@@ -130,7 +130,7 @@ class ConvexPolyhedron:
     def _generator_tight_sets(self) -> list[tuple[frozenset[int], bool]]:
         """(rows tight on it, is a point: t > 0) per generator of the
         homogenization cone, its rays then its lineality."""
-        lin, rays = self._generators
+        lin, rays = self.homogeneous_generators
         return [(frozenset(i for i, v in enumerate(self.values_at(g)) if not v), g[-1] > 0)
                 for g in rays + lin]
 
@@ -240,7 +240,7 @@ class ConvexPolyhedron:
         When the polyhedron has lineality, the 'vertices' are points of
         minimal faces rather than true vertices.
         """
-        lin, rays = self._generators
+        lin, rays = self.homogeneous_generators
         return ([tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]],
                 [r[:-1] for r in rays if not r[-1]], [l[:-1] for l in lin])
 

@@ -7,7 +7,8 @@ bounds, never certified global moduli.  The moduli share one refinement
 rule: the grid is refined until two successive suprema agree to 2%
 relative (REFINE_TOL), and the flag `converged` says whether they did.
 Graph samples are exact: the reference pair plus the ball points of the
-graph pieces around it, as inverse slices get theirs (_ball_points).
+graph pieces around it, as inverse slices get theirs (_ball_points, on the
+int generators of each clipped piece's double description).
 """
 
 from __future__ import annotations
@@ -371,24 +372,33 @@ def _ball_points(pieces: tuple[ConvexPolyhedron, ...], center: Vec,
                  radius: Fraction) -> tuple[Vec, ...]:
     """Vertices, vertex midpoints and a relative-interior point (the
     vertex barycenter) of each piece clipped to the box around center, kept
-    when inside the radius ball: the rational points of an inverse slice or
-    of graph pieces near a point.  Memoized on the pieces, which compare by
-    their rows, the center and the radius."""
-    rr = radius ** 2
-    pts: list[Vec] = []
+    when inside the radius ball, each once: the rational points of an
+    inverse slice or of graph pieces near a point.  Memoized on the pieces,
+    which compare by their rows, the center and the radius.  A point x / t
+    is its int row (x, t), t > 0: the vertices are the clip's int generators
+    with t > 0 (the box bounds it), a midpoint is (x1 t2 + x2 t1, 2 t1 t2),
+    and x / t is in the ball iff rd^2 |cd x - cn t|^2 <= rn^2 (cd t)^2, for
+    center cn / cd and radius rn / rd; only the points kept become Fractions."""
+    cd = math.lcm(*(c.denominator for c in center))
+    cn = [c.numerator * (cd // c.denominator) for c in center]
+    rn2, rd2 = radius.numerator ** 2, radius.denominator ** 2
     box = ConvexPolyhedron.box(center, radius)
+    seen: set[tuple[int, ...]] = set()  # membership only: pts keeps the order
+    pts: list[Vec] = []
     for piece in pieces:
-        clipped = piece.intersect(box)
-        vs, _, _ = clipped.vrep()
+        vs = [r for r in piece.intersect(box).homogeneous_generators[1] if r[-1]]
         if not vs:
             continue
-        cand = list(vs)
-        for pq in itertools.combinations(vs, 2):
-            cand.append(tuple((a + b) / 2 for a, b in zip(*pq)))
-        cand.append(clipped.relint_point())
-        for v in cand:
-            if norm_sq(sub(v, center)) <= rr and v not in pts:
-                pts.append(v)
+        cand = vs + [int_row([x * q[-1] + y * p[-1] for x, y in zip(p, q)])
+                     for p, q in itertools.combinations(vs, 2)]
+        big = math.lcm(*(v[-1] for v in vs))  # the barycenter: sum of (big / t) (x, t), over k big
+        cand.append(int_row([sum(v[i] * (big // v[-1]) for v in vs) for i in range(len(vs[0]))]))
+        for p in cand:
+            *x, t = p
+            d2 = sum((cd * xi - ci * t) ** 2 for xi, ci in zip(x, cn))
+            if rd2 * d2 <= rn2 * (cd * t) ** 2 and p not in seen:
+                seen.add(p)
+                pts.append(tuple(Fraction(xi, t) for xi in x))
     return tuple(pts)
 
 

@@ -83,7 +83,10 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
 def subdifferential_distance(f: FunctionSpec, xs, ys) -> np.ndarray:
     """d(y; subdifferential at x) of the exact variant, x by y: 0 where y is
     in the set, tested on the ints of (y, 1), made once per call; elsewhere
-    the float distance, accurate to ~1e-10 (`distances_to_unions`)."""
+    the float distance (`distances_to_unions`), at most ~1e-10 above the
+    true one, and 0 where y - grad f(x) is within FEAS_TOL of a nontrivial
+    cone on each of its primitive int rows: near a wedge's apex, a y
+    3.5e-10 outside the set reads 0."""
     if any(len(y) != f.dim for y in ys):
         raise ValueError(f"dimension mismatch: subgradients of R^{f.dim} have {f.dim} entries")
     yints = [int_row(tuple(y) + (F1,)) for y in ys]

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltkit import cones, lp
@@ -197,6 +197,10 @@ def fraction_vrep(dim, rows):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(-4, 4)] * n), max_size=7).map(lambda rows: (n, rows))))
+@example((3, []))  # no rows: [g^T | I] is I, all lineality
+@example((2, [(1, 0), (0, 1), (2, 2), (-1, 1), (1, 0)]))  # pointed, a parallel and a twin row
+@example((3, [(1, 0, 0), (0, 1, -1), (0, 0, 0), (2, 2, -2), (-1, 0, 0)]))  # rank 2, a zero row
+@example((4, [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 1, 1, 0)]))  # rank 2, opposite rows
 def test_hrep_to_vrep_matches_fraction_oracle(case):
     n, rows = case
     cones._vrep.cache_clear()
@@ -204,6 +208,8 @@ def test_hrep_to_vrep_matches_fraction_oracle(case):
     ref_lin, ref_rays = fraction_vrep(n, [int_row(r) for r in rows if any(r)])
     assert (lin, rays) == (ref_lin, ref_rays)
     assert all(type(x) is int for v in lin + rays for x in v)
+    # zero rows, which hrep_to_vrep drops, leave the elimination's answer alone
+    assert cones._vrep(n, tuple(map(int_row, rows))) == (tuple(ref_lin), tuple(ref_rays))
 
 
 def lp_in_generated(v, rays, lineality):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cells import regular_normal_cone
+from test_lp import ARITHMETIC
 from test_subdiff import exact_functions, line_2d, over_dens, subgradient_distances
 
+from tiltkit import cones
 from tiltkit.copositive import cone_form_min_sign, graph_form
 from tiltkit.fixtures import CORPUS, fixture
 from tiltkit.hessian import second_order_map
@@ -21,8 +23,8 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, EIGEN_TIE_TOL
                                 MINIMIZER_TOL, PROX_GRID, PROX_MODES, R_CAP, SECTION_TOL,
                                 SECULAR_BISECTIONS, SECULAR_DOUBLINGS, SECULAR_OFFSET,
                                 SOLUTION_TOL, TIE_TOL, ZOOM_SCALES, CheckOutcome, ModulusEstimate,
-                                _ball_clip, _coarse, _refine, _refinement_schedule, _sup,
-                                _Unbounded, _values,
+                                _ball_clip, _ball_points, _coarse, _refine, _refinement_schedule,
+                                _sup, _Unbounded, _values,
                                 ball_lattice,
                                 check_growth,
                                 check_lower_prox_inequality,
@@ -724,6 +726,93 @@ def test_slice_points_cache_keys_on_content():
         t = F(k, 200)
         piece = ConvexPolyhedron([(1,), (-1,)], (t, -t))
         assert _ball_points((piece,), center, radius) == ((t,),)
+
+
+def fraction_ball_points(pieces, center, radius):
+    """Oracle of `_ball_points` in Fractions: each clip's vrep points, their
+    pairwise midpoints and its relint point, kept in the ball and new."""
+    rr = radius ** 2
+    pts = []
+    box = ConvexPolyhedron.box(center, radius)
+    for piece in pieces:
+        clipped = piece.intersect(box)
+        vs, _, _ = clipped.vrep()
+        if not vs:
+            continue
+        cand = list(vs)
+        for pq in itertools.combinations(vs, 2):
+            cand.append(tuple((a + b) / 2 for a, b in zip(*pq)))
+        cand.append(clipped.relint_point())
+        for v in cand:
+            if norm_sq(sub(v, center)) <= rr and v not in pts:
+                pts.append(v)
+    return tuple(pts)
+
+
+def over_3_7(bound):
+    """Rationals k/d in [-bound, bound] over the denominators 1, 3 and 7."""
+    return st.sampled_from([1, 3, 7]).flatmap(
+        lambda d: st.integers(-bound * d, bound * d).map(lambda k: F(k, d)))
+
+
+@st.composite
+def pieces_near_a_point(draw):
+    """(pieces, center, radius) in R^1..3, entries over denominators 3 and 7:
+    few rows, so pieces have recession rays or lineality, some held with
+    equality, so some pieces are lower-dimensional; clips may be empty."""
+    n = draw(st.integers(1, 3))
+    point = st.lists(over_3_7(1), min_size=n, max_size=n).map(tuple)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            row, rhs = draw(st.lists(over_3_7(2), min_size=n, max_size=n)), draw(over_3_7(1))
+            a.append(row)
+            b.append(rhs)
+            if draw(st.booleans()) and draw(st.booleans()):
+                a.append([-x for x in row])
+                b.append(-rhs)
+        pieces.append(ConvexPolyhedron(a, b, dim=n))
+    return tuple(pieces), draw(point), draw(st.sampled_from([F(1, 3), F(2, 7), F(5, 7), F(4, 3)]))
+
+
+WEDGE = ConvexPolyhedron([(1, F(-1, 3)), (-1, F(-1, 7))], (F(1, 7), 0))  # recession rays
+LINE = ConvexPolyhedron([(F(1, 3), -1), (F(-1, 3), 1)], (F(2, 7), F(-2, 7)))  # an equality
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces_near_a_point())
+@example(((WEDGE, LINE, ConvexPolyhedron.full_space(2)), (F(1, 3), F(-2, 7)), F(5, 7)))
+@example(((ConvexPolyhedron([(1,)], (F(-3, 7),)),), (F(1, 3),), F(2, 7)))  # an empty clip
+@example(((ConvexPolyhedron([(1, 0, 0)], (F(1, 3),)),), (0, F(1, 7), F(-2, 3)), F(1, 3)))
+def test_int_ball_points_match_the_fraction_oracle(case):
+    pieces, center, radius = case
+    got = _ball_points.__wrapped__(pieces, center, radius)
+    assert got == fraction_ball_points(pieces, center, radius)  # and in the same order
+    assert all(type(x) is F for p in got for x in p)
+
+
+def test_int_ball_points_do_no_fraction_arithmetic(monkeypatch):
+    # int-built pieces: a triangle, a wedge, a segment and one the box misses
+    pieces = tuple(ConvexPolyhedron.from_rows(2, rows) for rows in [
+        [((-1, 0, 0), 1), ((0, -1, 0), 1), ((3, 7, -2), 21)],
+        [((7, -3, -3), 21), ((-7, -1, 0), 7)],
+        [((1, -3, -6), 7), ((-1, 3, 6), 7), ((-1, 0, -1), 1)],
+        [((1, 0, 5), 1)]])
+    center, radius = (F(1, 3), F(-2, 7)), F(5, 7)
+    expected = fraction_ball_points(pieces, center, radius)
+    assert len(expected) > 3
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in the int ball points")
+
+    cones._vrep.cache_clear()
+    _ball_points.cache_clear()
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, no_arithmetic)
+    got = _ball_points(pieces, center, radius)
+    monkeypatch.undo()
+    assert got == expected
 
 
 @pytest.mark.parametrize("name", ["quad-diag", "oscillating-1d"])

@@ -15,8 +15,9 @@ from tiltkit.cones import ConeUnion, hrep_to_vrep
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, same_union
-from tiltkit.project import distance_to_polyhedron, row_norms
-from tiltkit.rational import as_int_row, dot, int_row, matvec, neg, to_float, vec
+from tiltkit.project import FEAS_TOL, distance_to_polyhedron, row_norms
+from tiltkit.rational import (add, as_int_row, combine, dot, int_row, matvec, neg, norm_sq, rank,
+                              scale, solve, sub, to_float, vec, zeros)
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
                              _analytic_subdifferential, analytic_distances,
                              analytic_inverse_points, distance_to_inverse, inverse_image,
@@ -133,6 +134,55 @@ def test_subdifferential_distance_examples():
     assert abs(d[0, 0] - 1.0) < 1e-12 and d[0, 1] == 0.0
 
 
+def exact_sq_distance(sd, y):
+    """d(y; sd)^2 in Fractions.  With w = y - base, per cone: the least |w - p|^2
+    over the projections p of w onto the spans of the cone's faces that lie in the
+    cone, one of which is the projection onto the cone."""
+    w, best = sub(vec(y), sd.base), None
+    for cone in sd.cones.pieces:
+        for _, face in cone.faces():
+            basis = []
+            for g in face.rays + face.lineality:
+                if rank(basis + [g]) > len(basis):
+                    basis.append(g)
+            p = combine(basis, solve(tuple(tuple(dot(a, b) for b in basis) for a in basis),
+                                     tuple(dot(a, w) for a in basis))) if basis else zeros(len(w))
+            if cone.contains(p) and (best is None or norm_sq(sub(w, p)) < best):
+                best = norm_sq(sub(w, p))
+    return best
+
+
+DISTANCE_ACCURACY = 1e-10  # as subdifferential_distance's docstring states
+
+
+def assert_distances_within_stated_accuracy(f, xs, ys):
+    """Outside the set, subdifferential_distance is at most the true distance
+    plus its accuracy, and reads 0 only where y - grad f(x) is within FEAS_TOL
+    of a nontrivial cone on each of its primitive int rows (up to the
+    rounding of the float row products)."""
+    d = subdifferential_distance(f, xs, ys)
+    for i, x in enumerate(xs):
+        sd = subdifferential(f, x)
+        for j, y in enumerate(ys):
+            if sd.contains(y):
+                assert d[i, j] == 0.0
+                continue
+            assert d[i, j] <= math.sqrt(exact_sq_distance(sd, y)) + DISTANCE_ACCURACY
+            if d[i, j] == 0.0:
+                w = sub(vec(y), sd.base)
+                assert any(max(dot(g, w) for g in c.ineqs) <= FEAS_TOL * (1 + 1e-6)
+                           for c in sd.cones.pieces if not c.is_trivial())
+
+
+def test_subdifferential_distance_near_a_wedge_apex():
+    # (-1, 1 + 1/(2 10^9)) is not in the saddle's subdifferential at the apex,
+    # 3.5e-10 away, but within FEAS_TOL of its normal cone: it reads 0
+    eps = F(1, 2 * 10 ** 9)
+    ys = [(-1, 1 + eps), (-1, 1 + 10 * eps), (eps, 0), (-1 - eps, 1 + 3 * eps), (-1, 1)]
+    assert subdifferential_distance(saddle(), [(0, 0)], ys[:1]).tolist() == [[0.0]]
+    assert_distances_within_stated_accuracy(saddle(), [(0, 0), (1, 0)], ys)
+
+
 def test_outside_domain_raises():
     with pytest.raises(ValidationError, match="outside the domain"):
         subdifferential(saddle(), (0, 1))
@@ -242,6 +292,25 @@ def over_dens(bound=3):
     """Rationals k/d in [-bound, bound] over the denominators 1, 3, 7 and 64."""
     return st.sampled_from([1, 3, 7, 64]).flatmap(
         lambda d: st.integers(-bound * d, bound * d).map(lambda k: F(k, d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_functions(), st.data())
+def test_subdifferential_distance_is_within_its_stated_accuracy(f, data):
+    # drawn ys, and ys a few FEAS_TOL off the gradient plus a generator of a
+    # cone, where a wedge's apex can read 0 outside the set
+    n = f.dim
+    tiny = st.lists(st.integers(-4, 4).map(lambda k: F(k, 4 * 10 ** 9)), min_size=n, max_size=n)
+    xs = [(0,) * n] + [x for x in data.draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                                                      max_size=1)) if f.domain.contains(x)]
+    ys = data.draw(st.lists(st.lists(over_dens(), min_size=n, max_size=n), max_size=2))
+    for x in xs:
+        sd = subdifferential(f, x)
+        gens = [g for c in sd.cones.pieces for g in c.generators()]
+        for _ in range(2):
+            g = scale(data.draw(st.sampled_from(gens)), data.draw(small)) if gens else zeros(n)
+            ys.append(add(add(sd.base, g), vec(data.draw(tiny))))
+    assert_distances_within_stated_accuracy(f, xs, ys)
 
 
 def fraction_inverse_image(f, v, box):
