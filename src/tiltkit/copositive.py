@@ -11,8 +11,8 @@ integer arithmetic: no eigenvalues, no floats.
 
 For a copositive form, a zero t >= 0 minimizes t'Nt on the orthant, so
 N t >= 0 and N_S t_S = 0 on its support S.  An extreme zero direction is
-then the one ray of the kernel of N_S, positive on S: one nullspace per
-support yields every zero direction up to conic combination.
+then the one ray of the kernel of N_S, positive on S, and the walk over
+supports that finds the minimum reads these rays off its own KKT solves.
 
 A form B(p, q) = p'Mq is given as its symmetric matrix M; `graph_form`
 builds the ones on the graph space R^n x R^n that the second-order
@@ -24,10 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator
 
 from .cones import PolyCone
-from .rational import F0, Mat, Vec, combine, int_nullspace, int_row, int_rref, is_zero, mat, vec
+from .rational import F0, Mat, Vec, combine, int_row, int_rref, is_zero, mat, vec
 
 
 def graph_form(n: int, ww, wz, zz) -> Mat:
@@ -43,12 +42,12 @@ def graph_form(n: int, ww, wz, zz) -> Mat:
 
 def gram(gens: list[Vec], form: Mat) -> Mat:
     """[g' M h] over the generators for a symmetric M, summing the nonzero
-    entries of M only, each pair of generators once."""
+    entries of M only, each pair of generators once; ints on int input."""
     entries = [(i, j, v) for i, row in enumerate(form) for j, v in enumerate(row) if v]
-    n = [[F0] * len(gens) for _ in gens]
+    n = [[0] * len(gens) for _ in gens]
     for a, b in itertools.combinations_with_replacement(range(len(gens)), 2):
         g, h = gens[a], gens[b]
-        n[a][b] = n[b][a] = sum((g[i] * v * h[j] for i, j, v in entries), F0)
+        n[a][b] = n[b][a] = sum((g[i] * v * h[j] for i, j, v in entries), 0)
     return tuple(map(tuple, n))
 
 
@@ -65,8 +64,8 @@ def _embed(t: Vec, s: tuple[int, ...], k: int) -> Vec:
     return tuple(out)
 
 
-def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
-    """Exact (min of t'Nt over the standard simplex, argmin).
+def simplex_min(n: Mat) -> tuple[Fraction, Vec, list[Vec]]:
+    """Exact (min of t'Nt over the standard simplex, argmin, zeros).
 
     Support enumeration: on the support of a minimizer the KKT system
     2 N_S t = lambda, sum t = 1 holds, and q(t) = lambda/2 there.  A
@@ -78,6 +77,17 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
     reaches a value at least as low, so no minimum or argmin changes.
     N is scaled to ints M = dN once; each support's system, in (t, mu =
     d lambda), is then one fraction-free `int_rref`.
+
+    zeros holds the primitive t, by support size and then lexicographically,
+    of each S whose system has one solution, with mu = 0 and t > 0: the S
+    where ker N_S is one line through a positive v.  Then (v/1'v, 0) solves
+    it, and a kernel vector (x, m) of its matrix has m 1'v = 2 v'N_S x = 0,
+    so x is in span(v) with 1'x = 0; conversely, a kernel vector other than
+    t would give another solution.  On a copositive N every zero t >= 0 is
+    a conic combination of them: t is in C(S) = {t_S >= 0 : N_S t_S = 0},
+    S = supp t, and an extreme ray of C(S) with support S' is extreme in
+    C(S'), as (N t)_i >= 0 on C(S') makes the part of C(S') in C(S) a face;
+    positive on S', it is all of C(S').  Otherwise zeros are unspecified.
     """
     k = len(n)
     if k == 0:
@@ -85,6 +95,7 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
     d, m = _int_form(n)
     best: tuple[int, int] | None = None  # the value as (numerator, denominator)
     arg: Vec | None = None
+    zeros: list[Vec] = []
     for size in range(1, k + 1):
         unique = list(range(size + 1))
         for s in itertools.combinations(range(k), size):
@@ -95,59 +106,37 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec]:
                 continue  # inconsistent, or more than one solution
             t = [row[-1] for row in red[:size]]
             num, den = red[size][-1], 2 * d * sc  # q(t) = mu / (2 d)
+            if num == 0 and all(x > 0 for x in t):
+                zeros.append(_embed(vec(int_row(t)), s, k))
             if all(x >= 0 for x in t) and (best is None or num * best[1] < best[0] * den):
                 best = num, den
                 arg = _embed(tuple(Fraction(x, sc) for x in t), s, k)
     assert best is not None and arg is not None  # singleton supports always qualify
-    return Fraction(*best), arg
-
-
-def orthant_zero_witnesses(n: Mat) -> Iterator[Vec]:
-    """Generators of the zeros {t >= 0 : t'Nt = 0} of a form copositive on
-    the orthant: every zero is a conic combination of them.  On a form that
-    is not copositive the result is unspecified.
-
-    A zero t minimizes the form on the orthant, so N t >= 0 and N_S t_S = 0
-    on S = supp t: t lies in the cone C(S) = {t_S >= 0 : N_S t_S = 0}.  An
-    extreme ray of C(S) with support S' is extreme in C(S') too, since
-    (N t)_i >= 0 on C(S') makes the part of C(S') inside C(S) a face; being
-    positive on S', it is all of C(S').  So a support adds a witness exactly
-    when the kernel of N_S, on the ints dN, is one line through a positive
-    vector (its free entry is positive, so no sign flip), and the witness is
-    that vector made primitive.  Supports run by size, then lexicographically.
-    """
-    k = len(n)
-    _, m = _int_form(n)
-    for size in range(1, k + 1):
-        for s in itertools.combinations(range(k), size):
-            basis, _ = int_nullspace([tuple(m[i][j] for j in s) for i in s], size)
-            if len(basis) == 1 and all(x > 0 for x in basis[0]):
-                yield _embed(vec(int_row(basis[0])), s, k)
+    return Fraction(*best), arg, zeros
 
 
 def cone_form_min_sign(cone: PolyCone, form: Mat) -> tuple[int, Vec | None]:
     """Sign of min of the form over cone \\ {0}; witness is a cone point."""
     sign, w, zeros = cone_form_sign_and_zeros(cone, form)
-    if sign:
-        return sign, w
-    # Zero answers must map to a nonzero cone point to count: the first one.
-    return next(((0, v) for v in zeros), (1, None))
+    return sign, zeros[0] if zeros else w
 
 
-def cone_form_sign_and_zeros(cone: PolyCone, form: Mat) -> tuple[int, Vec | None, Iterator[Vec]]:
+def cone_form_sign_and_zeros(cone: PolyCone, form: Mat) -> tuple[int, Vec | None, list[Vec]]:
     """(sign, witness, zeros) from one Gram matrix of the cone's generators:
-    the sign of the simplex minimum, a cone point where the form is
-    negative when that sign is -1, and, when it is 0, the nonzero cone
-    points where the form vanishes, enumerated lazily (none otherwise)."""
+    the sign of the form's minimum over cone \\ {0}, a cone point where
+    the form is negative when that sign is -1, and, when it is 0, the
+    nonzero cone points of `simplex_min`'s zeros, in order (none otherwise).
+
+    The Gram matrix is on ints, the form scaled by the lcm of its
+    denominators over the generators' primitive int rows: a positive
+    factor on N moves neither the sign, the argmin nor the zeros.
+    """
     gens = cone.generators()
     if not gens:
-        return 1, None, iter(())
-    n = gram(gens, form)
-    val, t = simplex_min(n)
+        return 1, None, []
+    val, t, zeros = simplex_min(gram(gens, _int_form(form)[1]))
     if val < 0:
-        return -1, combine(gens, t), iter(())
-    if val > 0:
-        return 1, None, iter(())
-    points = (combine(gens, t) for t in orthant_zero_witnesses(n))
-    return 0, None, (v for v in points if not is_zero(v))
-
+        return -1, combine(gens, t), []
+    # zeros is empty when val > 0; a zero counts only at a nonzero cone point
+    points = [v for v in (combine(gens, z) for z in zeros) if not is_zero(v)]
+    return (0 if points else 1), None, points

@@ -126,15 +126,26 @@ def _echelon(m: Mat) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination: (rows, pivot columns), each
     row a nonzero multiple of the matching rref row (zero rows last).
 
-    Rows are primitive ints, made primitive again after each step.
+    Rows are primitive ints, made primitive again after each step; a row
+    with a Fraction enters as `int_row(vec(r))`, so a float raises.
     """
-    rows = [list(as_int_row(r)) for r in m]
+    rows = []
+    for r in m:
+        try:
+            g = math.gcd(*r)
+        except TypeError:
+            r, g = int_row(vec(r)), 1
+        rows.append([x // g for x in r] if g > 1 else list(r))
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(len(rows[0]) if nrows else 0):
         r = len(pivots)
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
+        if r == nrows:
+            break
+        for p in range(r, nrows):
+            if rows[p][c]:
+                break
+        else:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         prow = rows[r]

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lp import INFEASIBLE, OPTIMAL, minimize
+from test_lp import ARITHMETIC, INFEASIBLE, OPTIMAL, minimize
 
 from tiltkit.cones import PolyCone
-from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram, graph_form,
-                                orthant_zero_witnesses, simplex_min)
-from tiltkit.rational import (F0, F1, combine, dot, is_zero, mat, nullspace, solve_affine, vec,
-                             zeros)
+from tiltkit.copositive import (_embed, _int_form, cone_form_min_sign, cone_form_sign_and_zeros, gram,
+                                graph_form, simplex_min)
+from tiltkit.rational import (F0, F1, combine, dot, int_row, is_zero, mat, nullspace, solve_affine,
+                             vec, zeros)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -50,20 +50,32 @@ def test_gram_of_graph_form_matches_stacked_formula(args):
     assert gram(gens, graph_form(n, ww, wz, zz)) == mat([[b(g, h) for h in gens] for g in gens])
 
 
+@given(graph_forms())
+def test_int_gram_is_the_stacked_formula_times_the_forms_denominator(args):
+    # the Gram matrix cone_form_sign_and_zeros builds: the form scaled to
+    # ints by the lcm d of its denominators, over primitive int generators
+    n, ww, wz, zz, gens = args
+    b = stacked_form(n, ww, wz, zz)
+    gens = [int_row(g) for g in gens]
+    d, m = _int_form(graph_form(n, ww, wz, zz))
+    got = gram(gens, m)
+    assert all(type(x) is int for row in got for x in row)
+    assert got == mat([[d * b(g, h) for h in gens] for g in gens])
+
+
 def test_identity_strictly_copositive():
     assert simplex_min(mat([[1, 0], [0, 1]]))[0] > 0
 
 
 def test_psd_with_positive_kernel_is_zero():
     n = mat([[1, -1], [-1, 1]])
-    assert simplex_min(n)[0] == 0
-    w = next(orthant_zero_witnesses(n), None)
-    assert w is not None and _quad(n, w) == 0
+    val, _, zeros = simplex_min(n)
+    assert val == 0 and zeros and _quad(n, zeros[0]) == 0
 
 
 def test_hyperbolic_negative():
     n = mat([[0, -1], [-1, 0]])
-    val, w = simplex_min(n)
+    val, w, _ = simplex_min(n)
     assert val < 0 and _quad(n, w) < 0 and all(x >= 0 for x in w)
 
 
@@ -77,9 +89,9 @@ HORN = mat([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
 
 
 def test_horn_matrix_exactly_zero():
-    val, arg = simplex_min(HORN)
+    val, arg, zeros = simplex_min(HORN)
     assert val == 0 and _quad(HORN, arg) == 0
-    assert all(_quad(HORN, t) == 0 for t in orthant_zero_witnesses(HORN))
+    assert all(_quad(HORN, t) == 0 for t in zeros)
 
 
 def test_horn_matrix_perturbed_negative():
@@ -89,7 +101,7 @@ def test_horn_matrix_perturbed_negative():
           [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]]]
     for i in range(5):
         h[i][i] -= eps
-    val, w = simplex_min(mat(h))
+    val, w, _ = simplex_min(mat(h))
     assert val < 0 and _quad(mat(h), w) < 0
 
 
@@ -104,7 +116,7 @@ def test_block_pair_with_irrational_spectrum():
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_simplex_min_is_a_true_minimum(rows):
     n = sym(rows)
-    val, arg = simplex_min(n)
+    val, arg, _ = simplex_min(n)
     assert sum(arg) == 1 and all(x >= 0 for x in arg)
     assert _quad(n, arg) == val
     # no sampled simplex point goes below the reported exact minimum
@@ -222,13 +234,13 @@ def fraction_simplex_min(n):
     st.lists(rationals, min_size=k, max_size=k), min_size=k, max_size=k)))
 def test_int_simplex_min_matches_fraction_oracle(rows):
     n = sym(rows)
-    assert simplex_min(n) == fraction_simplex_min(n)
+    assert simplex_min(n)[:2] == fraction_simplex_min(n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(forms_with_a_repeated_index())
 def test_int_simplex_min_matches_fraction_oracle_on_degenerate_supports(n):
-    assert simplex_min(n) == fraction_simplex_min(n)
+    assert simplex_min(n)[:2] == fraction_simplex_min(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,11 +248,11 @@ def test_int_simplex_min_matches_fraction_oracle_on_degenerate_supports(n):
 def test_simplex_min_matches_lp_oracle_on_degenerate_supports(n):
     val, arg, solved = lp_simplex_min(n)
     assert solved  # the oracle's degenerate branch ran
-    assert simplex_min(n) == (val, arg)
+    assert simplex_min(n)[:2] == (val, arg)
 
 
 def fraction_zero_witnesses(n):
-    """Oracle: `orthant_zero_witnesses` on Fractions, each support's kernel
+    """Oracle: `simplex_min`'s zeros on Fractions, each support's kernel
     tested by `nullspace` and its cone built from the rows of N_S."""
     k = len(n)
     seen = set()
@@ -285,17 +297,19 @@ def forms_with_singular_ones(draw):
 @settings(max_examples=100, deadline=None)
 @given(forms_with_singular_ones())
 def test_int_zero_witnesses_match_fraction_oracle(n):
-    assert simplex_min(n)[0] >= 0  # copositive, the function's precondition
-    assert list(orthant_zero_witnesses(n)) == list(fraction_zero_witnesses(n))
+    val, _, zeros = simplex_min(n)
+    assert val >= 0  # copositive, where the zeros are specified
+    assert zeros == list(fraction_zero_witnesses(n))
 
 
 def test_zero_witnesses_of_a_form_that_is_not_copositive_differ_from_the_oracle():
-    # the kernel rule needs copositivity: (N t)_2 = (t0 - t1)/2 changes sign
+    # the walk's rule needs copositivity: (N t)_2 = (t0 - t1)/2 changes sign
     # on the quadrant of the support {0, 1}, so (1, 1, 0), extreme in the
     # cone of {0, 1, 2} but not in that quadrant, is one more oracle ray
     n = mat([[0, 0, F(1, 2)], [0, 0, F(-1, 2)], [F(1, 2), F(-1, 2), 0]])
-    assert simplex_min(n)[0] < 0
-    assert list(orthant_zero_witnesses(n)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    val, _, zeros = simplex_min(n)
+    assert val < 0
+    assert zeros == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert list(fraction_zero_witnesses(n)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
 
 
@@ -303,17 +317,18 @@ def test_zero_witnesses_where_a_support_has_a_two_dimensional_kernel():
     # t'Nt = 2 t2 (t0 + t1): N_S of S = {0, 1} is 0, whose kernel is the
     # plane, and the orthant's zeros are its quadrant and the t2 axis
     n = mat([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    assert simplex_min(n)[0] == 0
-    assert list(orthant_zero_witnesses(n)) == list(fraction_zero_witnesses(n))
+    val, _, zeros = simplex_min(n)
+    assert val == 0
+    assert zeros == list(fraction_zero_witnesses(n))
 
 
 def test_zero_witnesses_of_the_horn_matrix_match_the_oracle():
-    assert list(orthant_zero_witnesses(HORN)) == list(fraction_zero_witnesses(HORN))
+    assert simplex_min(HORN)[2] == list(fraction_zero_witnesses(HORN))
 
 
 def test_zero_witness_enumeration():
     n = mat([[1, -1], [-1, 1]])
-    zeros = list(orthant_zero_witnesses(n))
+    zeros = simplex_min(n)[2]
     assert any(w[0] > 0 and w[1] > 0 for w in zeros)
     for w in zeros:
         assert _quad(n, w) == 0
@@ -342,6 +357,8 @@ def test_cone_form_lines():
     diag = PolyCone.from_generators([], 2, lineality=[(1, 1)])
     assert cone_form_min_sign(diag, pairing)[0] == -1
     assert cone_form_min_sign(anti, pairing) == (1, None)
+    # the simplex minimum is 0 there, but only at t = (1/2, 1/2), the apex
+    assert cone_form_sign_and_zeros(anti, pairing) == (1, None, [])
 
 
 def test_trivial_cone():
@@ -350,17 +367,18 @@ def test_trivial_cone():
 
 def two_pass_min_sign(cone, form):
     """Oracle: the orthant sign first, then a second zero enumeration for
-    a witness whose cone point is nonzero."""
+    a witness whose cone point is nonzero, both from the Fraction oracles
+    on a Fraction Gram matrix."""
     gens = cone.generators()
     if not gens:
         return 1, None
     n = gram(gens, form)
-    val, t = simplex_min(n)
+    val, t = fraction_simplex_min(n)
     if val < 0:
         return -1, combine(gens, t)
     if val > 0:
         return 1, None
-    for t in orthant_zero_witnesses(n):
+    for t in fraction_zero_witnesses(n):
         v = combine(gens, t)
         if not is_zero(v):
             return 0, v
@@ -388,4 +406,36 @@ def test_zero_sign_witness_is_the_first_zero_point():
     form = mat([[1, -1], [-1, 1]])
     quad = PolyCone.from_generators([(1, 0), (0, 1)], 2)
     s, w = cone_form_min_sign(quad, form)
-    assert s == 0 and w == next(cone_form_sign_and_zeros(quad, form)[2])
+    assert s == 0 and w == cone_form_sign_and_zeros(quad, form)[2][0]
+
+
+def test_gram_and_walk_do_no_fraction_arithmetic_on_ints(monkeypatch):
+    # a negative form, a PSD one with a zero on (1, 1), and the Horn form,
+    # over int generators and the ints of the forms
+    cases = [([(1, 0), (0, 1), (1, 1)], ((0, -1), (-1, 0))),
+             ([(1, 0), (0, 1)], ((1, -1), (-1, 1))),
+             ([tuple(int(i == j) for j in range(5)) for i in range(5)], HORN)]
+    forms = [(gens, _int_form(form)[1]) for gens, form in cases]
+    # positive on the quadrant, so cone_form_sign_and_zeros combines no point
+    quad = PolyCone.from_generators([(1, 0), (0, 1)], 2)
+    positive = mat([[1, F(1, 2)], [F(1, 2), F(1, 3)]])
+    assert cone_form_sign_and_zeros(quad, positive) == (1, None, [])
+    expected = []
+    for gens, m in forms:
+        n = gram(gens, m)
+        expected.append((n, simplex_min(n)))
+    assert [r[1][0] < 0 for r in expected] == [True, False, False]
+    assert [len(r[1][2]) for r in expected[1:]] == [1, 5]
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in the Gram matrix or the walk")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, no_arithmetic)
+    got = []
+    for gens, m in forms:
+        n = gram(gens, m)
+        got.append((n, simplex_min(n)))
+    sign = cone_form_sign_and_zeros(quad, positive)
+    monkeypatch.undo()
+    assert got == expected and sign == (1, None, [])

@@ -5,7 +5,7 @@ from test_cells import regular_normal_cone
 from test_copositive import fraction_simplex_min, fraction_zero_witnesses
 
 from tiltkit.cells import cell_complex, limiting_normal_cone
-from tiltkit.copositive import cone_form_min_sign, gram, graph_form, orthant_zero_witnesses
+from tiltkit.copositive import cone_form_min_sign, gram, graph_form, simplex_min
 from tiltkit.fixtures import CORPUS
 from tiltkit.hessian import (INDEFINITE, POSITIVE_DEFINITE,
                              SEMIDEFINITE_DEGENERATE, _direction_set, _slice_pieces,
@@ -297,7 +297,7 @@ def rescan_definiteness(f, xbar, xstar):
             neg_wit = w
             break
         if sign == 0 and zero_wit is None:
-            points = (combine(gens, t) for t in orthant_zero_witnesses(gram(gens, form)))
+            points = (combine(gens, t) for t in simplex_min(gram(gens, form))[2])
             zero_wit = w if not is_zero(vec(w[n:])) else next(
                 (v for v in points if not is_zero(vec(v[n:]))), None)
     if neg_wit is not None:

@@ -2,11 +2,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tiltkit.rational import (F0, F1, add, dot, int_nullspace, int_row, mat, matvec, nullspace,
-                              rank, rref, solve, solve_affine, sub, vec)
+from tiltkit.rational import (F0, F1, _echelon, add, as_int_row, dot, int_nullspace, int_row, int_rref,
+                              mat, matvec, nullspace, rank, rref, solve, solve_affine, sub, vec)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -157,6 +157,43 @@ def test_int_rows_eliminate_like_their_fraction_copies(m):
     assert rank(m) == rank(fm)
     assert nullspace(m, ncols) == nullspace(fm, ncols)
     assert int_nullspace(m, ncols) == int_nullspace(fm, ncols)
+
+
+def full_echelon(m):
+    """Reference: `_echelon` that makes each row primitive with `as_int_row`,
+    finds pivots by a generator and runs over every column."""
+    rows = [list(as_int_row(r)) for r in m]
+    nrows = len(rows)
+    pivots = []
+    for c in range(len(rows[0]) if nrows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                row = [prow[c] * x - f * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return rows, pivots
+
+
+@given(int_matrices())
+@example(((2, 4), (1, 3), (3, 7), (0, 0), (5, -5)))  # tall
+@example(((2, 4, 6, 8, 0), (1, 0, 3, 0, 5)))  # wide: the loop stops at column 2
+@example(((0, 0, 0),))
+@example(((0, 0), (0, 0)))
+@example(((0, 0, 0), (6, 3, 9), (0, 0, 0)))
+def test_echelon_matches_the_full_column_sweep(m):
+    for rows in (m, mat(m)):
+        want_rows, want_pivots = full_echelon(rows)
+        assert _echelon(rows) == (want_rows, want_pivots)
+        s = math.lcm(*(row[c] for row, c in zip(want_rows, want_pivots)))
+        assert int_rref(rows)[1:] == (want_pivots, s)
 
 
 def test_echelon_takes_primitive_int_rows_as_given(monkeypatch):
