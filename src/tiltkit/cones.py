@@ -21,7 +21,7 @@ import functools
 import itertools
 import operator
 
-from .rational import MEMO_SIZE, as_int_row, int_nullspace, int_row, int_rref, neg, vec
+from .rational import MEMO_SIZE, int_nullspace, int_row, int_rref, neg
 
 Row = tuple[int, ...]
 
@@ -77,7 +77,7 @@ def hrep_to_vrep(g, dim: int) -> tuple[list[Row], list[Row]]:
     caller's order) and computed from that key alone, so what a caller gets
     never depends on which caller filled the memo.
     """
-    lin, rays = _vrep(dim, tuple(r for r in map(as_int_row, g) if any(r)))
+    lin, rays = _vrep(dim, tuple(r for r in map(int_row, g) if any(r)))
     return list(lin), list(rays)
 
 
@@ -140,10 +140,10 @@ class PolyCone:
             raise ValueError("cone needs at least one description")
         self.dim = dim
         if ineqs is not None:
-            self.ineqs = tuple(map(as_int_row, ineqs))
+            self.ineqs = tuple(map(int_row, ineqs))
         if rays is not None or lineality is not None:
-            self._lin_rays = ([as_int_row(l) for l in lineality or ()],
-                              [as_int_row(r) for r in rays or ()])
+            self._lin_rays = ([int_row(l) for l in lineality or ()],
+                              [int_row(r) for r in rays or ()])
 
     @classmethod
     def from_inequalities(cls, g, dim: int) -> "PolyCone":
@@ -199,7 +199,7 @@ class PolyCone:
     # -- predicates --------------------------------------------------------
 
     def contains(self, v) -> bool:
-        v = vec(v)
+        v = tuple(v)
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         return self.holds_at(int_row(v))

@@ -22,11 +22,10 @@ conditions pair normals (w, z) with.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .cones import PolyCone
-from .rational import F0, Mat, Vec, combine, int_row, int_rref, is_zero, mat, vec
+from .rational import F0, Mat, Vec, combine, int_row, int_rref, int_scaled, is_zero, mat, vec
 
 
 def graph_form(n: int, ww, wz, zz) -> Mat:
@@ -49,12 +48,6 @@ def gram(gens: list[Vec], form: Mat) -> Mat:
         g, h = gens[a], gens[b]
         n[a][b] = n[b][a] = sum((g[i] * v * h[j] for i, j, v in entries), 0)
     return tuple(map(tuple, n))
-
-
-def _int_form(n: Mat) -> tuple[int, list[list[int]]]:
-    """(d, dN): the least positive int d that scales N to ints, and dN."""
-    d = math.lcm(*(x.denominator for row in n for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in n]
 
 
 def _embed(t: Vec, s: tuple[int, ...], k: int) -> Vec:
@@ -92,7 +85,7 @@ def simplex_min(n: Mat) -> tuple[Fraction, Vec, list[Vec]]:
     k = len(n)
     if k == 0:
         raise ValueError("empty form")
-    d, m = _int_form(n)
+    d, m = int_scaled(n)
     best: tuple[int, int] | None = None  # the value as (numerator, denominator)
     arg: Vec | None = None
     zeros: list[Vec] = []
@@ -134,7 +127,7 @@ def cone_form_sign_and_zeros(cone: PolyCone, form: Mat) -> tuple[int, Vec | None
     gens = cone.generators()
     if not gens:
         return 1, None, []
-    val, t, zeros = simplex_min(gram(gens, _int_form(form)[1]))
+    val, t, zeros = simplex_min(gram(gens, int_scaled(form)[1]))
     if val < 0:
         return -1, combine(gens, t), []
     # zeros is empty when val > 0; a zero counts only at a nonzero cone point

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import lp
 from .cones import PolyCone, close_under_meets, generated_cone, hrep_to_vrep
-from .rational import (F0, F1, Mat, Vec, as_int_row, dot, frac, int_row, mat, neg, nullspace, rank,
+from .rational import (F0, Mat, Vec, dot, frac, int_row, int_scaled, mat, neg, nullspace, rank,
                        sub, unit, vec, zeros)
 
 
@@ -56,14 +56,13 @@ class ConvexPolyhedron:
     @functools.cached_property
     def ab_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each row (a_i, -b_i) as ints over den, the lcm of its entries' denominators."""
-        return tuple((tuple(x.numerator * (d // x.denominator) for x in (*ai, -bi)), d)
-                     for ai, bi in zip(self.a, self.b)
-                     for d in [math.lcm(bi.denominator, *(x.denominator for x in ai))])
+        return tuple((tuple(r), d) for ai, bi in zip(self.a, self.b)
+                     for d, (r,) in [int_scaled(((*ai, -bi),))])
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Each row a_i x <= b_i as its primitive int row `homogenize(a_i, b_i)`."""
-        return tuple(as_int_row(r) for r, _ in self.ab_rows)
+        return tuple(int_row(r) for r, _ in self.ab_rows)
 
     @functools.cached_property
     def a(self) -> Mat:
@@ -174,7 +173,7 @@ class ConvexPolyhedron:
     def slice(self, y) -> "ConvexPolyhedron":
         """{x : (x, y) in P}, y the trailing coordinates: for (p, q) the ints of (y, 1),
         the row (r_x, r_y, r_t) / d becomes (q r_x, r_y . p + q r_t) / (q d)."""
-        *p, q = int_row(vec(y) + (F1,))
+        *p, q = int_row((*y, 1))
         k = self.dim - len(p)
         return self.from_rows(k, (([q * x for x in r[:k]]
                                    + [sum(map(operator.mul, r[k:-1], p)) + q * r[-1]], q * d)
@@ -293,10 +292,10 @@ def critical_cone(piece: ConvexPolyhedron, x, v) -> PolyCone:
 
 def _homogeneous(x, dim: int) -> tuple[int, ...]:
     """The primitive ints of (x, 1), x a rational point of R^dim."""
-    x = vec(x)
+    x = tuple(x)
     if len(x) != dim:
         raise ValueError(f"dimension mismatch: {len(x)} vs {dim}")
-    return int_row(x + (F1,))
+    return int_row(x + (1,))
 
 
 def homogenize(a, b) -> tuple[int, ...]:

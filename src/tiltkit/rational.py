@@ -3,7 +3,11 @@ polyhedral machinery needs.
 
 Vectors are tuples of exact scalars, Fractions or ints, matrices tuples of
 row tuples; cone data are primitive int rows.  Everything here is pure;
-callers rely on exactness.  Elimination (rref, int_rref, rank, nullspace,
+callers rely on exactness.  Exact data become ints in one place:
+`int_scaled` scales a matrix of ints and Fractions by the lcm of its
+denominators, and `int_row` makes a row primitive, taking Python ints,
+Fractions and 'p/q' strings (read by `frac`) and raising TypeError on a
+float, a bool or a numpy scalar.  Elimination (rref, int_rref, rank, nullspace,
 solve) is one fraction-free pass over primitive integer rows, so its hot
 loop does int products only and Fractions appear only in results.
 """
@@ -102,22 +106,22 @@ def to_float(a: Sequence[Fraction]) -> tuple[float, ...]:
     return tuple(float(x) for x in a)
 
 
+def int_scaled(m: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(d, dm): the least positive int d that scales the matrix m of ints
+    and Fractions to ints, the lcm of its entries' denominators, and dm."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
 def int_row(a: Sequence) -> tuple[int, ...]:
-    """Scale a rational row by a positive factor to ints with gcd 1.
+    """The row a scaled by a positive factor to ints with gcd 1; zero rows stay zero.
 
-    Zero rows stay zero; ints and Fractions are both accepted.
+    A row of Python ints is only divided by its gcd; any other row is
+    `int_scaled` after `frac` on each entry, so a 'p/q' string is read and
+    a float, bool or numpy scalar raises TypeError.
     """
-    den = math.lcm(*(x.denominator for x in a))
-    ints = [x.numerator * (den // x.denominator) for x in a]
-    g = math.gcd(*ints) or 1
-    return tuple(v // g for v in ints)
-
-
-def as_int_row(a: Sequence) -> tuple[int, ...]:
-    """`int_row(vec(a))`, so a float raises TypeError as in `frac`; a row of
-    ints is only divided by its gcd."""
     if not all(type(x) is int for x in a):
-        return int_row(vec(a))
+        a = int_scaled((vec(a),))[1][0]
     g = math.gcd(*a)
     return tuple(x // g for x in a) if g > 1 else tuple(a)
 
@@ -126,16 +130,10 @@ def _echelon(m: Mat) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination: (rows, pivot columns), each
     row a nonzero multiple of the matching rref row (zero rows last).
 
-    Rows are primitive ints, made primitive again after each step; a row
-    with a Fraction enters as `int_row(vec(r))`, so a float raises.
+    Rows are primitive ints, `int_row` of the rows of m, made primitive
+    again after each step.
     """
-    rows = []
-    for r in m:
-        try:
-            g = math.gcd(*r)
-        except TypeError:
-            r, g = int_row(vec(r)), 1
-        rows.append([x // g for x in r] if g > 1 else list(r))
+    rows = [list(int_row(r)) for r in m]
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(len(rows[0]) if nrows else 0):

@@ -26,8 +26,8 @@ from .hessian import second_order_map
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .project import distances_to_unions, row_norms
-from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, mat, matvec, neg,
-                       norm_sq, solve_affine, sub, to_float, vec, zeros)
+from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, int_scaled, mat, matvec,
+                       neg, norm_sq, solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, analytic_distances, analytic_inverse_points,
                       distance_to_inverse, inverse_image, subdifferential_distance)
 
@@ -60,8 +60,7 @@ def domain_lattice(f: FunctionSpec | None, center: Vec, radius: Fraction, per_ax
     against the domain's int rows."""
     m = per_axis - 1
     step = frac(radius) / m
-    den = math.lcm(step.denominator, *(x.denominator for x in center))
-    c, s = [int(x * den) for x in center], int(step * den)
+    den, ((*c, s),) = int_scaled(((*center, step),))
     offsets = [[o * s for o in off]
                for off in itertools.product(range(-m, m + 1, 2), repeat=len(c))
                if sum(o * o for o in off) <= m * m]
@@ -168,8 +167,7 @@ def _values(f: FunctionSpec, points) -> np.ndarray:
     rounds as float(Fraction) does."""
     sm = f.smooth
     m = [[*row, ci] for row, ci in zip(sm.q, sm.c)] + [[*sm.c, 2 * sm.d]]
-    l = math.lcm(*(x.denominator for row in m for x in row))
-    m = [[int(x * l) for x in row] for row in m]
+    l, m = int_scaled(m)
     out = []
     for x in points:
         p = int_row(tuple(x) + (1,))
@@ -379,8 +377,7 @@ def _ball_points(pieces: tuple[ConvexPolyhedron, ...], center: Vec,
     with t > 0 (the box bounds it), a midpoint is (x1 t2 + x2 t1, 2 t1 t2),
     and x / t is in the ball iff rd^2 |cd x - cn t|^2 <= rn^2 (cd t)^2, for
     center cn / cd and radius rn / rd; only the points kept become Fractions."""
-    cd = math.lcm(*(c.denominator for c in center))
-    cn = [c.numerator * (cd // c.denominator) for c in center]
+    cd, (cn,) = int_scaled((center,))
     rn2, rd2 = radius.numerator ** 2, radius.denominator ** 2
     box = ConvexPolyhedron.box(center, radius)
     seen: set[tuple[int, ...]] = set()  # membership only: pts keeps the order

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -423,11 +424,19 @@ def test_vrep_points_are_fractions_and_directions_primitive_ints(rows):
 
 
 def test_float_and_bool_entries_raise_type_error():
-    # as `frac` rejects them: the exact path must not absorb binary rounding
-    for bad in (0.5, True):
+    # as `frac` rejects them: the exact path must not absorb binary rounding,
+    # and every entry point reads rows through `int_row`
+    quadrant = PolyCone.from_inequalities([(-1, 0), (0, -1)], 2)
+    square = ConvexPolyhedron.box((0, 0), 1)
+    for bad in (0.5, True, np.int64(1)):
         for make in (lambda: PolyCone.from_inequalities([(bad, 1)], 2),
                      lambda: PolyCone.from_generators([(1, bad)], 2),
                      lambda: PolyCone.from_generators([], 2, lineality=[(bad, 0)]),
-                     lambda: hrep_to_vrep([(1, bad)], 2)):
+                     lambda: hrep_to_vrep([(1, bad)], 2),
+                     lambda: int_row((1, bad)),
+                     lambda: rank(((1, 2), (bad, 0))),
+                     lambda: quadrant.contains((1, bad)),
+                     lambda: square.contains((bad, 0)),
+                     lambda: square.slice((bad,))):
             with pytest.raises(TypeError):
                 make()

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from test_lp import ARITHMETIC, INFEASIBLE, OPTIMAL, minimize
 
 from tiltkit.cones import PolyCone
-from tiltkit.copositive import (_embed, _int_form, cone_form_min_sign, cone_form_sign_and_zeros, gram,
+from tiltkit.copositive import (_embed, cone_form_min_sign, cone_form_sign_and_zeros, gram,
                                 graph_form, simplex_min)
-from tiltkit.rational import (F0, F1, combine, dot, int_row, is_zero, mat, nullspace, solve_affine,
-                             vec, zeros)
+from tiltkit.rational import (F0, F1, combine, dot, int_row, int_scaled, is_zero, mat, nullspace,
+                             solve_affine, vec, zeros)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -57,7 +57,7 @@ def test_int_gram_is_the_stacked_formula_times_the_forms_denominator(args):
     n, ww, wz, zz, gens = args
     b = stacked_form(n, ww, wz, zz)
     gens = [int_row(g) for g in gens]
-    d, m = _int_form(graph_form(n, ww, wz, zz))
+    d, m = int_scaled(graph_form(n, ww, wz, zz))
     got = gram(gens, m)
     assert all(type(x) is int for row in got for x in row)
     assert got == mat([[d * b(g, h) for h in gens] for g in gens])
@@ -415,7 +415,7 @@ def test_gram_and_walk_do_no_fraction_arithmetic_on_ints(monkeypatch):
     cases = [([(1, 0), (0, 1), (1, 1)], ((0, -1), (-1, 0))),
              ([(1, 0), (0, 1)], ((1, -1), (-1, 1))),
              ([tuple(int(i == j) for j in range(5)) for i in range(5)], HORN)]
-    forms = [(gens, _int_form(form)[1]) for gens, form in cases]
+    forms = [(gens, int_scaled(form)[1]) for gens, form in cases]
     # positive on the quadrant, so cone_form_sign_and_zeros combines no point
     quad = PolyCone.from_generators([(1, 0), (0, 1)], 2)
     positive = mat([[1, F(1, 2)], [F(1, 2), F(1, 3)]])

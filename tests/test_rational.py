@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tiltkit.rational import (F0, F1, _echelon, add, as_int_row, dot, int_nullspace, int_row, int_rref,
-                              mat, matvec, nullspace, rank, rref, solve, solve_affine, sub, vec)
+from tiltkit.rational import (F0, F1, _echelon, add, dot, int_nullspace, int_row, int_rref,
+                              int_scaled, mat, matvec, nullspace, rank, rref, solve, solve_affine,
+                              sub, vec)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -119,9 +120,61 @@ def test_solve_affine_full_set():
     assert len(null) == 1
 
 
+def lcm_then_gcd(row):
+    """Reference: the row as Fractions, times the lcm of their denominators,
+    over the gcd of the ints that gives (zero rows stay zero)."""
+    fs = [F(x) for x in row]
+    d = math.lcm(*(x.denominator for x in fs))
+    ints = [int(x * d) for x in fs]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def test_primitive_scaling():
-    assert int_row(vec([F(2, 3), F(4, 3)])) == (1, 2)
-    assert int_row(vec([F(-1, 2), F(1, 2)])) == (-1, 1)
+    for row, want in [
+            (vec([F(2, 3), F(4, 3)]), (1, 2)),
+            (vec([F(-1, 2), F(1, 2)]), (-1, 1)),
+            ((6, -9, 0), (2, -3, 0)),  # ints: only divided by their gcd
+            ((-4, -8), (-1, -2)),  # the factor is positive, so signs stay
+            ((0, 0, 0), (0, 0, 0)),
+            ((), ()),
+            ((3, F(1, 2)), (6, 1)),  # mixed ints and Fractions
+            (("1/6", "-2/3", 1), (1, -4, 6)),  # 'p/q' strings, read as `vec` reads them
+            ((F(4), F(6)), (2, 3))]:  # Fractions with denominator 1
+        got = int_row(row)
+        assert got == want == lcm_then_gcd(row)
+        assert all(type(x) is int for x in got)
+
+
+exact_entries = st.one_of(st.integers(-12, 12), rationals, rationals.map(str))
+
+
+@st.composite
+def exact_rows(draw):
+    """Rows of one length: ints, Fractions, 'p/q' strings and mixes of them,
+    int rows with a common factor > 1, zero rows."""
+    n = draw(st.integers(1, 4))
+    ints = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    row = st.one_of(st.lists(exact_entries, min_size=n, max_size=n),
+                    st.lists(rationals, min_size=n, max_size=n),
+                    ints,
+                    st.tuples(ints, st.integers(2, 6)).map(lambda r: [r[1] * x for x in r[0]]),
+                    st.just([0] * n))
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+@given(exact_rows())
+@example([[0, 0], [6, -4], ["3/4", F(-1, 6)]])
+def test_int_row_and_int_scaled_match_the_lcm_then_gcd_oracle(rows):
+    for row in rows:
+        got = int_row(row)
+        assert got == lcm_then_gcd(row)
+        assert all(type(x) is int for x in got)
+    m = mat(rows)
+    d, ints = int_scaled(m)
+    assert d == math.lcm(*(x.denominator for row in m for x in row))
+    assert ints == [[d * x for x in row] for row in m]
+    assert all(type(x) is int for row in ints for x in row)
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2),
@@ -160,9 +213,9 @@ def test_int_rows_eliminate_like_their_fraction_copies(m):
 
 
 def full_echelon(m):
-    """Reference: `_echelon` that makes each row primitive with `as_int_row`,
+    """Reference: `_echelon` that makes each row primitive with `int_row`,
     finds pivots by a generator and runs over every column."""
-    rows = [list(as_int_row(r)) for r in m]
+    rows = [list(int_row(r)) for r in m]
     nrows = len(rows)
     pivots = []
     for c in range(len(rows[0]) if nrows else 0):
@@ -196,21 +249,13 @@ def test_echelon_matches_the_full_column_sweep(m):
         assert int_rref(rows)[1:] == (want_pivots, s)
 
 
-def test_echelon_takes_primitive_int_rows_as_given(monkeypatch):
-    from tiltkit import rational
-
-    calls = []
-    real = rational.int_row
-
-    def counted(a):
-        calls.append(a)
-        return real(a)
-
-    monkeypatch.setattr(rational, "int_row", counted)
-    rows, pivots = rational._echelon(((1, 2, 3), (2, -1, 0), (3, 1, 3)))
-    assert pivots == [0, 1] and not calls
-    rational._echelon(mat([[1, 2], [3, 4]]))
-    assert len(calls) == 2
+def test_echelon_takes_primitive_int_rows_as_given():
+    # a primitive int row enters unchanged, and int rows eliminate exactly
+    # as their Fraction copies do
+    for m in (((3, -5, 7),), ((1, 2, 3), (2, -1, 0), (3, 1, 3)), ((1, 2), (3, 4))):
+        assert _echelon(m) == _echelon(mat(m))
+    assert _echelon(((3, -5, 7),)) == ([[3, -5, 7]], [0])
+    assert _echelon(((1, 2, 3), (2, -1, 0), (3, 1, 3)))[1] == [0, 1]
 
 
 def test_add_and_sub_reject_vectors_of_different_lengths():

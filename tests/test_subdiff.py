@@ -16,7 +16,7 @@ from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, Q
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, same_union
 from tiltkit.project import FEAS_TOL, distance_to_polyhedron, row_norms
-from tiltkit.rational import (add, as_int_row, combine, dot, int_row, matvec, neg, norm_sq, rank,
+from tiltkit.rational import (add, combine, dot, int_row, matvec, neg, norm_sq, rank,
                               scale, solve, sub, to_float, vec, zeros)
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
                              _analytic_subdifferential, analytic_distances,
@@ -359,8 +359,8 @@ def slice_meets(piece, p, box):
     the row of `piece.slice(y).intersect(box)`: one DD per (piece, y)."""
     *q, d = p
     k = piece.dim - len(q)
-    rows = tuple(as_int_row([d * a for a in row[:k]]
-                            + [sum(map(operator.mul, row[k:-1], q)) + d * row[-1]])
+    rows = tuple(int_row([d * a for a in row[:k]]
+                         + [sum(map(operator.mul, row[k:-1], q)) + d * row[-1]])
                  for row in piece.rows)
     _, rays = hrep_to_vrep(rows + box.rows + ((0,) * k + (-1,),), k + 1)
     return any(r[-1] > 0 for r in rays)
