@@ -5,17 +5,16 @@ Near a point of a finite union of polyhedra, only finitely many
 exact active set.  The regular normal cone is constant on each
 signature locus, so the limiting normal cone (the outer limit of regular
 normal cones) is exactly the union of those finitely many values over
-the cells adherent to the point.  This module enumerates the cells, both
-localized at a query point (conic signatures) and globally (polyhedral
-closures), as options for the one strict-feasibility search
-`polyhedra.strict_leaves`: per piece, a face to stay on or a row to leave
-through.  Local cells choose the members first (a face per piece, or the
-piece left out) and then run one first-hit search for leave rows of the
-pieces left out; the signatures come ordered by their first feasible path.
+the cells adherent to the point.  This module reads the cells localized
+at a query point (conic signatures) off the covectors of the active rows'
+arrangement, with no LP, and finds the global cells (polyhedral closures)
+by the strict-feasibility search `polyhedra.strict_leaves`: per piece, a
+face to stay on or a row to leave through.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Sequence
 
 from .cones import ConeUnion, PolyCone, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
-from .rational import mat, neg, vec, zeros
+from .rational import int_nullspace, mat, neg, rank, vec, zeros
 
 
 Signature = tuple[tuple[int, frozenset[int]], ...]  # (piece, active rows) per member
@@ -40,49 +39,74 @@ def _value_cone(union: PolyUnion, memberships: Sequence[tuple[int, frozenset[int
     return PolyCone(dim, ineqs=ineq_rows)
 
 
+def covectors(planes, dim: int, cones) -> set[tuple[int, ...]]:
+    """The sign vectors X = sign(P u), u in R^dim, of the int rows P =
+    `planes` that lie in a closed cone of `cones`, a list of (h, s) asking
+    s X_h <= 0.  Per cone, they are the compositions of the sets of its
+    cocircuits C ((X o C)_h is X_h, or C_h where X_h = 0), each set in one
+    fixed order, the empty set giving the zero vector.  A composition is a
+    sign vector, of u + eps v for small eps > 0, and keeps signs <= 0.
+    Conversely, modulo the lineality, the extreme rays of X's closed cell
+    {v : each P_h v zero or of sign X_h} lie on flats of rank r - 1
+    (r = rank P), so their signs are cocircuits, in X's cone as they are
+    conformal to X; u is a nonnegative sum of them plus lineality, so they
+    compose to X in any order (Bjorner, Las Vergnas, Sturmfels, White and
+    Ziegler, *Oriented Matroids*, 1999, ch. 3).
+    """
+    def signs(u):  # as bitmasks: (rows h with P_h u > 0, rows with P_h u < 0)
+        dots = [sum(map(operator.mul, p, u)) for p in planes]
+        return tuple(sum(1 << h for h, d in enumerate(dots) if d * t > 0) for t in (1, -1))
+
+    r, cocircuits = rank(planes), set()
+    for flat in itertools.combinations(planes, max(r - 1, 0)):
+        basis = int_nullspace(flat, dim)[0]
+        if len(basis) == dim - r + 1:  # rank r - 1: some basis vector is off the lineality
+            c = next(filter(any, map(signs, basis)))
+            cocircuits |= {c, c[::-1]}
+    found = set()
+    for cone in cones:  # the rows that may not be positive, and those that may not be negative
+        up, down = (sum(1 << h for h in {h for h, s in cone if s == t}) for t in (1, -1))
+        reached = {(0, 0)}
+        for cp, cn in cocircuits:
+            if not (cp & up or cn & down):
+                reached |= {(pos | cp & ~negs, negs | cn & ~pos) for pos, negs in reached}
+        found |= reached
+    return {tuple((pos >> h & 1) - (negs >> h & 1) for h in range(len(planes)))
+            for pos, negs in found}
+
+
 def local_cells(union: PolyUnion, x) -> list[Signature]:
     """Signatures of the localized complex of the union at x (x in union),
-    each once, in the order of their first strictly feasible path.
-
-    A direction u stays in piece k on a face of its tangent cone (the face's
-    rows equal, the other active rows strict) or leaves it through an
-    active row (A_i u > 0).  The search first chooses the members: a face
-    per piece, or the piece left out.  Each choice with a member is a
-    signature iff one first-hit search finds a leave row for every piece
-    left out; that hit is the least feasible path of the signature, among
-    paths ordered by option index per piece, faces before leave rows.
+    each once, in the order of their least path: per piece, the index of
+    the face of its tangent cone that u stays on, or the number of faces
+    plus the index of the first active row u leaves through.  Both are read
+    off the covectors in some tangent cone of the arrangement of the active
+    rows, a row and its negation one hyperplane with opposite signs.
     """
     x = vec(x)
     if not union.contains(x):
         raise ValueError("point is not in the union")
-    levels, outs = [], []
+    planes: dict[tuple[int, ...], int] = {}  # hyperplane, its first nonzero entry > 0 -> index
+    pieces = []
     for k in union.pieces_containing(x):
-        piece = union.pieces[k]
-        act = sorted(piece.active_set(x))
-        tangent = piece.tangent_cone(x)
-        rows = dict(zip(act, tangent.ineqs))
-        opts = []
-        for j, (key, _) in enumerate(tangent.faces()):
-            eq = frozenset(act[i] for i in key)
-            rows_eq = frozenset(rows[i] for i in eq)
-            rows_strict = frozenset(rows[i] for i in act if i not in eq)
-            opts.append((rows_eq, rows_strict, (j, (k, eq), rows_eq, rows_strict)))
-        levels.append(opts + [(frozenset(), frozenset(), None)])
-        outs.append([(frozenset(), frozenset([neg(rows[i])]), len(opts) + j)
-                     for j, i in enumerate(act)])
+        tangent = union.pieces[k].tangent_cone(x)
+        signed = [(planes.setdefault(max(row, neg(row)), len(planes)), 1 if row >= neg(row) else -1)
+                  for row in tangent.ineqs]
+        faces = {key: j for j, (key, _) in enumerate(tangent.faces())}
+        pieces.append((k, sorted(union.pieces[k].active_set(x)), signed, faces))
     found = []
-    for chosen in strict_leaves(levels, union.dim):
-        members = [c for c in chosen if c is not None]
-        if not members:
-            continue
-        escape = next(strict_leaves([o for o, c in zip(outs, chosen) if c is None], union.dim,
-                                    frozenset().union(*(e for _, _, e, _ in members)),
-                                    frozenset().union(*(s for _, _, _, s in members))), None)
-        if escape is not None:
-            leave = iter(escape)
-            path = tuple(next(leave) if c is None else c[0] for c in chosen)
-            found.append((path, tuple(m for _, m, _, _ in members)))
-    return [sig for _, sig in sorted(found)]
+    for cov in covectors(tuple(planes), union.dim, [signed for _, _, signed, _ in pieces]):
+        sig, path = [], []
+        for k, act, signed, faces in pieces:
+            vals = [s * cov[h] for h, s in signed]
+            if max(vals, default=0) <= 0:
+                key = frozenset(j for j, v in enumerate(vals) if not v)
+                sig.append((k, frozenset(act[j] for j in key)))
+                path.append(faces[key])
+            else:
+                path.append(len(faces) + next(j for j, v in enumerate(vals) if v > 0))
+        found.append((tuple(path), tuple(sig)))
+    return list(dict.fromkeys(sig for _, sig in sorted(found)))  # each at its least path
 
 
 def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:

@@ -7,11 +7,11 @@ integer-preserving (Bareiss) pivots, so the pivot loop does int products
 and exact divisions only.  It picks the same pivots as Bland's rule on the
 Fraction tableau.  Problem sizes here are tiny (tens of variables), so
 termination and exactness matter far more than pivoting heuristics.  No
-float enters.  Its one caller is the strict-feasibility test of the cell
-recursion (`polyhedra.strict_leaves`), which decides every memo miss by
-Gordan's alternative on the strict rows reduced against its equality set's
-integer nullspace, memoized per equality set; emptiness, implied
-equalities, faces and cone membership are read off the double description.
+float enters.  Its one caller is the strict-feasibility test of the search
+for global cells and union covers (`polyhedra.strict_leaves`), deciding
+each memo miss by Gordan's alternative on the strict rows reduced against
+its equality set's integer nullspace, memoized per equality set; emptiness,
+implied equalities, faces and cone membership come from the double description.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def solve_standard(a: Mat, b: Vec) -> bool:
 def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     """Does {u : E u = 0, S u < 0 (componentwise)} have a solution?
 
-    Rows are exact (int or Fraction tuples); the cell recursion
-    (`polyhedra.strict_leaves`) passes frozensets of primitive int rows.
+    Rows are exact (int or Fraction tuples); `polyhedra.strict_leaves`
+    passes frozensets of primitive int rows.
     The memo key is (n, nonzero rows of E, rows of S) as frozensets of the
     rows exactly as given, and the answer is computed from that key alone.
     Substitutes the integer nullspace basis of E, memoized on (n, rows of E)

@@ -4,7 +4,7 @@ Exact membership, active sets, tangent/normal cones, and a
 V-representation through homogenization, whose generators decide
 emptiness, implied equalities and faces with no LP.  `strict_leaves` is
 the one depth-first strict-feasibility search, over homogeneous primitive
-int rows, behind union covers here and the cell complexes in `cells`.
+int rows, behind union covers here and the global cell complex in `cells`.
 """
 
 from __future__ import annotations

@@ -116,12 +116,12 @@ def int_scaled(m: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
 def int_row(a: Sequence) -> tuple[int, ...]:
     """The row a scaled by a positive factor to ints with gcd 1; zero rows stay zero.
 
-    A row of Python ints is only divided by its gcd; any other row is
-    `int_scaled` after `frac` on each entry, so a 'p/q' string is read and
-    a float, bool or numpy scalar raises TypeError.
+    A row of Python ints is only divided by its gcd, one of ints and
+    Fractions is `int_scaled`, and any other goes through `frac` first, so
+    a 'p/q' string is read and a float, bool or numpy scalar raises TypeError.
     """
-    if not all(type(x) is int for x in a):
-        a = int_scaled((vec(a),))[1][0]
+    if (kinds := set(map(type, a))) != {int}:
+        a = int_scaled((a if kinds <= {int, Fraction} else vec(a),))[1][0]
     g = math.gcd(*a)
     return tuple(x // g for x in a) if g > 1 else tuple(a)
 

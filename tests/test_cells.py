@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from test_lp import feasible
 
 from tiltkit import lp
-from tiltkit.cells import (Cell, _value_cone, cell_complex, limiting_normal_cone, local_cells,
-                           sampled_regular_normals)
+from tiltkit.cells import (Cell, _value_cone, cell_complex, covectors, limiting_normal_cone,
+                           local_cells, sampled_regular_normals)
 from tiltkit.cones import ConeUnion, PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, poly_union_covers, same_union
 from tiltkit.rational import add, dot, int_row, is_zero, mat, neg, scale, vec, zeros
@@ -201,7 +202,7 @@ def test_sampler_builds_one_cone_per_signature(monkeypatch):
     assert len(built) == len(set(built)) > 1
 
 
-def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):
+def test_cell_complex_feeds_primitive_int_rows_to_strict_test(monkeypatch):
     from tiltkit.fixtures import fixture
     from tiltkit.hessian import build_graph_model
 
@@ -215,14 +216,11 @@ def test_local_cells_feed_primitive_int_rows_to_strict_test(monkeypatch):
         return real_memo(*key)
 
     monkeypatch.setattr(lp, "_strict_feasible", spy)
-    for search in (lambda: local_cells(model.union, model.basepoint),
-                   lambda: cell_complex(model.union)):
-        keys.clear()
-        assert search()
-        assert keys
-        for n, eq, stricts in keys:
-            for row in eq | stricts:
-                assert type(row) is tuple and all(type(v) is int for v in row)
+    assert cell_complex(model.union)
+    assert keys
+    for n, eq, stricts in keys:
+        for row in eq | stricts:
+            assert type(row) is tuple and all(type(v) is int for v in row)
 
 
 # -- the per-node searches these replace, kept as oracles ------------------------
@@ -370,6 +368,44 @@ def test_local_cells_match_first_seen_paths(union):
     assert local_cells(union, origin) == list(dict.fromkeys(m for m, _ in paths))
 
 
+@st.composite
+def arrangements(draw):
+    """(rows, dim, cones): up to 6 int rows in R^1..R^4, integer combinations
+    of 1..dim drawn vectors, so the lineality is often nontrivial, with
+    zero, repeated and negated rows mixed in; and 1-3 cones of (row, sign)
+    pairs, repeats allowed, an empty cone being the whole space."""
+    n = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(-2, 2)] * n)
+    basis = draw(st.lists(vectors, min_size=1, max_size=n))
+    rows = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n))
+            for cs in draw(st.lists(st.lists(st.integers(-1, 1), min_size=len(basis),
+                                             max_size=len(basis)), min_size=1, max_size=4))]
+    extra = draw(st.lists(st.sampled_from(["zero", "repeat", "negate"]), max_size=2))
+    rows += [(0,) * n if e == "zero" else rows[0] if e == "repeat" else neg(rows[-1])
+             for e in extra]
+    pairs = st.tuples(st.integers(0, len(rows) - 1), st.sampled_from([1, -1]))
+    cones = draw(st.lists(st.lists(pairs, max_size=4), min_size=1, max_size=3))
+    return tuple(rows), n, cones
+
+
+def lp_covectors(rows, n, cones):
+    """Every sign vector in {-, 0, +}^h in some cone that the strict test
+    accepts, its zero rows as equalities and its signed rows strict."""
+    return {x for x in itertools.product((-1, 0, 1), repeat=len(rows))
+            if any(all(s * x[h] <= 0 for h, s in cone) for cone in cones)
+            and lp.strict_homogeneous_feasible(
+                frozenset(r for r, v in zip(rows, x) if not v),
+                frozenset(tuple(-v * c for c in r) for r, v in zip(rows, x) if v), n)}
+
+
+@given(arrangements())
+@example((((1, 0), (0, 1)), 2, [[(0, 1), (0, 1)]]))  # a repeated pair asks once
+@example((((0, 0, 0), (1, 1, 0), (-1, -1, 0)), 3, [[]]))  # rank 1, lineality of dimension 2
+def test_covectors_match_the_strict_test_oracle(arrangement):
+    rows, n, cones = arrangement
+    assert covectors(rows, n, cones) == lp_covectors(rows, n, cones)
+
+
 @settings(max_examples=25, deadline=None)
 @given(unions_through_origin())
 @example(PolyUnion([ConvexPolyhedron([(-1, 2, -1), (-2, -1, 2)], (0, 0)),
@@ -408,7 +444,7 @@ def test_int_sampler_matches_fraction_oracle(union, shrink, seed):
 
 
 def test_local_cells_strict_test_count(monkeypatch):
-    # members first, then one first-hit escape search per candidate
+    # the cells are read off sign vectors: no strict test at all
     from tiltkit.fixtures import fixture
     from tiltkit.hessian import build_graph_model
 
@@ -424,7 +460,7 @@ def test_local_cells_strict_test_count(monkeypatch):
     monkeypatch.setattr(lp, "strict_homogeneous_feasible", counted)
     lp._strict_feasible.cache_clear()
     assert local_cells(model.union, model.basepoint)
-    assert len(calls) == 511
+    assert len(calls) == 0
 
 
 def test_local_cells_repeat_no_signature():
