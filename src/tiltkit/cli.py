@@ -133,9 +133,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # analyze
     try:
-        with open(args.problem_file) as fh:
+        with open(args.problem_file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

@@ -9,9 +9,9 @@ Fraction tableau.  Problem sizes here are tiny (tens of variables), so
 termination and exactness matter far more than pivoting heuristics.  No
 float enters.  Its one caller is the strict-feasibility test of the search
 for global cells and union covers (`polyhedra.strict_leaves`), deciding
-each memo miss by Gordan's alternative on the strict rows reduced against
-its equality set's integer nullspace, memoized per equality set; emptiness,
-implied equalities, faces and cone membership come from the double description.
+each memo miss by Motzkin's alternative in one LP on the rows as given;
+emptiness, implied equalities, faces and cone membership come from the
+double description.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .rational import MEMO_SIZE, Mat, Vec, int_nullspace, int_row
+from .rational import MEMO_SIZE, Mat, Vec, int_row, neg
 
 
 def _pivot(t: list[list[int]], d: int, r: int, col: int) -> int:
@@ -90,36 +90,17 @@ def strict_homogeneous_feasible(eq_rows, strict_rows, n: int) -> bool:
     Rows are exact (int or Fraction tuples); `polyhedra.strict_leaves`
     passes frozensets of primitive int rows.
     The memo key is (n, nonzero rows of E, rows of S) as frozensets of the
-    rows exactly as given, and the answer is computed from that key alone.
-    Substitutes the integer nullspace basis of E, memoized on (n, rows of E)
-    since it depends on E alone, and applies Gordan's alternative: exists
-    t with M t < 0 iff no lambda >= 0, sum 1, M' lambda = 0, which phase 1
-    of `solve_standard` decides alone.
+    rows exactly as given, and the answer is computed from that key alone,
+    by Motzkin's alternative (Schrijver, *Theory of Linear and Integer
+    Programming*, 1986, 7.8): there is no such u iff some lambda >= 0 with
+    sum 1 and p, q >= 0 have S^T lambda + E^T (p - q) = 0, one phase 1 of
+    `solve_standard` on the columns [S | E | -E].
     """
     return _strict_feasible(n, frozenset(eq_rows) - {(0,) * n}, frozenset(strict_rows))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _equality_basis(n: int, eq: frozenset) -> tuple[tuple[int, ...], ...]:
-    # s times the rref nullspace of E, in any row order; int_row removes s
-    return tuple(int_nullspace(tuple(eq), n)[0])
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _strict_feasible(n: int, eq: frozenset, strict: frozenset) -> bool:
-    if not eq:
-        reduced, d = list(strict), n
-    else:
-        basis = _equality_basis(n, eq)
-        if not basis:
-            return not strict  # only u = 0 remains
-        reduced = [int_row([sum(x * y for x, y in zip(r, b)) for b in basis]) for r in strict]
-        d = len(basis)
-    if any(not any(r) for r in reduced):
-        return False
-    if not reduced:
-        return True
-    # Gordan: infeasibility of {lam >= 0, sum lam = 1, M^T lam = 0}
-    m = len(reduced)
-    a = [[reduced[j][i] for j in range(m)] for i in range(d)] + [[1] * m]
-    return not solve_standard(a, (0,) * d + (1,))
+    cols = [*strict, *eq, *map(neg, eq)]
+    a = [[c[i] for c in cols] for i in range(n)] + [[1] * len(strict) + [0] * (2 * len(eq))]
+    return not solve_standard(a, (0,) * n + (1,))

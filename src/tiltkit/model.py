@@ -337,7 +337,7 @@ def parse_problem(text: str) -> ProblemInstance:
         raw = json.loads(text, parse_float=_reject_floats)
     except ParseError:
         raise
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, int too long, nested too deep
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(raw, dict) or "variant" not in raw:
         raise ParseError("problem file must be an object with a 'variant' field")

@@ -13,7 +13,6 @@ int generators of each clipped piece's double description).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -26,8 +25,8 @@ from .hessian import second_order_map
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
 from .project import distances_to_unions, row_norms
-from .rational import (MEMO_SIZE, Vec, add, combine, dot, frac, int_row, int_scaled, mat, matvec,
-                       neg, norm_sq, solve_affine, sub, to_float, vec, zeros)
+from .rational import (Vec, add, combine, dot, frac, int_row, int_scaled, mat, matvec, neg,
+                       norm_sq, solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, analytic_distances, analytic_inverse_points,
                       distance_to_inverse, inverse_image, subdifferential_distance)
 
@@ -247,10 +246,11 @@ def check_growth(inst: ProblemInstance, alpha, mode: str,
 
 
 def growth_alpha_hat(inst: ProblemInstance, mode: str) -> float:
-    """Largest alpha with zero grid violations, in closed form: the least
-    ratio of f(x) - f(xbar) - <xstar, x-xbar> to D(x)^2/2 over the grid
-    (analytic variant: ALPHA_POINTS points), clipped to [0, ALPHA_CAP];
-    -inf when the inequality already fails at alpha = 0."""
+    """Largest alpha at which no grid sample violates the inequality before
+    check_growth's TIE_TOL allowance, in closed form: the least ratio of
+    f(x) - f(xbar) - <xstar, x-xbar> to D(x)^2/2 over the grid (analytic
+    variant: ALPHA_POINTS points), clipped to [0, ALPHA_CAP]; -inf when the
+    inequality already fails at alpha = 0."""
     _, base, lhs, k = _growth_terms(inst, mode, inst.params.eta, inst.params.grid)
     if np.any(lhs < base - TIE_TOL):
         return -math.inf
@@ -345,11 +345,11 @@ def _outcome(blocks, c: float) -> CheckOutcome:
 
 
 def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, CheckOutcome]:
-    """Smallest r passing the chosen lower inequality on the grid, in closed
-    form: the largest ratio of the r = 0 violation to k/2 over the samples
-    violating at r = 0.  math.inf when such a sample has k = 0 or the
-    ratio exceeds R_CAP (not prox-regular there); the outcome is then the
-    check at R_CAP."""
+    """Least r at which no grid sample violates the chosen lower inequality
+    before the check's TIE_TOL allowance, in closed form: the largest ratio
+    of the r = 0 violation to k/2 over the samples violating at r = 0.
+    math.inf when such a sample has k = 0 or the ratio exceeds R_CAP (not
+    prox-regular there); the outcome is then the check at R_CAP."""
     blocks = list(_prox_terms(inst, mode, PROX_GRID))
     r = 0.0
     for base, lhs, k, _, _ in blocks:
@@ -365,18 +365,16 @@ def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, Che
     return r, _outcome(blocks, -min(r, R_CAP))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _ball_points(pieces: tuple[ConvexPolyhedron, ...], center: Vec,
                  radius: Fraction) -> tuple[Vec, ...]:
     """Vertices, vertex midpoints and a relative-interior point (the
     vertex barycenter) of each piece clipped to the box around center, kept
     when inside the radius ball, each once: the rational points of an
-    inverse slice or of graph pieces near a point.  Memoized on the pieces,
-    which compare by their rows, the center and the radius.  A point x / t
-    is its int row (x, t), t > 0: the vertices are the clip's int generators
-    with t > 0 (the box bounds it), a midpoint is (x1 t2 + x2 t1, 2 t1 t2),
-    and x / t is in the ball iff rd^2 |cd x - cn t|^2 <= rn^2 (cd t)^2, for
-    center cn / cd and radius rn / rd; only the points kept become Fractions."""
+    inverse slice or of graph pieces near a point.  A point x / t is its int
+    row (x, t), t > 0: the vertices are the clip's int generators with t > 0
+    (the box bounds it), a midpoint is (x1 t2 + x2 t1, 2 t1 t2), and x / t
+    is in the ball iff rd^2 |cd x - cn t|^2 <= rn^2 (cd t)^2, for center
+    cn / cd and radius rn / rd; only the points kept become Fractions."""
     cd, (cn,) = int_scaled((center,))
     rn2, rd2 = radius.numerator ** 2, radius.denominator ** 2
     box = ConvexPolyhedron.box(center, radius)

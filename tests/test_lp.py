@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit import lp
+from tiltkit.cones import hrep_to_vrep
 from tiltkit.rational import F0, F1, Mat, Vec, dot, mat, neg, vec, zeros
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -322,6 +323,15 @@ def gordan_oracle(eq_rows, strict_rows, n):
     return fraction_solve_standard([0] * len(a[0]), a, b)[0] == INFEASIBLE
 
 
+def ray_oracle(eq_rows, strict_rows, n):
+    """Reference with no LP: {E u = 0, S u < 0} has a solution iff each row
+    of S is negative on some extreme ray of {E u = 0, S u <= 0}.  The sum of
+    such rays solves it; a solution is a sum of rays and of lineality, on
+    which S is 0."""
+    _, rays = hrep_to_vrep([*eq_rows, *map(neg, eq_rows), *strict_rows], n)
+    return all(any(dot(s, r) < 0 for r in rays) for s in strict_rows)
+
+
 @st.composite
 def strict_systems(draw):
     n = draw(st.integers(1, 4))
@@ -343,14 +353,17 @@ def strict_systems(draw):
 def test_strict_homogeneous_feasible_matches_gordan_oracle(system):
     eq, strict, n, scales, tries = system
     expected = gordan_oracle(eq, strict, n)
+    assert ray_oracle(eq, strict, n) == expected
     assert lp.strict_homogeneous_feasible(frozenset(eq), frozenset(strict), n) == expected
     # positive rational multiples of the rows describe the same system
     scaled = [tuple(scales[i] * x for x in r) for i, r in enumerate(eq + strict)]
     assert lp.strict_homogeneous_feasible(scaled[:len(eq)], scaled[len(eq):], n) == expected
-    # the equality set's nullspace is now warm: every other strict set, with
-    # the rows of E in another order, still gets the oracle's verdict
+    # every other strict set against the same equality set, its rows in
+    # another order, still gets the oracles' verdict
     for eq_order, other in tries:
-        assert lp.strict_homogeneous_feasible(eq_order, other, n) == gordan_oracle(eq, other, n)
+        expected = gordan_oracle(eq, other, n)
+        assert ray_oracle(eq, other, n) == expected
+        assert lp.strict_homogeneous_feasible(eq_order, other, n) == expected
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=1, max_size=4),

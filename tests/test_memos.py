@@ -1,14 +1,16 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import tiltkit
-from tiltkit import lp
+from tiltkit.cli import main
 from tiltkit.fixtures import CORPUS, fixture
 from tiltkit.hessian import definiteness, kernel
 from tiltkit.model import FunctionSpec
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.rational import MEMO_SIZE
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 MODULES = [importlib.import_module(f"tiltkit.{m.name}")
            for m in pkgutil.iter_modules(tiltkit.__path__) if m.name != "__main__"]
 
@@ -35,9 +37,7 @@ def uncached(f):
 def test_every_process_wide_memo_is_one_bounded_lru_cache():
     memos = process_wide_memos()
     assert sorted(memos) == ["tiltkit.cones._vrep", "tiltkit.cones.generated_cone",
-                             "tiltkit.lp._equality_basis", "tiltkit.lp._strict_feasible",
-                             "tiltkit.project._projection_data",
-                             "tiltkit.regularity._ball_points"]
+                             "tiltkit.lp._strict_feasible", "tiltkit.project._projection_data"]
     for memo in memos.values():
         assert memo.cache_parameters() == {"maxsize": MEMO_SIZE, "typed": False}
 
@@ -51,32 +51,26 @@ def test_every_process_wide_memo_is_one_bounded_lru_cache():
     assert cold == warm
     # the cold run went through the memos and grew no module-level container
     assert memos["tiltkit.lp._strict_feasible"].cache_info().currsize
-    assert memos["tiltkit.lp._equality_basis"].cache_info().currsize
     assert memos["tiltkit.cones._vrep"].cache_info().currsize
     assert module_container_sizes() == sizes
 
 
-def test_strict_tests_compute_one_nullspace_per_equality_set(monkeypatch):
-    # the nullspace of E depends on E alone, so the strict tests of a cold
-    # pass compute it at most once per (n, nonzero rows of E)
-    for memo in process_wide_memos().values():
+def test_every_memo_is_hit_on_cold_traffic(capsys):
+    # a memo stays only while the traffic it serves repeats its keys
+    memos = process_wide_memos()
+    for memo in memos.values():
         memo.cache_clear()
-    nullspaces, eq_sets = [], set()
-
-    def int_nullspace(*args):
-        nullspaces.append(args)
-        return real_int_nullspace(*args)
-
-    def strict_homogeneous_feasible(eq_rows, strict_rows, n):
-        eq_sets.add((n, frozenset(eq_rows) - {(0,) * n}))
-        return real_strict(eq_rows, strict_rows, n)
-
-    real_int_nullspace, real_strict = lp.int_nullspace, lp.strict_homogeneous_feasible
-    monkeypatch.setattr(lp, "int_nullspace", int_nullspace)
-    monkeypatch.setattr(lp, "strict_homogeneous_feasible", strict_homogeneous_feasible)
     for fx in CORPUS.values():
         inst = fx.instance
         if inst.f.is_exact:
-            definiteness(uncached(inst.f), inst.xbar, inst.xstar)
-    assert any(eq for _, eq in eq_sets)
-    assert 0 < len(nullspaces) <= len(eq_sets)
+            f = uncached(inst.f)
+            definiteness(f, inst.xbar, inst.xstar)
+            kernel(f, inst.xbar, inst.xstar)
+    for name in ("cones._vrep", "cones.generated_cone", "lp._strict_feasible"):
+        assert memos[f"tiltkit.{name}"].cache_info().hits, name
+
+    for memo in memos.values():
+        memo.cache_clear()
+    assert main(["analyze", str(PROBLEMS / "cross-quadratic.json")]) == 0
+    capsys.readouterr()
+    assert memos["tiltkit.project._projection_data"].cache_info().hits

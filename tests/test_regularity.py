@@ -721,7 +721,8 @@ def test_slice_points_cache_keys_on_content():
 
     center, radius = (F(0),), F(1, 10)
     # each piece is dropped before the next, different one is built, so
-    # CPython tends to hand the next piece the previous one's id
+    # CPython tends to hand the next piece the previous one's id; the clip's
+    # generators come through the double description memo, keyed by rows
     for k in range(20):
         t = F(k, 200)
         piece = ConvexPolyhedron([(1,), (-1,)], (t, -t))
@@ -787,7 +788,7 @@ LINE = ConvexPolyhedron([(F(1, 3), -1), (F(-1, 3), 1)], (F(2, 7), F(-2, 7)))  # 
 @example(((ConvexPolyhedron([(1, 0, 0)], (F(1, 3),)),), (0, F(1, 7), F(-2, 3)), F(1, 3)))
 def test_int_ball_points_match_the_fraction_oracle(case):
     pieces, center, radius = case
-    got = _ball_points.__wrapped__(pieces, center, radius)
+    got = _ball_points(pieces, center, radius)
     assert got == fraction_ball_points(pieces, center, radius)  # and in the same order
     assert all(type(x) is F for p in got for x in p)
 
@@ -807,7 +808,6 @@ def test_int_ball_points_do_no_fraction_arithmetic(monkeypatch):
         raise AssertionError("Fraction arithmetic in the int ball points")
 
     cones._vrep.cache_clear()
-    _ball_points.cache_clear()
     for name in ARITHMETIC:
         monkeypatch.setattr(F, name, no_arithmetic)
     got = _ball_points(pieces, center, radius)
@@ -858,9 +858,19 @@ def probe_instances(draw):
     return ProblemInstance(f, (0,) * n, (0,) * n, Params(grid=5, refine_max=2))
 
 
+# r is least before the TIE_TOL allowance: the sample that sets r = 1.84 has
+# slack 2.09e-7, so at r (1 - 1e-3) it violates by 2.09e-10, inside the
+# allowance, and the 2.8 and 3.15 checks still pass there
+SUB_TIE_PROX = ProblemInstance(
+    FunctionSpec(smooth=QuadraticForm.make([[F(1, 2), -3], [-3, 2]], [0, 0]),
+                 domain=PolyUnion([ConvexPolyhedron([(-2, -1)], [0], dim=2)])),
+    (0, 0), (0, 0), Params(grid=5, refine_max=2))
+
+
 @pytest.mark.parametrize("mode", PROX_MODES)
 @settings(max_examples=6)
 @given(probe_instances())
+@example(SUB_TIE_PROX)
 def test_minimal_prox_r_is_the_least_passing_r(mode, instance):
     r, out = minimal_prox_r(instance, mode)
 
@@ -870,7 +880,7 @@ def test_minimal_prox_r_is_the_least_passing_r(mode, instance):
     at_r = check(min(r, R_CAP))
     assert at_r == out and at_r.passed == math.isfinite(r)
     if 0 < r < math.inf:
-        assert not check(r * (1 - 1e-3)).passed
+        assert check(r * (1 - 1e-3)).worst > 0
 
 
 @pytest.mark.parametrize("mode", ("norm-squared", "distance-squared"))
@@ -883,4 +893,4 @@ def test_growth_alpha_hat_is_the_largest_passing_alpha(mode, instance):
         return
     assert check_growth(instance, a, mode).passed
     if 0 < a < ALPHA_CAP:
-        assert not check_growth(instance, a * (1 + 1e-3) + 1e-9, mode).passed
+        assert check_growth(instance, a * (1 + 1e-3) + 1e-9, mode).worst > 0

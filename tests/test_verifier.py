@@ -146,6 +146,17 @@ def test_cli_analyze_malformed_file_exits_2(tmp_path, capsys, raw):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", [b'{"variant": "exact\xff"}', b"[" * 100_000,
+                                  b'{"variant": "exact", "xbar": [' + b"1" * 5000 + b"]}"],
+                         ids=["not-utf-8", "nested-100000-deep", "int-of-5000-digits"])
+def test_cli_analyze_undecodable_file_exits_2(tmp_path, capsys, data):
+    prob = tmp_path / "p.json"
+    prob.write_bytes(data)
+    assert main(["analyze", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, params", [(["--grid", "1"], {}), ([], {"grid": 1}),
                                           ([], {"refine_max": 0})],
                          ids=["grid-flag-1", "grid-param-1", "refine-max-0"])
