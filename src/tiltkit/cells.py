@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import ConeUnion, PolyCone, generated_cone
+from .cones import PolyCone, dedupe, generated_cone
 from .polyhedra import ConvexPolyhedron, PolyUnion, homogenize, strict_leaves
 from .rational import int_nullspace, mat, neg, rank, vec, zeros
 
@@ -109,11 +109,10 @@ def local_cells(union: PolyUnion, x) -> list[Signature]:
     return list(dict.fromkeys(sig for _, sig in sorted(found)))  # each at its least path
 
 
-def limiting_normal_cone(union: PolyUnion, x) -> ConeUnion:
-    """Union of the regular normal cone values over all cells adherent
-    to x; realizes the outer limit of regular normal cones exactly."""
-    values = [_value_cone(union, sig) for sig in local_cells(union, x)]
-    return ConeUnion(values, union.dim).dedupe()
+def limiting_normal_cone(union: PolyUnion, x) -> tuple[PolyCone, ...]:
+    """The regular normal cone values over all cells adherent to x, deduped:
+    the outer limit of regular normal cones, exactly."""
+    return dedupe([_value_cone(union, sig) for sig in local_cells(union, x)], union.dim)
 
 
 # -- global cells -------------------------------------------------------------

@@ -14,7 +14,7 @@ failures.
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _analyze(inst: ProblemInstance) -> SuiteResult:
     s = SuiteResult("ANALYZE", f"analysis of {inst.name or 'problem'}")
     est = reg.estimate_subregularity_modulus(inst)
-    s.artifacts["subregularity_kappa"] = est.value if math.isfinite(est.value) else "inf"
+    s.artifacts["subregularity_kappa"] = est.value
     s.artifacts["subregularity_converged"] = est.converged
     s.checks.append(CheckResult("subregularity modulus estimated",
                                 PASS if not est.failed else FAIL,
@@ -70,9 +70,9 @@ def _analyze(inst: ProblemInstance) -> SuiteResult:
             s.artifacts[f"alpha_hat_{mode}"] = f"unavailable: {e}"
     if inst.f.is_exact:
         r_min, _ = reg.minimal_prox_r(inst)
-        s.artifacts["minimal_prox_r"] = r_min if math.isfinite(r_min) else "inf"
+        s.artifacts["minimal_prox_r"] = r_min
         est2 = reg.estimate_metric_regularity_modulus(inst)
-        s.artifacts["metric_regularity_kappa"] = est2.value if math.isfinite(est2.value) else "inf"
+        s.artifacts["metric_regularity_kappa"] = est2.value
         s.artifacts["metric_regularity_converged"] = est2.converged
         if est2.failure:
             s.artifacts["metric_regularity_failure"] = est2.failure
@@ -100,13 +100,19 @@ def _analyze(inst: ProblemInstance) -> SuiteResult:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    try:
+        code = _run(_build_parser().parse_args(argv))
+        sys.stdout.flush()  # a buffered report meets a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: exit 1, and flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "fixtures":
-        for name in sorted(CORPUS):
-            fx = CORPUS[name]
-            kind = fx.instance.f.variant
+        for name, fx in sorted(CORPUS.items()):
+            kind = "exact" if fx.instance.f.is_exact else "analytic"
             print(f"{name:22s} {kind:9s} tags={','.join(sorted(fx.tags)) or '-'}")
         return 0
 

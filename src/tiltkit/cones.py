@@ -244,31 +244,17 @@ class PolyCone:
         return f"PolyCone(dim={self.dim}, rays={self.rays}, lineality={self.lineality})"
 
 
-class ConeUnion:
-    """Finite union of polyhedral convex cones in a common ambient space."""
-
-    def __init__(self, pieces: list[PolyCone], dim: int | None = None):
-        if not pieces and dim is None:
-            raise ValueError("empty union needs explicit dimension")
-        self.dim = dim if dim is not None else pieces[0].dim
-        self.pieces = pieces
-
-    def contains(self, v) -> bool:
-        return any(p.contains(v) for p in self.pieces)
-
-    def dedupe(self) -> "ConeUnion":
-        kept: list[PolyCone] = []
-        for p in self.pieces:
-            if p.is_trivial() and len(self.pieces) > 1:
-                continue
-            if any(q.contains_cone(p) for q in kept):
-                continue
-            kept = [q for q in kept if not p.contains_cone(q)]
-            kept.append(p)
-        if not kept:
-            kept = [PolyCone.zero(self.dim)]
-        return ConeUnion(kept, self.dim)
-
-    def __repr__(self) -> str:
-        return f"ConeUnion({len(self.pieces)} pieces, dim={self.dim})"
-
+def dedupe(cones: list[PolyCone], dim: int) -> tuple[PolyCone, ...]:
+    """A finite union of cones in R^dim without redundant members, in order:
+    a trivial cone is dropped unless it is alone, a cone that a kept one
+    contains is dropped, and a new cone replaces the kept ones it contains;
+    an empty union is {0}."""
+    kept: list[PolyCone] = []
+    for p in cones:
+        if p.is_trivial() and len(cones) > 1:
+            continue
+        if any(q.contains_cone(p) for q in kept):
+            continue
+        kept = [q for q in kept if not p.contains_cone(q)]
+        kept.append(p)
+    return tuple(kept) or (PolyCone.zero(dim),)

@@ -258,10 +258,10 @@ def build_corpus() -> dict[str, Fixture]:
         },
         tags=frozenset()))
 
-    osc = FunctionSpec(fixture=ANALYTIC_REGISTRY["sin-inv"])
     add(Fixture(
         "oscillating-1d",
-        ProblemInstance(osc, (0.0,), (0.0,), Params(eta=F(1, 20)), name="oscillating-1d"),
+        ProblemInstance(ANALYTIC_REGISTRY["sin-inv"], (0.0,), (0.0,), Params(eta=F(1, 20)),
+                        name="oscillating-1d"),
         {
             "growth_alpha_1": Expected(True, "[PAPER: rate-1 norm-squared growth at 0]"),
             "stationary_accumulation": Expected(
@@ -271,10 +271,9 @@ def build_corpus() -> dict[str, Fixture]:
         },
         tags=frozenset({"analytic"})))
 
-    absf = FunctionSpec(fixture=ANALYTIC_REGISTRY["abs"])
     add(Fixture(
         "abs-1d",
-        ProblemInstance(absf, (0.0,), (0.0,), Params(), name="abs-1d"),
+        ProblemInstance(ANALYTIC_REGISTRY["abs"], (0.0,), (0.0,), Params(), name="abs-1d"),
         {
             "subreg_eta_scaling": Expected(
                 True, "[DERIVED: oracle=ratio |x| over unit residual, sup = eta]"),

@@ -1,5 +1,5 @@
-"""Second-order objects: graph models of the subdifferential, normal cones
-to them, generalized Hessians, kernels, and definiteness verdicts.
+"""Second-order objects: graph models of the subdifferential, each the
+generalized Hessian at its reference pair, kernels, and definiteness verdicts.
 
 The subgradient graph of a quadratic-plus-polyhedral function is a finite
 union of polyhedra {(x, Qx+c+v) : x in cell, v in value cone}, one per
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import limiting_normal_cone
-from .cones import ConeUnion, PolyCone
+from .cones import PolyCone
 from .copositive import cone_form_sign_and_zeros, graph_form
 from .model import FunctionSpec, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, same_union
@@ -27,19 +27,38 @@ from .rational import F0, F1, Vec, dot, is_zero, matvec, neg, sub, vec
 
 @dataclass(frozen=True)
 class GraphLocalModel:
-    """gph of the subdifferential near (xbar, xstar) as a polyhedral union."""
+    """gph of the subdifferential near (xbar, xstar), and the generalized
+    Hessian read off its normal cone at that pair.
+
+    `pieces` are the graph pieces through the pair; their union and its
+    limiting normal cone are built when first read, so a caller that needs
+    only the pieces never runs the cones' double descriptions.
+    """
     f: FunctionSpec
     xbar: Vec
     xstar: Vec
     pieces: tuple[ConvexPolyhedron, ...]
 
-    @property
+    @functools.cached_property
     def union(self) -> PolyUnion:
         return PolyUnion(list(self.pieces))
+
+    @functools.cached_property
+    def normal_cone(self) -> tuple[PolyCone, ...]:
+        """Limiting normal cone to the graph union at the reference pair."""
+        return limiting_normal_cone(self.union, self.basepoint)
 
     @property
     def basepoint(self) -> Vec:
         return self.xbar + self.xstar
+
+    def value(self, u) -> list[ConvexPolyhedron]:
+        """{w : (w, -u) normal to the graph} as polyhedra in w-space."""
+        return _slice_pieces(self.normal_cone, vec(u))
+
+    def contains(self, u, w) -> bool:
+        v = vec(w) + neg(vec(u))
+        return any(k.contains(v) for k in self.normal_cone)
 
 
 def build_graph_model(f: FunctionSpec, xbar, xstar) -> GraphLocalModel:
@@ -57,41 +76,18 @@ def build_graph_model(f: FunctionSpec, xbar, xstar) -> GraphLocalModel:
     return GraphLocalModel(f, xbar, xstar, pieces)
 
 
-class SecondOrderMap:
-    """Queryable generalized Hessian at a fixed reference pair."""
-
-    def __init__(self, model: GraphLocalModel):
-        self.model = model
-        self.n = model.f.dim
-
-    @functools.cached_property
-    def normal_cone(self) -> ConeUnion:
-        """Limiting normal cone to the graph union at the reference pair, built when read."""
-        return limiting_normal_cone(self.model.union, self.model.basepoint)
-
-    def value(self, u) -> list[ConvexPolyhedron]:
-        """{w : (w, -u) normal to the graph} as polyhedra in w-space."""
-        return _slice_pieces(self.normal_cone.pieces, vec(u), self.n)
-
-    def contains(self, u, w) -> bool:
-        u, w = vec(u), vec(w)
-        return self.normal_cone.contains(tuple(w) + tuple(neg(u)))
-
-
-def _slice_pieces(cones: list[PolyCone], u: Vec, n: int) -> list[ConvexPolyhedron]:
+def _slice_pieces(cones: tuple[PolyCone, ...], u: Vec) -> list[ConvexPolyhedron]:
     """The nonempty slices at z = -u of the cones {(w, z) : g.(w, z) <= 0}."""
     cuts = (k.polyhedron.slice(neg(u)) for k in cones)
     return [p for p in cuts if not p.is_empty()]
 
 
-def second_order_map(f: FunctionSpec, xbar, xstar) -> SecondOrderMap:
-    """Cached generalized-Hessian map at a reference pair."""
+def second_order_map(f: FunctionSpec, xbar, xstar) -> GraphLocalModel:
+    """The graph model at a reference pair, kept on f."""
     key = (vec(xbar), vec(xstar))
-    cached = f._graph_models.get(key)
-    if cached is None:
-        cached = SecondOrderMap(build_graph_model(f, xbar, xstar))
-        f._graph_models[key] = cached
-    return cached
+    if key not in f._graph_models:
+        f._graph_models[key] = build_graph_model(f, xbar, xstar)
+    return f._graph_models[key]
 
 
 def hessian_sum_rule_check(f: FunctionSpec, xbar, xstar) -> bool:
@@ -136,10 +132,9 @@ class KernelReport:
 def kernel(f: FunctionSpec, xbar, xstar) -> KernelReport:
     """Directions u != 0 with 0 in the generalized Hessian value: per normal
     cone piece this is the z-section {z : (0,z) in piece}, a rational cone."""
-    som = second_order_map(f, xbar, xstar)
     n = f.dim
     witnesses: list[Vec] = []
-    for k in som.normal_cone.pieces:
+    for k in second_order_map(f, xbar, xstar).normal_cone:
         sect = PolyCone.from_inequalities([g[n:] for g in k.ineqs], n)
         for g in sect.rays + sect.lineality + [neg(l) for l in sect.lineality]:
             u = neg(g)
@@ -167,12 +162,11 @@ def definiteness(f: FunctionSpec, xbar, xstar) -> DefinitenessVerdict:
     occur at u != 0,  and pieces supported on u = 0 never affect the
     verdict (the definiteness quantifier ranges over u != 0).
     """
-    som = second_order_map(f, xbar, xstar)
     n = f.dim
     form = graph_form(n, 0, -1, 0)  # <w, -z> on stacked (w, z)
     neg_wit = None
     zero_wit = None
-    for k in som.normal_cone.pieces:
+    for k in second_order_map(f, xbar, xstar).normal_cone:
         if all(is_zero(g[n:]) for g in k.generators()):
             continue
         sign, w, zero_points = cone_form_sign_and_zeros(k, form)

@@ -4,7 +4,8 @@ The exact class is a quadratic smooth part plus the indicator of a finite
 union of rational polyhedra; every first- and second-order object it
 produces stays polyhedral and is computed in exact arithmetic.  A small
 registry of closed-form 1-D fixtures covers the sampling-based analytic
-path; its machinery never mixes with the exact one.
+path: a registry entry is itself a problem's function, and its machinery
+never mixes with the exact one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -24,10 +25,12 @@ from .polyhedra import ConvexPolyhedron, PolyUnion
 from .rational import (F0, Mat, Vec, add, dot, frac, mat, matvec, neg, norm_sq,
                        scale, sub, vec, zeros)
 
-# Rows per problem-file piece and problem dimension: the exact machinery grows
-# quickly with the rows of the pieces, the grids and tilt solves with the dimension.
+# Input bounds: the exact machinery grows quickly with a piece's rows, tilt solves
+# with the dimension, and a metric sweep with its x lattice times its y lattice.
 MAX_ROWS = 20
 MAX_DIM = 3
+MAX_GRID = 13
+MAX_REFINE = 4
 TINY = np.finfo(float).tiny  # sin-inv's 1/x takes x >= TINY: at subnormal x, 1/x is inf
 
 
@@ -83,6 +86,8 @@ class AnalyticFixture1D:
     [lo, hi] the function is +inf; at `exceptional` points the derivative
     is only available through limit sampling.
     """
+    dim: ClassVar[int] = 1
+    is_exact: ClassVar[bool] = False
     name: str
     lo: float
     hi: float
@@ -166,37 +171,19 @@ ANALYTIC_REGISTRY: dict[str, AnalyticFixture1D] = {
 
 
 class FunctionSpec:
-    """Either Exact (quadratic + polyhedral-union indicator) or a named
-    analytic 1-D fixture."""
+    """The exact class: a quadratic smooth part plus the indicator of a
+    polyhedral union."""
+    is_exact = True
 
-    def __init__(self, smooth: QuadraticForm | None = None,
-                 domain: PolyUnion | None = None,
-                 fixture: AnalyticFixture1D | None = None):
-        if fixture is not None:
-            if smooth is not None or domain is not None:
-                raise ValidationError("analytic variant carries no exact data")
-            self.variant = "analytic"
-            self.fixture = fixture
-            self.dim = 1
-            self.smooth = None
-            self.domain = None
-        else:
-            if smooth is None or domain is None:
-                raise ValidationError("exact variant needs smooth part and domain")
-            if smooth.dim != domain.dim:
-                raise ValidationError("smooth part and domain dimension mismatch")
-            self.variant = "exact"
-            self.smooth = smooth
-            self.domain = domain
-            self.fixture = None
-            self.dim = smooth.dim
+    def __init__(self, smooth: QuadraticForm, domain: PolyUnion):
+        if smooth.dim != domain.dim:
+            raise ValidationError("smooth part and domain dimension mismatch")
+        self.smooth = smooth
+        self.domain = domain
+        self.dim = smooth.dim
         # second_order_map's memo; inverse_image's slices per (y, box) and shadows per box
         self._graph_models: dict = {}
         self._inverse_images: dict = {}
-
-    @property
-    def is_exact(self) -> bool:
-        return self.variant == "exact"
 
     @functools.cached_property
     def cells(self) -> tuple:
@@ -218,9 +205,7 @@ class FunctionSpec:
             for cell in self.cells)
 
     def __repr__(self) -> str:
-        if self.is_exact:
-            return f"FunctionSpec(exact, n={self.dim}, pieces={len(self.domain.pieces)})"
-        return f"FunctionSpec(analytic:{self.fixture.name})"
+        return f"FunctionSpec(exact, n={self.dim}, pieces={len(self.domain.pieces)})"
 
 
 def evaluate_exact(f: FunctionSpec, x) -> Fraction | None:
@@ -278,6 +263,9 @@ class Params:
                 raise ValidationError(f"param {name} must be positive")
         if self.grid < 2 or self.refine_max < 1:
             raise ValidationError("param grid must be at least 2 and refine_max at least 1")
+        if self.grid > MAX_GRID or self.refine_max > MAX_REFINE:
+            raise ValidationError(f"param grid must be at most {MAX_GRID} "
+                                  f"and refine_max at most {MAX_REFINE}")
 
     def replace(self, **kw) -> "Params":
         return dataclasses.replace(self, **kw)
@@ -286,7 +274,7 @@ class Params:
 @dataclass
 class ProblemInstance:
     """A function with a validated reference pair on its subgradient graph."""
-    f: FunctionSpec
+    f: FunctionSpec | AnalyticFixture1D
     xbar: Vec
     xstar: Vec
     params: Params = field(default_factory=Params)
@@ -426,8 +414,8 @@ def _parse_exact(raw: dict, params: Params) -> ProblemInstance:
         domain = PolyUnion(pieces)
     except (ValidationError, ValueError) as e:
         raise ParseError(str(e)) from None
-    f = FunctionSpec(smooth=smooth, domain=domain)
-    return ProblemInstance(f, xbar, xstar, params, name=raw.get("name", ""))
+    return ProblemInstance(FunctionSpec(smooth, domain), xbar, xstar, params,
+                           name=raw.get("name", ""))
 
 
 def _parse_analytic(raw: dict, params: Params) -> ProblemInstance:
@@ -435,10 +423,9 @@ def _parse_analytic(raw: dict, params: Params) -> ProblemInstance:
     if not isinstance(name, str) or name not in ANALYTIC_REGISTRY:
         raise ParseError(f"unknown analytic fixture {name!r}; "
                          f"known: {sorted(ANALYTIC_REGISTRY)}")
-    fixture = ANALYTIC_REGISTRY[name]
     xbar = [float(v) for v in _rationals(_field(raw, "xbar"), "'xbar'")]
     xstar = [float(v) for v in _rationals(_field(raw, "xstar"), "'xstar'")]
     if len(xbar) != 1 or len(xstar) != 1:
         raise ParseError("analytic problems are one-dimensional")
-    f = FunctionSpec(fixture=fixture)
-    return ProblemInstance(f, tuple(xbar), tuple(xstar), params, name=raw.get("name", ""))
+    return ProblemInstance(ANALYTIC_REGISTRY[name], tuple(xbar), tuple(xstar), params,
+                           name=raw.get("name", ""))

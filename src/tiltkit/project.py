@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .polyhedra import ConvexPolyhedron
-from .rational import MEMO_SIZE, rank
+from .rational import MEMO_SIZE, int_rref
 
 FEAS_TOL = 1e-9
 
@@ -33,10 +33,10 @@ def _projection_data(poly: ConvexPolyhedron):
     a = a.reshape(poly.m, poly.dim)
     bases = []
     for key, _ in poly.faces():
-        idx: list[int] = []
-        for i in sorted(key):
-            if rank(tuple(poly.rows[j][:-1] for j in idx + [i])) > len(idx):
-                idx.append(i)
+        # the first independent rows of the key are the pivot columns of its rows as columns
+        rows = sorted(key)
+        idx = [rows[c] for c in int_rref([[poly.rows[i][k] for i in rows]
+                                          for k in range(poly.dim)])[1]]
         if idx:  # else the face is all of a full-dimensional P, and z is outside
             bases.append(idx)
     subs = []

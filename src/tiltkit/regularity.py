@@ -92,7 +92,7 @@ def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
     graph pieces (see _ball_points)."""
     n = f.dim
     base = tuple(xbar) + tuple(xstar)
-    pieces = second_order_map(f, xbar, xstar).model.pieces
+    pieces = second_order_map(f, xbar, xstar).pieces
     pts = [base] + [p for p in _ball_points(pieces, base, frac(radius)) if p != base]
     return [(p[:n], p[n:]) for p in pts]
 
@@ -200,7 +200,7 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
     if mode not in GROWTH_MODES:
         raise ValidationError(f"unknown mode {mode!r}; options {GROWTH_MODES}")
     if not inst.f.is_exact:
-        fx = inst.f.fixture
+        fx = inst.f
         eta = float(eta)
         x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
         xs = np.linspace(max(x0 - eta, fx.lo), min(x0 + eta, fx.hi), n_points)
@@ -480,7 +480,7 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
 
 
 def _subregularity_analytic(inst: ProblemInstance) -> ModulusEstimate:
-    fx = inst.f.fixture
+    fx = inst.f
     p = inst.params
     x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
     pts = analytic_inverse_points(fx, v0, x0, 4 * float(p.eta))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeUnion
+from .cones import PolyCone, dedupe
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, scalar
 from .polyhedra import ConvexPolyhedron
 from .project import distances_to_unions, row_norms
@@ -28,19 +28,20 @@ class EmptySliceError(ValueError):
 
 @dataclass(frozen=True)
 class ExactSubdifferential:
-    """base + union of polyhedral cones; membership is exact."""
+    """base + the union of `cones`, a `cones.dedupe` tuple; membership is exact."""
     base: Vec
-    cones: ConeUnion
+    cones: tuple[PolyCone, ...]
 
     def contains(self, v) -> bool:
-        return self.cones.contains(sub(vec(v), self.base))
+        w = sub(vec(v), self.base)
+        return any(c.contains(w) for c in self.cones)
 
     def holds_at_each(self, ps) -> list[bool]:
         """Is v in the set, for each p of ps the ints of (v, 1) up to a positive
         factor?  With base = g/e, v - base is a positive multiple of e p' - p_t g."""
         *g, e = int_row(self.base + (F1,))
         return [any(c.holds_at([e * a - p[-1] * b for a, b in zip(p, g)])
-                    for c in self.cones.pieces) for p in ps]
+                    for c in self.cones) for p in ps]
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,16 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
     plus the values of the global cells whose closure holds x.  The domain
     and each closure are tested on the ints of (x, 1)."""
     if not f.is_exact:
-        if not f.fixture.in_domain(scalar(x)):
+        if not f.in_domain(scalar(x)):
             raise ValidationError("point is outside the domain")
-        return _analytic_subdifferential(f.fixture, x)
+        return _analytic_subdifferential(f, x)
     x = vec(x)
     if len(x) != f.dim:
         raise ValidationError("dimension mismatch")
     p = int_row(x + (F1,))
     if not f.domain.holds_at(p):
         raise ValidationError("point is outside the domain")
-    cones = ConeUnion([c.value for c in f.cells if c.closure.holds_at(p)], f.dim).dedupe()
+    cones = dedupe([c.value for c in f.cells if c.closure.holds_at(p)], f.dim)
     return ExactSubdifferential(f.smooth.gradient(x), cones)
 
 
@@ -97,7 +98,7 @@ def subdifferential_distance(f: FunctionSpec, xs, ys) -> np.ndarray:
         sd = subdifferential(f, x)
         js = np.flatnonzero(np.logical_not(sd.holds_at_each(yints)))
         ws = yfs[js] - np.asarray(to_float(sd.base))
-        polys = [c.polyhedron for c in sd.cones.pieces if not c.is_trivial()]
+        polys = [c.polyhedron for c in sd.cones if not c.is_trivial()]
         if not polys:  # the cones are {0}, which dedupe keeps only alone
             out[i, js] = row_norms(ws)
         elif len(js):

@@ -26,8 +26,7 @@ from .copositive import cone_form_min_sign, graph_form
 from .fixtures import CORPUS, fixture, minimizer_fixtures
 from .hessian import (INDEFINITE, POSITIVE_DEFINITE, build_graph_model, definiteness,
                       hessian_sum_rule_check, kernel, second_order_map)
-from .model import (FunctionSpec, Params, ProblemInstance, QuadraticForm,
-                    ValidationError, ANALYTIC_REGISTRY)
+from .model import FunctionSpec, Params, ProblemInstance, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, critical_cone, same_union
 from .rational import F0, dot, is_zero, matvec, norm_sq, vec
 from .subdiff import inverse_image, stationary_points_1d
@@ -96,10 +95,9 @@ def _suite_saddle_cone() -> SuiteResult:
     fx = fixture("saddle-cone")
     inst = fx.instance
     f = inst.f
-    som = second_order_map(f, inst.xbar, inst.xstar)
     u = (0, 1)
     w = (0, -2)
-    member = som.contains(u, w)
+    member = second_order_map(f, inst.xbar, inst.xstar).contains(u, w)
     pairing = dot(vec(w), vec(u))
     s.add("hessian witness membership", member,
           fx.expected["hessian_witness"].provenance,
@@ -184,7 +182,7 @@ def _suite_oscillating() -> SuiteResult:
     s.add("norm-squared growth with rate 1, zero violations", rep.passed,
           fx.expected["growth_alpha_1"].provenance, checked=rep.checked,
           violations=len(rep.violations))
-    roots = stationary_points_1d(ANALYTIC_REGISTRY["sin-inv"], (0.001, 0.1), 100_000)
+    roots = stationary_points_1d(inst.f, (0.001, 0.1), 100_000)
     s.add("at least 3 stationary points in (0.001, 0.1)", len(roots) >= 3,
           fx.expected["stationary_accumulation"].provenance, count=len(roots),
           smallest=roots[0] if roots else None)
@@ -376,9 +374,8 @@ def _suite_tilt_modulus_lower() -> SuiteResult:
             s.skip(name, "not tilt-stable with a positive modulus")
             continue
         kappa = Fraction(tilt.modulus).limit_denominator(10_000) * Fraction(21, 20)
-        som = second_order_map(inst.f, inst.xbar, inst.xstar)
         form = graph_form(inst.f.dim, 0, -1, -1 / kappa)
-        wit = _negative_witness(som.normal_cone.pieces, form)
+        wit = _negative_witness(second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone, form)
         s.add(f"{name}: pairing >= |u|^2 / kappa on the graph normals", wit is None,
               "[DERIVED: oracle=cone copositivity at the slack modulus]",
               kappa=float(kappa), witness=_jsonable(wit))
@@ -407,7 +404,7 @@ def _suite_tilt_modulus_bridge() -> SuiteResult:
 FLOOR_WIDTH = Fraction(1, 2 ** 24)
 
 
-def _negative_witness(pieces: list[PolyCone], form) -> tuple | None:
+def _negative_witness(pieces: tuple[PolyCone, ...], form) -> tuple | None:
     """The first piece's point where the form is negative, or None when the
     form is copositive on every piece."""
     return next((w for sign, w in (cone_form_min_sign(p, form) for p in pieces)
@@ -422,7 +419,7 @@ def _norm_ratio_floor(inst: ProblemInstance) -> float:
     is the floor.  An irrational floor is bracketed: once a step is no
     wider than FLOOR_WIDTH min(tau, 1), the check runs at tau minus that
     width, which bounds t to within FLOOR_WIDTH; that lower end is returned."""
-    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone.pieces
+    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone
     n = inst.f.dim
 
     def ratio(v) -> Fraction:
@@ -445,7 +442,7 @@ def _suite_smooth_reduction() -> SuiteResult:
     fx = fixture("quad-diag")
     inst = fx.instance
     f = inst.f
-    som = second_order_map(f, inst.xbar, inst.xstar)
+    model = second_order_map(f, inst.xbar, inst.xstar)
     dirs = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1), (2, 1), (1, -3),
             (Fraction(1, 2), Fraction(1, 3)), (-2, 5)]
     q = f.smooth.q
@@ -453,10 +450,10 @@ def _suite_smooth_reduction() -> SuiteResult:
     for u in dirs:
         u = vec(u)
         qu = matvec(q, u)
-        pieces = som.value(u)
+        pieces = model.value(u)
         exact = len(pieces) >= 1 and all(p.contains(qu) for p in pieces) and \
             all(p.poly_dim() == 0 for p in pieces)
-        ok = ok and exact and som.contains(u, qu)
+        ok = ok and exact and model.contains(u, qu)
     s.add("second-order values are exactly {Qu} on 10 directions", ok,
           "[PAPER: smooth second-order reduction]", directions=len(dirs))
     dv = definiteness(f, inst.xbar, inst.xstar)
@@ -497,7 +494,7 @@ def _suite_oracle() -> SuiteResult:
                               "normals")
     for label, union, x, seed, provenance in _oracle_cases():
         sampled = sampled_regular_normals(union, x, 10_000, seed=seed)
-        equal = same_union([k.polyhedron for k in limiting_normal_cone(union, x).pieces],
+        equal = same_union([k.polyhedron for k in limiting_normal_cone(union, x)],
                            [k.polyhedron for k in sampled])
         s.add(f"{label} normal cones agree", equal, provenance,
               equal=equal, sampled_cones=len(sampled))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltkit import cones, lp
-from tiltkit.cones import ConeUnion, PolyCone, _dd_pointed, hrep_to_vrep
+from tiltkit.cones import PolyCone, _dd_pointed, dedupe, hrep_to_vrep
 from tiltkit.polyhedra import ConvexPolyhedron, poly_union_covers
 from tiltkit.rational import (F0, F1, add, dot, int_row, is_zero, mat, neg, nullspace, rank, rref,
                               scale, sub, unit, vec, zeros)
@@ -105,12 +105,24 @@ def test_containment_and_union_cover():
     assert not poly_union_covers([upper], [full])
 
 
+def in_union(cones, v) -> bool:
+    """Is v in the union of the cones?"""
+    return any(c.contains(v) for c in cones)
+
+
 def test_cone_union_dedupe_and_membership():
     quad = PolyCone.from_generators([(1, 0), (0, 1)], 2)
     ray = PolyCone.from_generators([(1, 1)], 2)
-    u = ConeUnion([ray, quad, PolyCone.zero(2)]).dedupe()
-    assert len(u.pieces) == 1
-    assert u.contains((2, 3)) and not u.contains((-1, 0))
+    zero = PolyCone.zero(2)
+    u = dedupe([ray, quad, zero], 2)
+    assert u == (quad,)
+    assert in_union(u, (2, 3)) and not in_union(u, (-1, 0))
+    # a kept cone stays ahead of a later one it does not contain; {0} stays alone
+    left = PolyCone.from_generators([(-1, 0)], 2)
+    assert dedupe([quad, left, ray], 2) == (quad, left)
+    assert dedupe([zero], 2) == (zero,)
+    (only,) = dedupe([], 2)
+    assert only.is_trivial() and only.dim == 2
 
 
 def test_intersection():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ParseError,
-                           ProblemInstance, QuadraticForm, ValidationError,
+from tiltkit.model import (ANALYTIC_REGISTRY, MAX_GRID, MAX_REFINE, FunctionSpec, Params,
+                           ParseError, ProblemInstance, QuadraticForm, ValidationError,
                            evaluate_exact, parse_problem, regularize)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
 from tiltkit.subdiff import subdifferential
@@ -71,7 +71,7 @@ def test_parse_malformed():
 def test_parse_analytic():
     obj = {"variant": "analytic", "fixture": "sin-inv", "xbar": [0], "xstar": [0]}
     inst = parse_problem(json.dumps(obj))
-    assert inst.f.variant == "analytic"
+    assert inst.f is ANALYTIC_REGISTRY["sin-inv"]
     with pytest.raises(ParseError):
         parse_problem(json.dumps(dict(obj, fixture="nope")))
 
@@ -131,9 +131,8 @@ def test_regularize_shifts_subdifferential_pointwise():
 
 
 def test_regularize_rejects_analytic():
-    f = FunctionSpec(fixture=ANALYTIC_REGISTRY["square"])
     with pytest.raises(ValidationError):
-        regularize(f, 1, (0,))
+        regularize(ANALYTIC_REGISTRY["square"], 1, (0,))
 
 
 def test_analytic_derivative_consistency():
@@ -146,6 +145,10 @@ def test_params_validation():
         Params(eta=F(0))
     p = Params()
     assert p.eta == F(1, 10) and p.gamma == F(1, 2) and p.rho == F(1, 20)
+    Params(grid=MAX_GRID, refine_max=MAX_REFINE)  # the bounds are inclusive
+    for kw in ({"grid": MAX_GRID + 1}, {"refine_max": MAX_REFINE + 1}):
+        with pytest.raises(ValidationError):
+            Params(**kw)
 
 
 def test_evaluate_finite_iff_member():

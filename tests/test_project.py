@@ -11,6 +11,7 @@ from tiltkit.cones import PolyCone
 from tiltkit.polyhedra import ConvexPolyhedron
 from tiltkit.project import (FEAS_TOL, _projection_data, distance_to_polyhedron,
                              distances_to_unions, project_polyhedron)
+from tiltkit.rational import rank
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -228,6 +229,34 @@ def pointwise_projection(z, poly):
     if best is None:
         raise ValueError("projection onto empty polyhedron")
     return best[1]
+
+
+def greedy_face_bases(poly):
+    """Oracle: per nonempty face, the rows of its key kept in index order
+    when they raise the rank, one rank per row; in (size, index) order."""
+    bases = []
+    for key, _ in poly.faces():
+        idx: list[int] = []
+        for i in sorted(key):
+            if rank(tuple(poly.rows[j][:-1] for j in idx + [i])) > len(idx):
+                idx.append(i)
+        if idx:
+            bases.append(idx)
+    return sorted(bases, key=lambda idx: (len(idx), idx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.tuples(*[small_ints] * n), small_ints), max_size=6))))
+def test_face_rows_are_the_greedy_independent_rows(case):
+    # duplicate, opposite and zero rows all occur here
+    n, rows = case
+    poly = ConvexPolyhedron([r for r, _ in rows], [c for _, c in rows], dim=n)
+    a, b, subs, _ = _projection_data(poly)
+    want = greedy_face_bases(poly)
+    assert len(subs) == len(want)
+    for (asub, bsub, _), idx in zip(subs, want):
+        assert np.array_equal(asub, a[idx]) and np.array_equal(bsub, b[idx])
 
 
 @st.composite

@@ -129,7 +129,7 @@ def test_subregularity_analytic_abs_scales_with_eta():
 def scalar_subregularity_analytic(inst):
     """Oracle: the point-by-point sweep that the array sweep of the
     analytic subregularity estimate replaced."""
-    fx = inst.f.fixture
+    fx = inst.f
     p = inst.params
     x0, v0 = float(inst.xbar[0]), float(inst.xstar[0])
     pts = analytic_inverse_points(fx, v0, x0, 4 * float(p.eta))
@@ -170,7 +170,7 @@ def outcome(estimate, inst):
 @example("square", 0.25, 0.0, F(1, 10), 3)
 @example("sin-inv", -0.2, 0.0, F(1, 10), 3)  # the sweep leaves the domain
 def test_array_subregularity_sweep_equals_pointwise_sweep(name, x0, v0, eta, levels):
-    i = ProblemInstance(FunctionSpec(fixture=ANALYTIC_REGISTRY[name]), (x0,), (v0,),
+    i = ProblemInstance(ANALYTIC_REGISTRY[name], (x0,), (v0,),
                         Params(eta=eta, refine_max=levels))
     assert outcome(estimate_subregularity_modulus, i) == \
         outcome(scalar_subregularity_analytic, i)
@@ -658,7 +658,7 @@ def check_condition_4_1(inst: ProblemInstance, kappa, r) -> CheckOutcome:
     f = inst.f
     n = f.dim
     kappa, r = frac(kappa), frac(r)
-    union = second_order_map(f, inst.xbar, inst.xstar).model.union
+    union = second_order_map(f, inst.xbar, inst.xstar).union
     forms = (("norm", graph_form(n, kappa * kappa, 0, -1)),
              ("pairing", graph_form(n, 0, -1, r)))
     violations = []
@@ -694,6 +694,9 @@ def test_first_order_paths_run_no_local_cell_search(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "problems" / "cross-quadratic.json"
     cross = parse_problem(path.read_text())  # a fresh function: no memo from other tests
     minimal_prox_r(cross)
+    # the prox prefilter reads the graph pieces alone: their union, whose
+    # construction runs a double description per piece, waits for the normal cone
+    assert not any("homogeneous_generators" in p.__dict__ for p in cross.f.graph)
     estimate_metric_regularity_modulus(cross)
     check_condition_4_1(cross, 1, 1)
 

@@ -11,7 +11,7 @@ from test_cells import regular_normal_cone, unions_through_origin
 
 from tiltkit import cones, polyhedra
 from tiltkit.cells import cell_complex, limiting_normal_cone
-from tiltkit.cones import ConeUnion, hrep_to_vrep
+from tiltkit.cones import hrep_to_vrep
 from tiltkit.model import (ANALYTIC_REGISTRY, AnalyticFixture1D, FunctionSpec, QuadraticForm,
                            ValidationError)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion, same_union
@@ -53,8 +53,7 @@ def frechet_subdifferential(f, x):
     """The regular subdifferential at x: the gradient plus the regular normal
     cone of the domain; convex-valued."""
     x = vec(x)
-    return ExactSubdifferential(f.smooth.gradient(x),
-                                ConeUnion([regular_normal_cone(f.domain, x)], f.dim))
+    return ExactSubdifferential(f.smooth.gradient(x), (regular_normal_cone(f.domain, x),))
 
 
 def subgradient_distances(sd, vs):
@@ -64,7 +63,7 @@ def subgradient_distances(sd, vs):
     ws = vs - np.asarray(to_float(sd.base))
     return np.min([np.full(len(ws), math.inf)] + [
         row_norms(ws) if c.is_trivial() else distance_to_polyhedron(ws, c.polyhedron)
-        for c in sd.cones.pieces], axis=0)
+        for c in sd.cones], axis=0)
 
 
 def test_saddle_subdifferential_at_apex():
@@ -93,14 +92,14 @@ def test_cross_subdifferential_at_origin():
     assert sd.contains((0, 7)) and sd.contains((7, 0))
     assert not sd.contains((1, 1))
     fr = frechet_subdifferential(cross_quad(), (0, 0))
-    assert all(p.is_trivial() for p in fr.cones.pieces) and fr.contains((0, 0))
+    assert all(p.is_trivial() for p in fr.cones) and fr.contains((0, 0))
 
 
 def test_smooth_point_is_gradient_singleton():
     sd = subdifferential(smooth_1d(), (3,))
-    assert all(p.is_trivial() for p in sd.cones.pieces) and sd.contains((3,))
+    assert all(p.is_trivial() for p in sd.cones) and sd.contains((3,))
     fr = frechet_subdifferential(smooth_1d(), (3,))
-    assert all(p.is_trivial() for p in fr.cones.pieces) and fr.contains((3,))
+    assert all(p.is_trivial() for p in fr.cones) and fr.contains((3,))
 
 
 def test_frechet_subset_of_limiting():
@@ -109,7 +108,7 @@ def test_frechet_subset_of_limiting():
         for x in pts:
             fr = frechet_subdifferential(f, x)
             sd = subdifferential(f, x)
-            for g in fr.cones.pieces[0].generators():
+            for g in fr.cones[0].generators():
                 v = tuple(b + gi for b, gi in zip(fr.base, g))
                 assert sd.contains(v)
 
@@ -124,8 +123,8 @@ def test_convex_fixture_frechet_equals_limiting():
     for x in pts:
         fr = frechet_subdifferential(quad, x)
         sd = subdifferential(quad, x)
-        assert len(sd.cones.pieces) == 1
-        assert sd.cones.pieces[0].equals(fr.cones.pieces[0])
+        assert len(sd.cones) == 1
+        assert sd.cones[0].equals(fr.cones[0])
 
 
 def test_subdifferential_distance_examples():
@@ -139,7 +138,7 @@ def exact_sq_distance(sd, y):
     over the projections p of w onto the spans of the cone's faces that lie in the
     cone, one of which is the projection onto the cone."""
     w, best = sub(vec(y), sd.base), None
-    for cone in sd.cones.pieces:
+    for cone in sd.cones:
         for _, face in cone.faces():
             basis = []
             for g in face.rays + face.lineality:
@@ -171,7 +170,7 @@ def assert_distances_within_stated_accuracy(f, xs, ys):
             if d[i, j] == 0.0:
                 w = sub(vec(y), sd.base)
                 assert any(max(dot(g, w) for g in c.ineqs) <= FEAS_TOL * (1 + 1e-6)
-                           for c in sd.cones.pieces if not c.is_trivial())
+                           for c in sd.cones if not c.is_trivial())
 
 
 def test_subdifferential_distance_near_a_wedge_apex():
@@ -306,7 +305,7 @@ def test_subdifferential_distance_is_within_its_stated_accuracy(f, data):
     ys = data.draw(st.lists(st.lists(over_dens(), min_size=n, max_size=n), max_size=2))
     for x in xs:
         sd = subdifferential(f, x)
-        gens = [g for c in sd.cones.pieces for g in c.generators()]
+        gens = [g for c in sd.cones for g in c.generators()]
         for _ in range(2):
             g = scale(data.draw(st.sampled_from(gens)), data.draw(small)) if gens else zeros(n)
             ys.append(add(add(sd.base, g), vec(data.draw(tiny))))
@@ -347,7 +346,7 @@ def test_int_membership_matches_fraction_membership(f, data):
         if not f.domain.contains(x):
             continue
         sd = subdifferential(f, x)
-        gens = [g for c in sd.cones.pieces for g in c.generators()]
+        gens = [g for c in sd.cones for g in c.generators()]
         vs = list(map(vec, ys)) + [sd.base] + [
             tuple(b + g * F(k, 7) for b, g in zip(sd.base, gen)) for gen in gens for k in (1, -1)]
         assert sd.holds_at_each([int_row(v + (1,)) for v in vs]) == [sd.contains(v) for v in vs]
@@ -446,8 +445,8 @@ def test_cells_read_matches_local_cell_oracle(f, data):
     for x in dict.fromkeys(map(vec, pts)):
         if not f.domain.contains(x):
             continue
-        got = subdifferential(f, x).cones.pieces
-        assert same_cones(got, limiting_normal_cone(f.domain, x).pieces)
+        got = subdifferential(f, x).cones
+        assert same_cones(got, limiting_normal_cone(f.domain, x))
         ks = f.domain.pieces_containing(x)
         if len(ks) == 1:
             assert same_cones(got, [f.domain.pieces[ks[0]].normal_cone(x)])
@@ -589,15 +588,14 @@ def test_analytic_distances_reject_points_outside_the_domain():
 
 
 def test_analytic_enclosures():
-    fo = FunctionSpec(fixture=ANALYTIC_REGISTRY["sin-inv"])
-    sd = subdifferential(fo, (0.0,))
+    sd = subdifferential(ANALYTIC_REGISTRY["sin-inv"], (0.0,))
     assert sd.contains(0.0) and sd.contains(-5.0)  # open below at the boundary
     assert not sd.contains(2.0)
-    fa = FunctionSpec(fixture=ANALYTIC_REGISTRY["abs"])
+    fa = ANALYTIC_REGISTRY["abs"]
     sd0 = subdifferential(fa, (0.0,))
     assert sd0.contains(1.0) and sd0.contains(-1.0) and not sd0.contains(1.5)
     assert subdifferential(fa, (2.0,)).contains(1.0)
-    assert [analytic_distances(fa.fixture, [2.0], v)[0] for v in (0.0, 1.0, 3.0)] == \
+    assert [analytic_distances(fa, [2.0], v)[0] for v in (0.0, 1.0, 3.0)] == \
         [1.0, 0.0, 2.0]
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +14,7 @@ from tiltkit.cli import main
 from tiltkit.copositive import cone_form_min_sign, graph_form
 from tiltkit.fixtures import CORPUS, _exact
 from tiltkit.hessian import second_order_map
+from tiltkit.model import MAX_GRID, MAX_REFINE
 from tiltkit.polyhedra import ConvexPolyhedron
 from tiltkit.verifier import (ALIASES, FLOOR_WIDTH, SUITES, _negative_witness,
                               _norm_ratio_floor, conjecture_probe, emit_report, run_suite)
@@ -75,6 +80,30 @@ def test_cli_fixtures_list(capsys):
     assert main(["fixtures", "list"]) == 0
     out = capsys.readouterr().out
     assert "saddle-cone" in out and "oscillating-1d" in out
+    kinds = dict(line.split()[:2] for line in out.splitlines())
+    assert kinds["saddle-cone"] == "exact" and kinds["oscillating-1d"] == "analytic"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["fixtures", "list"], ["verify", "EX4.14"]],
+                         ids=["fixtures-list", "verify-EX4.14"])
+def test_cli_closed_stdout_exits_1_without_traceback(args, unbuffered):
+    # block-buffered, the report meets the closed pipe at the final flush;
+    # unbuffered, at its first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the first write
+    try:
+        run = subprocess.run([sys.executable, "-m", "tiltkit", *args], stdout=w,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(w)
+    assert run.returncode == 1
+    assert run.stderr == ""  # no traceback, nor Python's "Exception ignored" at exit
 
 
 def test_cli_verify_unknown_exits_2(capsys):
@@ -170,6 +199,24 @@ def test_cli_grid_below_2_exits_2(tmp_path, capsys, flag, params):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, params", [(["--grid", "100000000"], {}),
+                                          ([], {"grid": 100_000_000}),
+                                          ([], {"refine_max": 100_000_000})],
+                         ids=["grid-flag-huge", "grid-param-huge", "refine-max-huge"])
+def test_cli_grid_above_its_bound_exits_2_at_once(tmp_path, capsys, flag, params):
+    # a metric sweep pairs ((grid - 1) 2^k + 1)^dim x-points with a y lattice
+    # per level k < refine_max: unbounded, the run would not end
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps(_exact_file(params=params)))
+    t0 = time.perf_counter()
+    assert main(["analyze", str(prob)] + flag) == 2
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: param grid must be at most {MAX_GRID} "
+                            f"and refine_max at most {MAX_REFINE}\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_cli_probe_count_below_1_exits_2(capsys, count):
     assert main(["probe", "--seed", "1", "--count", count]) == 2
@@ -248,7 +295,7 @@ def test_cli_analyze_rejects_piece_with_too_many_rows(tmp_path, capsys):
 def bisection_norm_ratio_floor(inst):
     """Oracle: the floor t by doubling, then 24 rational bisection steps on
     copositivity of |w|^2 - t^2 |z|^2; returns the certified lower end."""
-    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone.pieces
+    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone
     n = inst.f.dim
 
     def holds(t):
@@ -283,7 +330,7 @@ def test_norm_ratio_floor_brackets_an_irrational_floor(domain):
     # that the iteration attains, so only the bracket can end it
     inst = _exact([[2, 1], [1, 1]], [0, 0], [domain], (0, 0), (0, 0), "golden")
     t = _norm_ratio_floor(inst)
-    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone.pieces
+    pieces = second_order_map(inst.f, inst.xbar, inst.xstar).normal_cone
     lo = Fraction(t)
     assert _negative_witness(pieces, graph_form(2, 1, 0, -lo * lo)) is None
     assert _negative_witness(pieces, graph_form(2, 1, 0, -(lo + FLOOR_WIDTH) ** 2)) is not None
