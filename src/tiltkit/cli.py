@@ -149,18 +149,19 @@ def _run(args: argparse.Namespace) -> int:
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    overrides = {}
-    try:
-        for key in ("eta", "delta", "gamma"):
-            v = getattr(args, key)
-            if v is not None:
+    overrides = {} if args.grid is None else {"grid": args.grid}
+    for key in ("eta", "delta", "gamma"):
+        try:
+            if (v := getattr(args, key)) is not None:
                 overrides[key] = Fraction(v)
-        if args.grid is not None:
-            overrides["grid"] = args.grid
+        except (ValueError, ZeroDivisionError):
+            print(f"error: --{key} {v}: not a rational p/q with q != 0", file=sys.stderr)
+            return 2
+    try:
         if overrides:
             inst = ProblemInstance(inst.f, inst.xbar, inst.xstar,
                                    inst.params.replace(**overrides), name=inst.name)
-    except (ValueError, ZeroDivisionError) as e:  # ValidationError is a ValueError
+    except ValueError as e:  # ValidationError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()

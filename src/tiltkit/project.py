@@ -58,6 +58,12 @@ def row_norms(ds: np.ndarray) -> np.ndarray:
     return np.sqrt(ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
 
 
+def row_floats(rows, n: int) -> np.ndarray:
+    """The points x / t of the int rows (x, t), t > 0, of R^n as float rows: int
+    true division rounds as float(Fraction) does, so a row need not be primitive."""
+    return np.array([[a / p[-1] for a in p[:-1]] for p in rows], dtype=float).reshape(len(rows), n)
+
+
 def project_polyhedron(z: np.ndarray, poly: ConvexPolyhedron) -> np.ndarray:
     """Nearest point of poly to each row of an (m, n) array z.
 

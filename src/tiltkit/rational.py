@@ -106,6 +106,11 @@ def to_float(a: Sequence[Fraction]) -> tuple[float, ...]:
     return tuple(float(x) for x in a)
 
 
+def row_vec(p: Sequence[int]) -> Vec:
+    """The point x / t of the int row (x, t), t > 0."""
+    return tuple(Fraction(a, p[-1]) for a in p[:-1])
+
+
 def int_scaled(m: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     """(d, dm): the least positive int d that scales the matrix m of ints
     and Fractions to ints, the lcm of its entries' denominators, and dm."""

@@ -8,7 +8,10 @@ rule: the grid is refined until two successive suprema agree to 2%
 relative (REFINE_TOL), and the flag `converged` says whether they did.
 Graph samples are exact: the reference pair plus the ball points of the
 graph pieces around it, as inverse slices get theirs (_ball_points, on the
-int generators of each clipped piece's double description).
+int generators of each clipped piece's double description).  A grid point
+x / t is its int row (x, t), t > 0, from lattice to distance, and a Vec
+(`row_vec`) only as a key or an API value: an inverse image's subgradient,
+a tilt, a localization key.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 from .hessian import second_order_map
 from .model import FunctionSpec, ProblemInstance, ValidationError, evaluate_exact
 from .polyhedra import ConvexPolyhedron
-from .project import distances_to_unions, row_norms
+from .project import distances_to_unions, row_floats, row_norms
 from .rational import (Vec, add, combine, dot, frac, int_row, int_scaled, mat, matvec, neg,
-                       norm_sq, solve_affine, sub, to_float, vec, zeros)
+                       norm_sq, row_vec, solve_affine, sub, to_float, vec, zeros)
 from .subdiff import (EmptySliceError, analytic_distances, analytic_inverse_points,
                       distance_to_inverse, inverse_image, subdifferential_distance)
 
@@ -38,10 +41,10 @@ SOLUTION_TOL = 1e-12  # analytic path only: a grid point this near a solution is
 # -- grids ---------------------------------------------------------------------
 
 
-def ball_lattice(center: Vec, radius: Fraction, per_axis: int) -> list[Vec]:
+def ball_lattice(center: Vec, radius: Fraction, per_axis: int) -> list[tuple[int, ...]]:
     """Rational lattice on the box, filtered to the Euclidean ball (exact):
     center + o radius / m over int offsets o in {-m, -m + 2, ..., m}^n,
-    m = per_axis - 1, kept when |o|^2 <= m^2."""
+    m = per_axis - 1, kept when |o|^2 <= m^2; int rows over one t."""
     return domain_lattice(None, center, radius, per_axis)
 
 
@@ -49,32 +52,28 @@ ZOOM_SCALES = 13  # shrunken copies at ratios 1/2 .. 1/2^13
 
 
 def domain_lattice(f: FunctionSpec | None, center: Vec, radius: Fraction, per_axis: int,
-                   scales: int = 0) -> list[Vec]:
+                   scales: int = 0) -> list[tuple[int, ...]]:
     """The `ball_lattice` points in f's domain (all of them when f is None),
     then each of them shrunk by 1/2^k toward the center, k = 1..scales, when
     new and in the domain.  Prox-type inequalities fail asymptotically close
     to the reference point; a fixed-pitch lattice cannot see that, shrunken
-    copies can.  A point is ints until kept: with center c / den and ball
-    offsets o, the k-th copy is (2^k c + o) / (2^k den), its ints tested once
-    against the domain's int rows."""
+    copies can.  A point is an int row: with center c / den and ball offsets
+    o, the k-th copy is (2^k c + o, 2^k den), tested once against the
+    domain's int rows and new when its ints over den 2^scales are."""
     m = per_axis - 1
-    step = frac(radius) / m
-    den, ((*c, s),) = int_scaled(((*center, step),))
+    den, ((*c, s),) = int_scaled(((*center, frac(radius) / m),))  # c / den, step s / den
     offsets = [[o * s for o in off]
                for off in itertools.product(range(-m, m + 1, 2), repeat=len(c))
                if sum(o * o for o in off) <= m * m]
-    out, seen = [], set()
+    out = {}  # ints over den 2^scales -> the row, in first-seen order
     for k in range(scales + 1):
-        pts = [[(a << k) + b for a, b in zip(c, o)] for o in offsets]
-        keep = [f is None or f.domain.holds_at(p + [den << k]) for p in pts]
+        pts = [(*((a << k) + b for a, b in zip(c, o)), den << k) for o in offsets]
+        keep = [f is None or f.domain.holds_at(p) for p in pts]
         if k == 0:  # the copies shrink the points kept here
             offsets = list(itertools.compress(offsets, keep))
         for p in itertools.compress(pts, keep):
-            x = tuple(Fraction(a, den << k) for a in p)
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-    return out
+            out.setdefault(tuple(a << (scales - k) for a in p), p)
+    return list(out.values())
 
 
 def _refinement_schedule(base: int, levels: int) -> list[int]:
@@ -86,15 +85,15 @@ def _refinement_schedule(base: int, levels: int) -> list[int]:
 
 
 def graph_point_samples(f: FunctionSpec, xbar: Vec, xstar: Vec,
-                        radius: Fraction) -> list[tuple[Vec, Vec]]:
+                        radius: Fraction) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact points of gph of the subdifferential within the radius ball
     around the reference pair: the pair itself, then the ball points of the
-    graph pieces (see _ball_points)."""
-    n = f.dim
+    graph pieces (see _ball_points), a graph row (x, s, t) as (x, t), (s, t)."""
     base = tuple(xbar) + tuple(xstar)
     pieces = second_order_map(f, xbar, xstar).pieces
-    pts = [base] + [p for p in _ball_points(pieces, base, frac(radius)) if p != base]
-    return [(p[:n], p[n:]) for p in pts]
+    row = int_row(base + (1,))
+    pts = [row] + [p for p in _ball_points(pieces, base, frac(radius)) if p != row]
+    return [(p[:f.dim] + p[-1:], p[f.dim:]) for p in pts]
 
 
 # -- reports ---------------------------------------------------------------------
@@ -159,24 +158,15 @@ PROX_GRID = 7
 VIOLATIONS_KEPT = 50
 
 
-def _values(f: FunctionSpec, points) -> np.ndarray:
-    """float(evaluate_exact(f, x)) for each point x of the domain: f(x) is
-    (x, 1)' M (x, 1) / 2 with M = [[Q, c], [c', 2d]], so with M = N / l and
-    p the ints of (x, 1), it is the int p' N p over 2 l p_t^2, and int / int
-    rounds as float(Fraction) does."""
+def _values(f: FunctionSpec, rows) -> np.ndarray:
+    """float(evaluate_exact(f, x)) for each int row p = (x, t) of the domain:
+    f(x) is (x, 1)' M (x, 1) / 2 with M = [[Q, c], [c', 2d]], so with
+    M = N / l it is the int p' N p over 2 l t^2, and int / int rounds as
+    float(Fraction) does."""
     sm = f.smooth
-    m = [[*row, ci] for row, ci in zip(sm.q, sm.c)] + [[*sm.c, 2 * sm.d]]
-    l, m = int_scaled(m)
-    out = []
-    for x in points:
-        p = int_row(tuple(x) + (1,))
-        out.append(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, m))
-                   / (2 * l * p[-1] ** 2))
-    return np.array(out)
-
-
-def _floats(points, n: int) -> np.ndarray:
-    return np.array([to_float(p) for p in points], dtype=float).reshape(len(points), n)
+    l, m = int_scaled([[*row, ci] for row, ci in zip(sm.q, sm.c)] + [[*sm.c, 2 * sm.d]])
+    return np.array([sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, m))
+                     / (2 * l * p[-1] ** 2) for p in rows])
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,14 +210,13 @@ def _growth_terms(inst: ProblemInstance, mode: str, eta, per_axis: int,
                               f"'p/q' string, got {eta!r}") from None
     f = inst.f
     grid = domain_lattice(f, inst.xbar, eta, per_axis)
-    pts = _floats(grid, f.dim)
+    pts = row_floats(grid, f.dim)
     xbar_f = np.array(to_float(inst.xbar))
     base = float(evaluate_exact(f, inst.xbar)) + \
         _rowdot(pts - xbar_f, np.array(to_float(inst.xstar)))
     lhs = _values(f, grid)
     if mode == "distance-squared":
-        slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
-        d = distance_to_inverse(slice_, pts)
+        d = distance_to_inverse(inverse_image(f, inst.xstar, _inverse_box(inst)), pts)
     else:
         d = row_norms(pts - xbar_f)
     return pts, base, lhs, d * d
@@ -281,16 +270,16 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
         return
 
     pairs = graph_point_samples(f, inst.xbar, inst.xstar, eta)
-    xs = _floats([x for x, _ in pairs], n)
-    ss = _floats([s for _, s in pairs], n)
+    xs = row_floats([x for x, _ in pairs], n)
+    ss = row_floats([s for _, s in pairs], n)
     fxs = _values(f, [x for x, _ in pairs])
     if mode == "3.3":
         slice_ = inverse_image(f, inst.xstar, _inverse_box(inst))
         d2 = np.square(distance_to_inverse(slice_, xs))
-        for u in _ball_points(slice_.pieces, inst.xbar, eta):
-            uf = np.array(to_float(u))
-            yield (fxs + _rowdot(ss, uf - xs), np.full(len(xs), float(evaluate_exact(f, u))),
-                   d2, (tuple(map(float, uf)),), xs)
+        us = _ball_points(slice_.pieces, inst.xbar, eta)
+        for uf, fu in zip(row_floats(us, n), _values(f, us)):
+            yield (fxs + _rowdot(ss, uf - xs), np.full(len(xs), fu), d2,
+                   (tuple(map(float, uf)),), xs)
         return
     if mode == "3.10":
         yield (fxs + _rowdot(ss, xbar_f - xs), np.full(len(xs), fbar),
@@ -301,7 +290,7 @@ def _prox_terms(inst: ProblemInstance, mode: str, per_axis: int):
     # the x-grid is densified geometrically toward the reference point,
     # where prox failures concentrate
     zoomed = domain_lattice(f, inst.xbar, eta, per_axis, ZOOM_SCALES)
-    zs = _floats(zoomed, n)
+    zs = row_floats(zoomed, n)
     fzs = _values(f, zoomed)
     xstar_f = np.array(to_float(inst.xstar))
     for uf, usf, fu in zip(xs, ss, fxs):
@@ -366,20 +355,19 @@ def minimal_prox_r(inst: ProblemInstance, mode: str = "2.8") -> tuple[float, Che
 
 
 def _ball_points(pieces: tuple[ConvexPolyhedron, ...], center: Vec,
-                 radius: Fraction) -> tuple[Vec, ...]:
+                 radius: Fraction) -> tuple[tuple[int, ...], ...]:
     """Vertices, vertex midpoints and a relative-interior point (the
     vertex barycenter) of each piece clipped to the box around center, kept
     when inside the radius ball, each once: the rational points of an
-    inverse slice or of graph pieces near a point.  A point x / t is its int
-    row (x, t), t > 0: the vertices are the clip's int generators with t > 0
+    inverse slice or of graph pieces near a point, as primitive int rows
+    (x, t), t > 0: the vertices are the clip's int generators with t > 0
     (the box bounds it), a midpoint is (x1 t2 + x2 t1, 2 t1 t2), and x / t
     is in the ball iff rd^2 |cd x - cn t|^2 <= rn^2 (cd t)^2, for center
-    cn / cd and radius rn / rd; only the points kept become Fractions."""
+    cn / cd and radius rn / rd."""
     cd, (cn,) = int_scaled((center,))
     rn2, rd2 = radius.numerator ** 2, radius.denominator ** 2
     box = ConvexPolyhedron.box(center, radius)
-    seen: set[tuple[int, ...]] = set()  # membership only: pts keeps the order
-    pts: list[Vec] = []
+    pts: dict[tuple[int, ...], None] = {}  # first-seen order
     for piece in pieces:
         vs = [r for r in piece.intersect(box).homogeneous_generators[1] if r[-1]]
         if not vs:
@@ -391,9 +379,8 @@ def _ball_points(pieces: tuple[ConvexPolyhedron, ...], center: Vec,
         for p in cand:
             *x, t = p
             d2 = sum((cd * xi - ci * t) ** 2 for xi, ci in zip(x, cn))
-            if rd2 * d2 <= rn2 * (cd * t) ** 2 and p not in seen:
-                seen.add(p)
-                pts.append(tuple(Fraction(xi, t) for xi in x))
+            if rd2 * d2 <= rn2 * (cd * t) ** 2:
+                pts[p] = None
     return tuple(pts)
 
 
@@ -443,20 +430,22 @@ def _refine(levels, sweep) -> ModulusEstimate:
     return ModulusEstimate(history[-1], False, witness, history)
 
 
-def _ratios(f: FunctionSpec, xs: list[Vec], ys: list[Vec], slices) -> tuple[float, tuple | None]:
-    """_sup of d(x; slice of y) / d(y; subdifferential at x) over the pairs
-    whose denominator exceeds DIST_TOL, x-major, witnessed by the pair (x, y)
-    as floats; slices[j] is the nonempty inverse image of ys[j]."""
-    xfs, yfs = _floats(xs, f.dim), _floats(ys, f.dim)
+def _ratios(f: FunctionSpec, xs, ys, slices) -> tuple[float, tuple | None]:
+    """_sup of d(x; slice of y) / d(y; subdifferential at x) over the row pairs
+    whose denominator exceeds DIST_TOL, x-major: the ratio matrix's first largest
+    entry, witnessed as floats; slices[j] is ys[j]'s nonempty inverse image."""
+    xfs, yfs = row_floats(xs, f.dim), row_floats(ys, f.dim)
     den = subdifferential_distance(f, xs, ys)
     kept = den > DIST_TOL
-    num = np.zeros_like(den)
+    ratio = np.zeros_like(den)
     requests = [(xfs[k], s.pieces) for k, s in zip(kept.T, slices)]
     for j, d in enumerate(distances_to_unions(requests)):
-        num[kept[:, j], j] = d
-    i, j = np.nonzero(kept)
-    return _sup(zip((num[i, j] / den[i, j]).tolist(),
-                    zip(map(tuple, xfs[i].tolist()), map(tuple, yfs[j].tolist()))))
+        ratio[kept[:, j], j] = d
+    np.divide(ratio, den, out=ratio, where=kept)
+    if not ratio.any():  # no pair, or no ratio above 0
+        return 0.0, None
+    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return float(ratio[i, j]), (tuple(xfs[i].tolist()), tuple(yfs[j].tolist()))
 
 
 def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
@@ -472,8 +461,8 @@ def estimate_subregularity_modulus(inst: ProblemInstance) -> ModulusEstimate:
         return ModulusEstimate(math.inf, False, None, failure="empty solution slice")
 
     def sweep(per_axis):  # the metric sweep at y = xstar alone
-        best, at = _ratios(f, domain_lattice(f, inst.xbar, p.eta, per_axis), [inst.xstar],
-                           [slice_])
+        best, at = _ratios(f, domain_lattice(f, inst.xbar, p.eta, per_axis),
+                           [int_row(inst.xstar + (1,))], [slice_])
         return best, at and at[0]
 
     return _refine(_refinement_schedule(p.grid, p.refine_max), sweep)
@@ -515,9 +504,9 @@ def estimate_metric_regularity_modulus(inst: ProblemInstance) -> ModulusEstimate
         ys = ball_lattice(inst.xstar, p.delta, level[1])
         slices = []
         for y in ys:  # in y order: no inverse image past the first empty one
-            slices.append(inverse_image(f, y, box))
+            slices.append(inverse_image(f, row_vec(y), box))
             if slices[-1].is_empty():
-                raise _Unbounded(to_float(y), f"empty preimage at y={to_float(y)}")
+                raise _Unbounded(yf := to_float(slices[-1].v), f"empty preimage at y={yf}")
         return _ratios(f, xs, ys, slices)
 
     levels = zip(_refinement_schedule(p.grid, p.refine_max),
@@ -535,21 +524,22 @@ def check_uniform_growth(inst: ProblemInstance, kappa) -> CheckOutcome:
     p = inst.params
     box = _inverse_box(inst)
     xs = domain_lattice(f, inst.xbar, p.eta, p.grid)
-    xs_f = _floats(xs, f.dim)
+    xs_f = row_floats(xs, f.dim)
     fvals = _values(f, xs)
     two_kappa = 2 * float(kappa)
 
-    def dominates(u: Vec, usf: np.ndarray) -> bool:
-        d = xs_f - np.array(to_float(u))
-        rhs = float(evaluate_exact(f, u)) + _rowdot(d, usf) + _rowdot(d, d) / two_kappa
+    def dominates(uf: np.ndarray, fu: float, usf: np.ndarray) -> bool:
+        d = xs_f - uf
+        rhs = fu + _rowdot(d, usf) + _rowdot(d, d) / two_kappa
         return not np.any(fvals < rhs - TIE_TOL)
 
-    ustars = ball_lattice(inst.xstar, p.delta, _coarse(p))
+    ustars = [row_vec(y) for y in ball_lattice(inst.xstar, p.delta, _coarse(p))]
     violations = []
     for ustar in ustars:
         usf = np.array(to_float(ustar))
         cands = _ball_points(inverse_image(f, ustar, box).pieces, inst.xbar, p.eta)
-        if not any(dominates(u, usf) for u in cands):
+        if not any(dominates(uf, fu, usf)
+                   for uf, fu in zip(row_floats(cands, f.dim), _values(f, cands))):
             violations.append(tuple(map(float, usf)))
     return CheckOutcome(not violations, violations, float(len(violations)), len(ustars))
 
@@ -578,24 +568,22 @@ def check_single_valued_localization(inst: ProblemInstance) -> LocalizationRepor
     box = _inverse_box(inst)
     points: dict[Vec, np.ndarray] = {}
     failures: list[tuple[float, tuple, list]] = []
-    for ustar in ball_lattice(inst.xstar, p.delta, _coarse(p)):
+    for ustar in map(row_vec, ball_lattice(inst.xstar, p.delta, _coarse(p))):
         slice_ = inverse_image(f, ustar, box)
         cands = _ball_points(slice_.pieces, inst.xbar, p.eta)
         if not cands:
             continue
-        arr = np.array([to_float(c) for c in cands], dtype=float)
+        arr = row_floats(cands, f.dim)
         dia, pair = _sup((float(np.linalg.norm(a - b)), (a, b))
                          for a, b in itertools.combinations(arr, 2))
         if dia > TIE_TOL:
             uf = to_float(ustar)
-            mags = sorted(abs(t) for t in uf)
-            spread = mags[-1] - mags[0] if uf else 0.0
+            spread = max(map(abs, uf)) - min(map(abs, uf))
             failures.append((spread, uf, [tuple(map(float, q)) for q in pair]))
             continue
         points[ustar] = arr[0]
-    if failures:
-        failures.sort(key=lambda rec: (rec[0], rec[1]))
-        spread, uf, pair = failures[0]
+    if failures:  # the first of the least (spread, uf)
+        _, uf, pair = min(failures, key=lambda rec: rec[:2])
         return LocalizationReport(False, uf, pair, None)
     return LocalizationReport(True, None, [], _lipschitz(points.items()) if points else None)
 
@@ -765,7 +753,7 @@ def tilt_stability_verdict(inst: ProblemInstance) -> TiltReport:
     the modulus estimate is their maximum."""
     p = inst.params
     xbar_f = np.array(to_float(inst.xbar))
-    tilts = ball_lattice(zeros(inst.f.dim), p.rho, _coarse(p))
+    tilts = [row_vec(t) for t in ball_lattice(zeros(inst.f.dim), p.rho, _coarse(p))]
     # the zero tilt anchors the verdict; check it first
     tilts.sort(key=lambda t: sum(abs(x) for x in t))
     argmin: list[tuple[tuple, np.ndarray]] = []

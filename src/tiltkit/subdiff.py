@@ -11,6 +11,7 @@ limit sampling.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ import numpy as np
 from .cones import PolyCone, dedupe
 from .model import AnalyticFixture1D, FunctionSpec, ValidationError, scalar
 from .polyhedra import ConvexPolyhedron
-from .project import distances_to_unions, row_norms
-from .rational import F1, Vec, int_row, sub, to_float, vec
+from .project import distances_to_unions, row_floats, row_norms
+from .rational import F1, Vec, int_row, int_scaled, sub, to_float, vec
 
 
 class EmptySliceError(ValueError):
@@ -36,12 +37,12 @@ class ExactSubdifferential:
         w = sub(vec(v), self.base)
         return any(c.contains(w) for c in self.cones)
 
-    def holds_at_each(self, ps) -> list[bool]:
-        """Is v in the set, for each p of ps the ints of (v, 1) up to a positive
-        factor?  With base = g/e, v - base is a positive multiple of e p' - p_t g."""
-        *g, e = int_row(self.base + (F1,))
-        return [any(c.holds_at([e * a - p[-1] * b for a, b in zip(p, g)])
-                    for c in self.cones) for p in ps]
+
+def holds_at_each(cones, g, e, ps) -> list[bool]:
+    """Is v in g/e + the union of cones, e > 0, for each p of ps the ints of (v, 1)
+    up to a positive factor?  v - g/e is a positive multiple of e p' - p_t g."""
+    return [any(c.holds_at([e * a - p[-1] * b for a, b in zip(p, g)]) for c in cones)
+            for p in ps]
 
 
 @dataclass(frozen=True)
@@ -55,18 +56,9 @@ class Interval1D:
         return self.lo - self.tol <= scalar(v) <= self.hi + self.tol
 
 
-def _interval_distance(lo, hi, t):
-    """d(t; [lo, hi]), elementwise over arrays."""
-    return np.maximum(np.maximum(lo - t, t - hi), 0.0)
-
-
-SubdifferentialSet = ExactSubdifferential | Interval1D
-
-
-def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
+def subdifferential(f: FunctionSpec, x) -> ExactSubdifferential | Interval1D:
     """The limiting subdifferential at x: for the exact class, the gradient
-    plus the values of the global cells whose closure holds x.  The domain
-    and each closure are tested on the ints of (x, 1)."""
+    plus the values of the global cells whose closure holds x."""
     if not f.is_exact:
         if not f.in_domain(scalar(x)):
             raise ValidationError("point is outside the domain")
@@ -74,31 +66,37 @@ def subdifferential(f: FunctionSpec, x) -> SubdifferentialSet:
     x = vec(x)
     if len(x) != f.dim:
         raise ValidationError("dimension mismatch")
-    p = int_row(x + (F1,))
+    return ExactSubdifferential(f.smooth.gradient(x), _cones_at(f, int_row(x + (F1,))))
+
+
+def _cones_at(f: FunctionSpec, p) -> tuple[PolyCone, ...]:
+    """The values of the global cells whose closure holds x, tested with the
+    domain on p, the ints of (x, 1) up to a positive factor."""
     if not f.domain.holds_at(p):
         raise ValidationError("point is outside the domain")
-    cones = dedupe([c.value for c in f.cells if c.closure.holds_at(p)], f.dim)
-    return ExactSubdifferential(f.smooth.gradient(x), cones)
+    return dedupe([c.value for c in f.cells if c.closure.holds_at(p)], f.dim)
 
 
 def subdifferential_distance(f: FunctionSpec, xs, ys) -> np.ndarray:
-    """d(y; subdifferential at x) of the exact variant, x by y: 0 where y is
-    in the set, tested on the ints of (y, 1), made once per call; elsewhere
-    the float distance (`distances_to_unions`), at most ~1e-10 above the
-    true one, and 0 where y - grad f(x) is within FEAS_TOL of a nontrivial
-    cone on each of its primitive int rows: near a wedge's apex, a y
-    3.5e-10 outside the set reads 0."""
-    if any(len(y) != f.dim for y in ys):
-        raise ValueError(f"dimension mismatch: subgradients of R^{f.dim} have {f.dim} entries")
-    yints = [int_row(tuple(y) + (F1,)) for y in ys]
-    yfs = np.array([to_float(y) for y in ys], dtype=float).reshape(len(ys), f.dim)
+    """d(y; subdifferential at x) of the exact variant, x by y, over int rows
+    (x, t), t > 0: grad f(x) is g / e, g = Qn x + cn t, e = l t, for
+    [Qn | cn] = l [Q | c].  0 where y is in the set, tested on the rows;
+    elsewhere the float distance (`distances_to_unions`), at most ~1e-10
+    above the true one, and 0 where y - grad f(x) is within FEAS_TOL of a
+    nontrivial cone on each of its primitive int rows: near a wedge's apex,
+    a y 3.5e-10 outside the set reads 0."""
+    if any(len(y) != f.dim + 1 for y in ys):
+        raise ValueError(f"dimension mismatch: subgradients of R^{f.dim} take rows (y, t)")
+    l, qc = int_scaled([[*row, ci] for row, ci in zip(f.smooth.q, f.smooth.c)])
+    yfs = row_floats(ys, f.dim)
     out = np.zeros((len(xs), len(ys)))
     far = []
-    for i, x in enumerate(xs):
-        sd = subdifferential(f, x)
-        js = np.flatnonzero(np.logical_not(sd.holds_at_each(yints)))
-        ws = yfs[js] - np.asarray(to_float(sd.base))
-        polys = [c.polyhedron for c in sd.cones if not c.is_trivial()]
+    for i, p in enumerate(xs):
+        cones = _cones_at(f, p)
+        g, e = [sum(map(operator.mul, row, p)) for row in qc], l * p[-1]
+        js = np.flatnonzero(np.logical_not(holds_at_each(cones, g, e, ys)))
+        ws = yfs[js] - np.array([gi / e for gi in g])
+        polys = [c.polyhedron for c in cones if not c.is_trivial()]
         if not polys:  # the cones are {0}, which dedupe keeps only alone
             out[i, js] = row_norms(ws)
         elif len(js):
@@ -144,7 +142,7 @@ def analytic_distances(fx: AnalyticFixture1D, xs, v: float) -> np.ndarray:
     for i in np.flatnonzero(special):
         sd = _analytic_subdifferential(fx, xs[i])
         lo[i], hi[i] = sd.lo, sd.hi
-    return _interval_distance(lo, hi, v)
+    return np.maximum(np.maximum(lo - v, v - hi), 0.0)  # d(v; [lo, hi])
 
 
 def _exceptional_enclosure(fx: AnalyticFixture1D, t: float) -> Interval1D:

@@ -28,7 +28,7 @@ from .hessian import (INDEFINITE, POSITIVE_DEFINITE, build_graph_model, definite
                       hessian_sum_rule_check, kernel, second_order_map)
 from .model import FunctionSpec, Params, ProblemInstance, QuadraticForm, ValidationError
 from .polyhedra import ConvexPolyhedron, PolyUnion, critical_cone, same_union
-from .rational import F0, dot, is_zero, matvec, norm_sq, vec
+from .rational import F0, dot, int_row, is_zero, matvec, norm_sq, vec
 from .subdiff import inverse_image, stationary_points_1d
 
 PASS = "pass"
@@ -240,7 +240,7 @@ def _suite_strong_subregularity() -> SuiteResult:
         box = ConvexPolyhedron.box(inst.xbar, inst.params.eta)
         sl = inverse_image(inst.f, inst.xstar, box)
         pts = reg._ball_points(sl.pieces, inst.xbar, inst.params.eta)
-        only_ref = all(p == inst.xbar for p in pts)
+        only_ref = set(pts) <= {int_row(inst.xbar + (1,))}
         s.add(f"{fx.name}: solution set is the reference point alone", only_ref,
               "[DERIVED: oracle=exact inverse slice in the eta-ball]",
               alpha=alpha, beta=beta, points=len(pts))

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tiltkit.hessian import second_order_map
 from tiltkit.model import (ANALYTIC_REGISTRY, FunctionSpec, Params, ProblemInstance, QuadraticForm,
                            ValidationError, evaluate_exact, parse_problem)
 from tiltkit.polyhedra import ConvexPolyhedron, PolyUnion
+from tiltkit.project import row_floats
 from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, EIGEN_TIE_TOL, FEASIBLE_TOL,
                                 MINIMIZER_TOL, PROX_GRID, PROX_MODES, R_CAP, SECTION_TOL,
                                 SECULAR_BISECTIONS, SECULAR_DOUBLINGS, SECULAR_OFFSET,
@@ -34,8 +36,8 @@ from tiltkit.regularity import (ALPHA_CAP, ALPHA_POINTS, DIST_TOL, EIGEN_TIE_TOL
                                 estimate_subregularity_modulus, graph_point_samples,
                                 growth_alpha_hat, minimal_prox_r, solve_tilts,
                                 tilt_stability_verdict)
-from tiltkit.rational import (add, combine, dot, frac, mat, matvec, neg, norm_sq, solve_affine,
-                              sub, to_float, vec, zeros)
+from tiltkit.rational import (add, combine, dot, frac, int_row, mat, matvec, neg, norm_sq,
+                              row_vec, solve_affine, sub, to_float, vec, zeros)
 from tiltkit.subdiff import (analytic_inverse_points, distance_to_inverse, inverse_image,
                              subdifferential)
 from tiltkit.verifier import _random_instance
@@ -45,8 +47,13 @@ def inst(name):
     return fixture(name).instance
 
 
+def points(rows):
+    """The Fraction points x / t of int rows (x, t)."""
+    return [row_vec(p) for p in rows]
+
+
 def test_ball_lattice_is_rational_and_inside():
-    pts = ball_lattice((F(0), F(0)), F(1, 10), 5)
+    pts = points(ball_lattice((F(0), F(0)), F(1, 10), 5))
     assert (F(0), F(0)) in pts
     for p in pts:
         assert sum(x * x for x in p) <= F(1, 100)
@@ -67,8 +74,8 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=30)
        rationals.map(abs).filter(lambda r: r > 0), st.integers(2, 17))
 def test_ball_lattice_matches_fraction_oracle(center, radius, per_axis):
     got = ball_lattice(tuple(center), radius, per_axis)
-    assert got == fraction_ball_lattice(tuple(center), radius, per_axis)
-    assert all(type(x) is F for pt in got for x in pt)
+    assert points(got) == fraction_ball_lattice(tuple(center), radius, per_axis)
+    assert all(type(x) is int for p in got for x in p) and all(p[-1] > 0 for p in got)
 
 
 def fraction_in(union, x):
@@ -79,7 +86,7 @@ def fraction_in(union, x):
 def fraction_zoomed(f, center, radius, per_axis):
     """Oracle: the zoomed lattice as Fraction points, each shrunk toward the
     center and tested row by row."""
-    base = [x for x in ball_lattice(center, radius, per_axis) if fraction_in(f.domain, x)]
+    base = [x for x in points(ball_lattice(center, radius, per_axis)) if fraction_in(f.domain, x)]
     seen, out = set(base), list(base)
     for k in range(1, ZOOM_SCALES + 1):
         for x in base:
@@ -103,12 +110,76 @@ def test_int_lattices_and_values_match_fraction_oracles(f, data):
     assert [f.domain.contains(x) for x in pts] == [fraction_in(f.domain, x) for x in pts]
     center, per_axis = data.draw(vecs), data.draw(st.integers(2, 4))
     radius = data.draw(st.sampled_from([F(1, 3), F(1, 7), F(1), F(3, 64)]))
-    grid = domain_lattice(f, center, radius, per_axis)
-    assert grid == [x for x in ball_lattice(center, radius, per_axis) if fraction_in(f.domain, x)]
+    grid = points(domain_lattice(f, center, radius, per_axis))
+    assert grid == [x for x in points(ball_lattice(center, radius, per_axis))
+                    if fraction_in(f.domain, x)]
     zoomed = domain_lattice(f, center, radius, per_axis, ZOOM_SCALES)
-    assert zoomed == fraction_zoomed(f, center, radius, per_axis)
+    assert points(zoomed) == fraction_zoomed(f, center, radius, per_axis)
+    assert len(set(points(zoomed))) == len(zoomed)  # no two rows equal as rationals
     # f at points whose denominators reach 64 * 7 * 2^13: most values round
-    assert _values(f, zoomed).tolist() == [float(evaluate_exact(f, x)) for x in zoomed]
+    assert _values(f, zoomed).tolist() == [float(evaluate_exact(f, x)) for x in points(zoomed)]
+
+
+@st.composite
+def int_rows(draw, n):
+    """An int row (x, t) of R^n: primitive or not, negative entries, t over
+    the denominators 1, 3, 7 and 21 times 1, 2 or 2^13, as zoomed lattices
+    make; a factor past 2^53 makes float(x_i) / float(t) round twice."""
+    t = draw(st.sampled_from([1, 3, 7, 21])) << draw(st.sampled_from([0, 1, 13]))
+    x = draw(st.lists(st.integers(-5 * t, 5 * t), min_size=n, max_size=n))
+    k = draw(st.one_of(st.integers(1, 12), st.sampled_from([3 ** 40, 7 ** 30 + 1])))
+    return tuple(k * a for a in (*x, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(int_rows(n),
+                                                                          max_size=4))))
+@example((1, [(2, 6), (-3, 9), (-1, 3 << 13), (5, 7 << 13)]))
+def test_floats_of_int_rows_equal_floats_of_their_fractions(case):
+    n, rows = case
+    assert row_floats(rows, n).tolist() == [[float(x) for x in row_vec(p)] for p in rows]
+
+
+def ratios_against_oracle(num, den):
+    """(`_ratios`, its oracle) on an x-by-y grid whose numerators and
+    denominators are num and den: _sup over the pairs whose denominator
+    exceeds DIST_TOL, x-major, each witnessed by its float pair."""
+    import tiltkit.regularity as reg
+
+    nx, ny = len(den), len(den[0])
+    xs, ys = [(i, 1) for i in range(nx)], [(j, 3) for j in range(ny)]
+    kept = np.array(den) > DIST_TOL
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reg, "subdifferential_distance", lambda f, xs, ys: np.array(den))
+        mp.setattr(reg, "distances_to_unions",
+                   lambda requests: [np.array(num)[kept[:, j], j] for j in range(ny)])
+        got = reg._ratios(SimpleNamespace(dim=1), xs, ys, [SimpleNamespace(pieces=())] * ny)
+    oracle = _sup((num[i][j] / den[i][j], ((float(i),), (j / 3,)))
+                  for i in range(nx) for j in range(ny) if den[i][j] > DIST_TOL)
+    return got, oracle
+
+
+@pytest.mark.parametrize("num, den, expected", [
+    # tied at (0, 1) and (1, 0): the first, x-major, wins
+    ([[0.0, 2.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, DIST_TOL]], (2.0, ((0.0,), (1 / 3,)))),
+    ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.5], [2.0, 1.0]], (0.0, None)),  # every ratio 0
+    ([[1.0, 2.0]], [[DIST_TOL, 0.0]], (0.0, None)),  # no pair kept
+], ids=["tied-maxima", "all-zero", "none-kept"])
+def test_ratio_witness_is_the_sup_oracle_pick(num, den, expected):
+    assert ratios_against_oracle(num, den) == (expected, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_ratio_witness_is_the_sup_oracle_pick_on_drawn_grids(nx, ny, data):
+    # few values, so maxima tie; a den at or below DIST_TOL drops its pair
+    def grid(values):
+        return data.draw(st.lists(st.lists(st.sampled_from(values), min_size=ny, max_size=ny),
+                                  min_size=nx, max_size=nx))
+
+    got, oracle = ratios_against_oracle(grid([0.0, 1.0, 2.0]),
+                                        grid([DIST_TOL / 2, DIST_TOL, 0.5, 1.0]))
+    assert got == oracle
 
 
 def test_subregularity_quadratics():
@@ -187,7 +258,7 @@ def pointwise_subregularity(inst):
     xstar_f = np.array([to_float(inst.xstar)])
 
     def ratios(per_axis):
-        for x in domain_lattice(f, inst.xbar, p.eta, per_axis):
+        for x in points(domain_lattice(f, inst.xbar, p.eta, per_axis)):
             if slice_.contains(x):
                 continue
             sd = subdifferential(f, x)
@@ -209,8 +280,8 @@ def pointwise_metric_regularity(inst):
     box = ConvexPolyhedron.box(inst.xbar, p.box_halfwidth)
 
     def ratios(nx, ny):
-        xs = domain_lattice(f, inst.xbar, p.eta, nx)
-        ys = ball_lattice(inst.xstar, p.delta, ny)
+        xs = points(domain_lattice(f, inst.xbar, p.eta, nx))
+        ys = points(ball_lattice(inst.xstar, p.delta, ny))
         slices = []
         for y in ys:
             slices.append(inverse_image(f, y, box))
@@ -345,7 +416,7 @@ def pointwise_uniform_growth(i, kappa):
     f, p = i.f, i.params
     box = ConvexPolyhedron.box(i.xbar, p.box_halfwidth)
     xs = [(np.array(to_float(x)), float(evaluate_exact(f, x)))
-          for x in domain_lattice(f, i.xbar, p.eta, p.grid)]
+          for x in points(domain_lattice(f, i.xbar, p.eta, p.grid))]
 
     def dominates(u, usf):
         uf, fu = np.array(to_float(u)), float(evaluate_exact(f, u))
@@ -354,9 +425,9 @@ def pointwise_uniform_growth(i, kappa):
                    for xf, fx in xs)
 
     refuted = []
-    for ustar in ball_lattice(i.xstar, p.delta, _coarse(p)):
+    for ustar in points(ball_lattice(i.xstar, p.delta, _coarse(p))):
         usf = np.array(to_float(ustar))
-        cands = _ball_points(inverse_image(f, ustar, box).pieces, i.xbar, p.eta)
+        cands = points(_ball_points(inverse_image(f, ustar, box).pieces, i.xbar, p.eta))
         if not any(dominates(u, usf) for u in cands):
             refuted.append(tuple(map(float, usf)))
     return refuted
@@ -611,7 +682,7 @@ def tilt_cases():
     for fx in CORPUS.values():
         if fx.instance.f.is_exact:
             p = fx.instance.params
-            yield fx.instance, ball_lattice(zeros(fx.instance.f.dim), p.rho, _coarse(p))
+            yield fx.instance, points(ball_lattice(zeros(fx.instance.f.dim), p.rho, _coarse(p)))
     yield tie_instance(), [(0, 0, 0), (0, 0, F(1, 10)), (F(1, 10), 0, 0), (F(1, 30), F(-1, 7), 1)]
     rng = random.Random(5)
     for _ in range(30):
@@ -663,7 +734,7 @@ def check_condition_4_1(inst: ProblemInstance, kappa, r) -> CheckOutcome:
              ("pairing", graph_form(n, 0, -1, r)))
     violations = []
     checked = 0
-    for (x, xs) in graph_point_samples(f, inst.xbar, inst.xstar, inst.params.eta):
+    for x, xs in map(points, graph_point_samples(f, inst.xbar, inst.xstar, inst.params.eta)):
         cone = regular_normal_cone(union, tuple(x) + tuple(xs))
         for name, form in forms:
             sign, wit = cone_form_min_sign(cone, form)
@@ -711,7 +782,8 @@ def test_first_order_paths_run_no_local_cell_search(monkeypatch):
 def test_graph_samples_lie_on_graph():
     from tiltkit.subdiff import subdifferential
     i = inst("complementarity-1d")
-    pairs = graph_point_samples(i.f, i.xbar, i.xstar, i.params.eta)
+    pairs = [tuple(points(pair)) for pair in graph_point_samples(i.f, i.xbar, i.xstar,
+                                                                 i.params.eta)]
     assert len(pairs) >= 3
     assert pairs[0] == (tuple(i.xbar), tuple(i.xstar))
     assert len(set(pairs)) == len(pairs)
@@ -729,7 +801,7 @@ def test_slice_points_cache_keys_on_content():
     for k in range(20):
         t = F(k, 200)
         piece = ConvexPolyhedron([(1,), (-1,)], (t, -t))
-        assert _ball_points((piece,), center, radius) == ((t,),)
+        assert points(_ball_points((piece,), center, radius)) == [(t,)]
 
 
 def fraction_ball_points(pieces, center, radius):
@@ -792,8 +864,9 @@ LINE = ConvexPolyhedron([(F(1, 3), -1), (F(-1, 3), 1)], (F(2, 7), F(-2, 7)))  # 
 def test_int_ball_points_match_the_fraction_oracle(case):
     pieces, center, radius = case
     got = _ball_points(pieces, center, radius)
-    assert got == fraction_ball_points(pieces, center, radius)  # and in the same order
-    assert all(type(x) is F for p in got for x in p)
+    assert tuple(points(got)) == fraction_ball_points(pieces, center, radius)  # in order
+    assert all(type(x) is int for p in got for x in p)
+    assert all(p[-1] > 0 and math.gcd(*p) == 1 for p in got)
 
 
 def test_int_ball_points_do_no_fraction_arithmetic(monkeypatch):
@@ -815,7 +888,7 @@ def test_int_ball_points_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(F, name, no_arithmetic)
     got = _ball_points(pieces, center, radius)
     monkeypatch.undo()
-    assert got == expected
+    assert tuple(points(got)) == expected
 
 
 @pytest.mark.parametrize("name", ["quad-diag", "oscillating-1d"])

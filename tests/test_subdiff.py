@@ -20,8 +20,9 @@ from tiltkit.rational import (add, combine, dot, int_row, matvec, neg, norm_sq, 
                               scale, solve, sub, to_float, vec, zeros)
 from tiltkit.subdiff import (BISECT_STEPS, BISECT_TOL, EmptySliceError, ExactSubdifferential,
                              _analytic_subdifferential, analytic_distances,
-                             analytic_inverse_points, distance_to_inverse, inverse_image,
-                             stationary_points_1d, subdifferential, subdifferential_distance)
+                             analytic_inverse_points, distance_to_inverse, holds_at_each,
+                             inverse_image, stationary_points_1d, subdifferential,
+                             subdifferential_distance)
 
 
 def saddle():
@@ -56,6 +57,11 @@ def frechet_subdifferential(f, x):
     return ExactSubdifferential(f.smooth.gradient(x), (regular_normal_cone(f.domain, x),))
 
 
+def rows(points, k=1):
+    """The int rows (x, t) of the points x / t, primitive times k."""
+    return [tuple(k * a for a in int_row(tuple(p) + (1,))) for p in points]
+
+
 def subgradient_distances(sd, vs):
     """Oracle of subdifferential_distance, one request at a time: d(v; sd) for
     each row v of an (m, n) array vs, by `distance_to_polyhedron` per cone
@@ -81,8 +87,8 @@ def test_subgradient_of_the_wrong_length_is_rejected_not_truncated():
 def test_distance_to_a_point_of_the_wrong_length_is_rejected_not_broadcast():
     for ys in [[(3,)], [(3, 3, 0)], [(3,), (1,)], [(3, 3), (1,)]]:
         with pytest.raises(ValueError, match="dimension mismatch"):
-            subdifferential_distance(saddle(), [(0, 0)], ys)
-    d = subdifferential_distance(saddle(), [(0, 0)], [(3, 3)])[0, 0]
+            subdifferential_distance(saddle(), rows([(0, 0)]), rows(ys))
+    d = subdifferential_distance(saddle(), rows([(0, 0)]), rows([(3, 3)]))[0, 0]
     assert d == subgradient_distances(subdifferential(saddle(), (0, 0)), np.array([[3.0, 3.0]]))[0]
     assert abs(d - 3 * math.sqrt(2)) < 1e-12
 
@@ -128,8 +134,8 @@ def test_convex_fixture_frechet_equals_limiting():
 
 
 def test_subdifferential_distance_examples():
-    assert subdifferential_distance(smooth_1d(), [(1,)], [(0,)]).tolist() == [[1.0]]
-    d = subdifferential_distance(saddle(), [(0, 0)], [(1, 0), (-1, F(1, 2))])
+    assert subdifferential_distance(smooth_1d(), rows([(1,)]), rows([(0,)])).tolist() == [[1.0]]
+    d = subdifferential_distance(saddle(), rows([(0, 0)]), rows([(1, 0), (-1, F(1, 2))]))
     assert abs(d[0, 0] - 1.0) < 1e-12 and d[0, 1] == 0.0
 
 
@@ -159,7 +165,7 @@ def assert_distances_within_stated_accuracy(f, xs, ys):
     plus its accuracy, and reads 0 only where y - grad f(x) is within FEAS_TOL
     of a nontrivial cone on each of its primitive int rows (up to the
     rounding of the float row products)."""
-    d = subdifferential_distance(f, xs, ys)
+    d = subdifferential_distance(f, rows(xs), rows(ys))
     for i, x in enumerate(xs):
         sd = subdifferential(f, x)
         for j, y in enumerate(ys):
@@ -178,7 +184,7 @@ def test_subdifferential_distance_near_a_wedge_apex():
     # 3.5e-10 away, but within FEAS_TOL of its normal cone: it reads 0
     eps = F(1, 2 * 10 ** 9)
     ys = [(-1, 1 + eps), (-1, 1 + 10 * eps), (eps, 0), (-1 - eps, 1 + 3 * eps), (-1, 1)]
-    assert subdifferential_distance(saddle(), [(0, 0)], ys[:1]).tolist() == [[0.0]]
+    assert subdifferential_distance(saddle(), rows([(0, 0)]), rows(ys[:1])).tolist() == [[0.0]]
     assert_distances_within_stated_accuracy(saddle(), [(0, 0), (1, 0)], ys)
 
 
@@ -349,7 +355,9 @@ def test_int_membership_matches_fraction_membership(f, data):
         gens = [g for c in sd.cones for g in c.generators()]
         vs = list(map(vec, ys)) + [sd.base] + [
             tuple(b + g * F(k, 7) for b, g in zip(sd.base, gen)) for gen in gens for k in (1, -1)]
-        assert sd.holds_at_each([int_row(v + (1,)) for v in vs]) == [sd.contains(v) for v in vs]
+        *g, e = int_row(sd.base + (1,))
+        assert holds_at_each(sd.cones, g, e, [int_row(v + (1,)) for v in vs]) == \
+            [sd.contains(v) for v in vs]
 
 
 def slice_meets(piece, p, box):
@@ -476,11 +484,13 @@ def test_subdifferential_distance_of_a_grid_equals_its_entries_one_by_one():
     # (2/3, 2/7) at (1/3, -1/7) is its whole subdifferential there
     xs = [(0, 0), (1, 0), (F(1, 3), F(-1, 7))]
     ys = [(1, 0), (F(-1), F(1, 3)), (0, 2), (F(2, 3), F(2, 7))]
-    d = subdifferential_distance(saddle(), xs, ys)
+    d = subdifferential_distance(saddle(), rows(xs), rows(ys))
     assert d.shape == (3, 4) and d[0, 1] == 0.0 and d[2, 3] == 0.0
     assert (np.delete(d.reshape(-1), [1, 11]) > 0).all()
-    assert d.tolist() == [[subdifferential_distance(saddle(), [x], [y])[0, 0] for y in ys]
-                          for x in xs]
+    assert d.tolist() == [[subdifferential_distance(saddle(), [x], [y])[0, 0] for y in rows(ys)]
+                          for x in rows(xs)]
+    # rows that are not primitive name the same points: the same bytes
+    assert subdifferential_distance(saddle(), rows(xs, 6), rows(ys, 35)).tolist() == d.tolist()
 
 
 def test_distance_to_empty_slice_is_an_error_not_zero():

@@ -145,6 +145,20 @@ def test_cli_analyze_bad_override_exits_2(tmp_path, capsys, flag):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--eta", "--delta", "--gamma"])
+def test_cli_zero_denominator_names_the_flag_and_exits_2(flag):
+    # Fraction("1/0") raises ZeroDivisionError, whose text names neither
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    problem = Path(__file__).resolve().parent.parent / "problems" / "saddle-cone.json"
+    run = subprocess.run([sys.executable, "-m", "tiltkit", "analyze", str(problem), flag, "1/0"],
+                         capture_output=True, env=env, text=True, timeout=300)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith(f"error: {flag} 1/0") and "Traceback" not in run.stderr
+
+
 def _exact_file(**changes):
     raw = {"variant": "exact", "smooth": {"Q": [[1]], "c": [0], "d": 0},
            "pieces": [{"A": [[1]], "b": [0]}], "xbar": [0], "xstar": [0]}
